@@ -269,7 +269,9 @@ int main(int argc, char** argv) {
       service::FleetConfig cfg;
       cfg.threads = threads;
       cfg.shards = shards;
-      cfg.session.drift_centroids = trained.centroids;
+      cfg.session.model = std::make_shared<const service::SessionModel>(
+          service::SessionModel{cfg.initial_model_version, trained.classifier,
+                                trained.centroids});
       service::FleetEngine engine(trained.classifier, cfg);
       const auto id =
           engine.open_session([](const service::SessionResult&) {});

@@ -48,7 +48,12 @@
 #      compared against the committed BENCH_lifecycle.json by the same
 #      robustness_gate.py (lifecycle mode), with its own tamper self-check,
 #      plus an ab_ward smoke run (the per-arm rollout report must build its
-#      table and exit clean).
+#      table and exit clean). Steps 7-9 share one function,
+#      robustness_gate_step;
+#  10. end-to-end benchmark: bench/e2e built on its own into build-e2e,
+#      then its ctest — a tiny-budget smoke of every BENCHMARK.json
+#      workload (each run checks its verdict streams against an in-process
+#      oracle) and the tamper self-test.
 #
 # Usage: scripts/ci.sh [--skip-sanitizers]
 set -euo pipefail
@@ -88,7 +93,7 @@ ctest --test-dir build --output-on-failure -j
 # kernels produce — its digests must be dispatch-independent too.
 echo "==== DSP kernel equivalence under HBRP_FORCE_SCALAR=1"
 HBRP_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
-  -R 'KernelsDsp|DetectorEquivalence|Drift|Lifecycle' -j
+  -R 'KernelsDsp|ExtremumEquivalence|DetectorEquivalence|Drift|Lifecycle' -j
 
 # --- 1b. fleet soak smoke: scaling grid + bit-identity gate ---------------
 # Quick-run reports stay under build/ so a CI pass never dirties the tree
@@ -129,70 +134,59 @@ if ! run_perf_gate; then
   run_perf_gate
 fi
 
-# --- 1e. robustness gate: adversarial scenarios vs committed baseline -----
-echo "==== robustness gate self-check (gate must fail on injected regression)"
-./build/bench/bench_scenarios --quick --threads=0 \
-  --json=build/BENCH_scenarios_quick.json
-python3 - <<'EOF'
+# --- 1e-1g. seeded robustness gates vs committed baselines ---------------
+# Each step runs a quick bench pass, proves robustness_gate.py fails on a
+# copy of that report with one key tampered (so a silently broken gate
+# cannot pass), then gates the real report against the committed
+# BENCH_<name>.json. No retry: the gated metrics are fully seeded, so any
+# drift is a real behavior change.
+#   robustness_gate_step <name> <tampered key> <python expr of old value v>
+robustness_gate_step() {
+  local name="$1" key="$2" tamper="$3"
+  local baseline="BENCH_${name}.json"
+  local quick="build/BENCH_${name}_quick.json"
+  local tampered="build/BENCH_${name}_tampered.json"
+  echo "==== ${name} gate self-check (gate must fail on injected regression)"
+  "./build/bench/bench_${name}" --quick --threads=0 --json="${quick}"
+  python3 - "${quick}" "${tampered}" "${key}" "${tamper}" <<'EOF'
 import json
-with open("build/BENCH_scenarios_quick.json", encoding="utf-8") as f:
+import sys
+src, dst, key, tamper = sys.argv[1:]
+with open(src, encoding="utf-8") as f:
     report = json.load(f)
-report["sc_sustained_vt_arr"] -= 0.10
-with open("build/BENCH_scenarios_tampered.json", "w", encoding="utf-8") as f:
+report[key] = eval(tamper, {"__builtins__": {}}, {"v": report[key]})
+with open(dst, "w", encoding="utf-8") as f:
     json.dump(report, f)
 EOF
-if python3 scripts/robustness_gate.py BENCH_scenarios.json \
-    build/BENCH_scenarios_tampered.json >/dev/null 2>&1; then
-  echo "robustness gate self-check FAILED: tampered report passed the gate" >&2
-  exit 1
-fi
-echo "==== robustness gate (bench_scenarios vs BENCH_scenarios.json)"
-python3 scripts/robustness_gate.py BENCH_scenarios.json \
-  build/BENCH_scenarios_quick.json
+  if python3 scripts/robustness_gate.py "${baseline}" "${tampered}" \
+      >/dev/null 2>&1; then
+    echo "${name} gate self-check FAILED: tampered report passed the gate" >&2
+    exit 1
+  fi
+  echo "==== ${name} gate (bench_${name} vs ${baseline})"
+  python3 scripts/robustness_gate.py "${baseline}" "${quick}"
+}
 
-# --- 1f. drift gate: morphology-drift detection vs committed baseline -----
-echo "==== drift gate self-check (gate must fail on injected regression)"
-./build/bench/bench_drift --quick --threads=0 \
-  --json=build/BENCH_drift_quick.json
-python3 - <<'EOF'
-import json
-with open("build/BENCH_drift_quick.json", encoding="utf-8") as f:
-    report = json.load(f)
-report["drift_false_alarm_rate"] = 0.5
-with open("build/BENCH_drift_tampered.json", "w", encoding="utf-8") as f:
-    json.dump(report, f)
-EOF
-if python3 scripts/robustness_gate.py BENCH_drift.json \
-    build/BENCH_drift_tampered.json >/dev/null 2>&1; then
-  echo "drift gate self-check FAILED: tampered report passed the gate" >&2
-  exit 1
-fi
-echo "==== drift gate (bench_drift vs BENCH_drift.json)"
-python3 scripts/robustness_gate.py BENCH_drift.json \
-  build/BENCH_drift_quick.json
-
-# --- 1g. lifecycle gate: hot-swap/push/A-B vs committed baseline ----------
-echo "==== lifecycle gate self-check (gate must fail on injected regression)"
-./build/bench/bench_lifecycle --quick --threads=0 \
-  --json=build/BENCH_lifecycle_quick.json
-python3 - <<'EOF'
-import json
-with open("build/BENCH_lifecycle_quick.json", encoding="utf-8") as f:
-    report = json.load(f)
-report["lifecycle_identity_pass"] = False
-with open("build/BENCH_lifecycle_tampered.json", "w", encoding="utf-8") as f:
-    json.dump(report, f)
-EOF
-if python3 scripts/robustness_gate.py BENCH_lifecycle.json \
-    build/BENCH_lifecycle_tampered.json >/dev/null 2>&1; then
-  echo "lifecycle gate self-check FAILED: tampered report passed the gate" >&2
-  exit 1
-fi
-echo "==== lifecycle gate (bench_lifecycle vs BENCH_lifecycle.json)"
-python3 scripts/robustness_gate.py BENCH_lifecycle.json \
-  build/BENCH_lifecycle_quick.json
+# 1e. adversarial scenarios: AAMI NDR/ARR, miss/false rates, wire identity.
+robustness_gate_step scenarios sc_sustained_vt_arr 'v - 0.10'
+# 1f. morphology drift: detection latency, false alarms, layout identity.
+robustness_gate_step drift drift_false_alarm_rate '0.5'
+# 1g. lifecycle: hot-swap identity, MODEL_PUSH NACKs, per-arm metrics.
+robustness_gate_step lifecycle lifecycle_identity_pass 'False'
 echo "==== A/B rollout report smoke (ab_ward)"
 ./build/examples/ab_ward 8 50 42
+
+# --- 1h. end-to-end benchmark: standalone build + smokes + self-test -----
+# bench/e2e is a CMake project of its own (it pulls in the root project
+# with tests, benches and examples off), so it is built here the way
+# bench/e2e/run.py builds it. Its ctest runs every workload at a tiny
+# budget, then the tamper self-test, which passes only when a run with one
+# flipped reference verdict reports failures.
+echo "==== bench_e2e standalone build"
+cmake -S bench/e2e -B build-e2e -DCMAKE_BUILD_TYPE=Release
+cmake --build build-e2e -j
+echo "==== bench_e2e smokes + tamper self-test"
+ctest --test-dir build-e2e --output-on-failure
 
 if [[ "${SKIP_SANITIZERS}" -eq 1 ]]; then
   echo "==== sanitizer jobs skipped"

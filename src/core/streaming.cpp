@@ -325,10 +325,9 @@ void StreamingBeatMonitor::flush(const PendingBeatSink& sink) {
 
 void StreamingBeatMonitor::flush_impl(const BeatSink* beats,
                                       const PendingBeatSink* pending) {
-  // Two-step drain mirrors the per-sample path exactly: first the pending
-  // batch (whose outputs would have streamed out one by one, scanning at
-  // chunk crossings), then the right-border tail, appended wholesale before
-  // one final scan — the same shape StreamingConditioner::flush() had.
+  // Two-step drain: first the pending batch (whose outputs would have
+  // streamed out one by one, scanning at chunk crossings), then the
+  // right-border tail, appended wholesale before one final scan.
   sync_conditioner(beats, pending);
   conditioner_.flush_tail(cond_out_);
   buffer_.insert(buffer_.end(), cond_out_.begin(), cond_out_.end());

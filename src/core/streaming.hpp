@@ -203,8 +203,8 @@ class StreamingBeatMonitor {
   dsp::SignalQuality quality_at(std::size_t absolute) const;
   void rearm(std::size_t at_absolute);
   /// Moves cond_out_ into the rolling buffer, scanning at every exact
-  /// chunk-boundary crossing — the same scan positions the per-sample
-  /// conditioner produced, so verdict streams are unchanged by batching.
+  /// chunk-boundary crossing — the scan positions a sample-at-a-time feed
+  /// would hit, so verdict streams are unchanged by batching.
   void append_conditioned(const BeatSink* beats,
                           const PendingBeatSink* pending);
   /// Drains the conditioner's pending batch through append_conditioned().

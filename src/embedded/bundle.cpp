@@ -56,7 +56,6 @@ std::size_t EmbeddedClassifier::memory_bytes() const {
 
 void EmbeddedClassifier::export_c_header(std::ostream& out,
                                          const char* symbol_prefix) const {
-  const auto& packed = projector_.packed();
   const auto& dense = projector_.matrix();
   out << "/* Generated by hbrp: embedded RP neuro-fuzzy classifier. */\n";
   out << "#include <stdint.h>\n\n";
@@ -68,25 +67,14 @@ void EmbeddedClassifier::export_c_header(std::ostream& out,
       << projector_.downsample_factor() << "\n";
   out << "#define " << symbol_prefix << "_ALPHA_Q16 " << alpha_q16_ << "u\n\n";
 
-  // 2-bit packed projection matrix, row-major, 4 elements per byte
-  // (00 = 0, 01 = +1, 10 = -1).
+  // The projector's stored 2-bit code, byte for byte: rp/packed_matrix.hpp
+  // owns the format, so the firmware table cannot drift from it.
   out << "static const uint8_t " << symbol_prefix << "_projection[] = {";
-  const std::size_t bytes_per_row = (dense.cols() + 3) / 4;
   std::size_t emitted = 0;
-  for (std::size_t r = 0; r < dense.rows(); ++r) {
-    for (std::size_t b = 0; b < bytes_per_row; ++b) {
-      std::uint8_t byte = 0;
-      for (std::size_t e = 0; e < 4; ++e) {
-        const std::size_t c = b * 4 + e;
-        if (c >= dense.cols()) break;
-        const std::int8_t v = packed.at(r, c);
-        const std::uint8_t bits = v == 0 ? 0u : (v == 1 ? 1u : 2u);
-        byte |= static_cast<std::uint8_t>(bits << (2 * e));
-      }
-      out << (emitted % 12 == 0 ? "\n  " : " ")
-          << static_cast<unsigned>(byte) << ",";
-      ++emitted;
-    }
+  for (const std::uint8_t byte : projector_.packed().bytes()) {
+    out << (emitted % 12 == 0 ? "\n  " : " ") << static_cast<unsigned>(byte)
+        << ",";
+    ++emitted;
   }
   out << "\n};\n\n";
 

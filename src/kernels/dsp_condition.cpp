@@ -288,7 +288,7 @@ void BlockConditioner::flush_tail(Signal& out) {
   if (!pending_.empty()) process_pending(out);
   if (consumed_ > emitted_) {
     // The final window's batch right border replicates the last sample —
-    // exactly the tail dsp::StreamingConditioner::flush() emits.
+    // exactly the tail dsp::condition_ecg() ends the whole record with.
     window_.assign(history_.begin(), history_.end());
     const std::uint64_t w0 = consumed_ - window_.size();
     condition_ecg_block(window_, cfg_, scratch_, window_out_);

@@ -19,9 +19,10 @@
 // BlockConditioner is the streaming wrapper the beat monitor uses: it
 // accepts samples in arbitrary-sized pushes, defers them into a pending
 // batch, and runs the block kernel over a bounded history window whenever
-// enough samples accumulate — emitting exactly the sample sequence
-// dsp::StreamingConditioner would emit per-sample (same fixed group delay,
-// same left-border replication, same flush tail), with bounded memory.
+// enough samples accumulate. Once flush_tail() has run, the samples it
+// emitted are exactly dsp::condition_ecg() of everything pushed, borders
+// included, whatever the push/push_block/sync partition — with a fixed
+// group delay and bounded memory.
 #pragma once
 
 #include <cstddef>
@@ -92,9 +93,9 @@ void average_round_avx2(const dsp::Sample* a, const dsp::Sample* b,
 #endif
 }  // namespace detail
 
-/// Streaming wrapper over the block kernel: same observable output sequence
-/// as dsp::StreamingConditioner (one conditioned sample per input after a
-/// fixed `delay()`, then `flush_tail()` finishes the right border), but
+/// Streaming wrapper over the block kernel: output index i is released once
+/// input i + `delay()` has arrived, and `flush_tail()` finishes the right
+/// border, so the full output is dsp::condition_ecg() of the full input —
 /// amortized through condition_ecg_block over a bounded history window.
 ///
 /// Usage: call push()/push_block() freely; conditioned samples are appended
@@ -114,8 +115,7 @@ class BlockConditioner {
   void push_block(std::span<const dsp::Sample> xs, dsp::Signal& out);
 
   /// Processes everything pending: afterwards every output of index
-  /// < inputs - delay() has been appended (exactly the samples
-  /// dsp::StreamingConditioner::push would have returned by now).
+  /// < inputs - delay() has been appended, and no other.
   void sync(dsp::Signal& out);
 
   /// Emits the final delay() outputs (right border, replicating the last
@@ -126,8 +126,9 @@ class BlockConditioner {
   /// Drops all state (history, pending, counters) without emitting.
   void reset();
 
-  /// Fixed input-to-output group delay in samples (identical to
-  /// dsp::StreamingConditioner::delay()).
+  /// Fixed input-to-output group delay in samples: the summed half-widths
+  /// of the chain's eight morphology stages, (open - 1) + (close - 1) +
+  /// 2 * (noise - 1).
   std::size_t delay() const { return delay_; }
 
   /// Worst-case extra latency on top of delay(): outputs may be withheld

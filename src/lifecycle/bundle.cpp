@@ -4,7 +4,6 @@
 #include <cmath>
 #include <fstream>
 
-#include "core/model_io.hpp"
 #include "math/check.hpp"
 #include "math/crc32.hpp"
 #include "math/endian.hpp"
@@ -28,9 +27,9 @@ namespace {
 //       per centroid: double mass | double sigma | coefficients doubles
 constexpr char kMagic[8] = {'H', 'B', 'R', 'P', 'B', 'N', '0', '1'};
 
-// Same sanity bounds as model_io v2, plus a centroid budget far above any
-// real export (one centroid per beat class) but too small to let a corrupt
-// count demand gigabytes.
+// Sanity bounds far above any model this library trains (k <= 32, d <= 200)
+// and any real centroid export (one centroid per beat class), but small
+// enough that a corrupt header cannot demand gigabytes.
 constexpr std::uint32_t kMaxRows = 4096;
 constexpr std::uint32_t kMaxCols = 65536;
 constexpr std::uint32_t kMaxDownsample = 4096;
@@ -243,22 +242,6 @@ ModelBundle load_bundle(const std::filesystem::path& path) {
           static_cast<std::streamsize>(image.size()));
   HBRP_REQUIRE(in.good(), "bundle: truncated read: " + path.string());
   return decode_bundle(image);
-}
-
-ModelBundle load_bundle_or_model(const std::filesystem::path& path) {
-  {
-    std::ifstream in(path, std::ios::binary);
-    HBRP_REQUIRE(in.good(), "bundle: cannot open: " + path.string());
-    char magic[sizeof(kMagic)] = {};
-    in.read(magic, sizeof(magic));
-    if (in.good() && std::equal(magic, magic + sizeof(kMagic), kMagic))
-      return load_bundle(path);
-  }
-  // Pre-lifecycle cache: a bare model_io v2 TrainedClassifier. No drift
-  // seeds existed in that format, so the shim wraps it seedless at
-  // version 1 — callers that need tracking must re-export a real bundle.
-  ModelBundle bundle{1, core::load_model(path), {}, -1.0};
-  return bundle;
 }
 
 std::shared_ptr<const service::SessionModel> instantiate_bundle(

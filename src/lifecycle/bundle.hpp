@@ -8,14 +8,14 @@
 // TrainedClassifier, its RP matrix identity and its drift centroids/sigmas
 // as one atomic unit under a monotonic `version` and a content digest.
 //
-// The encoded image reuses the hardened model_io v2 framing discipline —
-// version-bearing magic, explicit payload size, CRC32 over the payload
-// verified before any length field is trusted, bounds-checked dimensions,
-// atomic temp+rename saves — with its own magic ("HBRPBN01") so the two
-// formats can never be confused. The same byte image is what streams over
-// MODEL_PUSH_PART frames: `bundle_digest()` over the image is the
-// end-to-end integrity check the gateway recomputes after reassembly,
-// independent of the per-frame CRCs.
+// The bundle is the only model file format. Its encoded image is hardened
+// against flash, filesystem and transport corruption: a version-bearing
+// magic ("HBRPBN01"), an explicit payload size, a CRC32 over the payload
+// verified before any length field is trusted, dimensions bounds-checked
+// before any allocation, and atomic temp+rename saves. The same byte image
+// is what streams over MODEL_PUSH_PART frames: `bundle_digest()` over the
+// image is the end-to-end integrity check the gateway recomputes after
+// reassembly, independent of the per-frame CRCs.
 #pragma once
 
 #include <cstdint>
@@ -58,13 +58,6 @@ void save_bundle(const ModelBundle& bundle, const std::filesystem::path& path);
 
 /// Loads an image written by save_bundle(). Throws hbrp::Error.
 ModelBundle load_bundle(const std::filesystem::path& path);
-
-/// Deprecated-cache shim: loads `path` as a bundle, falling back to the
-/// pre-lifecycle model_io v2 format (a bare TrainedClassifier) when the
-/// magic says so — wrapped as version 1 with no drift seeds, since the old
-/// format never carried any. New code should save bundles; this exists so
-/// old on-disk model caches keep booting nodes across the transition.
-ModelBundle load_bundle_or_model(const std::filesystem::path& path);
 
 /// Quantizes the bundle into the runtime handle sessions actually hold:
 /// the embedded classifier at alpha_test (or alpha_train when negative)

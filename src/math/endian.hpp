@@ -1,7 +1,7 @@
 // Explicit little-endian (de)serialization primitives.
 //
-// Every persisted or transmitted byte in this codebase — model files
-// (core/model_io) and wire frames (net/wire) — goes through these helpers,
+// Every persisted or transmitted byte in this codebase — model bundles
+// (lifecycle/bundle) and wire frames (net/wire) — goes through these helpers,
 // so there is exactly one audited codec instead of one per subsystem. The
 // byte order is little-endian *by construction* (shift/or, never memcpy of
 // a native representation), so the format is identical on any host;
@@ -87,8 +87,8 @@ inline void append_le(Buffer& out, T v) {
 
 /// Bounds-checked sequential little-endian decoder over an in-memory
 /// buffer. Throws hbrp::Error (never reads) when the buffer is shorter
-/// than the caller's next field — the defense model_io and net/wire both
-/// rely on for untrusted input.
+/// than the caller's next field — the defense lifecycle/bundle and net/wire
+/// both rely on for untrusted input.
 class ByteReader {
  public:
   ByteReader(const void* data, std::size_t size)

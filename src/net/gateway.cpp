@@ -160,12 +160,11 @@ GatewayServer::GatewayServer(embedded::EmbeddedClassifier classifier,
   }
   // Seed the registry with the construction-time classifier so pushes have
   // an incumbent to compare against (geometry, downgrade) and rollback has
-  // a floor. Unlike the engine's internal default model this one carries
-  // the fleet-default drift seeds: sessions opened through HELLO route
-  // their seeds through the model from day one.
+  // a floor. Like the engine's internal default model it carries no drift
+  // seeds; a pushed bundle brings its own.
   auto initial = std::make_shared<const service::SessionModel>(
       service::SessionModel{cfg_.fleet.initial_model_version, classifier_,
-                            cfg_.fleet.session.drift_centroids});
+                            nullptr});
   const auto admitted = registry_.admit(initial, /*digest=*/0);
   HBRP_REQUIRE(admitted == lifecycle::AdmitResult::Ok,
                "GatewayServer: initial model admission failed");

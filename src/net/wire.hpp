@@ -12,7 +12,7 @@
 //   16     4    CRC-32 over header bytes [0, 16) then the payload
 //
 // All multi-byte fields are little-endian via math/endian.hpp — the same
-// audited codec core/model_io uses for persisted models. The CRC (the
+// audited codec lifecycle/bundle uses for model images. The CRC (the
 // existing math::crc32) covers the length and sequence fields, so a
 // corrupted header can never drive a bogus allocation or a silent seq jump;
 // payload_len is additionally bounded before the CRC is even attempted so

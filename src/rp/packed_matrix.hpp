@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dsp/signal.hpp"
@@ -29,6 +30,10 @@ class PackedTernaryMatrix {
 
   /// Storage actually used by the packed element array.
   std::size_t memory_bytes() const { return data_.size(); }
+
+  /// The stored 2-bit code itself, row-major, each row padded to whole
+  /// bytes (padding elements are 00) — the table a firmware image ships.
+  std::span<const std::uint8_t> bytes() const { return data_; }
 
   /// u = P v in integer arithmetic (the embedded projection kernel).
   std::vector<std::int32_t> apply(std::span<const dsp::Sample> v) const;

@@ -33,9 +33,8 @@ FleetEngine::FleetEngine(embedded::EmbeddedClassifier classifier,
   for (std::size_t s = 0; s < shards; ++s)
     shards_.push_back(std::make_unique<Shard>(window));
   // No bundled centroids on the default model: sessions opened against it
-  // keep honouring SessionConfig::drift_centroids (the pre-lifecycle path)
-  // unchanged. Bundle-routed centroids arrive only via SessionConfig::model
-  // or a staged swap.
+  // run with drift off. Drift seeds arrive only via SessionConfig::model or
+  // a staged swap.
   default_model_ = std::make_shared<const SessionModel>(
       SessionModel{cfg_.initial_model_version, classifier_, nullptr});
 }

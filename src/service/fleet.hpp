@@ -138,7 +138,7 @@ class FleetEngine {
 
   /// The engine's construction-time classifier wrapped as a versioned
   /// SessionModel (version = FleetConfig::initial_model_version, no
-  /// bundled centroids — sessions fall back to cfg.drift_centroids).
+  /// bundled centroids, so sessions on it run with drift off).
   const std::shared_ptr<const SessionModel>& default_model() const {
     return default_model_;
   }

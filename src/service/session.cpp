@@ -40,10 +40,8 @@ Session::Session(SessionId id, std::shared_ptr<const SessionModel> model,
 }
 
 void Session::reseed_drift() {
-  const std::shared_ptr<const drift::TrainingCentroids>& seeds =
-      model_->centroids != nullptr ? model_->centroids : cfg_.drift_centroids;
-  if (seeds != nullptr) {
-    drift_.emplace(*seeds, cfg_.drift);
+  if (model_->centroids != nullptr) {
+    drift_.emplace(*model_->centroids, cfg_.drift);
     // The hook only fires on the monitor's own classifying path — the
     // close() tail here. Pump-round beats go through the PendingBeatSink
     // and are observed in deliver(), so no beat is counted twice.

@@ -51,9 +51,9 @@ using SessionId = std::uint64_t;
 /// the drift centroid seeds it was exported with, under one monotonic
 /// version. Sessions hold these by shared_ptr so a whole ward references
 /// one instance per version; the lifecycle registry (src/lifecycle) pins
-/// and reclaims them by that same ref-count. Routing the centroids through
-/// the model — instead of a separate SessionConfig field — is what keeps a
-/// classifier and its drift seeds from ever skewing after a hot-swap.
+/// and reclaims them by that same ref-count. The model is the only source
+/// of a session's drift seeds, which is what keeps a classifier and its
+/// seeds from ever skewing after a hot-swap.
 struct SessionModel {
   std::uint64_t version = 0;
   embedded::EmbeddedClassifier classifier;
@@ -75,19 +75,15 @@ struct SessionConfig {
   /// per FleetEngine::pump() round, so one chatty node cannot starve the
   /// rest of its shard.
   std::size_t max_samples_per_pump = 1u << 13;
-  /// Opt-in RP-space morphology drift tracking: when `drift_centroids` is
-  /// set, the session owns a drift::DriftTracker seeded from it and
-  /// observes every classified beat's projection — batch-classified beats
-  /// during the serial delivery phase (so the observation order equals the
-  /// delivery order and the tracker state is bit-identical for any
-  /// thread/shard count), monitor-classified beats (the close() tail) via
-  /// the monitor hook. Tracker state is mirrored into SessionTelemetry
-  /// after every pump round. Shared (not copied) so a fleet of sessions
-  /// references one centroid export. Deprecated in favour of routing the
-  /// seeds through `model` (a SessionModel carries its own centroids, so
-  /// classifier and seeds can never skew); still honoured when `model` is
-  /// unset or carries no centroids of its own.
-  std::shared_ptr<const drift::TrainingCentroids> drift_centroids;
+  /// Tuning for opt-in RP-space morphology drift tracking. When the
+  /// session's model carries centroids (SessionModel::centroids), the
+  /// session owns a drift::DriftTracker seeded from them and observes every
+  /// classified beat's projection — batch-classified beats during the
+  /// serial delivery phase (so the observation order equals the delivery
+  /// order and the tracker state is bit-identical for any thread/shard
+  /// count), monitor-classified beats (the close() tail) via the monitor
+  /// hook. Tracker state is mirrored into SessionTelemetry after every pump
+  /// round.
   drift::DriftConfig drift;
   /// Versioned model this session starts on; when null the engine's
   /// default model (its construction-time classifier at version
@@ -123,9 +119,8 @@ using ResultSink = std::function<void(const SessionResult&)>;
 
 class Session {
  public:
-  /// `model` must be non-null; its centroids (or, as a deprecated
-  /// fallback when it has none, cfg.drift_centroids) seed the optional
-  /// drift tracker.
+  /// `model` must be non-null; its centroids seed the optional drift
+  /// tracker.
   Session(SessionId id, std::shared_ptr<const SessionModel> model,
           SessionConfig cfg, ResultSink sink);
 
@@ -200,9 +195,8 @@ class Session {
   void deliver_one(const core::MonitorBeat& beat, Clock::time_point enq);
   void mirror_monitor_stats();
   void mirror_drift();
-  /// (Re)seeds the drift tracker from the current model's centroids (or
-  /// the deprecated cfg_.drift_centroids fallback) and re-attaches the
-  /// monitor hook. Owning pump thread only.
+  /// (Re)seeds the drift tracker from the current model's centroids and
+  /// re-attaches the monitor hook. Owning pump thread only.
   void reseed_drift();
   /// If a swap is staged, installs it: rebinds the monitor's classifier,
   /// re-seeds the drift tracker from the new bundle's centroids, and bumps

@@ -2,9 +2,13 @@
 // given its seed, across the full training stack.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "core/trainer.hpp"
-#include "dsp/streaming.hpp"
+#include "dsp/morphology.hpp"
 #include "ecg/dataset.hpp"
+#include "kernels/dsp_condition.hpp"
 
 namespace {
 
@@ -96,23 +100,32 @@ TEST(Determinism, FitnessIsAPureFunctionOfTheMatrix) {
 }
 
 TEST(Determinism, StreamingConditionerIndependentOfPushGranularity) {
-  // Feeding samples one by one is the only interface, but interleaving
-  // flush-queries or constructing a fresh conditioner must not change
-  // anything — outputs depend only on the input sequence.
+  // Sample-by-sample pushes, one whole-record block, and fixed-size blocks
+  // with a sync() after each must all finish (after flush_tail) on the
+  // same samples: the batch conditioner's output over the whole record.
   hbrp::math::Rng rng(41);
   hbrp::dsp::Signal x(2000);
   for (auto& v : x) v = static_cast<int>(rng.uniform_int(-400, 400));
+  const hbrp::dsp::Signal expected = hbrp::dsp::condition_ecg(x);
 
-  auto run = [&x]() {
-    hbrp::dsp::StreamingConditioner cond;
+  auto run = [&x](std::size_t block, bool sync_each) {
+    hbrp::kernels::BlockConditioner cond;
     hbrp::dsp::Signal out;
-    for (const auto v : x)
-      if (const auto y = cond.push(v)) out.push_back(*y);
-    const auto tail = cond.flush();
-    out.insert(out.end(), tail.begin(), tail.end());
+    for (std::size_t i = 0; i < x.size(); i += block) {
+      const std::size_t n = std::min(block, x.size() - i);
+      if (n == 1)
+        cond.push(x[i], out);
+      else
+        cond.push_block(std::span<const hbrp::dsp::Sample>(x.data() + i, n),
+                        out);
+      if (sync_each) cond.sync(out);
+    }
+    cond.flush_tail(out);
     return out;
   };
-  EXPECT_EQ(run(), run());
+  EXPECT_EQ(run(1, false), expected);
+  EXPECT_EQ(run(x.size(), false), expected);
+  EXPECT_EQ(run(37, true), expected);
 }
 
 }  // namespace

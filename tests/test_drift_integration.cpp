@@ -75,7 +75,9 @@ class DriftIntegrationTest : public ::testing::Test {
     service::FleetConfig cfg;
     cfg.threads = threads;
     cfg.shards = shards;
-    cfg.session.drift_centroids = centroids_;
+    cfg.session.model = std::make_shared<const service::SessionModel>(
+        service::SessionModel{cfg.initial_model_version, *bundle_,
+                              centroids_});
     return cfg;
   }
 

@@ -46,14 +46,18 @@ TEST_P(PeakDetectOnProfile, HighSensitivityAndPrecision) {
   EXPECT_GT(stats.positive_predictivity(), 0.98) << GetParam().name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Profiles, PeakDetectOnProfile,
-    ::testing::Values(
-        ProfileCase{hbrp::ecg::RecordProfile::NormalSinus, "normal"},
-        ProfileCase{hbrp::ecg::RecordProfile::PvcOccasional, "pvc"},
-        ProfileCase{hbrp::ecg::RecordProfile::PvcBigeminy, "bigeminy"},
-        ProfileCase{hbrp::ecg::RecordProfile::Lbbb, "lbbb"}),
-    [](const auto& info) { return info.param.name; });
+// gtest prints an unprintable parameter as its raw bytes into the test
+// name. A table with static storage has its padding zero-filled, so the
+// registered names are the same from run to run.
+constexpr ProfileCase kProfileCases[] = {
+    {hbrp::ecg::RecordProfile::NormalSinus, "normal"},
+    {hbrp::ecg::RecordProfile::PvcOccasional, "pvc"},
+    {hbrp::ecg::RecordProfile::PvcBigeminy, "bigeminy"},
+    {hbrp::ecg::RecordProfile::Lbbb, "lbbb"}};
+
+INSTANTIATE_TEST_SUITE_P(Profiles, PeakDetectOnProfile,
+                         ::testing::ValuesIn(kProfileCases),
+                         [](const auto& info) { return info.param.name; });
 
 TEST(PeakDetect, RobustAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {

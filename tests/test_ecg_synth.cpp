@@ -116,13 +116,16 @@ TEST_P(SynthMix, ClassMixMatchesProfile) {
   EXPECT_NEAR(l / total, mix.l, 0.08) << GetParam().name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Profiles, SynthMix,
-    ::testing::Values(MixCase{RecordProfile::NormalSinus, "normal"},
-                      MixCase{RecordProfile::PvcOccasional, "pvc"},
-                      MixCase{RecordProfile::PvcBigeminy, "bigeminy"},
-                      MixCase{RecordProfile::Lbbb, "lbbb"}),
-    [](const auto& info) { return info.param.name; });
+// gtest prints an unprintable parameter as its raw bytes into the test
+// name. A table with static storage has its padding zero-filled, so the
+// registered names are the same from run to run.
+constexpr MixCase kMixCases[] = {{RecordProfile::NormalSinus, "normal"},
+                                 {RecordProfile::PvcOccasional, "pvc"},
+                                 {RecordProfile::PvcBigeminy, "bigeminy"},
+                                 {RecordProfile::Lbbb, "lbbb"}};
+
+INSTANTIATE_TEST_SUITE_P(Profiles, SynthMix, ::testing::ValuesIn(kMixCases),
+                         [](const auto& info) { return info.param.name; });
 
 TEST(Synth, PvcIsPrematureWithCompensatoryPause) {
   const auto rec =

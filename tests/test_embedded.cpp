@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "embedded/bundle.hpp"
 #include "embedded/int_classifier.hpp"
@@ -266,6 +267,29 @@ TEST(Bundle, ExportCHeaderContainsTables) {
   EXPECT_NE(header.find("HBRP_mf_center"), std::string::npos);
   EXPECT_NE(header.find("HBRP_mf_width"), std::string::npos);
   EXPECT_NE(header.find("400, "), std::string::npos);  // a class-1 centre
+
+  // Decode the emitted projection table (2 bits per element, row-major,
+  // rows padded to whole bytes; 00 = 0, 01 = +1, 10 = -1) and compare
+  // every element, padding included, with the projector's dense matrix.
+  const std::size_t open = header.find('{', header.find("HBRP_projection"));
+  const std::size_t close = header.find('}', open);
+  ASSERT_NE(close, std::string::npos);
+  std::istringstream table(header.substr(open + 1, close - open - 1));
+  std::vector<unsigned> bytes;
+  for (unsigned byte = 0; table >> byte; table.ignore(1, ','))
+    bytes.push_back(byte);
+  const auto& dense = bundle.projector().matrix();
+  const std::size_t bytes_per_row = (dense.cols() + 3) / 4;
+  ASSERT_EQ(bytes.size(), dense.rows() * bytes_per_row);
+  for (std::size_t r = 0; r < dense.rows(); ++r)
+    for (std::size_t c = 0; c < 4 * bytes_per_row; ++c) {
+      const unsigned bits =
+          (bytes[r * bytes_per_row + c / 4] >> (2 * (c % 4))) & 0x3u;
+      ASSERT_NE(bits, 3u) << "invalid code at row " << r << " col " << c;
+      const int decoded = bits == 1 ? 1 : (bits == 2 ? -1 : 0);
+      EXPECT_EQ(decoded, c < dense.cols() ? dense.at(r, c) : 0)
+          << "row " << r << " col " << c;
+    }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Full-system integration: the entire lifecycle a downstream user would
-// run — build datasets, train the two-step framework, persist the model,
-// reload it, deploy it into both the batch pipeline and the streaming
+// run — build datasets, train the two-step framework, persist the model as
+// a bundle, reload it, deploy it into both the batch pipeline and the streaming
 // monitor against a WFDB-round-tripped record, and check the figures of
 // merit end to end.
 #include <gtest/gtest.h>
@@ -9,12 +9,12 @@
 
 #include <filesystem>
 
-#include "core/model_io.hpp"
 #include "core/pipeline.hpp"
 #include "core/streaming.hpp"
 #include "core/trainer.hpp"
 #include "ecg/dataset.hpp"
 #include "ecg/mitdb.hpp"
+#include "lifecycle/bundle.hpp"
 
 namespace {
 
@@ -41,12 +41,13 @@ TEST(IntegrationFull, TrainPersistDeployClassify) {
   const core::TwoStepTrainer trainer(ts1, ts2, tcfg);
   const auto trained = trainer.run();
 
-  // 3. Persist + reload.
+  // 3. Persist + reload as a deployment bundle.
   const fs::path model_path =
       fs::temp_directory_path() /
-      ("hbrp_integration_" + std::to_string(::getpid()) + ".model");
-  core::save_model(trained, model_path);
-  const auto reloaded = core::load_model(model_path);
+      ("hbrp_integration_" + std::to_string(::getpid()) + ".bundle");
+  // Version 1, no drift seeds, deployed at alpha_train.
+  lifecycle::save_bundle({1, trained, {}, -1.0}, model_path);
+  const auto reloaded = lifecycle::load_bundle(model_path).model;
   fs::remove(model_path);
 
   // 4. A test record that has been through the WFDB on-disk format.
@@ -69,6 +70,14 @@ TEST(IntegrationFull, TrainPersistDeployClassify) {
   const core::RealTimePipeline pipeline(reloaded.quantize());
   const auto result = pipeline.process(from_disk);
   EXPECT_GT(result.beats.size(), from_disk.beats.size() * 85 / 100);
+
+  // The reloaded model classifies every beat exactly as the trained one.
+  const auto direct =
+      core::RealTimePipeline(trained.quantize()).process(from_disk);
+  ASSERT_EQ(direct.beats.size(), result.beats.size());
+  for (std::size_t i = 0; i < result.beats.size(); ++i)
+    EXPECT_EQ(direct.beats[i].predicted, result.beats[i].predicted)
+        << "beat " << i;
 
   // Score against the annotations (they survived the WFDB round trip).
   core::ConfusionMatrix cm;

@@ -9,15 +9,17 @@
 // fails CI, not just on AVX2 hosts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "core/streaming.hpp"
 #include "core/trainer.hpp"
 #include "dsp/morphology.hpp"
 #include "dsp/peak_detect.hpp"
-#include "dsp/streaming.hpp"
 #include "dsp/wavelet.hpp"
 #include "ecg/dataset.hpp"
 #include "ecg/synth.hpp"
@@ -25,6 +27,7 @@
 #include "kernels/dsp_condition.hpp"
 #include "kernels/dsp_peaks.hpp"
 #include "kernels/dsp_wavelet.hpp"
+#include "math/check.hpp"
 #include "math/rng.hpp"
 #include "testing/fault_inject.hpp"
 
@@ -105,24 +108,50 @@ TEST(KernelsDspCondition, ScalarAndAvx2AreBitIdentical) {
 #endif
 }
 
-// --- BlockConditioner vs dsp::StreamingConditioner -------------------------
+// Every block extremum equals the batch operator for lengths from the
+// 1-tap pass-through and the direct 3-tap pass up to the baseline elements.
+class ExtremumEquivalence
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(ExtremumEquivalence, MatchesBatchOperator) {
+  const auto [len, seed] = GetParam();
+  const auto length = static_cast<std::size_t>(len);
+  const auto x = random_signal(400, static_cast<std::uint64_t>(seed));
+  kernels::ConditionScratch scratch;
+  dsp::Signal out;
+  kernels::erode_block(x, length, scratch, out);
+  EXPECT_EQ(out, dsp::erode(x, length));
+  kernels::dilate_block(x, length, scratch, out);
+  EXPECT_EQ(out, dsp::dilate(x, length));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LengthsAndSeeds, ExtremumEquivalence,
+    ::testing::Combine(::testing::Values(1, 3, 5, 9, 71, 151),
+                       ::testing::Values(1, 2, 3)));
+
+// --- BlockConditioner vs dsp::condition_ecg --------------------------------
 
 // Feeds `x` to a BlockConditioner chopped into random pieces with a random
 // mix of push / push_block / mid-stream sync calls, then flush_tail; the
-// result must equal the per-sample StreamingConditioner output + flush.
-TEST(KernelsDspConditioner, MatchesStreamingConditionerUnderRandomPartitions) {
-  for (std::uint64_t trial = 0; trial < 10; ++trial) {
+// result must equal the batch dsp::condition_ecg(x) on every sample,
+// borders included. Rates from 128 Hz (1-tap noise element) to 1000 Hz
+// (636-sample delay) and lengths from the edge list (all output from
+// flush_tail when n <= delay) up to 5000 samples.
+TEST(KernelsDspConditioner, MatchesBatchConditionerUnderRandomPartitions) {
+  const int rates[] = {128, 250, 360, 500, 1000};
+  for (std::uint64_t trial = 0; trial < 60; ++trial) {
     math::Rng rng(900 + trial);
-    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 3000));
+    const int fs = rates[trial % std::size(rates)];
+    const auto cfg = dsp::FilterConfig::for_rate(fs);
+    const std::size_t n =
+        trial < std::size(kEdgeLengths)
+            ? kEdgeLengths[trial]
+            : static_cast<std::size_t>(rng.uniform_int(1, 5000));
     const auto x = random_signal(n, 40 + trial);
+    const dsp::Signal expected = dsp::condition_ecg(x, cfg);
 
-    dsp::StreamingConditioner ref;
-    dsp::Signal expected;
-    for (const auto v : x)
-      if (const auto y = ref.push(v)) expected.push_back(*y);
-    for (const auto y : ref.flush()) expected.push_back(y);
-
-    kernels::BlockConditioner block;
+    kernels::BlockConditioner block(cfg);
     dsp::Signal got;
     std::size_t i = 0;
     while (i < n) {
@@ -140,7 +169,8 @@ TEST(KernelsDspConditioner, MatchesStreamingConditionerUnderRandomPartitions) {
       }
     }
     block.flush_tail(got);
-    EXPECT_EQ(got, expected) << "trial " << trial << " n " << n;
+    EXPECT_EQ(got, expected) << "trial " << trial << " fs " << fs << " n "
+                             << n;
   }
 }
 
@@ -164,12 +194,57 @@ TEST(KernelsDspConditioner, ReusableAfterFlushTail) {
 }
 
 TEST(KernelsDspConditioner, DelayAndMemoryContract) {
-  const kernels::BlockConditioner block;
-  const dsp::StreamingConditioner ref;
-  EXPECT_EQ(block.delay(), ref.delay());
+  const dsp::FilterConfig cfg;
+  kernels::BlockConditioner block(cfg);
+  // The group delay is the summed half-widths of the chain's stages.
+  EXPECT_EQ(block.delay(), (cfg.baseline_open_len - 1) +
+                               (cfg.baseline_close_len - 1) +
+                               2 * (cfg.noise_len - 1));
+  EXPECT_EQ(block.delay(), 224u);
   EXPECT_GT(block.batch_slack(), 0u);
   // The monitor budgets this figure; it must bound history + pending.
   EXPECT_EQ(block.memory_samples(), 2 * block.delay() + 256);
+
+  // After sync() exactly inputs - delay() outputs are out, and they are
+  // already final: the batch conditioner's output over the whole record
+  // (20 s of synthetic ECG).
+  ecg::SynthConfig scfg;
+  scfg.duration_s = 20.0;
+  scfg.num_leads = 1;
+  scfg.seed = 12;
+  const dsp::Signal x = ecg::generate_record(scfg).leads[0];
+  const dsp::Signal expected = dsp::condition_ecg(x, cfg);
+  dsp::Signal got;
+  std::size_t pushed = 0;
+  for (const std::size_t upto : {std::size_t{100}, std::size_t{224},
+                                 std::size_t{225}, std::size_t{600},
+                                 x.size()}) {
+    block.push_block(
+        std::span<const dsp::Sample>(x.data() + pushed, upto - pushed), got);
+    pushed = upto;
+    block.sync(got);
+    ASSERT_EQ(got.size(), upto > block.delay() ? upto - block.delay() : 0)
+        << "after " << upto << " inputs";
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin()))
+        << "after " << upto << " inputs";
+  }
+  block.flush_tail(got);
+  EXPECT_EQ(got, expected);
+
+  // An opening element no shorter than the closing one is rejected, as
+  // the batch chain rejects it.
+  kernels::ConditionScratch scratch;
+  dsp::Signal out;
+  for (const std::size_t open_len : {71u, 151u}) {
+    dsp::FilterConfig bad;
+    bad.baseline_open_len = open_len;
+    bad.baseline_close_len = 71;
+    EXPECT_THROW(kernels::BlockConditioner{bad}, hbrp::Error)
+        << "open " << open_len;
+    EXPECT_THROW(kernels::condition_ecg_block(x, bad, scratch, out),
+                 hbrp::Error)
+        << "open " << open_len;
+  }
 }
 
 // --- wavelet_decompose_block vs dsp::wavelet_decompose ---------------------

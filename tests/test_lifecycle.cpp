@@ -1,6 +1,6 @@
-// Model lifecycle tests: ModelBundle encode/decode/digest hardening, the
-// deprecated model_io shim, BundleRegistry admission/eviction/rollback
-// edges, deterministic A/B splits, FleetEngine hot-swap identity (the
+// Model lifecycle tests: ModelBundle encode/decode/digest and file
+// hardening, BundleRegistry admission/eviction/rollback edges,
+// deterministic A/B splits, FleetEngine hot-swap identity (the
 // verdict stream splits at the swap boundary into an exact prefix of the
 // old model's run and an exact suffix of the new model's run, for any
 // thread/shard count), and the gateway MODEL_PUSH wire path mid-ingest —
@@ -14,13 +14,17 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <new>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "core/model_io.hpp"
 #include "core/trainer.hpp"
 #include "ecg/dataset.hpp"
 #include "ecg/synth.hpp"
@@ -28,12 +32,31 @@
 #include "lifecycle/bundle.hpp"
 #include "lifecycle/registry.hpp"
 #include "math/check.hpp"
+#include "math/crc32.hpp"
+#include "math/endian.hpp"
 #include "math/rng.hpp"
 #include "net/client.hpp"
 #include "net/gateway.hpp"
 #include "net/push.hpp"
 #include "net/socket.hpp"
 #include "service/fleet.hpp"
+
+namespace {
+// Largest single operator-new request made on this thread since the last
+// reset: lets a test show that a hostile length field was rejected before
+// it could size an allocation.
+thread_local std::size_t tl_largest_new = 0;
+}  // namespace
+
+// Both out of line, so GCC never sees a malloc() from an inlined new meet
+// an operator delete (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  tl_largest_new = std::max(tl_largest_new, n);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace {
 
@@ -148,49 +171,81 @@ TEST(LifecycleBundle, DigestIsStableAndContentSensitive) {
 
 TEST(LifecycleBundle, CorruptionAnywhereIsRejected) {
   const auto image = lifecycle::encode_bundle(make_bundle(5, 400));
-  // Truncations at every boundary class, plus a sweep of single-bit flips:
-  // the magic, the size field, the CRC and the payload are all covered.
-  for (const std::size_t len : {std::size_t{0}, std::size_t{4},
-                                std::size_t{15}, image.size() - 1}) {
+  // Truncations at every boundary class (inside the magic, the size field,
+  // the CRC and the payload), plus a single-bit flip at every byte: the
+  // format has no unchecked padding.
+  for (const std::size_t len :
+       {std::size_t{0}, std::size_t{1}, std::size_t{4}, std::size_t{7},
+        std::size_t{8}, std::size_t{12}, std::size_t{15}, std::size_t{16},
+        image.size() / 4, image.size() / 2, image.size() - 1}) {
     const std::span<const unsigned char> cut(image.data(), len);
     EXPECT_THROW((void)lifecycle::decode_bundle(cut), hbrp::Error)
         << "truncated to " << len;
   }
-  for (std::size_t pos = 0; pos < image.size(); pos += 37) {
+  for (std::size_t pos = 0; pos < image.size(); ++pos) {
     auto bad = image;
     bad[pos] ^= 0x01u;
     EXPECT_THROW((void)lifecycle::decode_bundle(bad), hbrp::Error)
         << "flip at byte " << pos;
   }
+
+  // Inflated length fields behind a recomputed CRC — what a hostile
+  // MODEL_PUSH can send — must be rejected before any of them sizes an
+  // allocation: nothing larger than the image itself is ever requested.
+  constexpr std::size_t kPayload = 16;  // magic, size, CRC
+  constexpr std::size_t kRows = kPayload + 16;  // after version, alpha_test
+  constexpr std::size_t kCols = kRows + 4;
+  // After cols, downsample, the 8 x 50 matrix, 8 x 3 MFs and alpha_train.
+  constexpr std::size_t centroid_count_at =
+      kCols + 8 + 8 * 50 + 8 * 3 * 16 + 8;
+  ASSERT_EQ(math::load_le<std::uint32_t>(image.data() + centroid_count_at),
+            3u);
+  const std::vector<std::vector<std::pair<std::size_t, std::uint32_t>>>
+      inflations = {{{kRows, 0x00FFFFFFu}},
+                    {{kCols, 0x00FFFFFFu}},
+                    {{kRows, 4096u}, {kCols, 65536u}},  // inside the bounds
+                    {{centroid_count_at, 0xFFFFFFFFu}},
+                    {{centroid_count_at, 256u}}};
+  for (const auto& patches : inflations) {
+    auto bad = image;
+    for (const auto& [at, value] : patches)
+      math::store_le<std::uint32_t>(bad.data() + at, value);
+    math::store_le<std::uint32_t>(
+        bad.data() + 12, math::crc32(bad.data() + kPayload,
+                                     bad.size() - kPayload));
+    tl_largest_new = 0;
+    EXPECT_THROW((void)lifecycle::decode_bundle(bad), hbrp::Error)
+        << "inflated field at byte " << patches.front().first;
+    EXPECT_LT(tl_largest_new, image.size())
+        << "inflated field at byte " << patches.front().first
+        << " sized an allocation";
+  }
 }
 
 TEST(LifecycleBundle, SaveLoadIsAtomicAndSelfDescribing) {
   const auto path = temp_path("save");
+  fs::path tmp = path;
+  tmp += ".tmp";
   const lifecycle::ModelBundle b = make_bundle(9, 500);
   lifecycle::save_bundle(b, path);
+  EXPECT_FALSE(fs::exists(tmp)) << "the temp sibling is renamed away";
   const auto back = lifecycle::load_bundle(path);
   EXPECT_EQ(back.version, 9u);
   EXPECT_EQ(back.model.projector.matrix(), b.model.projector.matrix());
-  // The shim recognizes the bundle magic and loads it as-is.
-  const auto shimmed = lifecycle::load_bundle_or_model(path);
-  EXPECT_EQ(shimmed.version, 9u);
-  fs::remove(path);
-}
 
-// Satellite: old on-disk caches written by core::save_model keep loading
-// through the shim — wrapped as version 1, no drift seeds (the legacy
-// format never carried any).
-TEST(LifecycleBundle, LegacyModelCacheLoadsThroughShim) {
-  const auto path = temp_path("legacy");
-  const core::TrainedClassifier model = make_model(600);
-  core::save_model(model, path);
-  const lifecycle::ModelBundle b = lifecycle::load_bundle_or_model(path);
-  EXPECT_EQ(b.version, 1u);
-  EXPECT_TRUE(b.centroids.centroids.empty());
-  EXPECT_EQ(b.model.projector.matrix(), model.projector.matrix());
-  EXPECT_DOUBLE_EQ(b.model.alpha_train, model.alpha_train);
-  EXPECT_LT(b.alpha_test, 0.0) << "legacy loads deploy at alpha_train";
+  // A corrupt file at the destination is replaced whole, not patched.
+  {
+    std::ofstream junk(path, std::ios::binary | std::ios::trunc);
+    junk << "junk";
+  }
+  EXPECT_THROW((void)lifecycle::load_bundle(path), hbrp::Error);
+  lifecycle::save_bundle(b, path);
+  EXPECT_FALSE(fs::exists(tmp));
+  EXPECT_EQ(lifecycle::encode_bundle(lifecycle::load_bundle(path)),
+            lifecycle::encode_bundle(b));
   fs::remove(path);
+  EXPECT_THROW((void)lifecycle::load_bundle(path), hbrp::Error)
+      << "a missing file must throw";
 }
 
 TEST(LifecycleBundle, InstantiateRejectsCentroidSkew) {
@@ -551,7 +606,8 @@ TEST_F(LifecycleSwapTest, RestagingSameModelIsIdempotent) {
 TEST_F(LifecycleSwapTest, SwapReseedsDriftFromBundleCentroids) {
   const auto lead = patient_lead(42, 20.0);
   service::FleetConfig cfg;
-  cfg.session.drift_centroids = centroids_a_;  // deprecated route, model A
+  cfg.session.model = std::make_shared<const service::SessionModel>(
+      service::SessionModel{cfg.initial_model_version, *clf_a_, centroids_a_});
   service::FleetEngine engine(*clf_a_, cfg);
   const auto id = engine.open_session([](const service::SessionResult&) {});
   ASSERT_TRUE(id.has_value());

@@ -1,5 +1,5 @@
 // Tests for math/endian.hpp — the single audited little-endian codec that
-// both model files (core/model_io) and wire frames (net/wire) go through.
+// both model bundles (lifecycle/bundle) and wire frames (net/wire) go through.
 #include "math/endian.hpp"
 
 #include <gtest/gtest.h>
