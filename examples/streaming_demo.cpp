@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
   const core::TwoStepTrainer trainer(ts1, ts2, tcfg);
   core::StreamingBeatMonitor monitor(trainer.run().quantize());
 
-  std::printf("monitor: %zu samples of state (%.1f KB), latency <= %.1f s\n\n",
+  std::printf("monitor: %zu samples of per-monitor state (%.1f KB; DSP "
+              "scratch is per thread), latency <= %.1f s\n\n",
               monitor.memory_samples(),
               static_cast<double>(monitor.memory_samples() *
                                   sizeof(dsp::Sample)) /

@@ -24,7 +24,7 @@
 #      against direct in-process ingest bit-for-bit across the reactor
 #      axis (plus the same perf_gate comparison vs BENCH_net.json), and
 #      fleet_soak — 10k concurrent loopback sessions through a 2-reactor
-#      gateway with a 1.5 GB peak-RSS ceiling;
+#      gateway with a 512 MB peak-RSS ceiling;
 #   6. perf gate: a quick bench_microkernels pass compared against the
 #      committed BENCH_microkernels.json by scripts/perf_gate.py — fails on
 #      >15% per-op CPU-time regression (tolerance doubled on virtualized
@@ -115,11 +115,11 @@ python3 scripts/perf_gate.py BENCH_net.json build/BENCH_net_quick.json
 # --- 1c2. 10k-session loopback soak smoke ---------------------------------
 # Ramps 10k concurrent SensorNodeClients (2 s of signal each) against a
 # 2-reactor gateway and fails on any unestablished node, unclean close,
-# verdict gap, or a peak RSS above 1.5 GB. Where the host's hard fd limit
+# verdict gap, or a peak RSS above 512 MB. Where the host's hard fd limit
 # cannot hold 2 fds per node the driver self-scales the node count down
 # and says so — the pass criteria then apply to the scaled count.
 echo "==== fleet soak smoke (fleet_soak: 10k sessions, RSS-capped)"
-./build/examples/fleet_soak 10000 2 2 1536
+./build/examples/fleet_soak 10000 2 2 512
 
 # --- 1d. perf gate: microkernels vs committed baseline --------------------
 echo "==== perf gate (bench_microkernels vs BENCH_microkernels.json)"

@@ -5,6 +5,8 @@
 
 #include "dsp/resample.hpp"
 #include "ecg/types.hpp"
+#include "kernels/dsp_peaks.hpp"
+#include "kernels/dsp_workspace.hpp"
 #include "math/check.hpp"
 
 namespace hbrp::core {
@@ -227,9 +229,12 @@ dsp::SignalQuality StreamingBeatMonitor::quality_at(
 void StreamingBeatMonitor::scan(bool final_pass, const BeatSink* beats,
                                 const PendingBeatSink* pending) {
   // Wavelet (bit-identical to dsp::detect_r_peaks, the pre-block-kernel
-  // detector) or the adaptive fast path, per cfg_.peak.kind; either way the
-  // member scratch keeps the steady-state scan allocation-free.
-  kernels::detect_r_peaks_kind(buffer_, cfg_.peak, peak_scratch_, peaks_);
+  // detector) or the adaptive fast path, per cfg_.peak.kind. The detector
+  // runs in the thread's shared workspace, which keeps the steady-state
+  // scan allocation-free; its contents are dead once peaks_ is filled,
+  // before any sink below runs.
+  kernels::detect_r_peaks_kind(buffer_, cfg_.peak,
+                               kernels::thread_workspace().peaks, peaks_);
   const std::vector<std::size_t>& peaks = peaks_;
 
   // A beat is finalized once its full window fits safely inside the chunk:
@@ -355,7 +360,8 @@ std::size_t StreamingBeatMonitor::memory_samples() const {
   // Buffer high-water mark is one full chunk; conditioner state on top.
   // The SQI estimator is O(1) (a handful of accumulators) and the
   // transition history is bounded by the handful of state changes a chunk
-  // can witness, so neither moves the figure.
+  // can witness, so neither moves the figure. Detector and conditioner
+  // intermediates are per thread (kernels::DspWorkspace), not counted.
   return chunk_samples_ + conditioner_.memory_samples();
 }
 

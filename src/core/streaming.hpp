@@ -38,7 +38,6 @@
 #include "drift/tracker.hpp"
 #include "embedded/bundle.hpp"
 #include "kernels/dsp_condition.hpp"
-#include "kernels/dsp_peaks.hpp"
 
 namespace hbrp::core {
 
@@ -150,7 +149,12 @@ class StreamingBeatMonitor {
   /// Vector-returning convenience wrapper over flush(sink).
   std::vector<MonitorBeat> flush();
 
-  /// Worst-case number of samples held across all internal state.
+  /// Worst-case number of samples this monitor holds between pushes: its
+  /// rolling buffer plus its conditioner's history and pending batch. This
+  /// bounds per-monitor state only. The conditioning and detection
+  /// intermediates live in the calling thread's kernels::DspWorkspace,
+  /// shared by every monitor on the thread; at the default configuration
+  /// that workspace alone measures ~212 KB.
   std::size_t memory_samples() const;
 
   /// Input-to-report latency bound, in samples (conditioner delay plus its
@@ -217,7 +221,6 @@ class StreamingBeatMonitor {
   MonitorConfig cfg_;
   kernels::BlockConditioner conditioner_;
   dsp::Signal cond_out_;  // conditioner output staging (reused)
-  kernels::PeakScratch peak_scratch_;
   std::vector<std::size_t> peaks_;  // detector output (reused)
   dsp::SignalQualityEstimator sqi_;
   dsp::Signal buffer_;           // rolling conditioned samples

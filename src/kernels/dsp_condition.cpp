@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "kernels/dsp_workspace.hpp"
 #include "math/check.hpp"
 
 namespace hbrp::kernels {
@@ -263,17 +264,21 @@ void BlockConditioner::process_pending(Signal& out) {
   // index a in [emitted_, total - delay_) reads inputs [a - delay_,
   // a + delay_], and the window keeps 2*delay_ samples of left context, so
   // those outputs never see the window's replicated left border: each one
-  // is bit-identical to conditioning the whole stream from sample 0.
-  window_.clear();
-  window_.insert(window_.end(), history_.begin(), history_.end());
-  window_.insert(window_.end(), pending_.begin(), pending_.end());
-  const std::uint64_t w0 = total - window_.size();
-  condition_ecg_block(window_, cfg_, scratch_, window_out_);
+  // is bit-identical to conditioning the whole stream from sample 0. The
+  // window and its output live in the thread's workspace and are dead once
+  // the new outputs are copied into `out`.
+  DspWorkspace& ws = thread_workspace();
+  ws.window.clear();
+  ws.window.insert(ws.window.end(), history_.begin(), history_.end());
+  ws.window.insert(ws.window.end(), pending_.begin(), pending_.end());
+  const std::uint64_t w0 = total - ws.window.size();
+  condition_ecg_block(ws.window, cfg_, ws.condition, ws.window_out);
   const std::uint64_t new_emit = total > delay_ ? total - delay_ : 0;
   if (new_emit > emitted_) {
     const auto lo = static_cast<std::ptrdiff_t>(emitted_ - w0);
     const auto hi = static_cast<std::ptrdiff_t>(new_emit - w0);
-    out.insert(out.end(), window_out_.begin() + lo, window_out_.begin() + hi);
+    out.insert(out.end(), ws.window_out.begin() + lo,
+               ws.window_out.begin() + hi);
     emitted_ = new_emit;
   }
   history_.insert(history_.end(), pending_.begin(), pending_.end());
@@ -289,12 +294,12 @@ void BlockConditioner::flush_tail(Signal& out) {
   if (consumed_ > emitted_) {
     // The final window's batch right border replicates the last sample —
     // exactly the tail dsp::condition_ecg() ends the whole record with.
-    window_.assign(history_.begin(), history_.end());
-    const std::uint64_t w0 = consumed_ - window_.size();
-    condition_ecg_block(window_, cfg_, scratch_, window_out_);
-    out.insert(out.end(),
-               window_out_.begin() + static_cast<std::ptrdiff_t>(emitted_ - w0),
-               window_out_.end());
+    DspWorkspace& ws = thread_workspace();
+    ws.window.assign(history_.begin(), history_.end());
+    const std::uint64_t w0 = consumed_ - ws.window.size();
+    condition_ecg_block(ws.window, cfg_, ws.condition, ws.window_out);
+    const auto lo = static_cast<std::ptrdiff_t>(emitted_ - w0);
+    out.insert(out.end(), ws.window_out.begin() + lo, ws.window_out.end());
   }
   reset();
 }

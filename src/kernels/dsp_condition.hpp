@@ -22,7 +22,9 @@
 // enough samples accumulate. Once flush_tail() has run, the samples it
 // emitted are exactly dsp::condition_ecg() of everything pushed, borders
 // included, whatever the push/push_block/sync partition — with a fixed
-// group delay and bounded memory.
+// group delay and bounded memory. It keeps only the raw history and the
+// pending batch; each batch is conditioned in the calling thread's
+// DspWorkspace (dsp_workspace.hpp).
 #pragma once
 
 #include <cstddef>
@@ -135,8 +137,11 @@ class BlockConditioner {
   /// until a batch fills.
   std::size_t batch_slack() const { return kMinBatch - 1; }
 
-  /// Upper bound on retained samples (history window + pending batch;
-  /// kernel scratch is proportional to the same figure).
+  /// Upper bound on the samples this conditioner holds between calls
+  /// (history window + pending batch). The conditioning intermediates are
+  /// not in it: they live in the calling thread's kernels::DspWorkspace
+  /// (dsp_workspace.hpp), which every conditioner and monitor on that
+  /// thread shares.
   std::size_t memory_samples() const { return 2 * delay_ + kMinBatch; }
 
  private:
@@ -153,9 +158,6 @@ class BlockConditioner {
   std::vector<dsp::Sample> pending_;  ///< accepted, not yet processed
   std::uint64_t consumed_ = 0;        ///< samples moved into history_
   std::uint64_t emitted_ = 0;         ///< conditioned samples appended
-  ConditionScratch scratch_;
-  dsp::Signal window_;
-  dsp::Signal window_out_;
 };
 
 }  // namespace hbrp::kernels

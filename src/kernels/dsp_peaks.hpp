@@ -6,7 +6,7 @@
 //    detector, identical in output to dsp::detect_r_peaks, restated over the
 //    block wavelet kernel (kernels/dsp_wavelet.hpp) with every intermediate
 //    (decomposition, extrema, threshold envelopes, candidate lists) living in
-//    caller-owned scratch so repeated streaming scans allocate nothing in
+//    caller-provided scratch so repeated streaming scans allocate nothing in
 //    steady state.
 //
 //  - detect_r_peaks_adaptive: an O(1)-per-sample fast path — slope energy
@@ -28,8 +28,10 @@
 
 namespace hbrp::kernels {
 
-/// Reusable workspace for both detectors. Hold one per stream and the
-/// steady-state scan path performs no allocations.
+/// Reusable workspace for both detectors: once it has grown to the input
+/// size, further scans allocate nothing. Nothing in it outlives one call,
+/// so streaming monitors share one per thread (kernels::DspWorkspace,
+/// dsp_workspace.hpp) rather than one per stream.
 struct PeakScratch {
   struct Extremum {
     std::size_t index = 0;

@@ -1,0 +1,200 @@
+// Heap footprint per stream: live heap bytes per core::StreamingBeatMonitor
+// and per drift-enabled service::FleetEngine session, after 60 s of
+// synthetic ECG in 512-sample packets.
+//
+// The conditioning and detection intermediates are per thread
+// (kernels::DspWorkspace), so each test warms the thread's workspace with
+// one monitor before it starts counting: what remains is per-stream state.
+// The bounds catch any workspace that creeps back into a monitor or a
+// session, where ~200 KB of scratch would be copied per stream.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <new>
+#include <optional>
+#include <span>
+#include <vector>
+
+#include "core/streaming.hpp"
+#include "core/trainer.hpp"
+#include "drift/tracker.hpp"
+#include "ecg/synth.hpp"
+#include "math/rng.hpp"
+#include "service/fleet.hpp"
+
+namespace {
+// Live operator-new bytes, process-wide. Every block carries its requested
+// size in a header one max_align_t wide (so the returned pointer keeps
+// malloc's alignment), which operator delete subtracts again.
+std::atomic<std::int64_t> g_live_bytes{0};
+constexpr std::size_t kHeader = alignof(std::max_align_t);
+}  // namespace
+
+// Both out of line, so GCC never sees a malloc() from an inlined new meet
+// an operator delete (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  auto* base = static_cast<unsigned char*>(std::malloc(n + kHeader));
+  if (base == nullptr) throw std::bad_alloc();
+  std::memcpy(base, &n, sizeof n);
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(n),
+                         std::memory_order_relaxed);
+  return base + kHeader;
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  unsigned char* base = static_cast<unsigned char*>(p) - kHeader;
+  std::size_t n = 0;
+  std::memcpy(&n, base, sizeof n);
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(n),
+                         std::memory_order_relaxed);
+  std::free(base);
+}
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+
+namespace {
+
+using namespace hbrp;
+
+constexpr std::size_t kStreams = 16;
+constexpr std::size_t kPacket = 512;
+// StreamingMonitorTest.MemoryBoundWellUnderIcyHeartRam's per-monitor budget.
+constexpr std::int64_t kMonitorBudget = 48 * 1024;
+// A session adds its ingest queue, drift tracker and telemetry.
+constexpr std::int64_t kSessionBudget = 64 * 1024;
+
+std::int64_t live_bytes() {
+  return g_live_bytes.load(std::memory_order_relaxed);
+}
+
+// Untrained but well-formed: 8 coefficients over a 200-sample window
+// (50 columns, downsample 4) matches the default MonitorConfig geometry.
+// The footprint does not depend on what the classifier decides.
+embedded::EmbeddedClassifier make_classifier() {
+  math::Rng rng(7);
+  constexpr std::size_t k = 8;
+  auto p = rp::make_achlioptas(k, 50, rng);
+  nfc::NeuroFuzzyClassifier nfc(k);
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t l = 0; l < 3; ++l)
+      nfc.mf(i, l) = {rng.normal(0, 200), rng.uniform(5.0, 150.0)};
+  return core::TrainedClassifier{rp::BeatProjector(std::move(p), 4),
+                                 std::move(nfc), 0.25}
+      .quantize();
+}
+
+std::shared_ptr<const drift::TrainingCentroids> make_centroids() {
+  math::Rng rng(8);
+  auto tc = std::make_shared<drift::TrainingCentroids>();
+  tc->coefficients = 8;
+  tc->scale = 100.0;
+  for (int c = 0; c < 3; ++c) {
+    drift::TrainingCentroids::Centroid ct;
+    for (std::size_t i = 0; i < tc->coefficients; ++i)
+      ct.mean.push_back(rng.normal(0, 300));
+    ct.mass = 100.0;
+    ct.sigma = 50.0;
+    tc->centroids.push_back(std::move(ct));
+  }
+  return tc;
+}
+
+dsp::Signal synth_lead() {
+  ecg::SynthConfig cfg;
+  cfg.profile = ecg::RecordProfile::PvcOccasional;
+  cfg.duration_s = 60.0;
+  cfg.num_leads = 1;
+  cfg.seed = 31;
+  return ecg::generate_record(cfg).leads[0];
+}
+
+std::span<const dsp::Sample> packet(const dsp::Signal& lead, std::size_t k) {
+  const std::size_t off = k * kPacket;
+  return {lead.data() + off, std::min(kPacket, lead.size() - off)};
+}
+
+std::size_t packet_count(const dsp::Signal& lead) {
+  return (lead.size() + kPacket - 1) / kPacket;
+}
+
+// Brings this thread's DSP workspace to its steady-state size: one monitor
+// over the same lead and configuration the measured streams use.
+void warm_workspace(const embedded::EmbeddedClassifier& clf,
+                    const dsp::Signal& lead) {
+  core::StreamingBeatMonitor warm(clf);
+  const core::BeatSink sink = [](const core::MonitorBeat&) {};
+  for (std::size_t k = 0; k < packet_count(lead); ++k)
+    warm.push_block(packet(lead, k), sink);
+}
+
+TEST(Footprint, StreamingMonitorHeapPerMonitor) {
+  const auto clf = make_classifier();
+  const dsp::Signal lead = synth_lead();
+  warm_workspace(clf, lead);
+
+  std::size_t beats = 0;
+  const core::BeatSink sink = [&beats](const core::MonitorBeat&) { ++beats; };
+  const std::int64_t before = live_bytes();
+  {
+    std::vector<core::StreamingBeatMonitor> monitors;
+    monitors.reserve(kStreams);
+    for (std::size_t s = 0; s < kStreams; ++s) monitors.emplace_back(clf);
+    for (std::size_t k = 0; k < packet_count(lead); ++k)
+      for (core::StreamingBeatMonitor& m : monitors)
+        m.push_block(packet(lead, k), sink);
+
+    const std::int64_t per_monitor =
+        (live_bytes() - before) / static_cast<std::int64_t>(kStreams);
+    EXPECT_LE(per_monitor, kMonitorBudget)
+        << "live heap per monitor: " << per_monitor << " bytes";
+    // 60 s at ~75 bpm, minus the beats still inside each rolling buffer.
+    EXPECT_GE(beats, kStreams * 50);
+  }
+}
+
+TEST(Footprint, FleetSessionHeapPerSession) {
+  const auto clf = make_classifier();
+  const dsp::Signal lead = synth_lead();
+  warm_workspace(clf, lead);
+
+  service::FleetConfig cfg;
+  cfg.threads = 1;  // every pump on this (warmed) thread
+  cfg.shards = 1;
+  cfg.session.model = std::make_shared<const service::SessionModel>(
+      service::SessionModel{cfg.initial_model_version, clf, make_centroids()});
+  service::FleetEngine engine(clf, cfg);
+
+  std::size_t beats = 0;
+  const std::int64_t before = live_bytes();
+  std::vector<service::SessionId> ids;
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    const auto id =
+        engine.open_session([&beats](const service::SessionResult&) {
+          ++beats;
+        });
+    ASSERT_TRUE(id.has_value());
+    ids.push_back(*id);
+  }
+  for (std::size_t k = 0; k < packet_count(lead); ++k) {
+    for (const service::SessionId id : ids)
+      ASSERT_EQ(engine.offer(id, packet(lead, k)).accepted,
+                packet(lead, k).size());
+    engine.pump();
+  }
+  for (const service::SessionId id : ids)
+    ASSERT_NE(engine.session_drift(id), nullptr) << "drift must be on";
+
+  const std::int64_t per_session =
+      (live_bytes() - before) / static_cast<std::int64_t>(kStreams);
+  EXPECT_LE(per_session, kSessionBudget)
+      << "live heap per session: " << per_session << " bytes";
+  EXPECT_GE(beats, kStreams * 50);
+  for (const service::SessionId id : ids) EXPECT_TRUE(engine.close_session(id));
+}
+
+}  // namespace

@@ -11,8 +11,11 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <exception>
 #include <iterator>
+#include <latch>
 #include <span>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -449,6 +452,316 @@ TEST_F(KernelsDspMonitorTest, PushBlockMatchesPerSampleUnderFaults) {
     });
     EXPECT_EQ(blocked, per_sample) << "mode " << mode;
   }
+}
+
+
+// --- Per-thread DSP workspace: streams that share it stay isolated --------
+//
+// Every BlockConditioner and StreamingBeatMonitor on a thread conditions and
+// detects in that thread's kernels::DspWorkspace. Interleaving differently
+// configured streams packet by packet on one thread (and then over two
+// threads) must not change a single output: nothing may survive in the
+// workspace from one call to the next.
+
+// Steps every unfinished run once per round until all are done.
+template <typename Run>
+void interleave(const std::vector<Run*>& runs) {
+  for (bool any = true; any;) {
+    any = false;
+    for (Run* r : runs) {
+      if (r->done()) continue;
+      r->step();
+      any = true;
+    }
+  }
+}
+
+// interleave() with the runs dealt over two threads by index parity; both
+// threads start together so their runs overlap in time.
+template <typename Run>
+void interleave_on_two_threads(std::vector<Run>& runs) {
+  std::vector<Run*> even, odd;
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    (i % 2 == 0 ? even : odd).push_back(&runs[i]);
+  std::latch start(2);
+  std::exception_ptr worker_error;
+  {
+    std::jthread worker([&] {
+      start.arrive_and_wait();
+      try {
+        interleave(odd);
+      } catch (...) {
+        worker_error = std::current_exception();
+      }
+    });
+    start.arrive_and_wait();
+    interleave(even);
+  }
+  if (worker_error) std::rethrow_exception(worker_error);
+}
+
+// One conditioner fed a random push / push_block / sync mix; flush_tail runs
+// once after `flush_at` samples and again at the end, so its output must be
+// condition_ecg() of each of the two segments, concatenated.
+class ConditionerRun {
+ public:
+  ConditionerRun(const dsp::FilterConfig& cfg, dsp::Signal input,
+                 std::size_t flush_at, std::size_t max_block,
+                 std::uint64_t seed)
+      : cfg_(cfg),
+        input_(std::move(input)),
+        flush_at_(flush_at),
+        max_block_(max_block),
+        seed_(seed),
+        block_(cfg),
+        rng_(seed) {}
+
+  bool done() const { return finished_; }
+
+  void step() {
+    const std::size_t before = pos_;
+    const std::size_t stop = pos_ < flush_at_ ? flush_at_ : input_.size();
+    const int action = static_cast<int>(rng_.uniform_int(0, 3));
+    if (action == 0) {
+      block_.push(input_[pos_++], got_);
+    } else if (action == 1) {
+      const auto most = static_cast<std::int64_t>(max_block_);
+      const auto take = std::min<std::size_t>(
+          stop - pos_, static_cast<std::size_t>(rng_.uniform_int(1, most)));
+      block_.push_block(
+          std::span<const dsp::Sample>(input_.data() + pos_, take), got_);
+      pos_ += take;
+    } else {
+      block_.sync(got_);
+    }
+    finished_ = pos_ == input_.size();
+    if ((before < flush_at_ && pos_ == flush_at_) || finished_)
+      block_.flush_tail(got_);
+  }
+
+  dsp::Signal expected() const {
+    const auto mid = input_.begin() + static_cast<std::ptrdiff_t>(flush_at_);
+    dsp::Signal out =
+        dsp::condition_ecg(dsp::Signal(input_.begin(), mid), cfg_);
+    const dsp::Signal tail =
+        dsp::condition_ecg(dsp::Signal(mid, input_.end()), cfg_);
+    out.insert(out.end(), tail.begin(), tail.end());
+    return out;
+  }
+
+  const dsp::Signal& got() const { return got_; }
+
+  // The same run from the start, for a second layout.
+  ConditionerRun fresh() const {
+    return {cfg_, input_, flush_at_, max_block_, seed_};
+  }
+
+ private:
+  dsp::FilterConfig cfg_;
+  dsp::Signal input_;
+  std::size_t flush_at_;
+  std::size_t max_block_;
+  std::uint64_t seed_;
+  kernels::BlockConditioner block_;
+  math::Rng rng_;
+  std::size_t pos_ = 0;
+  bool finished_ = false;
+  dsp::Signal got_;
+};
+
+std::vector<ConditionerRun> conditioner_runs() {
+  dsp::FilterConfig custom;
+  custom.baseline_open_len = 91;
+  custom.baseline_close_len = 201;
+  custom.noise_len = 5;
+  ecg::SynthConfig scfg;
+  scfg.duration_s = 60.0;
+  scfg.num_leads = 1;
+  scfg.seed = 14;
+  std::vector<ConditionerRun> runs;
+  // Different element lengths (delays 66..636 samples), inputs and block
+  // sizes; the 4000-sample blocks grow the shared workspace well past what
+  // the others need, the 8-sample ones keep it barely used. Long enough
+  // that the two-thread layout really runs concurrently.
+  runs.emplace_back(dsp::FilterConfig{}, ecg::generate_record(scfg).leads[0],
+                    3001, 512, 1);
+  runs.emplace_back(dsp::FilterConfig::for_rate(128), random_signal(20000, 2),
+                    2500, 8, 2);
+  runs.emplace_back(dsp::FilterConfig::for_rate(1000), random_signal(40000, 3),
+                    40000, 4000, 3);
+  runs.emplace_back(custom, random_signal(30000, 4), 12345, 700, 4);
+  runs.emplace_back(dsp::FilterConfig::for_rate(250), random_signal(300, 5),
+                    100, 64, 5);
+  return runs;
+}
+
+TEST(KernelsDspWorkspace, InterleavedConditionersMatchBatch) {
+  std::vector<ConditionerRun> runs = conditioner_runs();
+  std::vector<ConditionerRun*> all;
+  for (ConditionerRun& r : runs) all.push_back(&r);
+  interleave(all);
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    EXPECT_EQ(runs[i].got(), runs[i].expected()) << "conditioner " << i;
+
+  std::vector<ConditionerRun> split;
+  for (const ConditionerRun& r : runs) split.push_back(r.fresh());
+  interleave_on_two_threads(split);
+  for (std::size_t i = 0; i < split.size(); ++i)
+    EXPECT_EQ(split[i].got(), split[i].expected())
+        << "conditioner " << i << " on two threads";
+}
+
+// One monitor fed fixed-size packets, optionally flushed once mid-stream
+// and always flushed at the end; records every beat it reports. Deferred
+// runs go through the PendingBeatSink path and also hash each surrendered
+// window.
+struct MonitorSpec {
+  core::MonitorConfig cfg;
+  std::vector<double> input;
+  std::size_t packet = 512;
+  std::size_t flush_at = 0;  // 0: only the final flush
+  bool deferred = false;
+};
+
+struct SeenBeat {
+  std::size_t r_peak = 0;
+  ecg::BeatClass predicted = ecg::BeatClass::N;
+  dsp::SignalQuality quality = dsp::SignalQuality::Good;
+  std::uint64_t window_hash = 0;  // deferred runs only
+  bool operator==(const SeenBeat&) const = default;
+};
+
+class MonitorRun {
+ public:
+  MonitorRun(const embedded::EmbeddedClassifier& clf, const MonitorSpec& spec)
+      : spec_(&spec), monitor_(clf, spec.cfg) {}
+
+  bool done() const { return pos_ == spec_->input.size(); }
+
+  void step() {
+    const auto take = std::min(spec_->packet, spec_->input.size() - pos_);
+    const std::span<const double> xs(spec_->input.data() + pos_, take);
+    if (spec_->deferred)
+      monitor_.push_block(xs, pending_sink());
+    else
+      monitor_.push_block(xs, beat_sink());
+    const std::size_t before = pos_;
+    pos_ += take;
+    const bool mid = before < spec_->flush_at && pos_ >= spec_->flush_at;
+    if (mid || done()) {
+      if (spec_->deferred)
+        monitor_.flush(pending_sink());
+      else
+        monitor_.flush(beat_sink());
+    }
+  }
+
+  const std::vector<SeenBeat>& seen() const { return seen_; }
+
+ private:
+  core::BeatSink beat_sink() {
+    return [this](const core::MonitorBeat& b) {
+      seen_.push_back({b.r_peak, b.predicted, b.quality, 0});
+    };
+  }
+  core::PendingBeatSink pending_sink() {
+    return [this](const core::PendingBeat& pb) {
+      std::uint64_t hash = pb.needs_classification ? 1 : 0;
+      for (const dsp::Sample x : pb.window)
+        hash = hash * 31 + static_cast<std::uint64_t>(x);
+      seen_.push_back(
+          {pb.beat.r_peak, pb.beat.predicted, pb.beat.quality, hash});
+    };
+  }
+
+  const MonitorSpec* spec_;
+  core::StreamingBeatMonitor monitor_;
+  std::size_t pos_ = 0;
+  std::vector<SeenBeat> seen_;
+};
+
+std::vector<double> synth_input(ecg::RecordProfile profile,
+                                std::uint64_t seed, bool faulted) {
+  ecg::SynthConfig scfg;
+  scfg.profile = profile;
+  scfg.duration_s = 60.0;
+  scfg.num_leads = 1;
+  scfg.seed = seed;
+  const dsp::Signal lead = ecg::generate_record(scfg).leads[0];
+  if (!faulted) return {lead.begin(), lead.end()};
+  const std::size_t fs = dsp::kMitBihFs;
+  hbrp::testing::FaultInjectorConfig fcfg;
+  fcfg.seed = seed;
+  fcfg.events = {
+      {hbrp::testing::FaultKind::LeadOff, lead.size() / 3, 5 * fs, 0.0, 0.0},
+      {hbrp::testing::FaultKind::NonFinite, 2 * lead.size() / 3, fs, 0.0, 0.3},
+  };
+  hbrp::testing::FaultInjector injector(fcfg);
+  std::vector<double> stream;
+  for (const auto x : lead)
+    for (const double y : injector.feed(x)) stream.push_back(y);
+  return stream;
+}
+
+std::vector<MonitorSpec> monitor_specs() {
+  std::vector<MonitorSpec> specs(5);
+  // Defaults, faulted input: lead-off re-arms the conditioner mid-stream.
+  specs[0].input = synth_input(ecg::RecordProfile::PvcOccasional, 1, true);
+  // Adaptive detector over a shorter chunk, small packets.
+  specs[1].cfg.peak.kind = dsp::PeakDetectorKind::AdaptiveThreshold;
+  specs[1].cfg.chunk_s = 5.0;
+  specs[1].cfg.overlap_s = 2.0;
+  specs[1].input = synth_input(ecg::RecordProfile::NormalSinus, 2, false);
+  specs[1].packet = 100;
+  // Longer chunk, no quality gating, flushed mid-stream.
+  specs[2].cfg.chunk_s = 12.0;
+  specs[2].cfg.overlap_s = 3.0;
+  specs[2].cfg.quality_gating = false;
+  specs[2].input = synth_input(ecg::RecordProfile::Lbbb, 3, true);
+  specs[2].packet = 777;
+  specs[2].flush_at = 10000;
+  // 250 Hz element lengths (64-sample delay), adaptive, deferred path.
+  specs[3].cfg.filter = dsp::FilterConfig::for_rate(250);
+  specs[3].cfg.peak.kind = dsp::PeakDetectorKind::AdaptiveThreshold;
+  specs[3].cfg.chunk_s = 6.0;
+  specs[3].cfg.overlap_s = 2.5;
+  specs[3].input = synth_input(ecg::RecordProfile::PvcBigeminy, 4, false);
+  specs[3].packet = 64;
+  specs[3].deferred = true;
+  // Longer custom elements, deferred, big packets.
+  specs[4].cfg.filter.baseline_open_len = 91;
+  specs[4].cfg.filter.baseline_close_len = 201;
+  specs[4].cfg.filter.noise_len = 5;
+  specs[4].input = synth_input(ecg::RecordProfile::PvcOccasional, 5, true);
+  specs[4].packet = 2048;
+  specs[4].deferred = true;
+  return specs;
+}
+
+TEST_F(KernelsDspMonitorTest, InterleavedMonitorsMatchSoloRuns) {
+  const std::vector<MonitorSpec> specs = monitor_specs();
+  std::vector<std::vector<SeenBeat>> solo;
+  for (const MonitorSpec& spec : specs) {
+    MonitorRun run(*bundle_, spec);
+    interleave(std::vector<MonitorRun*>{&run});
+    ASSERT_FALSE(run.seen().empty());
+    solo.push_back(run.seen());
+  }
+
+  std::vector<MonitorRun> runs;
+  for (const MonitorSpec& spec : specs) runs.emplace_back(*bundle_, spec);
+  std::vector<MonitorRun*> all;
+  for (MonitorRun& r : runs) all.push_back(&r);
+  interleave(all);
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    EXPECT_EQ(runs[i].seen(), solo[i]) << "monitor " << i;
+
+  std::vector<MonitorRun> split;
+  for (const MonitorSpec& spec : specs) split.emplace_back(*bundle_, spec);
+  interleave_on_two_threads(split);
+  for (std::size_t i = 0; i < split.size(); ++i)
+    EXPECT_EQ(split[i].seen(), solo[i])
+        << "monitor " << i << " on two threads";
 }
 
 }  // namespace
