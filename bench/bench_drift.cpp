@@ -179,18 +179,18 @@ int main(int argc, char** argv) {
     report.set("drift_observe_ns", ns);
 
     const platform::KernelCosts costs(platform::CycleModel{}, 360);
-    const drift::DriftConfig dcfg;
-    const double cycles = costs.drift_update_per_beat(k, dcfg.max_clusters);
+    const std::size_t seeds = trained.centroids->centroids.size();
+    const double cycles = costs.drift_update_per_beat(k, seeds);
     report.set("drift_model_cycles_per_beat", cycles);
     // At the paper's 6 MHz core and test-set beat rate, the duty-cycle
     // increment tracking adds to sub-system (1).
     platform::ScenarioParams params;
     params.coefficients = k;
-    params.drift_clusters = dcfg.max_clusters;
+    params.drift_seeds = seeds;
     const platform::IcyHeartSpec spec;
     const double duty_with =
         platform::load_subsystem1(costs, params).duty_cycle(spec);
-    params.drift_clusters = 0;
+    params.drift_seeds = 0;
     const double duty_without =
         platform::load_subsystem1(costs, params).duty_cycle(spec);
     report.set("drift_model_duty_delta", duty_with - duty_without);

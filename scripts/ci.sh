@@ -6,11 +6,11 @@
 #      so the scalar halves of the block kernels are gated even on AVX2
 #      hosts;
 #   2. ASan + UBSan build (-DENABLE_SANITIZERS=ON), full ctest suite;
-#   3. TSan build (-DENABLE_TSAN=ON), executor/engine/fleet/net-focused
-#      ctest subset — races in core::Executor, the parallel GA fitness
-#      fan-out, the chunked metric merges, the fleet engine's producer/pump
-#      concurrency and the gateway/client loopback traffic would surface
-#      here;
+#   3. TSan build (-DENABLE_TSAN=ON), full ctest suite — races in
+#      core::Executor, the parallel GA fitness fan-out, the chunked metric
+#      merges, the fleet engine's producer/pump concurrency, the
+#      gateway/client loopback traffic and the per-thread DSP workspaces
+#      would surface here;
 #   4. fleet soak smoke: bench_fleet --quick --threads=0 — the
 #      sessions x reactors scaling grid with its serial-vs-sharded
 #      bit-identity gate (exits non-zero on any per-session sequence
@@ -197,11 +197,8 @@ fi
 run_suite build-asan -DENABLE_SANITIZERS=ON
 ctest --test-dir build-asan --output-on-failure -j
 
-# --- 3. TSan: executor + engine + fleet + net + scenario + drift tests ----
-# NB: -R must precede bare -j — ctest 3.25 otherwise consumes "-R" as the
-# job count and silently runs the full suite.
+# --- 3. TSan: full suite --------------------------------------------------
 run_suite build-tsan -DENABLE_TSAN=ON
-ctest --test-dir build-tsan --output-on-failure \
-  -R 'Executor|BeatBatch|EngineFixture|Determinism|Ga\.|Fleet|Net|Reactor|Gateway|Wire|Scenario|KernelsDsp|DetectorEquivalence|Drift|Lifecycle' -j
+ctest --test-dir build-tsan --output-on-failure -j
 
 echo "==== CI sweep complete"

@@ -35,7 +35,7 @@ PipelineResult RealTimePipeline::process(const ecg::Record& record) const {
   // Reference-lead conditioning + beat isolation via the block kernels
   // (bit-identical to dsp::condition_ecg / dsp::detect_r_peaks, several
   // times faster — scratch is local, so process() stays const and
-  // thread-safe under process_all's executor).
+  // thread-safe).
   kernels::ConditionScratch cond_scratch;
   kernels::PeakScratch peak_scratch;
   dsp::Signal reference;
@@ -90,20 +90,6 @@ PipelineResult RealTimePipeline::process(const ecg::Record& record) const {
     result.beats.push_back(beat);
   }
   return result;
-}
-
-std::vector<PipelineResult> RealTimePipeline::process_all(
-    std::span<const ecg::Record> records, const Executor* executor) const {
-  std::vector<PipelineResult> results(records.size());
-  if (executor == nullptr || executor->threads() <= 1 || records.size() <= 1) {
-    for (std::size_t i = 0; i < records.size(); ++i)
-      results[i] = process(records[i]);
-    return results;
-  }
-  executor->parallel_for(records.size(), [&](std::size_t i) {
-    results[i] = process(records[i]);
-  });
-  return results;
 }
 
 }  // namespace hbrp::core

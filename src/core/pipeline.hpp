@@ -9,10 +9,8 @@
 // flagged fraction, and the fiducial points for flagged beats.
 #pragma once
 
-#include <span>
 #include <vector>
 
-#include "core/executor.hpp"
 #include "delineation/mmd.hpp"
 #include "dsp/morphology.hpp"
 #include "dsp/peak_detect.hpp"
@@ -53,13 +51,6 @@ class RealTimePipeline {
 
   /// Runs the full chain over a multi-lead record.
   PipelineResult process(const ecg::Record& record) const;
-
-  /// Runs process() over every record, fanning the records out across the
-  /// executor when one is supplied. Each record's result lands in its own
-  /// slot, so the output is identical to a serial loop for any thread count.
-  std::vector<PipelineResult> process_all(
-      std::span<const ecg::Record> records,
-      const Executor* executor = nullptr) const;
 
   const embedded::EmbeddedClassifier& classifier() const {
     return classifier_;

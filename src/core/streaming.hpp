@@ -186,8 +186,8 @@ class StreamingBeatMonitor {
   /// surrendered through a PendingBeatSink are NOT observed here (their
   /// projection happens in the aggregator's batch; see service::Session),
   /// and Suspect beats are skipped on both paths — they were never
-  /// projected, and doubtful signal must not teach the clusterer. The
-  /// tracker must outlive the monitor or be detached first.
+  /// projected, and doubtful signal must not count toward the drift
+  /// score. The tracker must outlive the monitor or be detached first.
   void set_drift_tracker(drift::DriftTracker* tracker) { drift_ = tracker; }
   drift::DriftTracker* drift_tracker() const { return drift_; }
 

@@ -1,7 +1,6 @@
 #include "drift/tracker.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "math/check.hpp"
@@ -28,125 +27,22 @@ DriftTracker::DriftTracker(const TrainingCentroids& seed, DriftConfig cfg)
   HBRP_REQUIRE(!seed.centroids.empty(),
                "DriftTracker: at least one training centroid required");
   HBRP_REQUIRE(seed.scale > 0.0, "DriftTracker: scale must be > 0");
-  HBRP_REQUIRE(cfg_.max_clusters > seed.centroids.size(),
-               "DriftTracker: max_clusters must exceed the seeded "
-               "centroid count");
   HBRP_REQUIRE(cfg_.window_beats > 0,
                "DriftTracker: window_beats must be > 0");
-  inv_norm_ = 1.0 / (seed.scale * std::sqrt(static_cast<double>(k_)));
+  const double sqrt_k = std::sqrt(static_cast<double>(k_));
+  const double global_inv_norm = 1.0 / (seed.scale * sqrt_k);
 
-  seeds_.reserve(seed.centroids.size());
+  seed_means_.reserve(seed.centroids.size() * k_);
   seed_inv_norm_.reserve(seed.centroids.size());
   for (const auto& c : seed.centroids) {
     HBRP_REQUIRE(c.mean.size() == k_,
                  "DriftTracker: centroid dimension mismatch");
     HBRP_REQUIRE(c.sigma >= 0.0, "DriftTracker: negative centroid sigma");
-    Cluster cl;
-    cl.mean = c.mean;
-    cl.m2.assign(k_, 0.0);
-    cl.mass = c.mass > 0.0 ? c.mass : 1.0;
-    cl.seeded = true;
-    seeds_.push_back(std::move(cl));
-    seed_inv_norm_.push_back(
-        c.sigma > 0.0 ? 1.0 / (c.sigma * std::sqrt(static_cast<double>(k_)))
-                      : inv_norm_);
-  }
-  clusters_.reserve(cfg_.max_clusters);
-  clusters_ = seeds_;
-  // Spare clusters with preallocated k-sized buffers: founding, eviction
-  // and merging shuffle Cluster objects between clusters_ and pool_ by
-  // move, so observe() never touches the allocator. The pool is sized for
-  // the worst case (reset_session parks every live cluster at once).
-  pool_.reserve(cfg_.max_clusters);
-  for (std::size_t i = seeds_.size(); i < cfg_.max_clusters; ++i) {
-    Cluster spare;
-    spare.mean.assign(k_, 0.0);
-    spare.m2.assign(k_, 0.0);
-    pool_.push_back(std::move(spare));
+    seed_means_.insert(seed_means_.end(), c.mean.begin(), c.mean.end());
+    seed_inv_norm_.push_back(c.sigma > 0.0 ? 1.0 / (c.sigma * sqrt_k)
+                                           : global_inv_norm);
   }
   window_.assign(cfg_.window_beats, 0);
-}
-
-DriftTracker::Cluster DriftTracker::take_pooled() {
-  HBRP_REQUIRE(!pool_.empty(), "DriftTracker: cluster pool exhausted");
-  Cluster c = std::move(pool_.back());
-  pool_.pop_back();
-  return c;
-}
-
-void DriftTracker::recycle(std::size_t idx) {
-  pool_.push_back(std::move(clusters_[idx]));
-  clusters_.erase(clusters_.begin() + static_cast<std::ptrdiff_t>(idx));
-}
-
-ClusterInfo DriftTracker::cluster(std::size_t i) const {
-  HBRP_REQUIRE(i < clusters_.size(), "DriftTracker::cluster: index");
-  const Cluster& c = clusters_[i];
-  return {std::span<const double>(c.mean), std::span<const double>(c.m2),
-          c.mass, c.seeded};
-}
-
-double DriftTracker::distance_to(const Cluster& c,
-                                 std::span<const std::int32_t> u) const {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < k_; ++i) {
-    const double d = static_cast<double>(u[i]) - c.mean[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc) * inv_norm_;
-}
-
-double DriftTracker::centroid_distance(const Cluster& a,
-                                       const Cluster& b) const {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < k_; ++i) {
-    const double d = a.mean[i] - b.mean[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc) * inv_norm_;
-}
-
-void DriftTracker::welford_update(Cluster& c,
-                                  std::span<const std::int32_t> u) {
-  c.mass += 1.0;
-  for (std::size_t i = 0; i < k_; ++i) {
-    const double x = static_cast<double>(u[i]);
-    const double delta = x - c.mean[i];
-    c.mean[i] += delta / c.mass;
-    c.m2[i] += delta * (x - c.mean[i]);
-  }
-}
-
-void DriftTracker::merge_pass(std::size_t touched) {
-  // Only the cluster that just moved (or was founded) can have drifted
-  // into another's merge radius, so one scan against it suffices. The
-  // survivor is the lower index (stable for seeded clusters, which always
-  // precede discovered ones founded later); a seeded survivor absorbs the
-  // mass but the merged cluster's flag never promotes to seeded.
-  for (std::size_t j = 0; j < clusters_.size(); ++j) {
-    if (j == touched) continue;
-    if (centroid_distance(clusters_[j], clusters_[touched]) >=
-        cfg_.merge_threshold) {
-      continue;
-    }
-    const std::size_t keep = j < touched ? j : touched;
-    const std::size_t drop = j < touched ? touched : j;
-    Cluster& a = clusters_[keep];
-    Cluster& b = clusters_[drop];
-    const double total = a.mass + b.mass;
-    for (std::size_t i = 0; i < k_; ++i) {
-      const double delta = b.mean[i] - a.mean[i];
-      const double mean = a.mean[i] + delta * (b.mass / total);
-      // Chan's pooled update: M2 = M2a + M2b + delta^2 * na*nb/n.
-      a.m2[i] = a.m2[i] + b.m2[i] + delta * delta * (a.mass * b.mass / total);
-      a.mean[i] = mean;
-    }
-    a.mass = total;
-    a.seeded = a.seeded || b.seeded;
-    recycle(drop);
-    ++merges_;
-    return;  // at most one merge per beat keeps the scan O(budget)
-  }
 }
 
 void DriftTracker::push_window(bool normal, bool novel) {
@@ -185,68 +81,22 @@ DriftObservation DriftTracker::observe(std::span<const std::int32_t> u,
   ++beats_;
 
   double best = std::numeric_limits<double>::infinity();
-  std::size_t best_idx = 0;
-  for (std::size_t i = 0; i < clusters_.size(); ++i) {
-    const double d = distance_to(clusters_[i], u);
-    if (d < best) {
-      best = d;
-      best_idx = i;
-    }
-  }
-  // Novelty is judged against the PRISTINE training centroids, not the
-  // live seeded clusters: the live ones adapt (Welford) so a sustained
-  // shift would drag them toward itself and launder the very drift this
-  // tracker exists to flag. seeds_ is the immutable reference frame, and
-  // each seed measures in its own within-class sigma so a wide class
-  // cannot stretch the unit for everyone.
-  double best_seeded = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < seeds_.size(); ++i) {
+  for (std::size_t i = 0; i < seed_inv_norm_.size(); ++i) {
+    const double* mean = seed_means_.data() + i * k_;
     double acc = 0.0;
     for (std::size_t j = 0; j < k_; ++j) {
-      const double d = static_cast<double>(u[j]) - seeds_[i].mean[j];
+      const double d = static_cast<double>(u[j]) - mean[j];
       acc += d * d;
     }
     const double d = std::sqrt(acc) * seed_inv_norm_[i];
-    if (d < best_seeded) best_seeded = d;
+    if (d < best) best = d;
   }
+  fnv_mix(distance_hash_, &best, sizeof best);
 
   DriftObservation obs;
-  obs.distance = best_seeded;
-  obs.novel = normal_classified && best_seeded > cfg_.novelty_threshold;
+  obs.distance = best;
+  obs.novel = normal_classified && best > cfg_.novelty_threshold;
   if (obs.novel) ++novel_beats_;
-
-  if (best <= cfg_.assign_threshold) {
-    welford_update(clusters_[best_idx], u);
-    merge_pass(best_idx);
-  } else {
-    if (clusters_.size() == cfg_.max_clusters) {
-      // Evict the least-mass unseeded cluster, lowest index on ties. At
-      // least one exists: the budget strictly exceeds the seed count and
-      // seeded clusters are never erased (merges keep the seeded slot).
-      std::size_t victim = clusters_.size();
-      double victim_mass = std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < clusters_.size(); ++i) {
-        if (clusters_[i].seeded) continue;
-        if (clusters_[i].mass < victim_mass) {
-          victim_mass = clusters_[i].mass;
-          victim = i;
-        }
-      }
-      HBRP_REQUIRE(victim < clusters_.size(),
-                   "DriftTracker: no evictable cluster");
-      recycle(victim);
-      ++evictions_;
-    }
-    Cluster fresh = take_pooled();
-    for (std::size_t i = 0; i < k_; ++i) {
-      fresh.mean[i] = static_cast<double>(u[i]);
-      fresh.m2[i] = 0.0;
-    }
-    fresh.mass = 1.0;
-    fresh.seeded = false;
-    clusters_.push_back(std::move(fresh));
-    merge_pass(clusters_.size() - 1);
-  }
 
   push_window(normal_classified, obs.novel);
   obs.score = score();
@@ -258,42 +108,11 @@ DriftObservation DriftTracker::observe(std::span<const std::int32_t> u,
   return obs;
 }
 
-void DriftTracker::reset_session() {
-  // Seeded clusters can have merged into each other, so the live set may
-  // hold fewer than seeds_.size() entries; park everything and rebuild.
-  while (!clusters_.empty()) recycle(clusters_.size() - 1);
-  for (const auto& s : seeds_) {
-    Cluster c = take_pooled();
-    c.mean = s.mean;
-    c.m2 = s.m2;
-    c.mass = s.mass;
-    c.seeded = true;
-    clusters_.push_back(std::move(c));
-  }
-  window_.assign(cfg_.window_beats, 0);
-  window_head_ = 0;
-  window_fill_ = 0;
-  window_normals_ = 0;
-  window_novel_ = 0;
-  alarm_active_ = false;
-}
-
 std::uint64_t DriftTracker::state_digest() const {
-  std::uint64_t h = 1469598103934665603ull;
-  const std::uint64_t n = clusters_.size();
-  fnv_mix(h, &n, sizeof n);
-  for (const auto& c : clusters_) {
-    fnv_mix(h, c.mean.data(), c.mean.size() * sizeof(double));
-    fnv_mix(h, c.m2.data(), c.m2.size() * sizeof(double));
-    fnv_mix(h, &c.mass, sizeof c.mass);
-    const std::uint8_t s = c.seeded ? 1 : 0;
-    fnv_mix(h, &s, sizeof s);
-  }
+  std::uint64_t h = distance_hash_;
   fnv_mix(h, &beats_, sizeof beats_);
   fnv_mix(h, &novel_beats_, sizeof novel_beats_);
   fnv_mix(h, &alarms_, sizeof alarms_);
-  fnv_mix(h, &evictions_, sizeof evictions_);
-  fnv_mix(h, &merges_, sizeof merges_);
   fnv_mix(h, &window_normals_, sizeof window_normals_);
   fnv_mix(h, &window_novel_, sizeof window_novel_);
   return h;

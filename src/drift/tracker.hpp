@@ -1,44 +1,34 @@
-// drift::DriftTracker — online morphology clustering in RP space.
+// drift::DriftTracker — per-beat novelty against the training centroids in
+// RP space.
 //
 // The projection stage already reduces every beat to k (8–32) integer
 // coefficients, and the random matrix preserves morphology geometry there
-// (Johnson–Lindenstrauss is the paper's whole premise). That makes online
-// centroid maintenance in the projected space nearly free — a handful of
-// multiply-accumulates per beat — and it answers the question the N/V/L
-// classifier cannot: "this patient's beats stopped looking like anything
-// we trained on."
+// (Johnson–Lindenstrauss is the paper's whole premise). That makes
+// comparing each beat with the training centroids in the projected space
+// nearly free — a handful of multiply-accumulates per centroid — and it
+// answers the question the N/V/L classifier cannot: "this patient's beats
+// stopped looking like anything we trained on."
 //
 // Mechanics, per observe(u):
 //
-//   1. Nearest-centroid scan over a bounded set of clusters. Each cluster
-//      keeps a Welford running mean/M2/mass per coefficient. Distances are
-//      Euclidean in RP space, normalized by the training-set within-class
-//      RMS sigma (carried in TrainingCentroids::scale) and by sqrt(k), so
-//      thresholds are in "training sigmas" regardless of k or the integer
-//      projection's dynamic range.
-//   2. The beat joins the nearest cluster when within assign_threshold
-//      (Welford update), otherwise it founds a new cluster. At the budget,
-//      the least-mass *unseeded* cluster is evicted first (lowest index on
-//      ties); clusters seeded from training centroids are never evicted,
-//      so the reference frame cannot be squeezed out by a long anomaly.
-//   3. After an update/founding, clusters whose centroids drifted within
-//      merge_threshold of each other are merged (deterministic lowest-
-//      index-first scan, moment-preserving pooled Welford combine).
-//   4. Novelty: a beat the caller marked normal-classified is novel when
-//      its distance to the nearest *pristine* training centroid (the
-//      immutable seed export, not the live adapting copy) exceeds
-//      novelty_threshold — neither discovered clusters absorbing repeats
-//      of a novel shape nor a seeded cluster drifting toward it can
-//      launder it into normality. That distance is normalized by the
-//      nearest centroid's own within-class sigma (falling back to the
-//      global scale when a seed carries none), so a wide class like V
-//      does not make every far beat look novel. Beats classified
+//   1. Seed scan: Euclidean distance from u to every training centroid
+//      (the immutable seed export), in that centroid's own within-class
+//      sigmas and divided by sqrt(k), so thresholds are in "training
+//      sigmas" regardless of k or the integer projection's dynamic range
+//      (a seed exported without a sigma falls back to the global scale).
+//      The nearest seed gives the beat's distance. The seeds never adapt,
+//      so a sustained shift cannot drag the reference frame toward itself
+//      and launder the very drift this tracker exists to flag; and
+//      per-class units keep a wide class like V from making every far beat
+//      look novel.
+//   2. Novelty: a beat the caller marked normal-classified is novel when
+//      that distance exceeds novelty_threshold. Beats classified
 //      pathological are never novel: they already escalate through the
 //      classifier path, and counting them would re-alarm on VT or pacing
 //      the fleet has known about for years — drift is specifically the
 //      *silent* failure mode where the classifier keeps saying "normal"
 //      about shapes it was never trained on.
-//   5. Score: over a ring of the last window_beats beats, the fraction of
+//   3. Score: over a ring of the last window_beats beats, the fraction of
 //      normal-classified beats that were novel, with the denominator
 //      floored at window_beats/2 so a window holding only a handful of
 //      normals (e.g. mid-VT) cannot alarm off ratio noise. The alarm
@@ -46,9 +36,9 @@
 //      min_beats have been seen; rising edges are counted so telemetry
 //      can rate alarms.
 //
-// Everything is preallocated in the constructor; observe() never
-// allocates. All arithmetic is double with a fixed evaluation order, so a
-// given observation sequence produces bit-identical tracker state on any
+// Everything is allocated in the constructor; observe() never allocates.
+// All arithmetic is double with a fixed evaluation order, so a given
+// observation sequence produces bit-identical tracker state on any
 // host/thread layout — the service layer leans on this for its
 // thread/shard-count identity gate.
 #pragma once
@@ -67,7 +57,9 @@ namespace hbrp::drift {
 struct TrainingCentroids {
   struct Centroid {
     std::vector<double> mean;  ///< k coefficients
-    double mass = 0.0;         ///< training beats behind this centroid
+    /// Training beats behind this centroid (carried in the bundle for
+    /// provenance; the tracker does not read it).
+    double mass = 0.0;
     /// Within-class RMS sigma of this class's training projections; the
     /// novelty distance to this centroid is expressed in these units.
     /// 0 means "not exported" — the tracker falls back to the global
@@ -81,23 +73,13 @@ struct TrainingCentroids {
 };
 
 struct DriftConfig {
-  /// Total cluster budget, including the training-seeded ones.
-  std::size_t max_clusters = 16;
-  /// Join the nearest cluster when within this many training sigmas.
-  /// (The global RMS scale is dominated by the widest coefficients, so
-  /// in-distribution beats sit well below 1.0 — typically 0.2–0.5 —
-  /// which is why these defaults look small; see bench_drift for the
-  /// measured clean/shift distance distributions backing them.)
-  double assign_threshold = 0.5;
   /// A normal-classified beat further than this (in the nearest seed's
-  /// own within-class sigmas) from every *pristine* training centroid is
-  /// novel. Clean streams sit around 0.8–1.1 per-class sigmas and the
-  /// tightest confounder (electrode-drop recovery beats) tops out near
-  /// 1.3, so the default sits right at the top of that band — see
-  /// bench_drift's false-alarm sweep for the measured margins.
+  /// own within-class sigmas) from every training centroid is novel.
+  /// Clean streams sit around 0.8–1.1 per-class sigmas and the tightest
+  /// confounder (electrode-drop recovery beats) tops out near 1.3, so the
+  /// default sits right at the top of that band — see bench_drift's
+  /// false-alarm sweep for the measured margins.
   double novelty_threshold = 1.3;
-  /// Two centroids closer than this are merged after an update.
-  double merge_threshold = 0.25;
   /// Ring-buffer length for the windowed drift score.
   std::size_t window_beats = 48;
   /// Alarm latches while (novel normals in window) /
@@ -108,18 +90,10 @@ struct DriftConfig {
   std::size_t min_beats = 32;
 };
 
-/// Read-only view of one live cluster (tests, debugging, telemetry).
-struct ClusterInfo {
-  std::span<const double> mean;
-  std::span<const double> m2;  ///< Welford sum of squared deviations
-  double mass = 0.0;
-  bool seeded = false;
-};
-
 /// What observe() tells the caller about one beat.
 struct DriftObservation {
-  /// Distance to the nearest pristine training centroid, in that
-  /// centroid's own within-class sigmas.
+  /// Distance to the nearest training centroid, in that centroid's own
+  /// within-class sigmas.
   double distance = 0.0;
   double score = 0.0;  ///< windowed novel-normal ratio after this beat
   bool novel = false;  ///< always false for pathological-classified beats
@@ -128,65 +102,43 @@ struct DriftObservation {
 
 class DriftTracker {
  public:
-  /// Seeds one cluster per training centroid. Requires at least one
-  /// centroid, coefficients > 0, and max_clusters strictly greater than
-  /// the seed count (there must be room to discover something).
+  /// Copies the training centroids as the reference frame. Requires at
+  /// least one centroid, coefficients > 0, scale > 0, non-negative
+  /// sigmas and window_beats > 0; any number of centroids fits.
   DriftTracker(const TrainingCentroids& seed, DriftConfig cfg = {});
 
   /// Observe one classified beat's integer projection (u.size() must be
   /// the seeded coefficient count). `normal_classified` is whether the
   /// classifier called the beat normal — only those can be novel (see the
-  /// header comment); pathological beats still update the cluster map and
-  /// the score window's denominator bookkeeping. Never allocates.
+  /// header comment); a pathological beat still takes its slot in the
+  /// score window. Never allocates.
   DriftObservation observe(std::span<const std::int32_t> u,
                            bool normal_classified = true);
 
-  /// Drops discovered clusters and the score window; training-seeded
-  /// clusters revert to their seed moments. Counters are preserved.
-  void reset_session();
-
   std::size_t coefficients() const { return k_; }
-  std::size_t cluster_count() const { return clusters_.size(); }
-  ClusterInfo cluster(std::size_t i) const;
   std::uint64_t beats() const { return beats_; }
   std::uint64_t novel_beats() const { return novel_beats_; }
   std::uint64_t alarms() const { return alarms_; }
   bool alarm_active() const { return alarm_active_; }
   double score() const;
-  std::uint64_t evictions() const { return evictions_; }
-  std::uint64_t merges() const { return merges_; }
 
-  /// FNV-1a over the exact bit patterns of every cluster moment plus the
-  /// counters — two trackers that saw the same observation sequence have
-  /// equal digests, and any arithmetic divergence changes it.
+  /// FNV-1a over the exact bit pattern of every observation's seed
+  /// distance (folded in by observe()), then the counters and the window
+  /// tallies — two trackers that saw the same observation sequence have
+  /// equal digests, and any arithmetic divergence in a distance changes
+  /// it.
   std::uint64_t state_digest() const;
 
  private:
-  struct Cluster {
-    std::vector<double> mean;
-    std::vector<double> m2;
-    double mass = 0.0;
-    bool seeded = false;
-  };
-
-  double distance_to(const Cluster& c,
-                     std::span<const std::int32_t> u) const;
-  double centroid_distance(const Cluster& a, const Cluster& b) const;
-  void welford_update(Cluster& c, std::span<const std::int32_t> u);
-  void merge_pass(std::size_t touched);
   void push_window(bool normal, bool novel);
-  Cluster take_pooled();
-  void recycle(std::size_t idx);
 
   DriftConfig cfg_;
   std::size_t k_ = 0;
-  double inv_norm_ = 1.0;  ///< 1 / (scale * sqrt(k)), clustering distances
-  /// Per-seed 1 / (sigma * sqrt(k)) for the novelty distance (falls back
-  /// to inv_norm_ when the export carried no sigma).
+  /// Training centroid means, seed-major: seed i is [i * k_, (i + 1) * k_).
+  std::vector<double> seed_means_;
+  /// Per-seed 1 / (sigma * sqrt(k)), or 1 / (scale * sqrt(k)) when the
+  /// export carried no sigma.
   std::vector<double> seed_inv_norm_;
-  std::vector<Cluster> clusters_;
-  std::vector<Cluster> seeds_;  ///< pristine copies for reset_session
-  std::vector<Cluster> pool_;   ///< spare clusters with k-sized buffers
   /// Ring buffer: bit 0 = normal-classified, bit 1 = novel.
   std::vector<std::uint8_t> window_;
   std::size_t window_head_ = 0;
@@ -196,8 +148,7 @@ class DriftTracker {
   std::uint64_t beats_ = 0;
   std::uint64_t novel_beats_ = 0;
   std::uint64_t alarms_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t merges_ = 0;
+  std::uint64_t distance_hash_ = 1469598103934665603ull;  ///< FNV-1a basis
   bool alarm_active_ = false;
 };
 

@@ -90,26 +90,19 @@ double KernelCosts::nfc_per_beat(std::size_t coefficients) const {
 }
 
 double KernelCosts::drift_update_per_beat(std::size_t coefficients,
-                                          std::size_t clusters) const {
-  // Distance scan, per (cluster, coefficient): centroid load, subtract,
-  // square (multiply), accumulate. Per cluster: squared-distance compare +
-  // branch for the argmin and the seeded-nearest tracks (no sqrt on the
-  // embedded path — thresholds compare squared).
+                                          std::size_t seeds) const {
+  // Seed scan, per (seed, coefficient): centroid load, subtract, square
+  // (multiply), accumulate. Per seed: load the seed's squared norm and
+  // scale the squared distance by it, then compare + branch for the
+  // nearest seed (no sqrt on the embedded path — thresholds compare
+  // squared).
   const double dist_elem = ops_.load + 2.0 * ops_.alu + ops_.mul;
-  const double per_cluster =
-      static_cast<double>(coefficients) * dist_elem + 2.0 * ops_.alu +
-      2.0 * ops_.branch;
-  // Welford update of the winning centroid: one reciprocal-mass divide per
-  // beat, then per coefficient mean/M2 loads+stores, delta adds, two
-  // multiplies.
-  const double welford =
-      ops_.div + static_cast<double>(coefficients) *
-                     (2.0 * ops_.load + 2.0 * ops_.store + 3.0 * ops_.alu +
-                      2.0 * ops_.mul);
+  const double per_seed = static_cast<double>(coefficients) * dist_elem +
+                          ops_.load + ops_.mul + ops_.alu + ops_.branch;
   // Novelty ring buffer + windowed-score compare + alarm latch.
   const double window =
       2.0 * ops_.load + ops_.store + 3.0 * ops_.alu + 2.0 * ops_.branch;
-  return static_cast<double>(clusters) * per_cluster + welford + window;
+  return static_cast<double>(seeds) * per_seed + window;
 }
 
 double KernelCosts::rp_classifier_per_beat(std::size_t coefficients,

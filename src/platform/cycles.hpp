@@ -73,15 +73,15 @@ class KernelCosts {
   /// division-free defuzzification, per beat.
   double nfc_per_beat(std::size_t coefficients) const;
 
-  /// Complete RP classifier (projection + NFC), per beat.
   /// Online drift tracking (src/drift) per classified beat: the
-  /// nearest-centroid scan over `clusters` centroids of `coefficients`
-  /// dims, one Welford moment update of the winner, and the score-window
-  /// ring-buffer bookkeeping. The projection itself is NOT charged here —
-  /// the tracker reuses the classifier's coefficients.
+  /// nearest-seed scan over `seeds` training centroids of `coefficients`
+  /// dims, then the novelty compare and the score-window ring-buffer
+  /// bookkeeping. The projection itself is NOT charged here — the tracker
+  /// reuses the classifier's coefficients.
   double drift_update_per_beat(std::size_t coefficients,
-                               std::size_t clusters) const;
+                               std::size_t seeds) const;
 
+  /// Complete RP classifier (projection + NFC), per beat.
   double rp_classifier_per_beat(std::size_t coefficients, std::size_t window,
                                 std::size_t downsample) const;
 

@@ -18,12 +18,12 @@ void validate(const ScenarioParams& p) {
 namespace {
 
 // The drift tracker rides the classifier's projection, so its only cost
-// is the per-beat centroid update — zero when tracking is off.
+// is the per-beat seed scan and score window — zero when tracking is off.
 double drift_cycles_per_second(const KernelCosts& k,
                                const ScenarioParams& p) {
-  if (p.drift_clusters == 0) return 0.0;
+  if (p.drift_seeds == 0) return 0.0;
   return p.beat_rate_hz *
-         k.drift_update_per_beat(p.coefficients, p.drift_clusters);
+         k.drift_update_per_beat(p.coefficients, p.drift_seeds);
 }
 
 }  // namespace

@@ -33,9 +33,10 @@ struct ScenarioParams {
   std::size_t coefficients = 8;
   std::size_t window = 200;
   std::size_t downsample = 4;
-  /// Drift-tracker cluster budget charged per classified beat (src/drift);
-  /// 0 = tracking disabled, which leaves every legacy load unchanged.
-  std::size_t drift_clusters = 0;
+  /// Training centroids the drift tracker (src/drift) scans per
+  /// classified beat; 0 = tracking disabled, which leaves every legacy
+  /// load unchanged.
+  std::size_t drift_seeds = 0;
 };
 
 /// Cycle consumption of one (sub)system.

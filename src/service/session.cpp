@@ -286,8 +286,6 @@ void Session::mirror_drift() {
   telemetry_.drift_alarms.store(t.alarms(), std::memory_order_relaxed);
   telemetry_.drift_alarm_active.store(t.alarm_active() ? 1 : 0,
                                       std::memory_order_relaxed);
-  telemetry_.drift_clusters.store(t.cluster_count(),
-                                  std::memory_order_relaxed);
   telemetry_.drift_score_ppm.store(
       static_cast<std::uint64_t>(t.score() * 1e6 + 0.5),
       std::memory_order_relaxed);

@@ -93,7 +93,6 @@ std::string SessionTelemetry::json(std::uint64_t id,
   append_field(out, "drift_novel_beats", load(drift_novel_beats));
   append_field(out, "drift_alarms", load(drift_alarms));
   append_field(out, "drift_alarm_active", load(drift_alarm_active));
-  append_field(out, "drift_clusters", load(drift_clusters));
   append_field(out, "drift_score",
                static_cast<double>(load(drift_score_ppm)) / 1e6);
   append_field(out, "model_version", load(model_version));

@@ -81,7 +81,6 @@ struct SessionTelemetry {
   std::atomic<std::uint64_t> drift_novel_beats{0};
   std::atomic<std::uint64_t> drift_alarms{0};       ///< rising edges
   std::atomic<std::uint64_t> drift_alarm_active{0};  ///< 0/1 latch
-  std::atomic<std::uint64_t> drift_clusters{0};
   std::atomic<std::uint64_t> drift_score_ppm{0};  ///< windowed score * 1e6
   /// Version of the SessionModel currently classifying this session and
   /// the number of hot-swaps applied so far (schema v4; written by the
@@ -141,7 +140,9 @@ struct FleetTelemetry {
 /// version 3 added the pump phase timers, the per-shard rollup array and
 /// the fleet-wide beat-latency histogram; version 4 added the model
 /// lifecycle fields (per-session model_version/swap_count, fleet
-/// swaps_staged/swaps_applied, gateway bundle-push counters).
-inline constexpr std::uint64_t kTelemetrySchemaVersion = 4;
+/// swaps_staged/swaps_applied, gateway bundle-push counters); version 5
+/// removed the per-session drift cluster count (the drift tracker keeps
+/// no cluster map).
+inline constexpr std::uint64_t kTelemetrySchemaVersion = 5;
 
 }  // namespace hbrp::service

@@ -1,6 +1,7 @@
 // Heap footprint per stream: live heap bytes per core::StreamingBeatMonitor
 // and per drift-enabled service::FleetEngine session, after 60 s of
-// synthetic ECG in 512-sample packets.
+// synthetic ECG in 512-sample packets; and the drift tracker's own heap,
+// which must not grow per beat.
 //
 // The conditioning and detection intermediates are per thread
 // (kernels::DspWorkspace), so each test warms the thread's workspace with
@@ -29,10 +30,12 @@
 #include "service/fleet.hpp"
 
 namespace {
-// Live operator-new bytes, process-wide. Every block carries its requested
-// size in a header one max_align_t wide (so the returned pointer keeps
-// malloc's alignment), which operator delete subtracts again.
+// Live operator-new bytes and operator-new calls, process-wide. Every block
+// carries its requested size in a header one max_align_t wide (so the
+// returned pointer keeps malloc's alignment), which operator delete
+// subtracts again.
 std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::uint64_t> g_new_calls{0};
 constexpr std::size_t kHeader = alignof(std::max_align_t);
 }  // namespace
 
@@ -44,6 +47,7 @@ constexpr std::size_t kHeader = alignof(std::max_align_t);
   std::memcpy(base, &n, sizeof n);
   g_live_bytes.fetch_add(static_cast<std::int64_t>(n),
                          std::memory_order_relaxed);
+  g_new_calls.fetch_add(1, std::memory_order_relaxed);
   return base + kHeader;
 }
 [[gnu::noinline]] void operator delete(void* p) noexcept {
@@ -67,9 +71,15 @@ constexpr std::size_t kPacket = 512;
 constexpr std::int64_t kMonitorBudget = 48 * 1024;
 // A session adds its ingest queue, drift tracker and telemetry.
 constexpr std::int64_t kSessionBudget = 64 * 1024;
+// Seed means, per-seed norms and the score window at k = 8 with 3 seeds.
+constexpr std::int64_t kTrackerBudget = 1024;
 
 std::int64_t live_bytes() {
   return g_live_bytes.load(std::memory_order_relaxed);
+}
+
+std::uint64_t new_calls() {
+  return g_new_calls.load(std::memory_order_relaxed);
 }
 
 // Untrained but well-formed: 8 coefficients over a 200-sample window
@@ -195,6 +205,45 @@ TEST(Footprint, FleetSessionHeapPerSession) {
       << "live heap per session: " << per_session << " bytes";
   EXPECT_GE(beats, kStreams * 50);
   for (const service::SessionId id : ids) EXPECT_TRUE(engine.close_session(id));
+}
+
+TEST(Footprint, DriftTrackerHeap) {
+  const auto seeds = make_centroids();
+  const std::size_t k = seeds->coefficients;
+  // Runs of 50 beats alternate between in-distribution projections (near
+  // a seed) and novel ones (far from every seed); every seventh beat is
+  // classified pathological.
+  constexpr std::size_t kBeats = 2000;
+  math::Rng rng(9);
+  std::vector<std::int32_t> us;
+  std::vector<std::uint8_t> normal;
+  us.reserve(kBeats * k);
+  normal.reserve(kBeats);
+  for (std::size_t b = 0; b < kBeats; ++b) {
+    const auto& c = seeds->centroids[b % seeds->centroids.size()];
+    const double spread = (b / 50) % 2 == 0 ? 20.0 : 400.0;
+    for (std::size_t i = 0; i < k; ++i)
+      us.push_back(
+          static_cast<std::int32_t>(c.mean[i] + rng.normal(0, spread)));
+    normal.push_back(b % 7 != 0 ? 1 : 0);
+  }
+
+  // Both counts are taken before any assertion: a failing one allocates.
+  const std::int64_t before = live_bytes();
+  drift::DriftTracker tracker(*seeds);
+  const std::int64_t held = live_bytes() - before;
+  const std::uint64_t calls_before = new_calls();
+  for (std::size_t b = 0; b < kBeats; ++b)
+    tracker.observe(std::span<const std::int32_t>(us.data() + b * k, k),
+                    normal[b] != 0);
+  const std::uint64_t observe_calls = new_calls() - calls_before;
+
+  EXPECT_LE(held, kTrackerBudget) << "tracker heap: " << held << " bytes";
+  EXPECT_EQ(observe_calls, 0u) << "operator new calls inside observe()";
+  // The mix reached every branch: novel and familiar normals, alarms.
+  EXPECT_GT(tracker.novel_beats(), 0u);
+  EXPECT_LT(tracker.novel_beats(), kBeats / 2);
+  EXPECT_GT(tracker.alarms(), 0u);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <memory>
 #include <new>
 #include <span>
@@ -80,12 +81,13 @@ core::TrainedClassifier make_model(std::uint64_t seed, std::size_t k = 8,
 }
 
 drift::TrainingCentroids make_centroids(std::uint64_t seed,
-                                        std::size_t k = 8) {
+                                        std::size_t k = 8,
+                                        std::size_t count = 3) {
   math::Rng rng(seed);
   drift::TrainingCentroids tc;
   tc.coefficients = k;
   tc.scale = rng.uniform(50.0, 150.0);
-  for (int c = 0; c < 3; ++c) {
+  for (std::size_t c = 0; c < count; ++c) {
     drift::TrainingCentroids::Centroid ct;
     for (std::size_t i = 0; i < k; ++i) ct.mean.push_back(rng.normal(0, 300));
     ct.mass = rng.uniform(10.0, 500.0);
@@ -1137,6 +1139,129 @@ TEST_F(LifecycleSwapTest, AbSplitDeploysCandidateToArmBOnly) {
   EXPECT_EQ(harness.gw.active_model_version(), 2u);
   EXPECT_FALSE(harness.gw.promote_candidate())
       << "nothing left to graduate";
+}
+
+// A bundle may carry up to 256 drift seeds (the decoder's cap), and a
+// tracker takes any number of them. Pushes of 16 and then 256 seeds onto a
+// live streaming session must each be ACKed Ok and swap the session at a
+// beat boundary, its verdict stream staying dense and complete; a session
+// HELLOing afterwards opens on the 256-seed model with drift on. The
+// gateway is stepped with poll_once() on this thread, so an exception
+// thrown inside a pump fails this test rather than a reactor thread.
+TEST_F(LifecycleSwapTest, PushWithManyDriftSeedsSwapsLiveSession) {
+  const auto lead = patient_lead(90, 30.0);
+  const std::span<const double> span(lead);
+  const std::size_t expected = direct_ingest(*clf_a_, wire_codes(lead)).size();
+  ASSERT_GT(expected, 0u);
+
+  net::GatewayConfig gcfg;
+  gcfg.reactors = 1;
+  net::GatewayServer gw(*clf_a_, gcfg);
+  const service::FleetEngine& engine = gw.engine();
+
+  net::NodeConfig ncfg;
+  ncfg.port = gw.port();
+  ncfg.policy = net::TxPolicy::StreamEverything;
+  net::SensorNodeClient client(*clf_a_, ncfg);
+  std::vector<std::uint64_t> seqs;
+  client.set_verdict_sink(
+      [&seqs](std::uint64_t seq, const net::BeatVerdictMsg&) {
+        seqs.push_back(seq);
+      });
+
+  const auto step = [&gw](net::SensorNodeClient& node) {
+    gw.poll_once(1);
+    node.poll_once(0);
+  };
+  // Steps the gateway and `node` until `done` holds (false after 10 s).
+  const auto step_until = [&step](net::SensorNodeClient& node,
+                                  const std::function<bool()>& done) {
+    const auto deadline = Clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+      if (Clock::now() >= deadline) return false;
+      step(node);
+    }
+    return true;
+  };
+  // Feeds `client` a second of the lead at a time until `done` holds,
+  // then keeps stepping (up to 10 s) if the lead ran out first.
+  std::size_t fed = 0;
+  const auto feed_until = [&](const std::function<bool()>& done) {
+    while (!done() && fed < span.size()) {
+      const std::size_t n = std::min<std::size_t>(360, span.size() - fed);
+      client.push(span.subspan(fed, n));
+      fed += n;
+      for (int i = 0; i < 20 && !done(); ++i) step(client);
+    }
+    return step_until(client, done);
+  };
+
+  ASSERT_TRUE(feed_until([&] { return !seqs.empty(); }));
+  // The first HELLO opened the engine's first session (ids start at 1).
+  constexpr service::SessionId kLive = 1;
+  const service::SessionTelemetry* live = engine.session_telemetry(kLive);
+  ASSERT_NE(live, nullptr);
+  ASSERT_EQ(live->model_version.load(), 1u);
+
+  const std::size_t k = clf_b_->projector().coefficients();
+  std::uint64_t version = 1;
+  for (const std::size_t seeds : {std::size_t{16}, std::size_t{256}}) {
+    ++version;
+    const lifecycle::ModelBundle bundle{
+        .version = version,
+        .model = *trained_b_,
+        .centroids = make_centroids(version, k, seeds)};
+    auto push = std::async(std::launch::async, [&gw, &bundle] {
+      return net::push_bundle(gw.port(), bundle);
+    });
+    ASSERT_TRUE(step_until(client, [&push] {
+      return push.wait_for(std::chrono::seconds(0)) ==
+             std::future_status::ready;
+    }));
+    const net::PushResult r = push.get();
+    ASSERT_TRUE(r.delivered) << r.error;
+    EXPECT_EQ(r.status, net::ModelPushStatus::Ok) << seeds << " seeds";
+
+    // The swap lands at the session's next beat boundary, and verdicts
+    // keep flowing on the new model.
+    const std::size_t before = seqs.size();
+    EXPECT_TRUE(feed_until([&] {
+      return live->model_version.load() == version &&
+             seqs.size() > before + 2;
+    })) << seeds << " seeds";
+    EXPECT_EQ(live->model_version.load(), version);
+    const drift::DriftTracker* tracker = engine.session_drift(kLive);
+    ASSERT_NE(tracker, nullptr) << "the swap must turn drift on";
+    EXPECT_GT(tracker->beats(), 0u);
+  }
+
+  // Close the session: the rest of the lead, then BYE and the verdict
+  // tail. The client blocks in close(), so it runs beside the gateway.
+  auto closing = std::async(std::launch::async, [&client, &fed, span] {
+    client.push(span.subspan(fed));
+    client.close(20000);
+  });
+  const auto deadline = Clock::now() + std::chrono::seconds(30);
+  while (closing.wait_for(std::chrono::seconds(0)) !=
+             std::future_status::ready &&
+         Clock::now() < deadline)
+    gw.poll_once(1);
+  closing.get();
+  EXPECT_EQ(seqs.size(), expected) << "dropped or duplicated verdicts";
+  for (std::size_t j = 0; j < seqs.size(); ++j) EXPECT_EQ(seqs[j], j);
+
+  // A fresh HELLO opens session 2 on the 256-seed model, drift on.
+  ncfg.node_id = 1;
+  net::SensorNodeClient fresh(*clf_a_, ncfg);
+  fresh.push(span.first(span.size() / 2));
+  constexpr service::SessionId kFresh = 2;
+  ASSERT_TRUE(step_until(fresh, [&] {
+    const service::SessionTelemetry* st = engine.session_telemetry(kFresh);
+    return st != nullptr && st->drift_beats.load() > 0;
+  }));
+  ASSERT_NE(engine.session_model(kFresh), nullptr);
+  EXPECT_EQ(engine.session_model(kFresh)->version, version);
+  EXPECT_NE(engine.session_drift(kFresh), nullptr);
 }
 
 }  // namespace
