@@ -95,22 +95,29 @@ struct Replay {
   std::ptrdiff_t detect_beats = -1;
 };
 
-/// Replays one scenario through a streaming monitor with an attached
-/// tracker, recording alarm onset relative to `onset_s` (pass 0 for
-/// scenarios without a shift episode).
+/// Replays one scenario through a streaming monitor, classifying each
+/// window and feeding its projection to a tracker as a node does, and
+/// records alarm onset relative to `onset_s` (pass 0 for scenarios without
+/// a shift episode).
 Replay replay(const Trained& t, const scenario::ScenarioSpec& spec,
               double onset_s) {
   const auto stream = scenario::build_scenario(spec);
   core::StreamingBeatMonitor monitor(t.classifier);
   drift::DriftTracker tracker(*t.centroids);
-  monitor.set_drift_tracker(&tracker);
+  embedded::ClassifyScratch scratch;
   const auto onset_sample =
       static_cast<std::size_t>(onset_s * stream.fs_hz);
   Replay r;
   std::uint64_t beats_before_onset = 0;
   std::uint64_t alarm_beat = 0;
-  const core::BeatSink sink = [&](const core::MonitorBeat& b) {
-    if (b.r_peak < onset_sample) beats_before_onset = tracker.beats();
+  const core::PendingBeatSink sink = [&](const core::PendingBeat& pb) {
+    // Suspect beats carry no projection and are not observed.
+    if (pb.needs_classification) {
+      const ecg::BeatClass verdict =
+          t.classifier.classify_window(pb.window, scratch);
+      tracker.observe(scratch.u, !ecg::is_pathological(verdict));
+    }
+    if (pb.beat.r_peak < onset_sample) beats_before_onset = tracker.beats();
     r.max_score = std::max(r.max_score, tracker.score());
     if (alarm_beat == 0 && tracker.alarm_active())
       alarm_beat = tracker.beats();

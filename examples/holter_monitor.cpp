@@ -166,10 +166,11 @@ int main(int argc, char** argv) {
   std::size_t beats_total = 0, beats_suspect = 0;
   testing::FaultInjector injector(fcfg);
   // Beats stream straight into the sink as they finalize — no per-sample
-  // result vectors on the monitoring loop.
-  const core::BeatSink sink = [&](const core::MonitorBeat& b) {
+  // result vectors on the monitoring loop. This replay only counts beats
+  // and their quality, so it leaves the windows unclassified.
+  const core::PendingBeatSink sink = [&](const core::PendingBeat& pb) {
     ++beats_total;
-    beats_suspect += b.quality == dsp::SignalQuality::Suspect;
+    beats_suspect += pb.beat.quality == dsp::SignalQuality::Suspect;
   };
   // Replay in ADC-DMA-sized blocks through the monitor's block entry point
   // (the fault injector still mangles sample-by-sample, like the front end

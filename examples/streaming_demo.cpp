@@ -1,9 +1,10 @@
 // Firmware-style streaming demo: one ADC sample in, classified beats out.
 //
 // Shows the bounded-memory path a WBSN firmware would take — the
-// StreamingBeatMonitor wraps the streaming conditioner, chunked wavelet
-// peak detection and the integer classifier — and prints the beats as they
-// are finalized, with the monitor's memory/latency budget up front.
+// StreamingBeatMonitor wraps the streaming conditioner and chunked wavelet
+// peak detection, and the integer classifier labels each beat window it
+// surrenders — and prints the beats as they are finalized, with the
+// monitor's memory/latency budget up front.
 //
 // Usage: streaming_demo [seconds] [seed]
 #include <cstdio>
@@ -33,7 +34,8 @@ int main(int argc, char** argv) {
   tcfg.ga.generations = 8;
   tcfg.seed = 93;
   const core::TwoStepTrainer trainer(ts1, ts2, tcfg);
-  core::StreamingBeatMonitor monitor(trainer.run().quantize());
+  const embedded::EmbeddedClassifier classifier = trainer.run().quantize();
+  core::StreamingBeatMonitor monitor(classifier);
 
   std::printf("monitor: %zu samples of per-monitor state (%.1f KB; DSP "
               "scratch is per thread), latency <= %.1f s\n\n",
@@ -52,19 +54,22 @@ int main(int argc, char** argv) {
 
   std::printf("streaming %.0f s of ECG, one sample at a time...\n", seconds);
   std::size_t flagged = 0, total = 0;
-  auto report = [&](const core::MonitorBeat& b) {
+  embedded::ClassifyScratch scratch;
+  const core::PendingBeatSink report = [&](const core::PendingBeat& pb) {
+    const ecg::BeatClass predicted =
+        pb.needs_classification ? classifier.classify_window(pb.window, scratch)
+                                : pb.beat.predicted;
     ++total;
-    if (ecg::is_pathological(b.predicted)) ++flagged;
+    if (ecg::is_pathological(predicted)) ++flagged;
     std::printf("  t=%7.2fs  beat #%3zu  -> %s%s\n",
-                static_cast<double>(b.r_peak) / 360.0, total,
-                to_string(b.predicted),
-                ecg::is_pathological(b.predicted)
+                static_cast<double>(pb.beat.r_peak) / 360.0, total,
+                to_string(predicted),
+                ecg::is_pathological(predicted)
                     ? "  [detailed analysis triggered]"
                     : "");
   };
-  for (const auto x : rec.leads[0])
-    for (const auto& b : monitor.push(x)) report(b);
-  for (const auto& b : monitor.flush()) report(b);
+  for (const auto x : rec.leads[0]) monitor.push(x, report);
+  monitor.flush(report);
 
   std::printf("\n%zu beats, %zu flagged (%.1f%%); record had %zu annotated "
               "beats\n",

@@ -11,11 +11,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
-#include "dsp/morphology.hpp"
 #include "dsp/peak_detect.hpp"
 #include "ecg/mitdb.hpp"
 #include "ecg/synth.hpp"
+#include "kernels/dsp_condition.hpp"
+#include "kernels/dsp_peaks.hpp"
 #include "math/check.hpp"
 
 namespace {
@@ -76,10 +78,16 @@ int run(int argc, char** argv) {
     std::printf("annotations: %zu beats (N %zu, V %zu, L %zu)\n",
                 rec.beats.size(), n, v, l);
 
-    // Run the acquisition chain and report detector quality against the
-    // stored annotations.
-    const auto conditioned = dsp::condition_ecg(rec.leads[0]);
-    const auto peaks = dsp::detect_r_peaks(conditioned);
+    // Run the acquisition chain (the block kernels the monitor runs) and
+    // report detector quality against the stored annotations.
+    kernels::ConditionScratch condition_scratch;
+    dsp::Signal conditioned;
+    kernels::condition_ecg_block(rec.leads[0], dsp::FilterConfig{},
+                                 condition_scratch, conditioned);
+    kernels::PeakScratch peak_scratch;
+    std::vector<std::size_t> peaks;
+    kernels::detect_r_peaks_kind(conditioned, dsp::PeakDetectorConfig{},
+                                 peak_scratch, peaks);
     std::vector<std::size_t> ref;
     for (const auto& b : rec.beats) ref.push_back(b.sample);
     const auto stats = dsp::match_peaks(peaks, ref, 54);

@@ -90,10 +90,12 @@ ctest --test-dir build --output-on-failure -j
 # has it); this re-run pins the dispatcher to the scalar kernels so both
 # code paths of every block DSP kernel are gated on every CI host. The
 # drift suites ride along because the tracker consumes the projections the
-# kernels produce — its digests must be dispatch-independent too.
+# kernels produce — its digests must be dispatch-independent too — and so
+# does Dataset, because build_dataset conditions and detects with the
+# dispatched kernels and its pinned output digests must hold under both.
 echo "==== DSP kernel equivalence under HBRP_FORCE_SCALAR=1"
 HBRP_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
-  -R 'KernelsDsp|ExtremumEquivalence|DetectorEquivalence|Drift|Lifecycle' -j
+  -R 'KernelsDsp|ExtremumEquivalence|DetectorEquivalence|Drift|Lifecycle|Dataset' -j
 
 # --- 1b. fleet soak smoke: scaling grid + bit-identity gate ---------------
 # Quick-run reports stay under build/ so a CI pass never dirties the tree

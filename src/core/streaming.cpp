@@ -12,13 +12,10 @@
 namespace hbrp::core {
 
 StreamingBeatMonitor::StreamingBeatMonitor(
-    embedded::EmbeddedClassifier classifier, MonitorConfig cfg)
-    : classifier_(std::move(classifier)),
-      cfg_(std::move(cfg)),
-      conditioner_(cfg_.filter),
-      sqi_(cfg_.quality) {
+    const embedded::EmbeddedClassifier& classifier, MonitorConfig cfg)
+    : cfg_(std::move(cfg)), conditioner_(cfg_.filter), sqi_(cfg_.quality) {
   HBRP_REQUIRE(cfg_.window_before + cfg_.window_after ==
-                   classifier_.projector().expected_window(),
+                   classifier.projector().expected_window(),
                "StreamingBeatMonitor: window geometry does not match the "
                "classifier");
   chunk_samples_ =
@@ -39,15 +36,14 @@ StreamingBeatMonitor::StreamingBeatMonitor(
       2);
 }
 
-void StreamingBeatMonitor::push_impl(double x, const BeatSink* beats,
-                                     const PendingBeatSink* pending) {
+void StreamingBeatMonitor::push(double x, const PendingBeatSink& sink) {
   if (!std::isfinite(x)) {
     // Reject the value but keep the timeline, the conditioner and the SQI
     // chunking aligned: sample-hold the last accepted code. A sustained
     // non-finite burst thereby turns into a flat-line the quality
     // estimator degrades on, which is exactly the right escalation.
     ++stats_.rejected_nonfinite;
-    push_impl(last_raw_, beats, pending);
+    push(last_raw_, sink);
     return;
   }
   const auto lo = static_cast<double>(cfg_.quality.rail_low);
@@ -56,11 +52,10 @@ void StreamingBeatMonitor::push_impl(double x, const BeatSink* beats,
     ++stats_.clamped;
     x = std::clamp(x, lo, hi);
   }
-  push_impl(static_cast<dsp::Sample>(std::lround(x)), beats, pending);
+  push(static_cast<dsp::Sample>(std::lround(x)), sink);
 }
 
-void StreamingBeatMonitor::push_impl(dsp::Sample x, const BeatSink* beats,
-                                     const PendingBeatSink* pending) {
+void StreamingBeatMonitor::push(dsp::Sample x, const PendingBeatSink& sink) {
   ++stats_.samples_in;
   if (x < cfg_.quality.rail_low || x > cfg_.quality.rail_high) {
     ++stats_.clamped;
@@ -78,8 +73,8 @@ void StreamingBeatMonitor::push_impl(dsp::Sample x, const BeatSink* beats,
         // path happens before the transition is recorded. Same-state SQI
         // updates (the common case, one per SQI chunk) skip the sync and
         // keep the conditioner batching at full size.
-        sync_conditioner(beats, pending);
-        on_quality_update(*update, beats, pending);
+        sync_conditioner(sink);
+        on_quality_update(*update, sink);
       }
     }
     if (was_bad || quality_state_ == dsp::SignalQuality::Bad) {
@@ -92,11 +87,10 @@ void StreamingBeatMonitor::push_impl(dsp::Sample x, const BeatSink* beats,
   }
 
   conditioner_.push(x, cond_out_);
-  if (!cond_out_.empty()) append_conditioned(beats, pending);
+  if (!cond_out_.empty()) append_conditioned(sink);
 }
 
-void StreamingBeatMonitor::append_conditioned(const BeatSink* beats,
-                                              const PendingBeatSink* pending) {
+void StreamingBeatMonitor::append_conditioned(const PendingBeatSink& sink) {
   // Slice the staged conditioner output into the rolling buffer, scanning
   // exactly when it reaches chunk_samples_ — the per-sample path appended
   // one sample at a time and scanned at the same crossings, so the verdict
@@ -110,64 +104,24 @@ void StreamingBeatMonitor::append_conditioned(const BeatSink* beats,
                    cond_out_.begin() + static_cast<std::ptrdiff_t>(i),
                    cond_out_.begin() + static_cast<std::ptrdiff_t>(i + take));
     i += take;
-    if (buffer_.size() >= chunk_samples_)
-      scan(/*final_pass=*/false, beats, pending);
+    if (buffer_.size() >= chunk_samples_) scan(/*final_pass=*/false, sink);
   }
   cond_out_.clear();
 }
 
-void StreamingBeatMonitor::sync_conditioner(const BeatSink* beats,
-                                            const PendingBeatSink* pending) {
+void StreamingBeatMonitor::sync_conditioner(const PendingBeatSink& sink) {
   conditioner_.sync(cond_out_);
-  if (!cond_out_.empty()) append_conditioned(beats, pending);
-}
-
-void StreamingBeatMonitor::push(dsp::Sample x, const BeatSink& sink) {
-  push_impl(x, &sink, nullptr);
-}
-
-void StreamingBeatMonitor::push(double x, const BeatSink& sink) {
-  push_impl(x, &sink, nullptr);
-}
-
-void StreamingBeatMonitor::push(dsp::Sample x, const PendingBeatSink& sink) {
-  push_impl(x, nullptr, &sink);
-}
-
-void StreamingBeatMonitor::push(double x, const PendingBeatSink& sink) {
-  push_impl(x, nullptr, &sink);
-}
-
-void StreamingBeatMonitor::push_block(std::span<const dsp::Sample> xs,
-                                      const BeatSink& sink) {
-  for (const dsp::Sample x : xs) push_impl(x, &sink, nullptr);
-}
-
-void StreamingBeatMonitor::push_block(std::span<const double> xs,
-                                      const BeatSink& sink) {
-  for (const double x : xs) push_impl(x, &sink, nullptr);
+  if (!cond_out_.empty()) append_conditioned(sink);
 }
 
 void StreamingBeatMonitor::push_block(std::span<const dsp::Sample> xs,
                                       const PendingBeatSink& sink) {
-  for (const dsp::Sample x : xs) push_impl(x, nullptr, &sink);
+  for (const dsp::Sample x : xs) push(x, sink);
 }
 
 void StreamingBeatMonitor::push_block(std::span<const double> xs,
                                       const PendingBeatSink& sink) {
-  for (const double x : xs) push_impl(x, nullptr, &sink);
-}
-
-std::vector<MonitorBeat> StreamingBeatMonitor::push(dsp::Sample x) {
-  std::vector<MonitorBeat> out;
-  push(x, [&out](const MonitorBeat& b) { out.push_back(b); });
-  return out;
-}
-
-std::vector<MonitorBeat> StreamingBeatMonitor::push(double x) {
-  std::vector<MonitorBeat> out;
-  push(x, [&out](const MonitorBeat& b) { out.push_back(b); });
-  return out;
+  for (const double x : xs) push(x, sink);
 }
 
 void StreamingBeatMonitor::rearm(std::size_t at_absolute) {
@@ -181,8 +135,7 @@ void StreamingBeatMonitor::rearm(std::size_t at_absolute) {
 }
 
 void StreamingBeatMonitor::on_quality_update(dsp::SignalQuality next,
-                                             const BeatSink* beats,
-                                             const PendingBeatSink* pending) {
+                                             const PendingBeatSink& sink) {
   if (next == quality_state_) return;
   const std::size_t qchunk = sqi_.chunk_samples();
   const bool demotion = next > quality_state_;
@@ -208,7 +161,7 @@ void StreamingBeatMonitor::on_quality_update(dsp::SignalQuality next,
         input_index_ > margin ? input_index_ - margin : 0;
     if (buffer_base_ + buffer_.size() > cut)
       buffer_.resize(cut > buffer_base_ ? cut - buffer_base_ : 0);
-    if (!buffer_.empty()) scan(/*final_pass=*/true, beats, pending);
+    if (!buffer_.empty()) scan(/*final_pass=*/true, sink);
     buffer_.clear();
     conditioner_.reset();
     needs_rearm_ = true;
@@ -226,8 +179,7 @@ dsp::SignalQuality StreamingBeatMonitor::quality_at(
   return q;
 }
 
-void StreamingBeatMonitor::scan(bool final_pass, const BeatSink* beats,
-                                const PendingBeatSink* pending) {
+void StreamingBeatMonitor::scan(bool final_pass, const PendingBeatSink& sink) {
   // Wavelet (bit-identical to dsp::detect_r_peaks, the pre-block-kernel
   // detector) or the adaptive fast path, per cfg_.peak.kind. The detector
   // runs in the thread's shared workspace, which keeps the steady-state
@@ -268,34 +220,15 @@ void StreamingBeatMonitor::scan(bool final_pass, const BeatSink* beats,
       // as pathological and escalates to full delineation downstream.
       beat.predicted = ecg::BeatClass::Unknown;
       ++stats_.suspect_beats;
-      if (beats != nullptr)
-        (*beats)(beat);
-      else
-        (*pending)({beat, {}, /*needs_classification=*/false});
-    } else if (beats != nullptr) {
-      // The guards above guarantee the full window is inside the buffer, so
-      // classify straight off a span view through the member scratch: no
-      // window copy and no coefficient allocation per beat.
-      const std::span<const dsp::Sample> window{
-          buffer_.data() + (local_peak - cfg_.window_before),
-          cfg_.window_before + cfg_.window_after};
-      beat.predicted = classifier_.classify_window(window, classify_scratch_);
-      if (drift_ != nullptr) {
-        // classify_window left exactly k coefficients in the scratch.
-        drift_->observe(
-            std::span<const std::int32_t>(classify_scratch_.u.data(),
-                                          classify_scratch_.u.size()),
-            !ecg::is_pathological(beat.predicted));
-      }
-      (*beats)(beat);
+      sink({beat, {}, /*needs_classification=*/false});
     } else {
-      // Deferred path: the scan guards above guarantee the full window is
-      // inside the buffer, so the span view is sample-exact with
-      // extract_window's copy on the classifying path.
+      // The guards above guarantee the full window is inside the buffer,
+      // so the consumer classifies straight off a span view: no window
+      // copy per beat.
       const std::span<const dsp::Sample> window{
           buffer_.data() + (local_peak - cfg_.window_before),
           cfg_.window_before + cfg_.window_after};
-      (*pending)({beat, window, /*needs_classification=*/true});
+      sink({beat, window, /*needs_classification=*/true});
     }
     emitted_up_to_ = absolute + 1;
   }
@@ -320,24 +253,15 @@ void StreamingBeatMonitor::scan(bool final_pass, const BeatSink* beats,
   }
 }
 
-void StreamingBeatMonitor::flush(const BeatSink& sink) {
-  flush_impl(&sink, nullptr);
-}
-
 void StreamingBeatMonitor::flush(const PendingBeatSink& sink) {
-  flush_impl(nullptr, &sink);
-}
-
-void StreamingBeatMonitor::flush_impl(const BeatSink* beats,
-                                      const PendingBeatSink* pending) {
   // Two-step drain: first the pending batch (whose outputs would have
   // streamed out one by one, scanning at chunk crossings), then the
   // right-border tail, appended wholesale before one final scan.
-  sync_conditioner(beats, pending);
+  sync_conditioner(sink);
   conditioner_.flush_tail(cond_out_);
   buffer_.insert(buffer_.end(), cond_out_.begin(), cond_out_.end());
   cond_out_.clear();
-  scan(/*final_pass=*/true, beats, pending);
+  scan(/*final_pass=*/true, sink);
   buffer_.clear();
   buffer_base_ = 0;
   emitted_up_to_ = 0;
@@ -348,12 +272,6 @@ void StreamingBeatMonitor::flush_impl(const BeatSink* beats,
   baseline_quality_ = dsp::SignalQuality::Good;
   transitions_.clear();
   needs_rearm_ = false;
-}
-
-std::vector<MonitorBeat> StreamingBeatMonitor::flush() {
-  std::vector<MonitorBeat> out;
-  flush([&out](const MonitorBeat& b) { out.push_back(b); });
-  return out;
 }
 
 std::size_t StreamingBeatMonitor::memory_samples() const {

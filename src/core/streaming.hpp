@@ -1,4 +1,4 @@
-// Firmware-shaped streaming beat monitor.
+// Firmware-shaped streaming beat finder.
 //
 // RealTimePipeline (core/pipeline.hpp) emulates the WBSN application over a
 // whole recorded lead at once; this class is the push-one-ADC-sample-at-a-
@@ -6,14 +6,19 @@
 // node: a block conditioner (kernels/dsp_condition.hpp) batches raw samples
 // and feeds a rolling analysis buffer of a few seconds; whenever the buffer
 // fills, the configured peak detector (wavelet by default, or the adaptive-
-// threshold fast path — see dsp::PeakDetectorKind) scans it, beats far
-// enough from the buffer's right edge are finalized, classified by the
-// embedded integer classifier and reported; the buffer then slides, keeping
-// one overlap region so no beat is lost at a chunk boundary.
+// threshold fast path — see dsp::PeakDetectorKind) scans it, and beats far
+// enough from the buffer's right edge are finalized, graded and handed to
+// the caller's PendingBeatSink together with their beat window; the buffer
+// then slides, keeping one overlap region so no beat is lost at a chunk
+// boundary.
 //
-// The monitor covers the classification sub-system (1) of the paper's
-// Fig. 6 — the decision *whether* a beat needs the detailed multi-lead
-// analysis; the delineation stage itself consumes these flags downstream.
+// The monitor finds beats; it does not classify them. The consumer maps
+// each window to a class: service::Session batches the windows of a whole
+// shard into one embedded::EmbeddedClassifier::classify_batch call, and
+// net::SensorNodeClient classifies each window on the node. Either way the
+// consumer is the one place that classifies and observes drift. Together
+// they cover the classification sub-system (1) of the paper's Fig. 6 — the
+// decision *whether* a beat needs the detailed multi-lead analysis.
 //
 // Fault tolerance: a streaming signal-quality estimator (dsp/quality.hpp)
 // grades the raw input and drives a Good / Suspect / Bad degradation
@@ -35,7 +40,6 @@
 
 #include "dsp/peak_detect.hpp"
 #include "dsp/quality.hpp"
-#include "drift/tracker.hpp"
 #include "embedded/bundle.hpp"
 #include "kernels/dsp_condition.hpp"
 
@@ -46,9 +50,11 @@ struct MonitorBeat {
   /// R-peak index on the conditioned-signal timeline (aligned with the raw
   /// input timeline; availability lags by StreamingBeatMonitor::latency()).
   std::size_t r_peak = 0;
+  /// Set by the monitor only for Suspect beats, always to Unknown (safe
+  /// default: escalate to detailed analysis); for every other beat the
+  /// consumer's classification of the window (see PendingBeat).
   ecg::BeatClass predicted = ecg::BeatClass::N;
-  /// Acquisition quality at the beat's position. Suspect beats are always
-  /// reported as Unknown (safe default: escalate to detailed analysis).
+  /// Acquisition quality at the beat's position.
   dsp::SignalQuality quality = dsp::SignalQuality::Good;
 };
 
@@ -81,73 +87,50 @@ struct MonitorConfig {
   bool quality_gating = true;
 };
 
-/// Receives each finalized beat as soon as the monitor commits to it.
-using BeatSink = std::function<void(const MonitorBeat&)>;
-
-/// A finalized beat whose classification has been *deferred*: the hook the
-/// fleet service layer (src/service) uses to batch beat windows across many
-/// sessions into one core::BeatBatch and classify them centrally.
+/// A finalized beat, handed over as soon as the monitor commits to it.
 ///
 /// When `needs_classification` is true, `window` views the monitor's rolling
 /// buffer (window_before + window_after samples around the R peak) and is
-/// valid only for the duration of the sink call — copy it out. When false
-/// the monitor has already decided (Suspect signal escalates straight to
-/// Unknown, exactly as on the BeatSink path) and `window` is empty.
+/// valid only for the duration of the sink call: classify it or copy it out
+/// there. When false the monitor has already decided (Suspect signal
+/// escalates straight to Unknown), `window` is empty and the beat carries no
+/// projection, so it must not count toward a drift score either.
 struct PendingBeat {
   MonitorBeat beat;
   std::span<const dsp::Sample> window;
   bool needs_classification = false;
 };
 
-/// Receives each finalized-but-unclassified beat (see PendingBeat).
+/// Receives each finalized beat (see PendingBeat), in report order.
 using PendingBeatSink = std::function<void(const PendingBeat&)>;
 
 class StreamingBeatMonitor {
  public:
-  StreamingBeatMonitor(embedded::EmbeddedClassifier classifier,
+  /// The classifier only fixes the window geometry: window_before +
+  /// window_after must equal its expected window. The monitor keeps no copy.
+  StreamingBeatMonitor(const embedded::EmbeddedClassifier& classifier,
                        MonitorConfig cfg = {});
 
   /// Feeds one raw ADC sample; every beat finalized by this sample (usually
   /// none, occasionally a handful when a chunk completes) is delivered to
   /// `sink` in report order. No per-sample allocation on the steady-state
   /// path — this is the firmware-shaped entry point.
-  void push(dsp::Sample x, const BeatSink& sink);
+  void push(dsp::Sample x, const PendingBeatSink& sink);
 
   /// Untrusted raw front-end entry point: rejects non-finite values and
   /// clamps the rest into the ADC range before the integer path sees them.
-  void push(double x, const BeatSink& sink);
+  void push(double x, const PendingBeatSink& sink);
 
   /// Block entry points: feed a contiguous run of samples. Exactly
   /// equivalent to pushing each sample in order — same beats, same order,
   /// same stats — but the natural shape for batch producers (drain queues,
   /// record replay) now that the conditioner itself works in blocks.
-  void push_block(std::span<const dsp::Sample> xs, const BeatSink& sink);
-  void push_block(std::span<const double> xs, const BeatSink& sink);
   void push_block(std::span<const dsp::Sample> xs, const PendingBeatSink& sink);
   void push_block(std::span<const double> xs, const PendingBeatSink& sink);
 
   /// Finalizes everything still buffered into `sink` and resets the monitor
   /// (the cumulative stats() survive).
-  void flush(const BeatSink& sink);
-
-  /// Deferred-classification variants of push/flush: beats that would have
-  /// been classified are surrendered as PendingBeat windows instead, so a
-  /// host-side aggregator can batch them across sessions. Beat order,
-  /// quality tagging and the Suspect ⇒ Unknown escalation are identical to
-  /// the BeatSink path; running the embedded classifier over each emitted
-  /// window reproduces that path bit-exactly.
-  void push(dsp::Sample x, const PendingBeatSink& sink);
-  void push(double x, const PendingBeatSink& sink);
   void flush(const PendingBeatSink& sink);
-
-  /// Vector-returning convenience wrapper over push(x, sink).
-  std::vector<MonitorBeat> push(dsp::Sample x);
-
-  /// Vector-returning convenience wrapper over push(x, sink).
-  std::vector<MonitorBeat> push(double x);
-
-  /// Vector-returning convenience wrapper over flush(sink).
-  std::vector<MonitorBeat> flush();
 
   /// Worst-case number of samples this monitor holds between pushes: its
   /// rolling buffer plus its conditioner's history and pending batch. This
@@ -167,57 +150,18 @@ class StreamingBeatMonitor {
   /// Cumulative robustness counters.
   const MonitorStats& stats() const { return stats_; }
 
-  const embedded::EmbeddedClassifier& classifier() const {
-    return classifier_;
-  }
-
-  /// Swap-safe classifier rebind (model hot-swap): a cold-path copy taken
-  /// between beats by the thread that owns the monitor. Detection and
-  /// conditioning state are untouched — the classifier only maps finalized
-  /// windows to classes — so the replacement must share the incumbent's
-  /// window length and coefficient count for the streams to stay aligned.
-  void set_classifier(const embedded::EmbeddedClassifier& classifier) {
-    classifier_ = classifier;
-  }
-
-  /// Opt-in drift hook (non-owning, nullptr detaches): every beat the
-  /// monitor classifies itself is observed through the projection already
-  /// sitting in the classify scratch — zero extra projection cost. Beats
-  /// surrendered through a PendingBeatSink are NOT observed here (their
-  /// projection happens in the aggregator's batch; see service::Session),
-  /// and Suspect beats are skipped on both paths — they were never
-  /// projected, and doubtful signal must not count toward the drift
-  /// score. The tracker must outlive the monitor or be detached first.
-  void set_drift_tracker(drift::DriftTracker* tracker) { drift_ = tracker; }
-  drift::DriftTracker* drift_tracker() const { return drift_; }
-
  private:
-  // Exactly one of `beats` / `pending` is non-null: the classifying sink and
-  // the deferred sink share one implementation of the whole scan/gating
-  // machinery so the two paths cannot drift apart.
-  void push_impl(dsp::Sample x, const BeatSink* beats,
-                 const PendingBeatSink* pending);
-  void push_impl(double x, const BeatSink* beats,
-                 const PendingBeatSink* pending);
-  void flush_impl(const BeatSink* beats, const PendingBeatSink* pending);
-  void scan(bool final_pass, const BeatSink* beats,
-            const PendingBeatSink* pending);
-  void on_quality_update(dsp::SignalQuality next, const BeatSink* beats,
-                         const PendingBeatSink* pending);
+  void scan(bool final_pass, const PendingBeatSink& sink);
+  void on_quality_update(dsp::SignalQuality next, const PendingBeatSink& sink);
   dsp::SignalQuality quality_at(std::size_t absolute) const;
   void rearm(std::size_t at_absolute);
   /// Moves cond_out_ into the rolling buffer, scanning at every exact
   /// chunk-boundary crossing — the scan positions a sample-at-a-time feed
-  /// would hit, so verdict streams are unchanged by batching.
-  void append_conditioned(const BeatSink* beats,
-                          const PendingBeatSink* pending);
+  /// would hit, so beat streams are unchanged by batching.
+  void append_conditioned(const PendingBeatSink& sink);
   /// Drains the conditioner's pending batch through append_conditioned().
-  void sync_conditioner(const BeatSink* beats, const PendingBeatSink* pending);
+  void sync_conditioner(const PendingBeatSink& sink);
 
-  embedded::EmbeddedClassifier classifier_;
-  // Reused across beats on the classifying path (no per-beat allocation).
-  embedded::ClassifyScratch classify_scratch_;
-  drift::DriftTracker* drift_ = nullptr;  // opt-in, non-owning
   MonitorConfig cfg_;
   kernels::BlockConditioner conditioner_;
   dsp::Signal cond_out_;  // conditioner output staging (reused)

@@ -4,8 +4,9 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "dsp/morphology.hpp"
 #include "dsp/resample.hpp"
+#include "kernels/dsp_condition.hpp"
+#include "kernels/dsp_peaks.hpp"
 #include "math/check.hpp"
 #include "math/rng.hpp"
 
@@ -114,19 +115,29 @@ BeatDataset build_dataset(const DatasetSpec& spec,
     const Record rec = generate_record(sc);
 
     // Lead 0 is the reference for peak detection; all leads contribute
-    // window samples.
-    std::vector<dsp::Signal> conditioned_leads;
-    conditioned_leads.reserve(rec.leads.size());
-    for (const dsp::Signal& lead : rec.leads)
-      conditioned_leads.push_back(dsp::condition_ecg(lead, filter_cfg));
-    const dsp::Signal& conditioned = conditioned_leads[0];
+    // window samples. Conditioning and detection run the block kernels the
+    // streaming monitor runs, so training and streaming share one DSP chain.
+    std::vector<dsp::Signal> conditioned_leads(rec.leads.size());
     std::vector<std::size_t> peaks;
-    if (cfg.use_detected_peaks) {
-      peaks = dsp::detect_r_peaks(conditioned, det_cfg);
-    } else {
+    {
+      // Scratch sized to this record only, freed before its windows are
+      // cut: one held across records would keep the largest record's
+      // intermediates alive for the whole build.
+      kernels::ConditionScratch condition_scratch;
+      for (std::size_t i = 0; i < rec.leads.size(); ++i)
+        kernels::condition_ecg_block(rec.leads[i], filter_cfg,
+                                     condition_scratch, conditioned_leads[i]);
+      if (cfg.use_detected_peaks) {
+        kernels::PeakScratch peak_scratch;
+        kernels::detect_r_peaks_kind(conditioned_leads[0], det_cfg,
+                                     peak_scratch, peaks);
+      }
+    }
+    if (!cfg.use_detected_peaks) {
       peaks.reserve(rec.beats.size());
       for (const BeatAnnotation& ann : rec.beats) peaks.push_back(ann.sample);
     }
+    const dsp::Signal& conditioned = conditioned_leads[0];
     const std::vector<std::size_t> match =
         match_annotations(peaks, rec.beats, cfg.match_tolerance);
 

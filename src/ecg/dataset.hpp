@@ -7,8 +7,11 @@
 //     training set 1:   150 N /   150 V /   150 L   (NFC training, SCG)
 //     training set 2: 10024 N /   892 V /  1084 L   (projection fitness, GA)
 //     test set:       74355 N /  6618 V /  8039 L   (all reported results)
-// Windows are cut around *detected* peaks (the real pipeline's behaviour);
-// labels come from matching detections to generator annotations.
+// Windows are cut around *detected* peaks (the real pipeline's behaviour):
+// each lead is conditioned and lead 0 scanned by the same block kernels
+// (src/kernels) the streaming monitor runs, so training data and streaming
+// share one DSP chain. Labels come from matching detections to generator
+// annotations.
 #pragma once
 
 #include <cstdint>

@@ -52,7 +52,6 @@ struct PeakScratch {
   std::vector<double> block_max;
   std::vector<Candidate> cands;
   std::vector<Candidate> merged;
-  std::vector<Candidate> found;
   std::vector<Candidate> extra;
   std::vector<double> energy;
 };

@@ -36,10 +36,9 @@ SensorNodeClient::SensorNodeClient(embedded::EmbeddedClassifier classifier,
     pending_sink_ = [this](const core::PendingBeat& pb) {
       on_pending_beat(pb);
     };
-    // Drift escalation observes in on_pending_beat (which classifies every
-    // beat itself, including the monitor flush tail), so the monitor hook
-    // is deliberately NOT set — it would double-observe nothing here, but
-    // the single observation point keeps the accounting obvious.
+    // Drift escalation observes in on_pending_beat, which classifies every
+    // beat itself, the monitor flush tail included: the node's one
+    // classification and observation point.
     if (cfg_.drift_centroids != nullptr)
       drift_.emplace(*cfg_.drift_centroids, cfg_.drift);
   }

@@ -240,7 +240,7 @@ std::size_t FleetEngine::pump_shard_body(std::size_t s) {
   std::uint64_t drained = 0;
   for (Session* session : shard.members) {
     session->apply_pending_swap();
-    drained += session->begin_drain();
+    drained += session->begin_drain(session->config().max_samples_per_pump);
     session->process_drained(shard.batch);
     shard.run_ends.push_back(shard.batch.size());
   }

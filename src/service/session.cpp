@@ -1,6 +1,7 @@
 #include "service/session.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "ecg/types.hpp"
 #include "math/check.hpp"
@@ -40,16 +41,10 @@ Session::Session(SessionId id, std::shared_ptr<const SessionModel> model,
 }
 
 void Session::reseed_drift() {
-  if (model_->centroids != nullptr) {
+  if (model_->centroids != nullptr)
     drift_.emplace(*model_->centroids, cfg_.drift);
-    // The hook only fires on the monitor's own classifying path — the
-    // close() tail here. Pump-round beats go through the PendingBeatSink
-    // and are observed in deliver(), so no beat is counted twice.
-    monitor_.set_drift_tracker(&*drift_);
-  } else {
-    monitor_.set_drift_tracker(nullptr);
+  else
     drift_.reset();
-  }
 }
 
 void Session::apply_pending_swap() {
@@ -61,11 +56,10 @@ void Session::apply_pending_swap() {
     swap_pending_.store(false, std::memory_order_relaxed);
   }
   if (next == nullptr || next == model_) return;
+  // The monitor holds no classifier, so the swap is this pointer move:
+  // every beat classified from here on, close() tail included, runs on the
+  // new bundle. Geometry equality was enforced when the swap was staged.
   model_ = std::move(next);
-  // Cold-path classifier copy into the monitor so the close()-tail and
-  // suspect-escalation paths classify with the same bundle as the batch
-  // phase; geometry equality was enforced when the swap was staged.
-  monitor_.set_classifier(model_->classifier);
   // Fresh tracker, new seeds: the drift baseline is part of the bundle,
   // so alarms re-arm against the new centroids rather than comparing new
   // projections to the old model's geometry.
@@ -162,9 +156,9 @@ template OfferOutcome Session::enqueue<dsp::Sample>(std::span<const dsp::Sample>
                                                     Clock::time_point,
                                                     std::ptrdiff_t*);
 
-std::size_t Session::begin_drain() {
+std::size_t Session::begin_drain(std::size_t limit) {
   const std::lock_guard<std::mutex> lock(queue_mutex_);
-  const std::size_t take = std::min(cfg_.max_samples_per_pump, queue_.size());
+  const std::size_t take = std::min(limit, queue_.size());
   drain_buf_.assign(queue_.begin(),
                     queue_.begin() + static_cast<std::ptrdiff_t>(take));
   queue_.erase(queue_.begin(),
@@ -181,7 +175,7 @@ std::size_t Session::begin_drain() {
   return take;
 }
 
-void Session::process_drained(core::BeatBatch& shard_batch) {
+void Session::process_drained(core::BeatBatch& batch, bool flush) {
   std::size_t stamp_i = 0;
   Clock::time_point current_stamp{};
   if (!drain_stamps_.empty()) current_stamp = drain_stamps_.front().at;
@@ -191,8 +185,8 @@ void Session::process_drained(core::BeatBatch& shard_batch) {
     p.needs_classification = pb.needs_classification;
     p.enqueued_at = current_stamp;
     if (pb.needs_classification) {
-      p.slot = static_cast<std::uint32_t>(shard_batch.size());
-      shard_batch.append(pb.window, ecg::BeatClass::Unknown);
+      p.slot = static_cast<std::uint32_t>(batch.size());
+      batch.append(pb.window, ecg::BeatClass::Unknown);
     }
     pending_.push_back(p);
   };
@@ -220,6 +214,11 @@ void Session::process_drained(core::BeatBatch& shard_batch) {
   telemetry_.samples_processed.fetch_add(drain_buf_.size(),
                                          std::memory_order_relaxed);
   drain_buf_.clear();
+  if (flush) {
+    // No queued sample finalized the flush's beats: stamp them now.
+    current_stamp = Clock::now();
+    monitor_.flush(sink);
+  }
 }
 
 std::size_t Session::deliver(std::span<const ecg::BeatClass> shard_classes,
@@ -229,7 +228,7 @@ std::size_t Session::deliver(std::span<const ecg::BeatClass> shard_classes,
     if (p.needs_classification) {
       p.beat.predicted = shard_classes[p.slot];
       if (drift_.has_value()) {
-        // The shard batch's projections are observed here, in the serial
+        // The batch's projections are observed here, in the serial
         // delivery phase, so the tracker sees beats in per-session
         // sequence order regardless of how the parallel classify phase
         // was sharded. Suspect beats (needs_classification == false)
@@ -293,31 +292,22 @@ void Session::mirror_drift() {
 
 std::size_t Session::close() {
   // Close is a beat boundary too: a swap staged after the session's last
-  // pump round still lands before the tail is flushed, so the tail's
+  // pump round still lands before the tail is drained, so the tail's
   // verdicts carry the version the fleet believes is deployed.
   apply_pending_swap();
-  std::size_t removed = 0;
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    removed = queue_.size();
-    drain_buf_.assign(queue_.begin(), queue_.end());
-    queue_.clear();
-    stamps_.clear();
-    front_pos_ += removed;
-  }
-  // The close path classifies serially through the monitor's own sink —
-  // the tail is tiny and there is no batch to share with other sessions.
-  const Clock::time_point now = Clock::now();
-  const core::BeatSink sink = [&](const core::MonitorBeat& b) {
-    deliver_one(b, now);
-  };
-  monitor_.push_block(std::span<const double>(drain_buf_), sink);
-  telemetry_.samples_processed.fetch_add(drain_buf_.size(),
-                                         std::memory_order_relaxed);
-  drain_buf_.clear();
-  monitor_.flush(sink);
-  mirror_monitor_stats();
-  mirror_drift();
+  // The tail takes the pump round's own path over a close-local batch: the
+  // whole queue (no rate cap) and the monitor's flush, one classify_batch,
+  // one deliver().
+  const std::size_t removed =
+      begin_drain(std::numeric_limits<std::size_t>::max());
+  const embedded::EmbeddedClassifier& classifier = model_->classifier;
+  core::BeatBatch batch(classifier.projector().expected_window());
+  process_drained(batch, /*flush=*/true);
+  std::vector<ecg::BeatClass> classes(batch.size());
+  embedded::ClassifyScratch scratch;
+  if (!batch.empty())
+    classifier.classify_batch(batch.windows(), batch.size(), classes, scratch);
+  deliver(classes, scratch.u, classifier.projector().coefficients());
   return removed;
 }
 

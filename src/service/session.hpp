@@ -22,6 +22,12 @@
 //   Reject     — tail-drop: accept the prefix that fits, permanently
 //                discard the overflow (counted as rejected).
 //
+// Each session classifies and observes drift in one place. The monitor only
+// finds and grades beats; their windows go into a core::BeatBatch — the
+// shard's on a pump round, a local one in close() — one classify_batch call
+// labels them, and deliver() patches the classes in, feeds each projection
+// to the drift tracker and hands the beats out in sequence order.
+//
 // Per-beat latency is measured end to end (sample enqueued -> result
 // delivered): each offer is stamped with its arrival time and the stamp
 // rides along until the beat it finalizes is handed to the result sink.
@@ -78,12 +84,11 @@ struct SessionConfig {
   /// Tuning for opt-in RP-space morphology drift tracking. When the
   /// session's model carries centroids (SessionModel::centroids), the
   /// session owns a drift::DriftTracker seeded from them and observes every
-  /// classified beat's projection — batch-classified beats during the
-  /// serial delivery phase (so the observation order equals the delivery
-  /// order and the tracker state is bit-identical for any thread/shard
-  /// count), monitor-classified beats (the close() tail) via the monitor
-  /// hook. Tracker state is mirrored into SessionTelemetry after every pump
-  /// round.
+  /// classified beat's projection in deliver(), the serial delivery phase
+  /// that pump rounds and close() share — so the observation order equals
+  /// the delivery order and the tracker state is bit-identical for any
+  /// thread/shard count. Tracker state is mirrored into SessionTelemetry
+  /// after every delivery.
   drift::DriftConfig drift;
   /// Versioned model this session starts on; when null the engine's
   /// default model (its construction-time classifier at version
@@ -170,35 +175,38 @@ class Session {
   template <typename T>
   OfferOutcome enqueue(std::span<const T> samples, Clock::time_point now,
                        std::ptrdiff_t* queue_delta);
-  /// Moves up to max_samples_per_pump queued samples (and their arrival
-  /// stamps) into the drain buffers; returns how many.
-  std::size_t begin_drain();
-  /// Feeds the drained samples through the monitor, appending windows that
-  /// need classification to `shard_batch` and recording a Pending for every
-  /// finalized beat. Called from the owning pump shard only.
-  void process_drained(core::BeatBatch& shard_batch);
+  /// Moves up to `limit` queued samples (and their arrival stamps) into the
+  /// drain buffers; returns how many. Pump rounds pass
+  /// max_samples_per_pump, close() the whole queue.
+  std::size_t begin_drain(std::size_t limit);
+  /// Feeds the drained samples through the monitor — then, when `flush`,
+  /// its buffered tail — appending windows that need classification to
+  /// `batch` and recording a Pending for every finalized beat. Called from
+  /// the owning pump shard, or by close().
+  void process_drained(core::BeatBatch& batch, bool flush = false);
   /// Delivers this round's pending beats in order, patching predictions
-  /// from `shard_classes` (the shard batch's classify_batch output) and —
-  /// when drift tracking is on — observing each batch-classified beat's
-  /// projection out of `shard_u` (the shard scratch's count x
-  /// `coefficients` row-major integer coefficients, still valid in the
-  /// serial phase; row index = Pending::slot). Returns the number of
-  /// beats delivered.
+  /// from `shard_classes` (classify_batch's output over the batch the
+  /// pending slots index: the shard's, or close()'s own) and — when drift
+  /// tracking is on — observing each batch-classified beat's projection
+  /// out of `shard_u` (that call's count x `coefficients` row-major integer
+  /// coefficients; row index = Pending::slot). Returns the number of beats
+  /// delivered.
   std::size_t deliver(std::span<const ecg::BeatClass> shard_classes,
                       std::span<const std::int32_t> shard_u,
                       std::size_t coefficients);
-  /// Drains whatever is still queued through the classifying path, flushes
-  /// the monitor tail and delivers everything; returns the number of
-  /// queued samples consumed (for the fleet-wide gauge).
+  /// Drains whatever is still queued and the monitor's flush tail down the
+  /// pump round's path — batch, classify_batch, deliver() — on the calling
+  /// thread; returns the number of queued samples consumed (for the
+  /// fleet-wide gauge).
   std::size_t close();
 
   void deliver_one(const core::MonitorBeat& beat, Clock::time_point enq);
   void mirror_monitor_stats();
   void mirror_drift();
-  /// (Re)seeds the drift tracker from the current model's centroids and
-  /// re-attaches the monitor hook. Owning pump thread only.
+  /// (Re)seeds the drift tracker from the current model's centroids, or
+  /// drops it when the model has none. Owning pump thread only.
   void reseed_drift();
-  /// If a swap is staged, installs it: rebinds the monitor's classifier,
+  /// If a swap is staged, installs it: switches the session's model,
   /// re-seeds the drift tracker from the new bundle's centroids, and bumps
   /// model_version/swap_count telemetry. Called by the owning pump thread
   /// at the top of its pump round (and by close()), i.e. at a beat
@@ -211,7 +219,7 @@ class Session {
   /// Current model; written only by the owning pump thread (apply), read
   /// by the same thread during classify/deliver.
   std::shared_ptr<const SessionModel> model_;
-  std::optional<drift::DriftTracker> drift_;  // before monitor_: hook target
+  std::optional<drift::DriftTracker> drift_;
   core::StreamingBeatMonitor monitor_;
   ResultSink sink_;
 

@@ -15,7 +15,23 @@ namespace {
 
 using hbrp::core::MonitorBeat;
 using hbrp::core::MonitorConfig;
+using hbrp::core::PendingBeat;
+using hbrp::core::PendingBeatSink;
 using hbrp::core::StreamingBeatMonitor;
+
+// A sink that classifies each surrendered window with `classifier`, as a
+// node does, and appends the beat to `out`.
+PendingBeatSink classify_into(
+    const hbrp::embedded::EmbeddedClassifier& classifier,
+    std::vector<MonitorBeat>& out) {
+  return [&classifier, &out, scratch = hbrp::embedded::ClassifyScratch{}](
+             const PendingBeat& pb) mutable {
+    MonitorBeat beat = pb.beat;
+    if (pb.needs_classification)
+      beat.predicted = classifier.classify_window(pb.window, scratch);
+    out.push_back(beat);
+  };
+}
 
 class StreamingMonitorTest : public ::testing::Test {
  protected:
@@ -44,12 +60,9 @@ class StreamingMonitorTest : public ::testing::Test {
                                               const MonitorConfig& cfg = {}) {
     StreamingBeatMonitor monitor(*bundle_, cfg);
     std::vector<MonitorBeat> beats;
-    for (const auto x : lead) {
-      auto batch = monitor.push(x);
-      beats.insert(beats.end(), batch.begin(), batch.end());
-    }
-    auto tail = monitor.flush();
-    beats.insert(beats.end(), tail.begin(), tail.end());
+    const PendingBeatSink sink = classify_into(*bundle_, beats);
+    for (const auto x : lead) monitor.push(x, sink);
+    monitor.flush(sink);
     return beats;
   }
 
@@ -145,29 +158,29 @@ TEST_F(StreamingMonitorTest, FlushFinalizesTailBeats) {
   // A record shorter than one chunk: nothing is emitted until flush.
   const auto rec = monitor_record(4, 6.0);
   StreamingBeatMonitor monitor(*bundle_);
-  std::size_t emitted_during = 0;
-  for (const auto x : rec.leads[0]) emitted_during += monitor.push(x).size();
-  EXPECT_EQ(emitted_during, 0u);
-  const auto tail = monitor.flush();
-  EXPECT_GT(tail.size(), 3u);
+  std::vector<MonitorBeat> beats;
+  const PendingBeatSink sink = classify_into(*bundle_, beats);
+  for (const auto x : rec.leads[0]) monitor.push(x, sink);
+  EXPECT_EQ(beats.size(), 0u);
+  monitor.flush(sink);
+  EXPECT_GT(beats.size(), 3u);
 }
 
 TEST_F(StreamingMonitorTest, FlushOnEmptyMonitorIsSafeAndEmpty) {
   StreamingBeatMonitor monitor(*bundle_);
-  EXPECT_TRUE(monitor.flush().empty());
-  EXPECT_TRUE(monitor.flush().empty());  // idempotent
+  std::vector<MonitorBeat> beats;
+  const PendingBeatSink sink = classify_into(*bundle_, beats);
+  monitor.flush(sink);
+  monitor.flush(sink);  // idempotent
+  EXPECT_TRUE(beats.empty());
   // A handful of samples (far less than one beat window) also yields none.
-  for (int i = 0; i < 10; ++i) monitor.push(1024);
-  EXPECT_TRUE(monitor.flush().empty());
+  for (int i = 0; i < 10; ++i) monitor.push(1024, sink);
+  monitor.flush(sink);
+  EXPECT_TRUE(beats.empty());
   // And the monitor is still usable afterwards.
   const auto rec = monitor_record(6, 30.0);
-  std::vector<MonitorBeat> beats;
-  for (const auto x : rec.leads[0]) {
-    auto b = monitor.push(x);
-    beats.insert(beats.end(), b.begin(), b.end());
-  }
-  auto tail = monitor.flush();
-  beats.insert(beats.end(), tail.begin(), tail.end());
+  for (const auto x : rec.leads[0]) monitor.push(x, sink);
+  monitor.flush(sink);
   EXPECT_GT(beats.size(), 15u);
 }
 
@@ -180,24 +193,24 @@ TEST_F(StreamingMonitorTest, FlushRightAfterChunkSlideLosesNothing) {
   StreamingBeatMonitor probe(*bundle_);
 
   // Find the sample index at which the first scan fires.
+  std::vector<MonitorBeat> probed;
+  const PendingBeatSink probe_sink = classify_into(*bundle_, probed);
   std::size_t first_scan_end = 0;
   for (std::size_t i = 0; i < rec.leads[0].size(); ++i) {
-    if (!probe.push(rec.leads[0][i]).empty()) {
+    probe.push(rec.leads[0][i], probe_sink);
+    if (!probed.empty()) {
       first_scan_end = i + 1;
       break;
     }
   }
   ASSERT_GT(first_scan_end, 0u) << "record never filled a chunk";
-  probe.flush();
 
   StreamingBeatMonitor monitor(*bundle_);
   std::vector<MonitorBeat> interrupted;
-  for (std::size_t i = 0; i < first_scan_end; ++i) {
-    auto b = monitor.push(rec.leads[0][i]);
-    interrupted.insert(interrupted.end(), b.begin(), b.end());
-  }
-  auto tail = monitor.flush();
-  interrupted.insert(interrupted.end(), tail.begin(), tail.end());
+  const PendingBeatSink sink = classify_into(*bundle_, interrupted);
+  for (std::size_t i = 0; i < first_scan_end; ++i)
+    monitor.push(rec.leads[0][i], sink);
+  monitor.flush(sink);
 
   // Nothing double-reported across the slide...
   for (std::size_t i = 1; i < interrupted.size(); ++i)
@@ -248,19 +261,20 @@ TEST_F(StreamingMonitorTest, BeatsStraddlingOverlapAgreeAcrossChunkSizes) {
 
 TEST_F(StreamingMonitorTest, StatsCountSanitizedInputs) {
   StreamingBeatMonitor monitor(*bundle_);
-  monitor.push(std::numeric_limits<double>::quiet_NaN());
-  monitor.push(std::numeric_limits<double>::infinity());
-  monitor.push(-std::numeric_limits<double>::infinity());
-  monitor.push(1e9);    // clamped high
-  monitor.push(-1e9);   // clamped low
-  monitor.push(1024.0); // fine
-  monitor.push(4000);   // integer path, clamped
+  const PendingBeatSink sink = [](const PendingBeat&) {};
+  monitor.push(std::numeric_limits<double>::quiet_NaN(), sink);
+  monitor.push(std::numeric_limits<double>::infinity(), sink);
+  monitor.push(-std::numeric_limits<double>::infinity(), sink);
+  monitor.push(1e9, sink);     // clamped high
+  monitor.push(-1e9, sink);    // clamped low
+  monitor.push(1024.0, sink);  // fine
+  monitor.push(4000, sink);    // integer path, clamped
   const auto& stats = monitor.stats();
   EXPECT_EQ(stats.samples_in, 7u);
   EXPECT_EQ(stats.rejected_nonfinite, 3u);
   EXPECT_EQ(stats.clamped, 3u);
   // Stats survive flush(); the quality machine resets.
-  monitor.flush();
+  monitor.flush(sink);
   EXPECT_EQ(monitor.stats().samples_in, 7u);
   EXPECT_EQ(monitor.quality(), hbrp::dsp::SignalQuality::Good);
 }
@@ -270,12 +284,9 @@ TEST_F(StreamingMonitorTest, ReusableAfterFlush) {
   StreamingBeatMonitor monitor(*bundle_);
   auto run_once = [&]() {
     std::vector<MonitorBeat> beats;
-    for (const auto x : rec.leads[0]) {
-      auto b = monitor.push(x);
-      beats.insert(beats.end(), b.begin(), b.end());
-    }
-    auto tail = monitor.flush();
-    beats.insert(beats.end(), tail.begin(), tail.end());
+    const PendingBeatSink sink = classify_into(*bundle_, beats);
+    for (const auto x : rec.leads[0]) monitor.push(x, sink);
+    monitor.flush(sink);
     return beats;
   };
   const auto first = run_once();

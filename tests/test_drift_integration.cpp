@@ -1,8 +1,8 @@
-// Drift tracking end-to-end: training-centroid export, the streaming
-// monitor hook, the fleet's thread/shard bit-identity contract, telemetry
-// JSON, the morphology_shift scenario, and drift-triggered FULL_BEAT
-// escalation surviving chaos-proxy connection kills without duplicate
-// gateway counting.
+// Drift tracking end-to-end: training-centroid export, a fleet session
+// observing every delivered Good beat, the fleet's thread/shard bit-identity
+// contract, telemetry JSON, the morphology_shift scenario, and
+// drift-triggered FULL_BEAT escalation surviving chaos-proxy connection
+// kills without duplicate gateway counting.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -106,21 +106,30 @@ TEST_F(DriftIntegrationTest, TrainingCentroidExportMatchesModel) {
   EXPECT_DOUBLE_EQ(mass, static_cast<double>(ts1_->beats.size()));
 }
 
-TEST_F(DriftIntegrationTest, MonitorHookObservesEveryClassifiedBeat) {
+TEST_F(DriftIntegrationTest, SessionObservesEveryDeliveredGoodBeat) {
   const auto stream = scenario::build_scenario(clean_spec());
-  core::StreamingBeatMonitor monitor(*bundle_);
-  drift::DriftTracker tracker(*centroids_);
-  monitor.set_drift_tracker(&tracker);
-  std::size_t classified = 0;
-  const core::BeatSink sink = [&](const core::MonitorBeat& b) {
-    if (b.quality == dsp::SignalQuality::Good) ++classified;
-  };
-  monitor.push_block(std::span<const double>(stream.samples), sink);
-  monitor.flush(sink);
-  ASSERT_GT(classified, 50u);
+  service::FleetEngine engine(*bundle_, drift_fleet_config(1, 1));
+  std::size_t good = 0;
+  const auto id =
+      engine.open_session([&good](const service::SessionResult& r) {
+        if (r.beat.quality == dsp::SignalQuality::Good) ++good;
+      });
+  ASSERT_TRUE(id.has_value());
+  std::size_t off = 0;
+  const std::span<const double> all(stream.samples);
+  while (off < all.size()) {
+    const std::size_t n = std::min<std::size_t>(4096, all.size() - off);
+    off += engine.offer(*id, all.subspan(off, n)).accepted;
+    engine.pump();
+  }
+  engine.drain();
+  const drift::DriftTracker* tracker = engine.session_drift(*id);
+  ASSERT_NE(tracker, nullptr);
+  ASSERT_GT(good, 50u);
   // Every Good beat was classified and observed; Suspect beats carry no
   // projection and are skipped.
-  EXPECT_EQ(tracker.beats(), classified);
+  EXPECT_EQ(tracker->beats(), good);
+  EXPECT_TRUE(engine.close_session(*id));
 }
 
 TEST_F(DriftIntegrationTest, FleetDriftStateIsThreadShardBitIdentical) {
@@ -210,8 +219,14 @@ TEST_F(DriftIntegrationTest, MorphologyShiftAlarmsCleanStaysQuiet) {
     const auto stream = scenario::build_scenario(spec);
     core::StreamingBeatMonitor monitor(*bundle_);
     drift::DriftTracker tracker(*centroids_, dc);
-    monitor.set_drift_tracker(&tracker);
-    const core::BeatSink sink = [](const core::MonitorBeat&) {};
+    // Classify each window and observe its projection, as a node does.
+    embedded::ClassifyScratch scratch;
+    const core::PendingBeatSink sink = [&](const core::PendingBeat& pb) {
+      if (!pb.needs_classification) return;
+      const ecg::BeatClass verdict =
+          bundle_->classify_window(pb.window, scratch);
+      tracker.observe(scratch.u, !ecg::is_pathological(verdict));
+    };
     monitor.push_block(std::span<const double>(stream.samples), sink);
     monitor.flush(sink);
     return tracker.alarms();

@@ -1,6 +1,7 @@
 // Tests for dataset assembly (Table I splits) and serialization.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <unistd.h>
 #include <filesystem>
@@ -143,6 +144,39 @@ TEST(Dataset, LoadOrBuildRebuildsOnSpecMismatch) {
   EXPECT_EQ(c.v, 5u);
   EXPECT_EQ(c.l, 5u);
   fs::remove(path);
+}
+
+// FNV-1a over every window's label and samples, in dataset order. Samples
+// are mixed as little-endian 32-bit words, so the digest is host-independent.
+std::uint64_t dataset_digest(const BeatDataset& ds) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint32_t word, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (word >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& b : ds.beats) {
+    mix(static_cast<std::uint32_t>(b.label), 1);
+    for (const hbrp::dsp::Sample x : b.samples)
+      mix(static_cast<std::uint32_t>(x), 4);
+  }
+  return h;
+}
+
+// Golden digests of the training data, committed while build_dataset still
+// ran the dsp:: reference chain. Whatever kernels condition and detect, a
+// single moved training sample fails here, and with it the Table II/III
+// numbers of EXPERIMENTS.md. Also run under HBRP_FORCE_SCALAR=1.
+TEST(Dataset, OutputDigestIsPinned) {
+  DatasetBuilderConfig cfg = quick_cfg(1515);
+  cfg.max_per_record_per_class = 10;
+  const DatasetSpec spec{30, 15, 15};
+  EXPECT_EQ(dataset_digest(hbrp::ecg::build_dataset(spec, cfg)),
+            0x091ca3272124a375ull);
+  cfg.num_leads = 3;
+  EXPECT_EQ(dataset_digest(hbrp::ecg::build_dataset(spec, cfg)),
+            0x37ad9c7432ef78caull);
 }
 
 TEST(Dataset, PaperSpecsMatchTableOne) {

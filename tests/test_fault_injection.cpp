@@ -19,6 +19,8 @@ namespace {
 
 using hbrp::core::MonitorBeat;
 using hbrp::core::MonitorConfig;
+using hbrp::core::PendingBeat;
+using hbrp::core::PendingBeatSink;
 using hbrp::core::StreamingBeatMonitor;
 using hbrp::dsp::SignalQuality;
 using hbrp::testing::FaultEvent;
@@ -60,27 +62,21 @@ class FaultInjectionTest : public ::testing::Test {
     return hbrp::ecg::generate_record(cfg).leads[0];
   }
 
-  static std::vector<MonitorBeat> run_int(StreamingBeatMonitor& monitor,
-                                          const hbrp::dsp::Signal& lead) {
+  // Feeds `lead` (integer codes or raw doubles) and flushes, classifying
+  // each surrendered window as a node does.
+  template <typename Lead>
+  static std::vector<MonitorBeat> run(StreamingBeatMonitor& monitor,
+                                      const Lead& lead) {
     std::vector<MonitorBeat> beats;
-    for (const auto x : lead) {
-      auto batch = monitor.push(x);
-      beats.insert(beats.end(), batch.begin(), batch.end());
-    }
-    auto tail = monitor.flush();
-    beats.insert(beats.end(), tail.begin(), tail.end());
-    return beats;
-  }
-
-  static std::vector<MonitorBeat> run_raw(StreamingBeatMonitor& monitor,
-                                          const std::vector<double>& lead) {
-    std::vector<MonitorBeat> beats;
-    for (const double x : lead) {
-      auto batch = monitor.push(x);
-      beats.insert(beats.end(), batch.begin(), batch.end());
-    }
-    auto tail = monitor.flush();
-    beats.insert(beats.end(), tail.begin(), tail.end());
+    hbrp::embedded::ClassifyScratch scratch;
+    const PendingBeatSink sink = [&](const PendingBeat& pb) {
+      MonitorBeat beat = pb.beat;
+      if (pb.needs_classification)
+        beat.predicted = bundle_->classify_window(pb.window, scratch);
+      beats.push_back(beat);
+    };
+    for (const auto x : lead) monitor.push(x, sink);
+    monitor.flush(sink);
     return beats;
   }
 
@@ -152,10 +148,10 @@ TEST_F(FaultInjectionTest, LeadOffAndSaturationAreGatedAndRecovered) {
   ASSERT_EQ(faulted.size(), lead.size());
 
   StreamingBeatMonitor gated(*bundle_);
-  const auto fault_beats = run_raw(gated, faulted);  // (a) must not crash
+  const auto fault_beats = run(gated, faulted);  // (a) must not crash
 
   StreamingBeatMonitor reference(*bundle_);
-  const auto clean_beats = run_int(reference, lead);
+  const auto clean_beats = run(reference, lead);
 
   // (a) No beats inside the fault window. One SQI chunk (0.5 s) of grace
   // at the head covers the detection latency of the degradation machine;
@@ -211,8 +207,8 @@ TEST_F(FaultInjectionTest, GatingIsTransparentOnCleanSignal) {
   StreamingBeatMonitor gated(*bundle_);
   StreamingBeatMonitor ungated(*bundle_, ungated_cfg);
 
-  const auto a = run_int(gated, lead);
-  const auto b = run_int(ungated, lead);
+  const auto a = run(gated, lead);
+  const auto b = run(ungated, lead);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].r_peak, b[i].r_peak);
@@ -231,7 +227,7 @@ TEST_F(FaultInjectionTest, NonFiniteBurstIsRejectedAndCounted) {
   const auto faulted = FaultInjector::apply(lead, fcfg);
 
   StreamingBeatMonitor monitor(*bundle_);
-  const auto beats = run_raw(monitor, faulted);  // must not throw
+  const auto beats = run(monitor, faulted);  // must not throw
   EXPECT_GT(monitor.stats().rejected_nonfinite, 100u);
   EXPECT_EQ(monitor.stats().samples_in, faulted.size());
   EXPECT_GT(beats.size(), 20u);  // the record is still monitored
@@ -245,7 +241,7 @@ TEST_F(FaultInjectionTest, ImpulseBurstEscalatesToUnknown) {
   const auto faulted = FaultInjector::apply(lead, fcfg);
 
   StreamingBeatMonitor monitor(*bundle_);
-  const auto beats = run_raw(monitor, faulted);
+  const auto beats = run(monitor, faulted);
   // Beats inside the burst that were detected at all must carry the
   // Suspect tag and the safe-default Unknown class (=> pathological, so
   // the node escalates to full delineation instead of guessing).
@@ -271,7 +267,7 @@ TEST_F(FaultInjectionTest, DropAndDupGlitchesDoNotCrashOrDesync) {
   const auto faulted = FaultInjector::apply(lead, fcfg);
 
   StreamingBeatMonitor monitor(*bundle_);
-  const auto beats = run_raw(monitor, faulted);
+  const auto beats = run(monitor, faulted);
   // Monotone, de-duplicated output stream survives timeline glitches.
   for (std::size_t i = 1; i < beats.size(); ++i)
     EXPECT_GT(beats[i].r_peak, beats[i - 1].r_peak + 30);
@@ -280,17 +276,18 @@ TEST_F(FaultInjectionTest, DropAndDupGlitchesDoNotCrashOrDesync) {
 
 TEST_F(FaultInjectionTest, GarbageIntSamplesAreClampedAndCounted) {
   StreamingBeatMonitor monitor(*bundle_);
-  monitor.push(std::numeric_limits<hbrp::dsp::Sample>::max());
-  monitor.push(std::numeric_limits<hbrp::dsp::Sample>::min());
-  monitor.push(-1);
-  monitor.push(5000);
-  monitor.push(1024);
+  const PendingBeatSink sink = [](const PendingBeat&) {};
+  monitor.push(std::numeric_limits<hbrp::dsp::Sample>::max(), sink);
+  monitor.push(std::numeric_limits<hbrp::dsp::Sample>::min(), sink);
+  monitor.push(-1, sink);
+  monitor.push(5000, sink);
+  monitor.push(1024, sink);
   EXPECT_EQ(monitor.stats().samples_in, 5u);
   EXPECT_EQ(monitor.stats().clamped, 4u);
   // Still functional afterwards.
   const auto lead = clean_lead(28, 20.0);
   StreamingBeatMonitor fresh(*bundle_);
-  EXPECT_GT(run_int(fresh, lead).size(), 10u);
+  EXPECT_GT(run(fresh, lead).size(), 10u);
 }
 
 TEST(BurstTrain, GeneratesBoundedSeededBursts) {

@@ -82,12 +82,11 @@ std::uint64_t new_calls() {
   return g_new_calls.load(std::memory_order_relaxed);
 }
 
-// Untrained but well-formed: 8 coefficients over a 200-sample window
+// Untrained but well-formed: k coefficients over a 200-sample window
 // (50 columns, downsample 4) matches the default MonitorConfig geometry.
 // The footprint does not depend on what the classifier decides.
-embedded::EmbeddedClassifier make_classifier() {
+embedded::EmbeddedClassifier make_classifier(std::size_t k = 8) {
   math::Rng rng(7);
-  constexpr std::size_t k = 8;
   auto p = rp::make_achlioptas(k, 50, rng);
   nfc::NeuroFuzzyClassifier nfc(k);
   for (std::size_t i = 0; i < k; ++i)
@@ -137,9 +136,26 @@ std::size_t packet_count(const dsp::Signal& lead) {
 void warm_workspace(const embedded::EmbeddedClassifier& clf,
                     const dsp::Signal& lead) {
   core::StreamingBeatMonitor warm(clf);
-  const core::BeatSink sink = [](const core::MonitorBeat&) {};
+  const core::PendingBeatSink sink = [](const core::PendingBeat&) {};
   for (std::size_t k = 0; k < packet_count(lead); ++k)
     warm.push_block(packet(lead, k), sink);
+}
+
+// Live heap per monitor while kStreams monitors on `clf` are alive and have
+// been fed `lead` in packets; `beats` counts the beats they surrendered.
+std::int64_t heap_per_monitor(const embedded::EmbeddedClassifier& clf,
+                              const dsp::Signal& lead, std::size_t& beats) {
+  const core::PendingBeatSink sink = [&beats](const core::PendingBeat&) {
+    ++beats;
+  };
+  const std::int64_t before = live_bytes();
+  std::vector<core::StreamingBeatMonitor> monitors;
+  monitors.reserve(kStreams);
+  for (std::size_t s = 0; s < kStreams; ++s) monitors.emplace_back(clf);
+  for (std::size_t k = 0; k < packet_count(lead); ++k)
+    for (core::StreamingBeatMonitor& m : monitors)
+      m.push_block(packet(lead, k), sink);
+  return (live_bytes() - before) / static_cast<std::int64_t>(kStreams);
 }
 
 TEST(Footprint, StreamingMonitorHeapPerMonitor) {
@@ -148,23 +164,30 @@ TEST(Footprint, StreamingMonitorHeapPerMonitor) {
   warm_workspace(clf, lead);
 
   std::size_t beats = 0;
-  const core::BeatSink sink = [&beats](const core::MonitorBeat&) { ++beats; };
-  const std::int64_t before = live_bytes();
-  {
-    std::vector<core::StreamingBeatMonitor> monitors;
-    monitors.reserve(kStreams);
-    for (std::size_t s = 0; s < kStreams; ++s) monitors.emplace_back(clf);
-    for (std::size_t k = 0; k < packet_count(lead); ++k)
-      for (core::StreamingBeatMonitor& m : monitors)
-        m.push_block(packet(lead, k), sink);
+  const std::int64_t per_monitor = heap_per_monitor(clf, lead, beats);
+  EXPECT_LE(per_monitor, kMonitorBudget)
+      << "live heap per monitor: " << per_monitor << " bytes";
+  // 60 s at ~75 bpm, minus the beats still inside each rolling buffer.
+  EXPECT_GE(beats, kStreams * 50);
+}
 
-    const std::int64_t per_monitor =
-        (live_bytes() - before) / static_cast<std::int64_t>(kStreams);
-    EXPECT_LE(per_monitor, kMonitorBudget)
-        << "live heap per monitor: " << per_monitor << " bytes";
-    // 60 s at ~75 bpm, minus the beats still inside each rolling buffer.
-    EXPECT_GE(beats, kStreams * 50);
-  }
+// A monitor only finds beats: it holds no copy of the classifier and no
+// classify scratch, so its heap does not grow with the coefficient count.
+// (A k = 32 classifier alone holds ~3 KB more heap than a k = 8 one.)
+TEST(Footprint, MonitorHeapIndependentOfClassifier) {
+  const auto small = make_classifier(8);
+  const auto large = make_classifier(32);
+  const dsp::Signal lead = synth_lead();
+  warm_workspace(small, lead);
+
+  std::size_t beats_small = 0, beats_large = 0;
+  const std::int64_t per_small = heap_per_monitor(small, lead, beats_small);
+  const std::int64_t per_large = heap_per_monitor(large, lead, beats_large);
+  EXPECT_LT(std::abs(per_large - per_small), 512)
+      << "live heap per monitor: " << per_small << " bytes at k = 8, "
+      << per_large << " bytes at k = 32";
+  EXPECT_EQ(beats_small, beats_large);
+  EXPECT_GE(beats_small, kStreams * 50);
 }
 
 TEST(Footprint, FleetSessionHeapPerSession) {

@@ -95,14 +95,20 @@ TEST(IntegrationFull, TrainPersistDeployClassify) {
   EXPECT_GT(cm.ndr(), 0.6);
 
   // 6. Streaming monitor agrees with the batch pipeline on this record.
-  core::StreamingBeatMonitor monitor(reloaded.quantize());
+  // The monitor finds the beats; each window is classified here, as a node
+  // does.
+  const embedded::EmbeddedClassifier node_classifier = reloaded.quantize();
+  core::StreamingBeatMonitor monitor(node_classifier);
   std::vector<core::MonitorBeat> streamed;
-  for (const auto x : from_disk.leads[0]) {
-    auto batch = monitor.push(x);
-    streamed.insert(streamed.end(), batch.begin(), batch.end());
-  }
-  auto tail = monitor.flush();
-  streamed.insert(streamed.end(), tail.begin(), tail.end());
+  embedded::ClassifyScratch scratch;
+  const core::PendingBeatSink sink = [&](const core::PendingBeat& pb) {
+    core::MonitorBeat beat = pb.beat;
+    if (pb.needs_classification)
+      beat.predicted = node_classifier.classify_window(pb.window, scratch);
+    streamed.push_back(beat);
+  };
+  for (const auto x : from_disk.leads[0]) monitor.push(x, sink);
+  monitor.flush(sink);
 
   std::size_t agree = 0, compared = 0;
   for (const auto& b : result.beats) {

@@ -419,16 +419,21 @@ TEST_F(KernelsDspMonitorTest, PushBlockMatchesPerSampleUnderFaults) {
   const auto run = [&](auto&& feed) {
     core::StreamingBeatMonitor monitor(*bundle_);
     std::vector<Seen> seen;
-    const core::BeatSink sink = [&](const core::MonitorBeat& b) {
-      seen.push_back({b.r_peak, b.predicted, b.quality});
+    embedded::ClassifyScratch scratch;
+    const core::PendingBeatSink sink = [&](const core::PendingBeat& pb) {
+      const ecg::BeatClass predicted =
+          pb.needs_classification
+              ? bundle_->classify_window(pb.window, scratch)
+              : pb.beat.predicted;
+      seen.push_back({pb.beat.r_peak, predicted, pb.beat.quality});
     };
     feed(monitor, sink);
     monitor.flush(sink);
     return seen;
   };
 
-  const auto per_sample =
-      run([&](core::StreamingBeatMonitor& m, const core::BeatSink& sink) {
+  const auto per_sample = run(
+      [&](core::StreamingBeatMonitor& m, const core::PendingBeatSink& sink) {
         for (const double x : stream) m.push(x, sink);
       });
   ASSERT_FALSE(per_sample.empty());
@@ -437,7 +442,7 @@ TEST_F(KernelsDspMonitorTest, PushBlockMatchesPerSampleUnderFaults) {
   // reproduce the per-sample beat stream exactly.
   for (const std::uint64_t mode : {0u, 1u, 2u}) {
     const auto blocked = run([&](core::StreamingBeatMonitor& m,
-                                 const core::BeatSink& sink) {
+                                 const core::PendingBeatSink& sink) {
       math::Rng rng(55 + mode);
       std::size_t i = 0;
       while (i < stream.size()) {
@@ -612,70 +617,60 @@ TEST(KernelsDspWorkspace, InterleavedConditionersMatchBatch) {
 }
 
 // One monitor fed fixed-size packets, optionally flushed once mid-stream
-// and always flushed at the end; records every beat it reports. Deferred
-// runs go through the PendingBeatSink path and also hash each surrendered
-// window.
+// and always flushed at the end; records every beat it reports, with its
+// class and a hash of its surrendered window.
 struct MonitorSpec {
   core::MonitorConfig cfg;
   std::vector<double> input;
   std::size_t packet = 512;
   std::size_t flush_at = 0;  // 0: only the final flush
-  bool deferred = false;
 };
 
 struct SeenBeat {
   std::size_t r_peak = 0;
   ecg::BeatClass predicted = ecg::BeatClass::N;
   dsp::SignalQuality quality = dsp::SignalQuality::Good;
-  std::uint64_t window_hash = 0;  // deferred runs only
+  std::uint64_t window_hash = 0;
   bool operator==(const SeenBeat&) const = default;
 };
 
 class MonitorRun {
  public:
   MonitorRun(const embedded::EmbeddedClassifier& clf, const MonitorSpec& spec)
-      : spec_(&spec), monitor_(clf, spec.cfg) {}
+      : clf_(&clf), spec_(&spec), monitor_(clf, spec.cfg) {}
 
   bool done() const { return pos_ == spec_->input.size(); }
 
   void step() {
     const auto take = std::min(spec_->packet, spec_->input.size() - pos_);
     const std::span<const double> xs(spec_->input.data() + pos_, take);
-    if (spec_->deferred)
-      monitor_.push_block(xs, pending_sink());
-    else
-      monitor_.push_block(xs, beat_sink());
+    const core::PendingBeatSink sink = [this](const core::PendingBeat& pb) {
+      on_beat(pb);
+    };
+    monitor_.push_block(xs, sink);
     const std::size_t before = pos_;
     pos_ += take;
     const bool mid = before < spec_->flush_at && pos_ >= spec_->flush_at;
-    if (mid || done()) {
-      if (spec_->deferred)
-        monitor_.flush(pending_sink());
-      else
-        monitor_.flush(beat_sink());
-    }
+    if (mid || done()) monitor_.flush(sink);
   }
 
   const std::vector<SeenBeat>& seen() const { return seen_; }
 
  private:
-  core::BeatSink beat_sink() {
-    return [this](const core::MonitorBeat& b) {
-      seen_.push_back({b.r_peak, b.predicted, b.quality, 0});
-    };
-  }
-  core::PendingBeatSink pending_sink() {
-    return [this](const core::PendingBeat& pb) {
-      std::uint64_t hash = pb.needs_classification ? 1 : 0;
-      for (const dsp::Sample x : pb.window)
-        hash = hash * 31 + static_cast<std::uint64_t>(x);
-      seen_.push_back(
-          {pb.beat.r_peak, pb.beat.predicted, pb.beat.quality, hash});
-    };
+  void on_beat(const core::PendingBeat& pb) {
+    std::uint64_t hash = pb.needs_classification ? 1 : 0;
+    for (const dsp::Sample x : pb.window)
+      hash = hash * 31 + static_cast<std::uint64_t>(x);
+    const ecg::BeatClass predicted =
+        pb.needs_classification ? clf_->classify_window(pb.window, scratch_)
+                                : pb.beat.predicted;
+    seen_.push_back({pb.beat.r_peak, predicted, pb.beat.quality, hash});
   }
 
+  const embedded::EmbeddedClassifier* clf_;
   const MonitorSpec* spec_;
   core::StreamingBeatMonitor monitor_;
+  embedded::ClassifyScratch scratch_;
   std::size_t pos_ = 0;
   std::vector<SeenBeat> seen_;
 };
@@ -720,21 +715,19 @@ std::vector<MonitorSpec> monitor_specs() {
   specs[2].input = synth_input(ecg::RecordProfile::Lbbb, 3, true);
   specs[2].packet = 777;
   specs[2].flush_at = 10000;
-  // 250 Hz element lengths (64-sample delay), adaptive, deferred path.
+  // 250 Hz element lengths (64-sample delay), adaptive.
   specs[3].cfg.filter = dsp::FilterConfig::for_rate(250);
   specs[3].cfg.peak.kind = dsp::PeakDetectorKind::AdaptiveThreshold;
   specs[3].cfg.chunk_s = 6.0;
   specs[3].cfg.overlap_s = 2.5;
   specs[3].input = synth_input(ecg::RecordProfile::PvcBigeminy, 4, false);
   specs[3].packet = 64;
-  specs[3].deferred = true;
-  // Longer custom elements, deferred, big packets.
+  // Longer custom elements, big packets.
   specs[4].cfg.filter.baseline_open_len = 91;
   specs[4].cfg.filter.baseline_close_len = 201;
   specs[4].cfg.filter.noise_len = 5;
   specs[4].input = synth_input(ecg::RecordProfile::PvcOccasional, 5, true);
   specs[4].packet = 2048;
-  specs[4].deferred = true;
   return specs;
 }
 

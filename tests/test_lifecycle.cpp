@@ -567,6 +567,54 @@ TEST_F(LifecycleSwapTest, SwapSplitsVerdictStreamExactly) {
   }
 }
 
+// close() is a beat boundary too: a swap staged after the last pump round
+// lands before the tail is drained, so every tail verdict — queued samples
+// and the monitor's flush alike — is classified by, and tagged with, the
+// new model.
+TEST_F(LifecycleSwapTest, SwapStagedAfterLastPumpClassifiesCloseTail) {
+  const auto lead = patient_lead(43, 25.0);
+  const auto ref_a = run_engine(*clf_a_, lead, 1, 1);
+  const auto ref_b = run_engine(*clf_b_, lead, 1, 1);
+  ASSERT_EQ(ref_a.size(), ref_b.size());
+
+  service::FleetEngine engine(*clf_a_, {});
+  std::vector<TaggedVerdict> out;
+  const auto id =
+      engine.open_session([&out](const service::SessionResult& r) {
+        out.push_back(TaggedVerdict{
+            VerdictSig{r.sequence, static_cast<std::uint64_t>(r.beat.r_peak),
+                       static_cast<std::uint8_t>(r.beat.predicted),
+                       static_cast<std::uint8_t>(r.beat.quality)},
+            r.model_version});
+      });
+  ASSERT_TRUE(id.has_value());
+  // The first half is pumped through; the second stays queued until close.
+  const std::span<const double> all(lead);
+  const std::size_t half = lead.size() / 2;
+  for (std::size_t off = 0; off < half; off += 2048) {
+    const std::size_t n = std::min<std::size_t>(2048, half - off);
+    ASSERT_EQ(engine.offer(*id, all.subspan(off, n)).accepted, n);
+    engine.pump();
+  }
+  engine.drain();
+  ASSERT_EQ(engine.offer(*id, all.subspan(half)).accepted, lead.size() - half);
+  const std::size_t pumped = out.size();
+  ASSERT_GT(pumped, 0u);
+  ASSERT_TRUE(engine.stage_swap(*id, model_b()));
+  ASSERT_TRUE(engine.close_session(*id));
+
+  ASSERT_EQ(out.size(), ref_a.size());
+  std::size_t tail_differs = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const bool tail = i >= pumped;
+    EXPECT_EQ(out[i].sig, tail ? ref_b[i].sig : ref_a[i].sig) << "beat " << i;
+    EXPECT_EQ(out[i].model_version, tail ? 2u : 1u) << "beat " << i;
+    tail_differs += tail && !(ref_a[i].sig == ref_b[i].sig) ? 1 : 0;
+  }
+  EXPECT_GT(tail_differs, 0u)
+      << "the two models must disagree somewhere in the tail to bite";
+}
+
 TEST_F(LifecycleSwapTest, RestagingSameModelIsIdempotent) {
   const auto lead = patient_lead(41, 12.0);
   service::FleetEngine engine(*clf_a_, {});

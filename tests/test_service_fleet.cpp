@@ -1,7 +1,7 @@
 // Fleet service layer: determinism across shard/thread counts, equivalence
 // with a standalone monitor, admission control, backpressure policies under
-// clean and fault-injected input, rate caps, in-order delivery, and
-// close/re-open mid-stream.
+// clean and fault-injected input, rate caps, in-order delivery,
+// close/re-open mid-stream, and a close-only session matching a pumped one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -123,11 +123,18 @@ std::vector<std::vector<BeatSig>> replay_fleet(
 TEST_F(FleetEngineTest, MatchesStandaloneMonitor) {
   const auto lead = patient_lead(7);
 
-  // Reference: the classifying monitor fed directly.
+  // Reference: a monitor fed directly, each window classified on its own
+  // with classify_window — independent of the fleet's classify_batch.
   hbrp::core::StreamingBeatMonitor monitor(*bundle_);
   std::vector<hbrp::core::MonitorBeat> reference;
-  const hbrp::core::BeatSink ref_sink =
-      [&](const hbrp::core::MonitorBeat& b) { reference.push_back(b); };
+  hbrp::embedded::ClassifyScratch scratch;
+  const hbrp::core::PendingBeatSink ref_sink =
+      [&](const hbrp::core::PendingBeat& pb) {
+        hbrp::core::MonitorBeat beat = pb.beat;
+        if (pb.needs_classification)
+          beat.predicted = bundle_->classify_window(pb.window, scratch);
+        reference.push_back(beat);
+      };
   for (const double x : lead) monitor.push(x, ref_sink);
   monitor.flush(ref_sink);
 
@@ -390,6 +397,43 @@ TEST_F(FleetEngineTest, CloseMidStreamDeliversTailThenReopenIsClean) {
   EXPECT_TRUE(engine.close_session(*b));
   ASSERT_FALSE(second.empty());
   EXPECT_EQ(second.front().sequence, 0u);
+}
+
+// close_session() sends the tail down the pump round's own path, so a
+// session closed before any pump round delivers exactly what the same
+// stream pumped to completion delivers.
+TEST_F(FleetEngineTest, CloseWithoutPumpMatchesPumpedRun) {
+  const auto lead = patient_lead(44, 30.0);
+  struct Verdict {
+    BeatSig sig;
+    std::uint64_t model_version;
+    bool operator==(const Verdict&) const = default;
+  };
+  const auto run = [&lead](bool pump) {
+    FleetConfig cfg;
+    cfg.session.queue_capacity = lead.size();
+    FleetEngine engine(*bundle_, cfg);
+    std::vector<Verdict> out;
+    const auto id = engine.open_session([&out](const SessionResult& r) {
+      out.push_back({signature(r), r.model_version});
+    });
+    EXPECT_TRUE(id.has_value());
+    const std::span<const double> all(lead);
+    for (std::size_t off = 0; off < lead.size(); off += 1024) {
+      const std::size_t n = std::min<std::size_t>(1024, lead.size() - off);
+      EXPECT_EQ(engine.offer(*id, all.subspan(off, n)).accepted, n);
+      if (pump) engine.pump();
+    }
+    if (pump) engine.drain();
+    const std::size_t before_close = out.size();
+    EXPECT_TRUE(engine.close_session(*id));
+    EXPECT_GT(out.size(), before_close) << "the close tail must deliver";
+    return out;
+  };
+  const auto pumped = run(true);
+  const auto closed = run(false);
+  ASSERT_GT(pumped.size(), 20u);
+  EXPECT_EQ(closed, pumped);
 }
 
 TEST_F(FleetEngineTest, TelemetryJsonSnapshot) {
