@@ -134,8 +134,8 @@ CellResult run_cell(const embedded::EmbeddedClassifier& classifier,
         any = true;
         const std::size_t n = std::min(kPacket, streams[i].size() - offset);
         std::span<const double> packet(streams[i].data() + offset, n);
-        // Block policy + per-round shard pump: the queue bound is never
-        // hit, so nothing is ever deferred and the replay is lossless.
+        // Per-round shard pump: the queue bound is never hit, so nothing
+        // is ever deferred and the replay is lossless.
         while (true) {
           const auto res = engine.offer(ids[i], packet);
           my_samples += res.accepted;

@@ -140,7 +140,8 @@ int main(int argc, char** argv) {
       any = true;
       const std::size_t n = std::min(kPacket, streams[i].size() - offset);
       std::span<const double> packet(streams[i].data() + offset, n);
-      // Block policy: retry until the bounded queue takes the packet.
+      // The bounded queue defers what does not fit: retry until it has
+      // taken the whole packet.
       while (true) {
         const auto res = engine.offer(ids[i], packet);
         if (res.deferred == 0) break;

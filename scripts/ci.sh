@@ -20,11 +20,15 @@
 #   5. gateway loopback soak smoke: gateway_ward (8 concurrent sensor
 #      clients over real loopback TCP, one with an injected flaky
 #      electrode; exits non-zero on an unclean close or a verdict sequence
-#      gap), bench_net --quick, whose stream runs gate wire verdicts
+#      gap), a fleet_server smoke (the example that snapshots live
+#      sessions), bench_net --quick, whose stream runs gate wire verdicts
 #      against direct in-process ingest bit-for-bit across the reactor
 #      axis (plus the same perf_gate comparison vs BENCH_net.json), and
 #      fleet_soak — 10k concurrent loopback sessions through a 2-reactor
-#      gateway with a 512 MB peak-RSS ceiling;
+#      gateway with a 512 MB peak-RSS ceiling. The telemetry JSON that
+#      gateway_ward, fleet_server and fleet_soak print is parsed by
+#      scripts/telemetry_json_check.py, which fails on invalid JSON or a
+#      schema_version other than service::kTelemetrySchemaVersion;
 #   6. perf gate: a quick bench_microkernels pass compared against the
 #      committed BENCH_microkernels.json by scripts/perf_gate.py — fails on
 #      >15% per-op CPU-time regression (tolerance doubled on virtualized
@@ -108,8 +112,16 @@ echo "==== fleet gate (identity/speedup keys vs BENCH_fleet.json)"
 python3 scripts/perf_gate.py BENCH_fleet.json build/BENCH_fleet_quick.json
 
 # --- 1c. gateway loopback soak smoke --------------------------------------
+# The examples' stdout is kept under build/ so the telemetry JSON they
+# print can be parsed and its schema_version checked.
 echo "==== gateway soak smoke (gateway_ward: 8 clients + fault injection)"
-./build/examples/gateway_ward 8 20 0
+./build/examples/gateway_ward 8 20 0 | tee build/gateway_ward.log
+python3 scripts/telemetry_json_check.py build/gateway_ward.log \
+  "Gateway stats:" "Fleet telemetry snapshot:"
+echo "==== fleet collector smoke (fleet_server: 4 nodes, live snapshot)"
+./build/examples/fleet_server 4 10 1 | tee build/fleet_server.log
+python3 scripts/telemetry_json_check.py build/fleet_server.log \
+  "Fleet telemetry snapshot:"
 echo "==== net identity gate (bench_net --quick)"
 ./build/bench/bench_net --quick --threads=0 --json=build/BENCH_net_quick.json
 python3 scripts/perf_gate.py BENCH_net.json build/BENCH_net_quick.json
@@ -121,7 +133,8 @@ python3 scripts/perf_gate.py BENCH_net.json build/BENCH_net_quick.json
 # cannot hold 2 fds per node the driver self-scales the node count down
 # and says so — the pass criteria then apply to the scaled count.
 echo "==== fleet soak smoke (fleet_soak: 10k sessions, RSS-capped)"
-./build/examples/fleet_soak 10000 2 2 512
+./build/examples/fleet_soak 10000 2 2 512 | tee build/fleet_soak.log
+python3 scripts/telemetry_json_check.py build/fleet_soak.log "reactors:"
 
 # --- 1d. perf gate: microkernels vs committed baseline --------------------
 echo "==== perf gate (bench_microkernels vs BENCH_microkernels.json)"

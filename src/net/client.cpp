@@ -367,13 +367,9 @@ void SensorNodeClient::handle_frame(const FrameView& f) {
       // ACK and verdict cannot lose the gateway's answer.
       return;
     }
-    case FrameType::Heartbeat: {
-      enqueue(FrameType::Ack, f.seq, false,
-              encode_ack(AckMsg{FrameType::Heartbeat}));
-      return;
-    }
     default:
-      // Hello / SampleChunk / FullBeat / Bye never flow gateway -> node.
+      // Hello / SampleChunk / FullBeat / Heartbeat / Bye never flow
+      // gateway -> node.
       ++stats_.parse_rejects;
       disconnect(now, true);
       return;

@@ -21,22 +21,9 @@ using Clock = std::chrono::steady_clock;
 constexpr int kBaseWaitMs = 5;
 constexpr int kMaxWaitMs = 320;
 
-void append_field(std::string& out, const char* key, std::uint64_t v,
-                  bool first = false) {
-  if (!first) out += ", ";
-  out += '"';
-  out += key;
-  out += "\": ";
-  out += std::to_string(v);
-}
+using service::append_field;
 
 GatewayConfig sanitize_config(GatewayConfig cfg) {
-  // The wire contract is lossless ingest: a chunk the session queue cannot
-  // take is parked on the connection and retried, with TCP flow control
-  // pushing back on the node. That only composes with the Block policy —
-  // Reject/DropOldest would silently shed samples the node believes were
-  // delivered.
-  cfg.fleet.session.backpressure = service::BackpressurePolicy::Block;
   if (cfg.reactors == 0)
     cfg.reactors = std::max(1u, std::thread::hardware_concurrency());
   // Reactor r owns engine shard r outright — every session it opens is
@@ -118,8 +105,9 @@ struct GatewayServer::Conn {
   std::uint32_t push_next_part = 0;
   std::uint32_t push_chunk = 0;
   std::vector<unsigned char> push_buf;
-  /// Decoded samples the session queue has not accepted yet (Block
-  /// backpressure); while non-empty the socket is not read.
+  /// Decoded samples the session queue has not accepted yet (deferred or
+  /// rejected); while non-empty the socket is not read and later frames
+  /// wait in the parser.
   std::vector<dsp::Sample> inbound;
   std::vector<dsp::Sample> window_scratch;
   Clock::time_point last_rx;
@@ -148,9 +136,8 @@ struct GatewayServer::Reactor {
 
 GatewayServer::GatewayServer(embedded::EmbeddedClassifier classifier,
                              GatewayConfig cfg)
-    : classifier_(std::move(classifier)),
-      cfg_(sanitize_config(std::move(cfg))),
-      engine_(classifier_, cfg_.fleet),
+    : cfg_(sanitize_config(std::move(cfg))),
+      engine_(std::move(classifier), cfg_.fleet),
       listener_(cfg_.port, cfg_.listen_backlog),
       registry_(cfg_.registry) {
   reactors_.reserve(cfg_.reactors);
@@ -160,11 +147,12 @@ GatewayServer::GatewayServer(embedded::EmbeddedClassifier classifier,
   }
   // Seed the registry with the construction-time classifier so pushes have
   // an incumbent to compare against (geometry, downgrade) and rollback has
-  // a floor. Like the engine's internal default model it carries no drift
-  // seeds; a pushed bundle brings its own.
+  // a floor. Like the engine's default model it carries no drift seeds; a
+  // pushed bundle brings its own. It is a copy of that model, not the
+  // engine's pointer: the registry pins a version by its external use
+  // count, and the engine holds its default model for its whole life.
   auto initial = std::make_shared<const service::SessionModel>(
-      service::SessionModel{cfg_.fleet.initial_model_version, classifier_,
-                            nullptr});
+      *engine_.default_model());
   const auto admitted = registry_.admit(initial, /*digest=*/0);
   HBRP_REQUIRE(admitted == lifecycle::AdmitResult::Ok,
                "GatewayServer: initial model admission failed");
@@ -301,7 +289,7 @@ void GatewayServer::on_hello(Conn& c, const FrameView& f) {
   c.policy = hello->policy;
   c.node_id = hello->node_id;
   HelloAckMsg ack;
-  const std::size_t expected = classifier_.projector().expected_window();
+  const std::size_t expected = window_length();
   if (hello->policy == TxPolicy::Selective && hello->window != expected) {
     ack.status = HelloStatus::BadWindow;
   } else {
@@ -353,7 +341,8 @@ void GatewayServer::offer_samples(Conn& c) {
                     c.inbound.begin() +
                         static_cast<std::ptrdiff_t>(out.accepted));
   // Anything deferred (session queue full) or rejected (fleet-wide gauge)
-  // stays parked for the next round — the socket is not read meanwhile.
+  // stays parked for the next round's retry, and the socket is not read
+  // meanwhile: nothing the node sent is dropped.
 }
 
 void GatewayServer::on_sample_chunk(Conn& c, const FrameView& f) {
@@ -401,7 +390,7 @@ void GatewayServer::on_full_beat(Conn& c, const FrameView& f) {
     return;
   }
   if (m.count != 0 &&
-      c.window_scratch.size() != classifier_.projector().expected_window()) {
+      c.window_scratch.size() != window_length()) {
     stats_.conns_dropped_protocol.fetch_add(1, std::memory_order_relaxed);
     close_conn(c, false);
     return;
@@ -448,7 +437,7 @@ void GatewayServer::on_full_beat(Conn& c, const FrameView& f) {
   const service::SessionModel* sm =
       c.session.has_value() ? engine_.session_model(*c.session) : nullptr;
   const embedded::EmbeddedClassifier& clf =
-      sm != nullptr ? sm->classifier : classifier_;
+      sm != nullptr ? sm->classifier : engine_.default_model()->classifier;
   BeatVerdictMsg v;
   v.r_peak = m.r_peak;
   v.quality = m.quality;
@@ -682,28 +671,30 @@ void GatewayServer::read_conn(Conn& c) {
         close_conn(c, false);
         return;
       }
-      FrameView f;
-      auto st = FrameParser::Status::NeedMore;
-      while (c.alive && !c.draining) {
-        st = c.parser.next(f);
-        if (st != FrameParser::Status::Ok) break;
-        stats_.frames_rx.fetch_add(1, std::memory_order_relaxed);
-        c.owner->frames_rx.fetch_add(1, std::memory_order_relaxed);
-        dispatch(c, f);
-      }
-      if (!c.alive) return;
-      if (st == FrameParser::Status::Corrupt) {
-        stats_.frame_rejects.fetch_add(1, std::memory_order_relaxed);
-        stats_.conns_dropped_protocol.fetch_add(1, std::memory_order_relaxed);
-        close_conn(c, false);
-        return;
-      }
+      dispatch_parsed(c);
       continue;
     }
     if (r.would_block) return;
     // EOF without BYE or a hard error: the peer is gone; no tail.
     close_conn(c, false);
     return;
+  }
+}
+
+void GatewayServer::dispatch_parsed(Conn& c) {
+  FrameView f;
+  auto st = FrameParser::Status::NeedMore;
+  while (c.alive && !c.draining && c.inbound.empty()) {
+    st = c.parser.next(f);
+    if (st != FrameParser::Status::Ok) break;
+    stats_.frames_rx.fetch_add(1, std::memory_order_relaxed);
+    c.owner->frames_rx.fetch_add(1, std::memory_order_relaxed);
+    dispatch(c, f);
+  }
+  if (c.alive && st == FrameParser::Status::Corrupt) {
+    stats_.frame_rejects.fetch_add(1, std::memory_order_relaxed);
+    stats_.conns_dropped_protocol.fetch_add(1, std::memory_order_relaxed);
+    close_conn(c, false);
   }
 }
 
@@ -741,12 +732,14 @@ std::size_t GatewayServer::step_reactor(Reactor& r, int timeout_ms) {
   // Phase -1: adopt connections reactor 0 handed over since last step.
   adopt_inbox(r);
 
-  // Phase 0: retry ingest parked by backpressure (pump freed queue space).
+  // Phase 0: retry ingest parked by backpressure (pump freed queue space),
+  // then dispatch the frames that waited in the parser behind it.
   bool parked = false;
   for (auto& c : r.conns) {
     if (!c->alive || c->inbound.empty()) continue;
     offer_samples(*c);
-    if (!c->inbound.empty()) parked = true;
+    dispatch_parsed(*c);
+    if (c->alive && !c->inbound.empty()) parked = true;
   }
 
   // Phase 1: declare interest and wait for readiness. A reactor with

@@ -51,9 +51,9 @@
 // gate on exactly this).
 //
 // Backpressure is end-to-end and lossless on the ingest side: when a
-// session's bounded queue defers part of a chunk (Block policy), the
-// remainder parks in the connection and the socket is NOT read again until
-// it drains — TCP flow control then pushes back on the node. On the egress
+// session's bounded queue defers part of a chunk, the remainder parks in
+// the connection and the socket is NOT read again until it drains — TCP
+// flow control then pushes back on the node. On the egress
 // side the send buffer is capped; a client that stops reading its verdicts
 // is dropped rather than allowed to grow the gateway without bound.
 //
@@ -120,8 +120,8 @@ struct GatewayConfig {
   /// listen(2) backlog; raise it for soak drivers ramping thousands of
   /// connections faster than the accept loop turns.
   int listen_backlog = 128;
-  /// Inner engine configuration (admission, per-session queue/backpressure
-  /// defaults). `shards` and `threads` are overridden as described above.
+  /// Inner engine configuration (admission, per-session queue defaults).
+  /// `shards` and `threads` are overridden as described above.
   service::FleetConfig fleet;
   /// Model registry bounds (version slots kept addressable for swap and
   /// rollback). The construction-time classifier is seeded as version
@@ -252,6 +252,12 @@ class GatewayServer {
   void adopt_conn(Reactor& r, Socket s);
   void accept_pending();
   void read_conn(Conn& c);
+  /// Dispatches the frames already in the connection's parser until it
+  /// runs dry, the connection closes or drains, or a chunk parks samples.
+  /// Frames behind parked samples stay in the parser until the retry has
+  /// moved them into the session queue, so a BYE cannot close the session
+  /// ahead of samples the node sent before it.
+  void dispatch_parsed(Conn& c);
   void dispatch(Conn& c, const FrameView& f);
   void on_hello(Conn& c, const FrameView& f);
   void on_sample_chunk(Conn& c, const FrameView& f);
@@ -275,8 +281,12 @@ class GatewayServer {
   /// Unwatches + closes the socket and updates the gauges; the reaper
   /// frees the Conn at the end of the round.
   void finalize_close(Conn& c);
+  /// Beat window length of the engine's models: what a Selective HELLO
+  /// must announce and a FULL_BEAT upload must carry.
+  std::size_t window_length() const {
+    return engine_.default_model()->classifier.projector().expected_window();
+  }
 
-  embedded::EmbeddedClassifier classifier_;
   GatewayConfig cfg_;
   service::FleetEngine engine_;
   TcpListener listener_;

@@ -34,10 +34,12 @@
 //                                    arrives (at-least-once; the gateway
 //                                    re-verdicts duplicates and the client
 //                                    dedupes verdicts by seq).
-//   Heartbeat    either direction    seq = sender's heartbeat counter;
-//                                    empty payload; peer echoes with Ack.
-//   Ack          either direction    seq echoes the acknowledged frame's
-//                                    seq; AckMsg names the acked type.
+//   Heartbeat    client -> gateway   seq = client's heartbeat counter;
+//                                    empty payload; the gateway echoes it
+//                                    with Ack.
+//   Ack          gateway -> client   seq echoes the acknowledged frame's
+//                                    seq (a Heartbeat or FullBeat); AckMsg
+//                                    names the acked type.
 //   Bye          client -> gateway   graceful close: the gateway flushes
 //                                    the session tail as BeatVerdict
 //                                    frames, then closes the connection.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "math/check.hpp"
 
@@ -21,22 +20,21 @@ std::uint64_t ns_between(SteadyClock::time_point a, SteadyClock::time_point b) {
 
 FleetEngine::FleetEngine(embedded::EmbeddedClassifier classifier,
                          FleetConfig cfg)
-    : classifier_(std::move(classifier)),
-      cfg_(std::move(cfg)),
+    : cfg_(std::move(cfg)),
+      // No bundled centroids on the default model: sessions opened against
+      // it run with drift off. Drift seeds arrive only via
+      // SessionConfig::model or a staged swap.
+      default_model_(std::make_shared<const SessionModel>(SessionModel{
+          cfg_.initial_model_version, std::move(classifier), nullptr})),
       executor_(cfg_.threads) {
   HBRP_REQUIRE(cfg_.max_sessions >= 1, "FleetEngine: max_sessions must be >= 1");
   const std::size_t shards =
       std::max<std::size_t>(1, cfg_.shards != 0 ? cfg_.shards
                                                 : executor_.threads());
-  const std::size_t window = classifier_.projector().expected_window();
+  const std::size_t window = geometry().expected_window();
   shards_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s)
     shards_.push_back(std::make_unique<Shard>(window));
-  // No bundled centroids on the default model: sessions opened against it
-  // run with drift off. Drift seeds arrive only via SessionConfig::model or
-  // a staged swap.
-  default_model_ = std::make_shared<const SessionModel>(
-      SessionModel{cfg_.initial_model_version, classifier_, nullptr});
 }
 
 FleetEngine::~FleetEngine() {
@@ -82,10 +80,7 @@ std::optional<SessionId> FleetEngine::open_session_locked(ResultSink sink,
   const SessionId id = next_id_++;
   std::shared_ptr<const SessionModel> model =
       cfg.model != nullptr ? cfg.model : default_model_;
-  HBRP_REQUIRE(model->classifier.projector().expected_window() ==
-                       classifier_.projector().expected_window() &&
-                   model->classifier.projector().coefficients() ==
-                       classifier_.projector().coefficients(),
+  HBRP_REQUIRE(same_geometry(*model),
                "FleetEngine: session model geometry differs from the engine");
   auto session = std::make_unique<Session>(id, std::move(model),
                                            std::move(cfg), std::move(sink));
@@ -127,10 +122,7 @@ bool FleetEngine::close_session(SessionId id) {
 void FleetEngine::stage_on(Session& session,
                            std::shared_ptr<const SessionModel> model) {
   HBRP_REQUIRE(model != nullptr, "FleetEngine: staged model must be non-null");
-  HBRP_REQUIRE(model->classifier.projector().expected_window() ==
-                       classifier_.projector().expected_window() &&
-                   model->classifier.projector().coefficients() ==
-                       classifier_.projector().coefficients(),
+  HBRP_REQUIRE(same_geometry(*model),
                "FleetEngine: staged model geometry differs from the engine");
   {
     const std::lock_guard<std::mutex> lock(session.swap_mutex_);
@@ -195,20 +187,10 @@ OfferOutcome FleetEngine::offer_impl(SessionId id,
     out.rejected = samples.size();
     return out;
   }
-  std::ptrdiff_t delta = 0;
-  out = session.enqueue(samples, Session::Clock::now(), &delta);
-  std::atomic<std::uint64_t>& shard_gauge = shards_[session.shard_]->queued;
-  if (delta >= 0) {
-    queued_samples_.fetch_add(static_cast<std::uint64_t>(delta),
-                              std::memory_order_relaxed);
-    shard_gauge.fetch_add(static_cast<std::uint64_t>(delta),
-                          std::memory_order_relaxed);
-  } else {
-    queued_samples_.fetch_sub(static_cast<std::uint64_t>(-delta),
-                              std::memory_order_relaxed);
-    shard_gauge.fetch_sub(static_cast<std::uint64_t>(-delta),
-                          std::memory_order_relaxed);
-  }
+  out = session.enqueue(samples, Session::Clock::now());
+  queued_samples_.fetch_add(out.accepted, std::memory_order_relaxed);
+  shards_[session.shard_]->queued.fetch_add(out.accepted,
+                                            std::memory_order_relaxed);
   return out;
 }
 
@@ -254,8 +236,8 @@ std::size_t FleetEngine::pump_shard_body(std::size_t s) {
   // with a fleet on one model (the steady state) this is exactly the old
   // whole-batch call. Per-run projections are gathered into u_all so slot
   // indexing survives the split.
-  const std::size_t k = classifier_.projector().coefficients();
-  const std::size_t window = classifier_.projector().expected_window();
+  const std::size_t k = geometry().coefficients();
+  const std::size_t window = geometry().expected_window();
   shard.classes.resize(shard.batch.size());
   shard.u_all.resize(shard.batch.size() * k);
   if (!shard.batch.empty()) {
@@ -395,18 +377,18 @@ std::string FleetEngine::telemetry_json() const {
     const auto load = [](const std::atomic<std::uint64_t>& a) {
       return a.load(std::memory_order_relaxed);
     };
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "%s\n    {\"shard\": %zu, \"sessions\": %zu, "
-                  "\"pumps\": %llu, \"beats\": %llu, \"drain_s\": %.6g, "
-                  "\"classify_s\": %.6g, \"deliver_s\": %.6g}",
-                  s == 0 ? "" : ",", s, shard.members.size(),
-                  static_cast<unsigned long long>(load(shard.pumps)),
-                  static_cast<unsigned long long>(load(shard.beats)),
-                  static_cast<double>(load(shard.drain_ns)) / 1e9,
-                  static_cast<double>(load(shard.classify_ns)) / 1e9,
-                  static_cast<double>(load(shard.deliver_ns)) / 1e9);
-    out += buf;
+    const auto seconds = [&load](const std::atomic<std::uint64_t>& ns) {
+      return static_cast<double>(load(ns)) / 1e9;
+    };
+    out += s == 0 ? "\n    {" : ",\n    {";
+    append_field(out, "shard", s, /*first=*/true);
+    append_field(out, "sessions", shard.members.size());
+    append_field(out, "pumps", load(shard.pumps));
+    append_field(out, "beats", load(shard.beats));
+    append_field(out, "drain_s", seconds(shard.drain_ns));
+    append_field(out, "classify_s", seconds(shard.classify_ns));
+    append_field(out, "deliver_s", seconds(shard.deliver_ns));
+    out += "}";
   }
   out += shards_.empty() ? "]" : "\n  ]";
   out += ",\n  \"sessions\": [";

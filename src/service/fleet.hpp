@@ -41,9 +41,10 @@
 // Admission control: open_session() refuses beyond max_sessions; offer()
 // refuses when the fleet-wide queued-sample gauge would exceed
 // max_queued_samples (a soft bound under concurrent producers); within a
-// session the bounded queue applies its BackpressurePolicy (see
-// session.hpp). Telemetry for all of it is lock-free (telemetry.hpp) and
-// snapshot-able as JSON while the engine runs.
+// session the bounded queue accepts what fits and defers the rest to the
+// producer, losslessly (see session.hpp). Telemetry for all of it is
+// lock-free (telemetry.hpp) and snapshot-able as JSON while the engine
+// runs.
 //
 // Threading contract: offer() is safe from any number of producer threads
 // concurrently with pump()/pump_shard()/drain() drivers; open/close are
@@ -80,8 +81,8 @@ struct FleetConfig {
   std::size_t max_sessions = 64;
   /// Admission: fleet-wide bound on queued samples across all sessions.
   std::size_t max_queued_samples = 1u << 22;
-  /// Per-session defaults for open_session() (queue bound, backpressure
-  /// policy, rate cap, monitor geometry).
+  /// Per-session defaults for open_session() (queue bound, rate cap,
+  /// monitor geometry).
   SessionConfig session;
   /// Version stamped on the engine's construction-time classifier (the
   /// default SessionModel every session starts on unless its SessionConfig
@@ -112,8 +113,9 @@ class FleetEngine {
   /// delivers the tail in order, and frees the slot. False if unknown.
   bool close_session(SessionId id);
 
-  /// Enqueues raw samples for `id`, applying fleet admission control and
-  /// the session's backpressure policy. The double overload is the
+  /// Enqueues raw samples for `id`, applying fleet admission control; the
+  /// session queue accepts the prefix that fits and defers the rest to
+  /// the caller, who retries it after a pump. The double overload is the
   /// untrusted front-end boundary (non-finite samples survive the queue
   /// and are sanitized by the monitor); the integer overload enqueues
   /// directly, with no intermediate double buffer. Safe from any thread.
@@ -132,8 +134,7 @@ class FleetEngine {
   std::size_t pump_shard(std::size_t shard);
 
   /// Pumps until every ingest queue is empty; returns beats delivered.
-  /// Deferred (Block-policy) samples live on the producer side and are not
-  /// waited for.
+  /// Deferred samples live on the producer side and are not waited for.
   std::size_t drain();
 
   /// The engine's construction-time classifier wrapped as a versioned
@@ -230,9 +231,20 @@ class FleetEngine {
                                                std::size_t shard);
   /// Geometry guard + per-session staging (caller holds any registry lock).
   void stage_on(Session& session, std::shared_ptr<const SessionModel> model);
+  /// The engine's window length and coefficient count: the default model's.
+  const rp::BeatProjector& geometry() const {
+    return default_model_->classifier.projector();
+  }
+  /// True when `model` has the engine's window length and coefficient count.
+  bool same_geometry(const SessionModel& model) const {
+    const rp::BeatProjector& p = model.classifier.projector();
+    return p.expected_window() == geometry().expected_window() &&
+           p.coefficients() == geometry().coefficients();
+  }
 
-  embedded::EmbeddedClassifier classifier_;
   FleetConfig cfg_;
+  /// The construction-time classifier — the engine's only copy — and the
+  /// geometry every session and staged model must match.
   std::shared_ptr<const SessionModel> default_model_;
   core::Executor executor_;
   std::vector<std::unique_ptr<Shard>> shards_;  // non-movable: stable slots

@@ -8,15 +8,6 @@
 
 namespace hbrp::service {
 
-const char* to_string(BackpressurePolicy policy) {
-  switch (policy) {
-    case BackpressurePolicy::Block: return "block";
-    case BackpressurePolicy::DropOldest: return "drop-oldest";
-    case BackpressurePolicy::Reject: return "reject";
-  }
-  return "?";
-}
-
 namespace {
 // Checked before monitor_ dereferences the model in the initializer list.
 std::shared_ptr<const SessionModel> require_model(
@@ -64,7 +55,6 @@ void Session::apply_pending_swap() {
   // so alarms re-arm against the new centroids rather than comparing new
   // projections to the old model's geometry.
   reseed_drift();
-  swap_sequence_ = next_sequence_;
   ++swap_count_;
   telemetry_.model_version.store(model_->version, std::memory_order_relaxed);
   telemetry_.swap_count.store(swap_count_, std::memory_order_relaxed);
@@ -80,81 +70,35 @@ std::size_t Session::queued() const {
 
 template <typename T>
 OfferOutcome Session::enqueue(std::span<const T> samples,
-                              Clock::time_point now,
-                              std::ptrdiff_t* queue_delta) {
+                              Clock::time_point now) {
   const std::lock_guard<std::mutex> lock(queue_mutex_);
-  const std::size_t depth_before = queue_.size();
   OfferOutcome out;
-  const std::size_t n = samples.size();
-  telemetry_.samples_offered.fetch_add(n, std::memory_order_relaxed);
-
-  std::size_t free = cfg_.queue_capacity - queue_.size();
-  std::span<const T> accept = samples;
-  switch (cfg_.backpressure) {
-    case BackpressurePolicy::Block: {
-      const std::size_t take = std::min(n, free);
-      accept = samples.first(take);
-      out.deferred = n - take;
-      break;
-    }
-    case BackpressurePolicy::Reject: {
-      const std::size_t take = std::min(n, free);
-      accept = samples.first(take);
-      out.rejected = n - take;
-      break;
-    }
-    case BackpressurePolicy::DropOldest: {
-      if (n > free) {
-        const std::size_t evict =
-            std::min(n - free, queue_.size());
-        queue_.erase(queue_.begin(),
-                     queue_.begin() + static_cast<std::ptrdiff_t>(evict));
-        front_pos_ += evict;
-        out.evicted = evict;
-        while (!stamps_.empty() && stamps_.front().upto <= front_pos_)
-          stamps_.pop_front();
-        free = cfg_.queue_capacity - queue_.size();
-        if (n > free) {
-          // The offer alone exceeds the whole queue: the overflowing prefix
-          // of the *incoming* samples is the oldest data, so it is evicted.
-          accept = samples.last(free);
-          out.evicted += n - free;
-        }
-      }
-      break;
-    }
-  }
-
-  out.accepted = accept.size();
-  if (!accept.empty()) {
-    queue_.insert(queue_.end(), accept.begin(), accept.end());
-    ingested_ += accept.size();
+  out.accepted =
+      std::min(samples.size(), cfg_.queue_capacity - queue_.size());
+  out.deferred = samples.size() - out.accepted;
+  if (out.accepted > 0) {
+    queue_.insert(queue_.end(), samples.begin(),
+                  samples.begin() + static_cast<std::ptrdiff_t>(out.accepted));
+    ingested_ += out.accepted;
     stamps_.push_back({ingested_, now});
   }
 
+  telemetry_.samples_offered.fetch_add(samples.size(),
+                                       std::memory_order_relaxed);
   telemetry_.samples_accepted.fetch_add(out.accepted,
                                         std::memory_order_relaxed);
   telemetry_.samples_deferred.fetch_add(out.deferred,
                                         std::memory_order_relaxed);
-  telemetry_.samples_rejected.fetch_add(out.rejected,
-                                        std::memory_order_relaxed);
-  telemetry_.samples_evicted.fetch_add(out.evicted,
-                                       std::memory_order_relaxed);
   telemetry_.queue_high_water.note(queue_.size());
-  if (queue_delta != nullptr)
-    *queue_delta = static_cast<std::ptrdiff_t>(queue_.size()) -
-                   static_cast<std::ptrdiff_t>(depth_before);
   return out;
 }
 
 // The two producer-facing element types: the untrusted double front end and
 // trusted integer-sample producers (no intermediate double copy).
 template OfferOutcome Session::enqueue<double>(std::span<const double>,
-                                               Clock::time_point,
-                                               std::ptrdiff_t*);
+                                               Clock::time_point);
 template OfferOutcome Session::enqueue<dsp::Sample>(std::span<const dsp::Sample>,
-                                                    Clock::time_point,
-                                                    std::ptrdiff_t*);
+                                                    Clock::time_point);
 
 std::size_t Session::begin_drain(std::size_t limit) {
   const std::lock_guard<std::mutex> lock(queue_mutex_);

@@ -2,25 +2,19 @@
 //
 // A Session owns everything that is per-patient: the fault-tolerant
 // StreamingBeatMonitor (with its own SQI/degradation state), a bounded
-// MPSC ingest queue of raw samples with an explicit backpressure policy,
-// the monotonically sequenced result log, and the session's telemetry
-// counters. Producers (radio threads, replay harnesses) call
-// FleetEngine::offer() from any thread; the engine's pump() drains each
-// session on exactly one shard per round, so all monitor state is
-// single-writer and needs no lock — only the ingest queue itself is
+// MPSC ingest queue of raw samples, the monotonically sequenced result log,
+// and the session's telemetry counters. Producers (radio threads, replay
+// harnesses) call FleetEngine::offer() from any thread; the engine's pump()
+// drains each session on exactly one shard per round, so all monitor state
+// is single-writer and needs no lock — only the ingest queue itself is
 // mutex-guarded, and only for the few microseconds of a bulk enqueue or
 // dequeue.
 //
-// Backpressure policies when an offer does not fit the bounded queue:
-//   Block      — accept the prefix that fits; the remainder is *deferred*
-//                (returned un-consumed) so a lossless producer stalls its
-//                stream and retries after the next pump. Nothing is lost.
-//   DropOldest — evict the oldest queued samples to make room and accept
-//                everything; the eviction count is telemetered. The splice
-//                is exactly the DropSamples acquisition fault the monitor
-//                is already hardened against (testing/fault_inject).
-//   Reject     — tail-drop: accept the prefix that fits, permanently
-//                discard the overflow (counted as rejected).
+// Ingest is lossless. When an offer does not fit the bounded queue, the
+// queue accepts the prefix that fits and returns the remainder as
+// *deferred* (un-consumed): the producer stalls its stream and retries
+// after the next pump. The queue never drops a sample, so a producer that
+// retries its deferred remainder loses nothing.
 //
 // Each session classifies and observes drift in one place. The monitor only
 // finds and grades beats; their windows go into a core::BeatBatch — the
@@ -68,15 +62,10 @@ struct SessionModel {
   std::shared_ptr<const drift::TrainingCentroids> centroids;
 };
 
-enum class BackpressurePolicy : std::uint8_t { Block, DropOldest, Reject };
-
-const char* to_string(BackpressurePolicy policy);
-
 struct SessionConfig {
   core::MonitorConfig monitor;
   /// Ingest queue bound, in samples (default ~45 s at 360 Hz).
   std::size_t queue_capacity = 1u << 14;
-  BackpressurePolicy backpressure = BackpressurePolicy::Block;
   /// Per-session rate cap: at most this many queued samples are serviced
   /// per FleetEngine::pump() round, so one chatty node cannot starve the
   /// rest of its shard.
@@ -101,11 +90,12 @@ struct SessionConfig {
 };
 
 /// What happened to the `n` samples of one offer: accepted + deferred +
-/// rejected == n, and `evicted` older samples were lost making room.
+/// rejected == n. The session queue accepts the prefix that fits and
+/// defers the rest; admission (unknown session, the fleet-wide queued
+/// sample bound) rejects the whole offer.
 struct OfferOutcome {
   std::size_t accepted = 0;
   std::size_t deferred = 0;
-  std::size_t evicted = 0;
   std::size_t rejected = 0;
 };
 
@@ -164,17 +154,13 @@ class Session {
     Clock::time_point enqueued_at;
   };
 
-  /// Enqueues under the queue lock, applying the backpressure policy.
-  /// `queue_delta` receives the net change in queue depth (accepted minus
-  /// samples evicted *from the queue* — DropOldest may also count incoming
-  /// samples as evicted, which never touch the queue), so the engine can
-  /// maintain the fleet-wide gauge exactly. Templated over the element type
-  /// (double for the untrusted front end, dsp::Sample for trusted integer
-  /// producers) so neither path copies into a temporary buffer first;
-  /// explicit instantiations live in session.cpp.
+  /// Enqueues the prefix that fits under the queue lock and defers the
+  /// rest; the queue grows by exactly `accepted`. Templated over the
+  /// element type (double for the untrusted front end, dsp::Sample for
+  /// trusted integer producers) so neither path copies into a temporary
+  /// buffer first; explicit instantiations live in session.cpp.
   template <typename T>
-  OfferOutcome enqueue(std::span<const T> samples, Clock::time_point now,
-                       std::ptrdiff_t* queue_delta);
+  OfferOutcome enqueue(std::span<const T> samples, Clock::time_point now);
   /// Moves up to `limit` queued samples (and their arrival stamps) into the
   /// drain buffers; returns how many. Pump rounds pass
   /// max_samples_per_pump, close() the whole queue.
@@ -230,8 +216,6 @@ class Session {
   std::shared_ptr<const SessionModel> pending_swap_;
   std::atomic<bool> swap_pending_{false};
   std::uint64_t swap_count_ = 0;
-  /// Verdict sequence at which the last swap took effect (diagnostics).
-  std::uint64_t swap_sequence_ = 0;
   SessionTelemetry telemetry_;
   /// Fleet-wide rollup (latency histogram); set by the engine at admission,
   /// null for a free-standing Session.

@@ -4,10 +4,8 @@
 
 namespace hbrp::service {
 
-namespace {
-
 void append_field(std::string& out, const char* key, std::uint64_t v,
-                  bool first = false) {
+                  bool first) {
   if (!first) out += ", ";
   out += '"';
   out += key;
@@ -23,8 +21,6 @@ void append_field(std::string& out, const char* key, double v) {
   out += "\": ";
   out += buf;
 }
-
-}  // namespace
 
 void LatencyHistogram::record_us(double us) {
   std::size_t idx = 0;
@@ -80,7 +76,6 @@ std::string SessionTelemetry::json(std::uint64_t id,
   append_field(out, "samples_accepted", load(samples_accepted));
   append_field(out, "samples_deferred", load(samples_deferred));
   append_field(out, "samples_rejected", load(samples_rejected));
-  append_field(out, "samples_evicted", load(samples_evicted));
   append_field(out, "samples_processed", load(samples_processed));
   append_field(out, "beats_out", load(beats_out));
   append_field(out, "pathological_beats", load(pathological_beats));

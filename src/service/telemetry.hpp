@@ -64,9 +64,8 @@ class LatencyHistogram {
 struct SessionTelemetry {
   std::atomic<std::uint64_t> samples_offered{0};
   std::atomic<std::uint64_t> samples_accepted{0};
-  std::atomic<std::uint64_t> samples_deferred{0};  ///< Block: retry later
-  std::atomic<std::uint64_t> samples_rejected{0};  ///< Reject/admission loss
-  std::atomic<std::uint64_t> samples_evicted{0};   ///< DropOldest loss
+  std::atomic<std::uint64_t> samples_deferred{0};  ///< queue full: retry later
+  std::atomic<std::uint64_t> samples_rejected{0};  ///< admission refusal
   std::atomic<std::uint64_t> samples_processed{0};
   std::atomic<std::uint64_t> beats_out{0};
   std::atomic<std::uint64_t> pathological_beats{0};
@@ -142,7 +141,15 @@ struct FleetTelemetry {
 /// lifecycle fields (per-session model_version/swap_count, fleet
 /// swaps_staged/swaps_applied, gateway bundle-push counters); version 5
 /// removed the per-session drift cluster count (the drift tracker keeps
-/// no cluster map).
-inline constexpr std::uint64_t kTelemetrySchemaVersion = 5;
+/// no cluster map); version 6 removed the per-session eviction count
+/// (session ingest is lossless: a queued sample is never evicted).
+inline constexpr std::uint64_t kTelemetrySchemaVersion = 6;
+
+/// The snapshot writers' one field formatter: appends `"key": v` to `out`,
+/// preceded by ", " unless `first` (a double never opens an object).
+/// Integers print exactly, doubles as %.6g.
+void append_field(std::string& out, const char* key, std::uint64_t v,
+                  bool first = false);
+void append_field(std::string& out, const char* key, double v);
 
 }  // namespace hbrp::service

@@ -1,7 +1,7 @@
 // Heap footprint per stream: live heap bytes per core::StreamingBeatMonitor
 // and per drift-enabled service::FleetEngine session, after 60 s of
-// synthetic ECG in 512-sample packets; and the drift tracker's own heap,
-// which must not grow per beat.
+// synthetic ECG in 512-sample packets; the drift tracker's own heap, which
+// must not grow per beat; and the classifier copies a FleetEngine keeps.
 //
 // The conditioning and detection intermediates are per thread
 // (kernels::DspWorkspace), so each test warms the thread's workspace with
@@ -228,6 +228,34 @@ TEST(Footprint, FleetSessionHeapPerSession) {
       << "live heap per session: " << per_session << " bytes";
   EXPECT_GE(beats, kStreams * 50);
   for (const service::SessionId id : ids) EXPECT_TRUE(engine.close_session(id));
+}
+
+// A FleetEngine keeps one copy of its construction-time classifier: the
+// default model sessions start on. A classifier moved into the engine costs
+// no further copy, so the engine's heap does not grow with the coefficient
+// count the way a classifier copy's does.
+TEST(Footprint, FleetEngineHoldsOneClassifierCopy) {
+  // Live heap of one classifier copy at coefficient count k.
+  const auto copy_heap = [](std::size_t k) {
+    const auto clf = make_classifier(k);
+    const std::int64_t before = live_bytes();
+    const embedded::EmbeddedClassifier copy = clf;
+    return live_bytes() - before;
+  };
+  // Live heap of an engine that the classifier, built before counting,
+  // was moved into.
+  const auto engine_heap = [](std::size_t k) {
+    auto clf = make_classifier(k);
+    const std::int64_t before = live_bytes();
+    const service::FleetEngine engine(std::move(clf));
+    return live_bytes() - before;
+  };
+  const std::int64_t copy_growth = copy_heap(32) - copy_heap(8);
+  const std::int64_t engine_growth = engine_heap(32) - engine_heap(8);
+  ASSERT_GT(copy_growth, 0);
+  EXPECT_LT(engine_growth, copy_growth / 2)
+      << "engine heap grows " << engine_growth << " bytes from k = 8 to "
+      << "k = 32; one classifier copy grows " << copy_growth << " bytes";
 }
 
 TEST(Footprint, DriftTrackerHeap) {

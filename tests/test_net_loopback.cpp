@@ -206,6 +206,54 @@ TEST_F(NetLoopbackTest, StreamEverythingIsBitIdenticalToDirectIngest) {
   }
 }
 
+TEST_F(NetLoopbackTest, TinySessionQueueStaysLossless) {
+  // A session queue of 600 samples, drained 256 per pump round, behind a
+  // client whose 1024-sample chunks can never fit whole: every chunk parks
+  // its remainder on the connection, the socket is not read until the
+  // reactor's retry has moved it into the queue, and the verdict stream
+  // must still equal direct ingest of every sample.
+  const auto lead = patient_lead(13);
+  const auto reference = direct_ingest(*bundle_, wire_codes(lead), 1, 1);
+  ASSERT_FALSE(reference.empty());
+
+  net::GatewayConfig gcfg;
+  gcfg.fleet.session.queue_capacity = 600;
+  gcfg.fleet.session.max_samples_per_pump = 256;
+  GatewayHarness harness(*bundle_, gcfg);
+
+  net::NodeConfig ncfg;
+  ncfg.port = harness.gw.port();
+  ncfg.policy = net::TxPolicy::StreamEverything;
+  ncfg.chunk_samples = 1024;
+  net::SensorNodeClient client(*bundle_, ncfg);
+  std::vector<VerdictSig> got;
+  client.set_verdict_sink(
+      [&got](std::uint64_t seq, const net::BeatVerdictMsg& v) {
+        got.push_back(VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
+      });
+  client.push(std::span<const double>(lead));
+  client.finish();
+  EXPECT_TRUE(client.drain(20000));
+  // The engine numbers sessions from 1; this client's is the only one.
+  // Close as soon as the queue has deferred samples, so the BYE lands
+  // while later chunks are still parked or unread.
+  const service::SessionTelemetry* t =
+      harness.gw.engine().session_telemetry(service::SessionId{1});
+  ASSERT_NE(t, nullptr);
+  EXPECT_TRUE(poll_client_until(client, [&] {
+    return t->samples_deferred.load() > 0 ||
+           t->samples_processed.load() == lead.size();
+  }));
+  const std::uint64_t deferred = t->samples_deferred.load();
+  client.close(5000);
+
+  EXPECT_EQ(client.state(), net::LinkState::Closed);
+  EXPECT_EQ(got, reference);
+  EXPECT_GT(deferred, 0u) << "the session queue never filled";
+  EXPECT_EQ(client.stats().verdict_seq_gaps, 0u);
+  EXPECT_EQ(client.stats().frames_dropped, 0u);
+}
+
 TEST_F(NetLoopbackTest, IntegerAndSanitizedDoublePushesAreEquivalent) {
   // The double path may carry non-finite garbage; what crosses the wire is
   // the sanitized code stream, so verdicts must match pushing those codes.

@@ -1,5 +1,5 @@
 // Fleet service layer: determinism across shard/thread counts, equivalence
-// with a standalone monitor, admission control, backpressure policies under
+// with a standalone monitor, admission control, lossless backpressure under
 // clean and fault-injected input, rate caps, in-order delivery,
 // close/re-open mid-stream, and a close-only session matching a pumped one.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 
 namespace {
 
-using hbrp::service::BackpressurePolicy;
 using hbrp::service::FleetConfig;
 using hbrp::service::FleetEngine;
 using hbrp::service::OfferOutcome;
@@ -235,7 +234,6 @@ TEST_F(FleetEngineTest, UnknownSessionOfferIsRejected) {
 TEST_F(FleetEngineTest, BackpressureBlockDefersWithoutLoss) {
   FleetConfig cfg;
   cfg.session.queue_capacity = 500;
-  cfg.session.backpressure = BackpressurePolicy::Block;
   FleetEngine engine(*bundle_, cfg);
   const auto id = engine.open_session({});
   ASSERT_TRUE(id);
@@ -246,7 +244,6 @@ TEST_F(FleetEngineTest, BackpressureBlockDefersWithoutLoss) {
     const auto res = engine.offer(
         *id, std::span<const double>(lead.data() + offset,
                                      lead.size() - offset));
-    EXPECT_EQ(res.evicted, 0u);
     EXPECT_EQ(res.rejected, 0u);
     EXPECT_EQ(res.accepted + res.deferred, lead.size() - offset);
     offset += res.accepted;
@@ -258,60 +255,15 @@ TEST_F(FleetEngineTest, BackpressureBlockDefersWithoutLoss) {
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->samples_accepted.load(), lead.size());
   EXPECT_EQ(t->samples_processed.load(), lead.size());
-  EXPECT_EQ(t->samples_evicted.load(), 0u);
   EXPECT_EQ(t->samples_rejected.load(), 0u);
   EXPECT_GT(t->samples_deferred.load(), 0u);  // backpressure did engage
   EXPECT_LE(t->queue_high_water.value(), 500u);
 }
 
-TEST_F(FleetEngineTest, BackpressureDropOldestEvictsWithCount) {
-  FleetConfig cfg;
-  cfg.session.queue_capacity = 500;
-  cfg.session.backpressure = BackpressurePolicy::DropOldest;
-  FleetEngine engine(*bundle_, cfg);
-  const auto id = engine.open_session({});
-  ASSERT_TRUE(id);
-
-  const std::vector<double> burst(1200, 1024.0);
-  const auto res = engine.offer(*id, std::span<const double>(burst));
-  EXPECT_EQ(res.accepted, 500u);
-  EXPECT_EQ(res.evicted, 700u);  // overflowing prefix of the burst
-  EXPECT_EQ(res.deferred + res.rejected, 0u);
-  EXPECT_EQ(engine.queued_samples(), 500u);
-
-  // A second burst evicts the queued remainder of the first.
-  const std::vector<double> burst2(300, 900.0);
-  const auto res2 = engine.offer(*id, std::span<const double>(burst2));
-  EXPECT_EQ(res2.accepted, 300u);
-  EXPECT_EQ(res2.evicted, 300u);
-  EXPECT_EQ(engine.queued_samples(), 500u);
-
-  const auto* t = engine.session_telemetry(*id);
-  ASSERT_NE(t, nullptr);
-  EXPECT_EQ(t->samples_evicted.load(), 1000u);
-  EXPECT_LE(t->queue_high_water.value(), 500u);
-}
-
-TEST_F(FleetEngineTest, BackpressureRejectTailDrops) {
-  FleetConfig cfg;
-  cfg.session.queue_capacity = 500;
-  cfg.session.backpressure = BackpressurePolicy::Reject;
-  FleetEngine engine(*bundle_, cfg);
-  const auto id = engine.open_session({});
-  ASSERT_TRUE(id);
-
-  const std::vector<double> burst(1200, 1024.0);
-  const auto res = engine.offer(*id, std::span<const double>(burst));
-  EXPECT_EQ(res.accepted, 500u);
-  EXPECT_EQ(res.rejected, 700u);
-  EXPECT_EQ(res.evicted + res.deferred, 0u);
-  EXPECT_EQ(engine.queued_samples(), 500u);
-}
-
 TEST_F(FleetEngineTest, FaultInjectedBurstsHonorBackpressure) {
   // Bursty, corrupt input: NaN garbage, lead-off, duplicated samples, fed
-  // in irregular chunk sizes against a small DropOldest queue. The engine
-  // must absorb it all with bounded queues and coherent accounting.
+  // in irregular chunk sizes against a small queue. The engine must absorb
+  // it all with bounded queues, coherent accounting and no loss.
   const auto lead = patient_lead(31, 30.0);
   hbrp::testing::FaultInjectorConfig fcfg;
   fcfg.seed = 404;
@@ -331,25 +283,37 @@ TEST_F(FleetEngineTest, FaultInjectedBurstsHonorBackpressure) {
   FleetConfig cfg;
   cfg.session.queue_capacity = 700;
   cfg.session.max_samples_per_pump = 512;
-  cfg.session.backpressure = BackpressurePolicy::DropOldest;
   FleetEngine engine(*bundle_, cfg);
   std::size_t delivered = 0;
   const auto id =
       engine.open_session([&](const SessionResult&) { ++delivered; });
   ASSERT_TRUE(id);
 
-  std::size_t offset = 0, burst = 97;
+  std::size_t offset = 0, burst = 97, deferrals = 0;
   while (offset < corrupted.size()) {
     const std::size_t take = std::min(burst, corrupted.size() - offset);
-    engine.offer(*id,
-                 std::span<const double>(corrupted.data() + offset, take));
-    offset += take;
+    const OfferOutcome res = engine.offer(
+        *id, std::span<const double>(corrupted.data() + offset, take));
+    EXPECT_EQ(res.accepted + res.deferred, take);
+    EXPECT_EQ(res.rejected, 0u);
+    offset += res.accepted;
     burst = burst * 31 % 1203 + 64;  // deterministic irregular burst sizes
-    if (burst % 3 == 0) engine.pump();
+    if (res.deferred > 0) {
+      ++deferrals;
+      engine.pump();  // make room, then retry the remainder
+    } else if (burst % 3 == 0) {
+      engine.pump();
+    }
   }
   engine.drain();
+  const auto* t = engine.session_telemetry(*id);
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->samples_accepted.load(), corrupted.size());
+  EXPECT_EQ(t->samples_processed.load(), corrupted.size());
+  EXPECT_LE(t->queue_high_water.value(), 700u);
   EXPECT_TRUE(engine.close_session(*id));
 
+  EXPECT_GT(deferrals, 0u);  // the bursts did overrun the queue
   EXPECT_GT(delivered, 0u);
   EXPECT_EQ(engine.queued_samples(), 0u);
   EXPECT_EQ(engine.telemetry().beats_out.load(), delivered);
