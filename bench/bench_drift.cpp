@@ -33,11 +33,12 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "core/streaming.hpp"
 #include "core/trainer.hpp"
 #include "drift/tracker.hpp"
 #include "ecg/dataset.hpp"
-#include "net/client.hpp"
 #include "platform/cycles.hpp"
+#include "platform/energy.hpp"
 #include "scenario/episodes.hpp"
 #include "service/fleet.hpp"
 
@@ -265,13 +266,8 @@ int main(int argc, char** argv) {
   // --- identity: fleet drift state must not depend on the thread layout.
   {
     const auto stream = scenario::build_scenario(shift_spec(1.0));
-    std::vector<dsp::Sample> codes;
-    codes.reserve(stream.samples.size());
-    const core::MonitorConfig mc;
-    dsp::Sample last = 0;
-    for (const double x : stream.samples)
-      codes.push_back(
-          net::SensorNodeClient::sanitize(x, mc.quality, last, nullptr));
+    const std::vector<dsp::Sample> codes =
+        dsp::sanitize_lead(stream.samples, core::MonitorConfig{}.quality);
     auto digest = [&](std::size_t threads, std::size_t shards) {
       service::FleetConfig cfg;
       cfg.threads = threads;

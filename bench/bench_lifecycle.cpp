@@ -256,8 +256,8 @@ int main(int argc, char** argv) {
     std::printf("  %d pushes, %zu bytes each: %.1f MB/s end-to-end\n",
                 pushes, bytes / static_cast<std::size_t>(pushes), mb_per_s);
 
-    const lifecycle::ModelBundle good{.version = version + 1,
-                                      .model = trained.b};
+    const lifecycle::ModelBundle good{
+        .version = version + 1, .model = trained.b, .centroids = {}};
     auto tampered = lifecycle::encode_bundle(good);
     tampered[tampered.size() / 2] ^= 0x01u;  // announce digest stays honest
     const auto r =

@@ -219,11 +219,8 @@ int main(int argc, char** argv) {
     scfg.num_leads = 1;
     scfg.seed = 9100 + i;
     const auto rec = ecg::generate_record(scfg);
-    dsp::Sample last = 0;
-    codes[i].reserve(rec.leads[0].size());
-    for (const double x : rec.leads[0])
-      codes[i].push_back(
-          net::SensorNodeClient::sanitize(x, mc.quality, last, nullptr));
+    const std::vector<double> lead(rec.leads[0].begin(), rec.leads[0].end());
+    codes[i] = dsp::sanitize_lead(lead, mc.quality);
     samples_total += codes[i].size();
   }
 

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(nodes), percent_b,
               static_cast<unsigned long long>(seed));
 
-  const lifecycle::AbSplit split{seed, percent_b};
+  const lifecycle::AbSplit split{seed, static_cast<std::uint32_t>(percent_b)};
   std::printf("node assignment (sticky across reconnects):\n  ");
   std::size_t on_b = 0;
   for (std::uint64_t node = 0; node < nodes; ++node) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full CI sweep: tier-1 build + tests, then the sanitizer matrix.
 #
-#   1. default (Release) build, full ctest suite — the tier-1 gate — then
+#   1. default (Release) build with warnings as errors (-DHBRP_WERROR=ON),
+#      full ctest suite — the tier-1 gate — then
 #      the DSP kernel-equivalence subset re-run under HBRP_FORCE_SCALAR=1,
 #      so the scalar halves of the block kernels are gated even on AVX2
 #      hosts;
@@ -85,7 +86,7 @@ run_suite() {
 }
 
 # --- 1. tier-1: default build + full suite --------------------------------
-run_suite build
+run_suite build -DHBRP_WERROR=ON
 ctest --test-dir build --output-on-failure -j
 
 # --- 1a. DSP kernel equivalence, forced-scalar dispatch -------------------

@@ -1,7 +1,6 @@
 #include "core/streaming.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "dsp/resample.hpp"
 #include "ecg/types.hpp"
@@ -30,29 +29,19 @@ StreamingBeatMonitor::StreamingBeatMonitor(
                "plus the refractory period");
   HBRP_REQUIRE(chunk_samples_ > 2 * overlap_samples_,
                "StreamingBeatMonitor: chunk must exceed twice the overlap");
-  last_raw_ = static_cast<dsp::Sample>(
-      (static_cast<std::int64_t>(cfg_.quality.rail_low) +
-       cfg_.quality.rail_high) /
-      2);
+  last_raw_ = dsp::mid_rail(cfg_.quality);
 }
 
 void StreamingBeatMonitor::push(double x, const PendingBeatSink& sink) {
-  if (!std::isfinite(x)) {
-    // Reject the value but keep the timeline, the conditioner and the SQI
-    // chunking aligned: sample-hold the last accepted code. A sustained
-    // non-finite burst thereby turns into a flat-line the quality
-    // estimator degrades on, which is exactly the right escalation.
-    ++stats_.rejected_nonfinite;
-    push(last_raw_, sink);
-    return;
-  }
-  const auto lo = static_cast<double>(cfg_.quality.rail_low);
-  const auto hi = static_cast<double>(cfg_.quality.rail_high);
-  if (x < lo || x > hi) {
-    ++stats_.clamped;
-    x = std::clamp(x, lo, hi);
-  }
-  push(static_cast<dsp::Sample>(std::lround(x)), sink);
+  // Reject a non-finite value but keep the timeline, the conditioner and
+  // the SQI chunking aligned: the boundary rule sample-holds the last
+  // accepted code.
+  dsp::SampleFix fix = dsp::SampleFix::None;
+  const dsp::Sample code =
+      dsp::sanitize_sample(x, cfg_.quality, last_raw_, fix);
+  if (fix == dsp::SampleFix::Held) ++stats_.rejected_nonfinite;
+  if (fix == dsp::SampleFix::Clamped) ++stats_.clamped;
+  push(code, sink);
 }
 
 void StreamingBeatMonitor::push(dsp::Sample x, const PendingBeatSink& sink) {

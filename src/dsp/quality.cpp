@@ -18,6 +18,30 @@ std::size_t frac_count(double frac, std::size_t chunk) {
 
 }  // namespace
 
+Sample sanitize_sample(double x, const QualityConfig& rails, Sample& hold,
+                       SampleFix& fix) {
+  if (!std::isfinite(x)) {
+    fix = SampleFix::Held;
+    return hold;
+  }
+  const auto lo = static_cast<double>(rails.rail_low);
+  const auto hi = static_cast<double>(rails.rail_high);
+  fix = x < lo || x > hi ? SampleFix::Clamped : SampleFix::None;
+  hold = static_cast<Sample>(std::lround(std::clamp(x, lo, hi)));
+  return hold;
+}
+
+std::vector<Sample> sanitize_lead(std::span<const double> xs,
+                                  const QualityConfig& rails) {
+  std::vector<Sample> codes;
+  codes.reserve(xs.size());
+  Sample hold = mid_rail(rails);
+  SampleFix fix = SampleFix::None;
+  for (const double x : xs)
+    codes.push_back(sanitize_sample(x, rails, hold, fix));
+  return codes;
+}
+
 SignalQualityEstimator::SignalQualityEstimator(const QualityConfig& cfg)
     : cfg_(cfg) {
   HBRP_REQUIRE(cfg.fs_hz > 0, "SignalQualityEstimator: fs_hz must be > 0");

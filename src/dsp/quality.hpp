@@ -22,6 +22,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "dsp/signal.hpp"
 
@@ -80,6 +82,33 @@ struct QualityConfig {
   /// Consecutive clean chunks required to step one state toward Good.
   int recover_chunks = 2;
 };
+
+/// The code between the rails: the sample-hold value before any sample has
+/// been accepted.
+constexpr Sample mid_rail(const QualityConfig& rails) {
+  return static_cast<Sample>(
+      (static_cast<std::int64_t>(rails.rail_low) + rails.rail_high) / 2);
+}
+
+/// Which branch of the boundary rule a value took (see sanitize_sample).
+enum class SampleFix : std::uint8_t {
+  None,     ///< finite and within the rails: rounded only
+  Clamped,  ///< finite but outside the rails: clamped, then rounded
+  Held,     ///< non-finite: replaced by the held code
+};
+
+/// The untrusted ADC boundary's rule for one double sample, shared by the
+/// streaming monitor and the sensor node. A non-finite value repeats
+/// `hold`, so the timeline keeps its cadence and a sustained burst
+/// flat-lines into something the SQI estimator degrades on. Any other
+/// value is clamped to the rails, rounded, and becomes the new `hold`.
+Sample sanitize_sample(double x, const QualityConfig& rails, Sample& hold,
+                       SampleFix& fix);
+
+/// A whole lead through sanitize_sample(), from the mid_rail() hold: the
+/// codes a node or a monitor fed these doubles one by one accepts.
+std::vector<Sample> sanitize_lead(std::span<const double> xs,
+                                  const QualityConfig& rails);
 
 /// Integer summary of one graded chunk (exposed for tests and telemetry).
 struct QualityMetrics {

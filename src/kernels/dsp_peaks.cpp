@@ -38,11 +38,11 @@ void local_extrema(const Signal& w, std::vector<Extremum>& out) {
   }
 }
 
+// One threshold per block of `block` samples: sample i's threshold is
+// thr[i / block]. The reference stores the same value at every sample.
 void threshold_envelope(const Signal& w, const PeakDetectorConfig& cfg,
-                        std::vector<double>& block_max,
+                        std::size_t block, std::vector<double>& block_max,
                         std::vector<double>& thr) {
-  const auto block = std::max<std::size_t>(
-      1, static_cast<std::size_t>(cfg.block_s * cfg.fs_hz));
   block_max.clear();
   for (std::size_t start = 0; start < w.size(); start += block) {
     const std::size_t end = std::min(w.size(), start + block);
@@ -51,18 +51,11 @@ void threshold_envelope(const Signal& w, const PeakDetectorConfig& cfg,
       m = std::max(m, static_cast<Sample>(std::abs(w[i])));
     block_max.push_back(static_cast<double>(m));
   }
-  if (block_max.empty()) {
-    thr.clear();
-    return;
-  }
+  thr.clear();
+  if (block_max.empty()) return;
   const double med = hbrp::math::median(block_max);
-  thr.resize(w.size());
-  for (std::size_t start = 0, b = 0; start < w.size(); start += block, ++b) {
-    const double env = std::clamp(block_max[b], 0.5 * med, 2.0 * med);
-    const std::size_t end = std::min(w.size(), start + block);
-    for (std::size_t i = start; i < end; ++i)
-      thr[i] = cfg.threshold_frac * env;
-  }
+  for (const double m : block_max)
+    thr.push_back(cfg.threshold_frac * std::clamp(m, 0.5 * med, 2.0 * med));
 }
 
 std::size_t zero_crossing(const Signal& w, std::size_t lo, std::size_t hi) {
@@ -76,23 +69,25 @@ std::size_t zero_crossing(const Signal& w, std::size_t lo, std::size_t hi) {
 
 void scan_pairs(const Signal& w, const std::vector<Extremum>& ext,
                 const std::vector<double>& thr, const Signal& fine,
-                const std::vector<double>& fine_thr, double scale,
-                double confirm_frac, std::size_t lo, std::size_t hi,
-                std::size_t pair_window, std::vector<Candidate>& out) {
+                const std::vector<double>& fine_thr, std::size_t block,
+                double scale, double confirm_frac, std::size_t lo,
+                std::size_t hi, std::size_t pair_window,
+                std::vector<Candidate>& out) {
   for (std::size_t e = 0; e + 1 < ext.size(); ++e) {
     const Extremum& a = ext[e];
     const Extremum& b = ext[e + 1];
     if (a.index < lo || b.index >= hi) continue;
     if (b.index - a.index > pair_window) continue;
     if ((a.value > 0) == (b.value > 0)) continue;
-    const double ta = scale * thr[a.index];
-    const double tb = scale * thr[b.index];
+    const double ta = scale * thr[a.index / block];
+    const double tb = scale * thr[b.index / block];
     if (std::abs(a.value) < ta || std::abs(b.value) < tb) continue;
 
     double fine_max = 0.0;
     for (std::size_t i = a.index; i <= b.index; ++i)
       fine_max = std::max(fine_max, std::abs(static_cast<double>(fine[i])));
-    if (fine_max < confirm_frac * fine_thr[(a.index + b.index) / 2]) continue;
+    if (fine_max < confirm_frac * fine_thr[(a.index + b.index) / 2 / block])
+      continue;
 
     Candidate c;
     c.peak = zero_crossing(w, a.index, b.index);
@@ -173,23 +168,25 @@ void detect_r_peaks_block(const Signal& conditioned,
                                           ? cfg.detect_scale - 1
                                           : cfg.detect_scale];
   local_extrema(w, scr.ext);
-  threshold_envelope(w, cfg, scr.block_max, scr.thr);
-  threshold_envelope(fine, cfg, scr.block_max, scr.fine_thr);
+  const auto block = std::max<std::size_t>(
+      1, static_cast<std::size_t>(cfg.block_s * cfg.fs_hz));
+  threshold_envelope(w, cfg, block, scr.block_max, scr.thr);
+  threshold_envelope(fine, cfg, block, scr.block_max, scr.fine_thr);
   const auto pair_window =
       static_cast<std::size_t>(cfg.pair_window_s * cfg.fs_hz);
   const auto refractory =
       static_cast<std::size_t>(cfg.refractory_s * cfg.fs_hz);
 
   scr.cands.clear();
-  scan_pairs(w, scr.ext, scr.thr, fine, scr.fine_thr, 1.0, 0.5, 0, w.size(),
-             pair_window, scr.cands);
+  scan_pairs(w, scr.ext, scr.thr, fine, scr.fine_thr, block, 1.0, 0.5, 0,
+             w.size(), pair_window, scr.cands);
 
   if (cfg.detect_scale + 1 < dsp::kWaveletScales) {
     const Signal& coarse = scr.dec.detail[cfg.detect_scale + 1];
     local_extrema(coarse, scr.coarse_ext);
-    threshold_envelope(coarse, cfg, scr.block_max, scr.coarse_thr);
-    scan_pairs(coarse, scr.coarse_ext, scr.coarse_thr, w, scr.thr, 1.0, 1.3, 0,
-               coarse.size(), 2 * pair_window, scr.cands);
+    threshold_envelope(coarse, cfg, block, scr.block_max, scr.coarse_thr);
+    scan_pairs(coarse, scr.coarse_ext, scr.coarse_thr, w, scr.thr, block, 1.0,
+               1.3, 0, coarse.size(), 2 * pair_window, scr.cands);
   }
   apply_refractory(scr.cands, refractory, scr.merged);
 
@@ -213,7 +210,7 @@ void detect_r_peaks_block(const Signal& conditioned,
         const std::size_t hi =
             scr.cands[i].peak > refractory ? scr.cands[i].peak - refractory : 0;
         if (lo < hi)
-          scan_pairs(w, scr.ext, scr.thr, fine, scr.fine_thr,
+          scan_pairs(w, scr.ext, scr.thr, fine, scr.fine_thr, block,
                      cfg.searchback_frac, 0.5 * cfg.searchback_frac, lo, hi,
                      pair_window, scr.extra);
       }

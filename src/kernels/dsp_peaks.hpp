@@ -46,6 +46,8 @@ struct PeakScratch {
   WaveletScratch wavelet;
   std::vector<Extremum> ext;
   std::vector<Extremum> coarse_ext;
+  /// Wavelet detector: one threshold per block_s block at each scale. The
+  /// adaptive detector reuses `thr` as its per-sample slope buffer.
   std::vector<double> thr;
   std::vector<double> fine_thr;
   std::vector<double> coarse_thr;

@@ -17,7 +17,7 @@
 // processed: a conditioner fed one 10-minute push_block leaves that much
 // behind until the thread exits. The production paths (gateway, fleet,
 // node client) feed packets of at most 512 samples, so their workspace
-// stays at the default-config size: ~212 KB (~171 KB detector over an 8 s
+// stays at the default-config size: ~145 KB (~104 KB detector over an 8 s
 // chunk, ~41 KB conditioner, at 360 Hz; 1 KB = 1024 bytes).
 #pragma once
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <iterator>
 
 #include "math/check.hpp"
 #include "math/crc32.hpp"
@@ -168,9 +169,8 @@ ModelBundle decode_payload(std::span<const unsigned char> payload) {
 std::vector<unsigned char> encode_bundle(const ModelBundle& bundle) {
   std::vector<unsigned char> payload;
   append_payload(payload, bundle);
-  std::vector<unsigned char> image;
+  std::vector<unsigned char> image(std::begin(kMagic), std::end(kMagic));
   image.reserve(kHeaderBytes + payload.size());
-  image.insert(image.end(), kMagic, kMagic + sizeof(kMagic));
   math::append_le(image, static_cast<std::uint32_t>(payload.size()));
   math::append_le(image, math::crc32(payload.data(), payload.size()));
   image.insert(image.end(), payload.begin(), payload.end());

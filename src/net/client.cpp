@@ -3,7 +3,6 @@
 #include <poll.h>
 
 #include <algorithm>
-#include <cmath>
 #include <thread>
 
 #include "ecg/types.hpp"
@@ -25,11 +24,15 @@ const char* to_string(LinkState s) {
 
 SensorNodeClient::SensorNodeClient(embedded::EmbeddedClassifier classifier,
                                    NodeConfig cfg)
-    : classifier_(std::move(classifier)), cfg_(std::move(cfg)) {
+    : classifier_(std::move(classifier)),
+      cfg_(std::move(cfg)),
+      last_code_(dsp::mid_rail(cfg_.monitor.quality)) {
   HBRP_REQUIRE(cfg_.port != 0, "SensorNodeClient: gateway port is required");
   HBRP_REQUIRE(cfg_.chunk_samples >= 1 &&
                    cfg_.chunk_samples <= kMaxChunkSamples,
                "SensorNodeClient: chunk_samples out of range");
+  HBRP_REQUIRE(cfg_.max_unacked_full_beats >= 1,
+               "SensorNodeClient: max_unacked_full_beats must be >= 1");
   backoff_ms_ = std::max(1, cfg_.backoff_initial_ms);
   if (cfg_.policy == TxPolicy::Selective) {
     monitor_.emplace(classifier_, cfg_.monitor);
@@ -48,18 +51,11 @@ dsp::Sample SensorNodeClient::sanitize(double x,
                                        const dsp::QualityConfig& rails,
                                        dsp::Sample& last,
                                        std::uint64_t* nonfinite_count) {
-  if (!std::isfinite(x)) {
-    // Sample-hold, exactly like StreamingBeatMonitor's untrusted boundary:
-    // the timeline keeps its cadence and a sustained burst flat-lines into
-    // something the SQI estimator degrades on.
-    if (nonfinite_count != nullptr) ++*nonfinite_count;
-    return last;
-  }
-  const double clamped =
-      std::clamp(x, static_cast<double>(rails.rail_low),
-                 static_cast<double>(rails.rail_high));
-  last = static_cast<dsp::Sample>(std::lround(clamped));
-  return last;
+  dsp::SampleFix fix = dsp::SampleFix::None;
+  const dsp::Sample code = dsp::sanitize_sample(x, rails, last, fix);
+  if (fix == dsp::SampleFix::Held && nonfinite_count != nullptr)
+    ++*nonfinite_count;
+  return code;
 }
 
 void SensorNodeClient::push(dsp::Sample x) {
@@ -147,16 +143,20 @@ void SensorNodeClient::on_pending_beat(const core::PendingBeat& pb) {
   m.r_peak = pb.beat.r_peak;
   m.beat_class = cls;
   m.quality = quality;
-  std::vector<unsigned char> payload = encode_full_beat(m, pb.window);
-  const std::uint64_t seq = next_beat_seq_++;
   if (unacked_.size() >= cfg_.max_unacked_full_beats) {
+    // The window is full: the oldest upload gives way. Unless it is in
+    // flight on the live connection (then its verdict or disconnect()
+    // settles it), no verdict can come: count it, and mark it seen so its
+    // gap cannot pin the dedup watermark.
+    const std::uint64_t oldest = unacked_.begin()->first;
     unacked_.erase(unacked_.begin());
-    ++stats_.frames_dropped;
+    if (state_ != LinkState::Established || oldest >= upload_cursor_) {
+      ++stats_.frames_dropped;
+      mark_verdict_seen(oldest);
+    }
   }
-  unacked_.emplace(seq, UnackedBeat{payload, false});
+  unacked_.emplace(next_beat_seq_++, encode_full_beat(m, pb.window));
   ++stats_.beats_uploaded;
-  enqueue(FrameType::FullBeat, seq, /*seq_at_send=*/false,
-          std::move(payload));
 }
 
 void SensorNodeClient::stage_stream_sample(dsp::Sample x) {
@@ -167,13 +167,13 @@ void SensorNodeClient::stage_stream_sample(dsp::Sample x) {
 void SensorNodeClient::flush_stage(bool final_partial) {
   std::size_t at = 0;
   while (stage_.size() - at >= cfg_.chunk_samples) {
-    enqueue(FrameType::SampleChunk, 0, /*seq_at_send=*/true,
+    enqueue(FrameType::SampleChunk,
             encode_sample_chunk(std::span<const dsp::Sample>(
                 stage_.data() + at, cfg_.chunk_samples)));
     at += cfg_.chunk_samples;
   }
   if (final_partial && at < stage_.size()) {
-    enqueue(FrameType::SampleChunk, 0, /*seq_at_send=*/true,
+    enqueue(FrameType::SampleChunk,
             encode_sample_chunk(std::span<const dsp::Sample>(
                 stage_.data() + at, stage_.size() - at)));
     at = stage_.size();
@@ -181,18 +181,14 @@ void SensorNodeClient::flush_stage(bool final_partial) {
   stage_.erase(stage_.begin(), stage_.begin() + static_cast<std::ptrdiff_t>(at));
 }
 
-void SensorNodeClient::enqueue(FrameType type, std::uint64_t seq,
-                               bool seq_at_send,
+void SensorNodeClient::enqueue(FrameType type,
                                std::vector<unsigned char> payload) {
   const std::size_t frame_bytes = kHeaderBytes + payload.size();
-  // Shed oldest droppable traffic (sample chunks, heartbeats) first; a
-  // FULL_BEAT is never shed to make room for anything else.
+  // Shed the oldest sample chunks and heartbeats first; a BYE is never shed.
   while (sendq_bytes_ + frame_bytes > cfg_.send_buffer_cap) {
-    auto victim = std::find_if(sendq_.begin(), sendq_.end(),
-                               [](const QueuedFrame& f) {
-                                 return f.type == FrameType::SampleChunk ||
-                                        f.type == FrameType::Heartbeat;
-                               });
+    auto victim = std::find_if(
+        sendq_.begin(), sendq_.end(),
+        [](const QueuedFrame& f) { return f.type != FrameType::Bye; });
     if (victim == sendq_.end()) break;
     sendq_bytes_ -= kHeaderBytes + victim->payload.size();
     sendq_.erase(victim);
@@ -200,35 +196,46 @@ void SensorNodeClient::enqueue(FrameType type, std::uint64_t seq,
   }
   if (sendq_bytes_ + frame_bytes > cfg_.send_buffer_cap) {
     ++stats_.frames_dropped;
-    if (type == FrameType::FullBeat) unacked_.erase(seq);
     return;
   }
   sendq_bytes_ += frame_bytes;
-  sendq_.push_back(QueuedFrame{type, seq, seq_at_send, std::move(payload)});
+  sendq_.push_back(QueuedFrame{type, std::move(payload)});
 }
 
 bool SensorNodeClient::fill_wire_out() {
-  if (wire_head_ < wire_out_.size() || sendq_.empty()) return false;
+  if (wire_head_ < wire_out_.size()) return false;
+  // Uploads go first, in ascending seq: the lowest one this connection has
+  // not sent yet. The gateway's per-node escalation high-water relies on
+  // that order.
+  const auto upload = unacked_.lower_bound(upload_cursor_);
+  if (upload == unacked_.end() && sendq_.empty()) return false;
   wire_out_.clear();
   wire_head_ = 0;
-  QueuedFrame f = std::move(sendq_.front());
-  sendq_.pop_front();
-  sendq_bytes_ -= kHeaderBytes + f.payload.size();
-  std::uint64_t seq = f.seq;
-  if (f.seq_at_send)
-    seq = f.type == FrameType::SampleChunk ? next_chunk_seq_++
-                                           : next_heartbeat_seq_++;
-  append_frame(wire_out_, f.type, seq, f.payload);
-  if (f.type == FrameType::FullBeat) {
-    const auto it = unacked_.find(f.seq);
-    if (it != unacked_.end()) it->second.sent = true;
+  if (upload != unacked_.end()) {
+    const std::uint64_t seq = upload->first;
+    append_frame(wire_out_, FrameType::FullBeat, seq, upload->second);
+    upload_cursor_ = seq + 1;
+    if (seq < sent_below_) ++stats_.retransmits;
+    sent_below_ = std::max(sent_below_, seq + 1);
+  } else {
+    const QueuedFrame& f = sendq_.front();
+    std::uint64_t seq = 0;  // BYE
+    if (f.type == FrameType::SampleChunk) seq = next_chunk_seq_++;
+    if (f.type == FrameType::Heartbeat) seq = next_heartbeat_seq_++;
+    append_frame(wire_out_, f.type, seq, f.payload);
+    sendq_bytes_ -= kHeaderBytes + f.payload.size();
+    sendq_.pop_front();
   }
   ++stats_.frames_tx;
   return true;
 }
 
 std::size_t SensorNodeClient::pending_bytes() const {
-  return sendq_bytes_ + (wire_out_.size() - wire_head_);
+  std::size_t bytes = sendq_bytes_ + (wire_out_.size() - wire_head_);
+  for (auto it = unacked_.lower_bound(upload_cursor_); it != unacked_.end();
+       ++it)
+    bytes += kHeaderBytes + it->second.size();
+  return bytes;
 }
 
 void SensorNodeClient::send_hello() {
@@ -255,40 +262,8 @@ void SensorNodeClient::on_established(Clock::time_point now) {
   if (cfg_.policy == TxPolicy::StreamEverything) next_verdict_seq_ = 0;
   // A fresh connection is a fresh session: the dense chunk numbering
   // restarts, and every unacked upload goes out again (at-least-once).
-  // Beats already waiting in the send queue are NOT re-enqueued — on the
-  // first establishment nothing has cleared the queue, so beats pushed
-  // before the link came up are still there and a blind re-add would
-  // transmit every upload twice.
   next_chunk_seq_ = 0;
-  for (auto& [seq, beat] : unacked_) {
-    const bool queued = std::any_of(
-        sendq_.begin(), sendq_.end(), [&](const QueuedFrame& f) {
-          return f.type == FrameType::FullBeat && f.seq == seq;
-        });
-    if (queued) continue;
-    if (beat.sent) ++stats_.retransmits;
-    enqueue(FrameType::FullBeat, seq, /*seq_at_send=*/false, beat.payload);
-  }
-  // Beats classified during the backoff window are already queued with
-  // HIGHER seqs than the retransmissions appended above, so the queue can
-  // now hold uploads out of seq order. The gateway dedups cross-reconnect
-  // escalation counting with a per-node seq high-water, which silently
-  // swallows any upload arriving below an already-seen seq — FULL_BEATs
-  // must hit the wire in ascending seq. Reorder the queued FULL_BEATs
-  // (and only them — chunk frames keep their slots and their dense
-  // at-send numbering) back into seq order.
-  std::vector<std::size_t> slots;
-  for (std::size_t i = 0; i < sendq_.size(); ++i)
-    if (sendq_[i].type == FrameType::FullBeat) slots.push_back(i);
-  std::vector<QueuedFrame> fulls;
-  fulls.reserve(slots.size());
-  for (const std::size_t i : slots) fulls.push_back(std::move(sendq_[i]));
-  std::sort(fulls.begin(), fulls.end(),
-            [](const QueuedFrame& a, const QueuedFrame& b) {
-              return a.seq < b.seq;
-            });
-  for (std::size_t j = 0; j < slots.size(); ++j)
-    sendq_[slots[j]] = std::move(fulls[j]);
+  upload_cursor_ = 0;
 }
 
 void SensorNodeClient::disconnect(Clock::time_point now, bool backoff) {
@@ -299,6 +274,14 @@ void SensorNodeClient::disconnect(Clock::time_point now, bool backoff) {
     if (f.type == FrameType::SampleChunk) ++stats_.frames_dropped;
   sendq_.clear();
   sendq_bytes_ = 0;
+  // Uploads that left the window in flight lose their last chance of a
+  // verdict: every unseen seq below the window is one.
+  const std::uint64_t held_from =
+      unacked_.empty() ? next_beat_seq_ : unacked_.begin()->first;
+  while (verdict_seen_below_ < held_from) {
+    ++stats_.frames_dropped;
+    mark_verdict_seen(verdict_seen_below_);
+  }
   parser_ = FrameParser();
   if (!backoff) {
     state_ = LinkState::Closed;
@@ -393,7 +376,9 @@ bool SensorNodeClient::pump_io(Clock::time_point now, int timeout_ms) {
   bool progress = false;
   const bool want_write =
       wire_head_ < wire_out_.size() ||
-      (!sendq_.empty() && state_ == LinkState::Established);
+      (state_ == LinkState::Established &&
+       (!sendq_.empty() ||
+        unacked_.lower_bound(upload_cursor_) != unacked_.end()));
   pollfd p{};
   p.fd = sock_.fd();
   p.events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
@@ -533,7 +518,7 @@ bool SensorNodeClient::step_link(Clock::time_point now, int timeout_ms) {
       if (cfg_.heartbeat_interval_ms > 0 && pending_bytes() == 0 &&
           now - last_tx_ >
               std::chrono::milliseconds(cfg_.heartbeat_interval_ms))
-        enqueue(FrameType::Heartbeat, 0, /*seq_at_send=*/true, {});
+        enqueue(FrameType::Heartbeat, {});
       return pump_io(now, timeout_ms);
     }
   }
@@ -565,7 +550,7 @@ void SensorNodeClient::close(int deadline_ms) {
   while (state_ != LinkState::Closed && Clock::now() < deadline) {
     if (state_ == LinkState::Established && !bye_sent_ &&
         pending_bytes() == 0 && unacked_.empty()) {
-      enqueue(FrameType::Bye, 0, false, {});
+      enqueue(FrameType::Bye, {});
       bye_sent_ = true;
     }
     poll_once(5);

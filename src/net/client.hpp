@@ -20,15 +20,17 @@
 //                     0-sample escalation record (no trustworthy window).
 //
 // Link robustness: connect/reconnect with exponential backoff (reset on a
-// successful handshake), a bounded send queue that sheds oldest sample
-// chunks first (counted, never silently), heartbeats on an idle link, and
-// at-least-once FULL_BEAT delivery — an upload is held until its
-// BEAT_VERDICT arrives (the verdict is the authoritative acknowledgement;
-// the wire-level ACK only confirms receipt) and retransmitted after a
-// reconnect. The gateway answers duplicates with a recomputed verdict and
-// the client dedupes verdicts by upload seq, so a connection drop between
-// ACK and verdict can neither lose a pathological beat's verdict nor
-// deliver it twice.
+// successful handshake), heartbeats on an idle link, and at-least-once
+// FULL_BEAT delivery. Each upload is held once, in a seq-ordered window,
+// until its BEAT_VERDICT (the authoritative acknowledgement; the wire ACK
+// only confirms receipt), and every connection sends it in ascending seq
+// ahead of the send queue. A full window drops its oldest upload, counted
+// once no verdict can come for it, so every upload ends as one verdict or
+// one drop. The send queue (chunks, heartbeats, BYE) sheds its oldest
+// chunks and heartbeats first, counted. The gateway re-verdicts duplicates
+// and the client dedupes verdicts by upload seq, so a connection drop
+// between ACK and verdict can neither lose a pathological beat's verdict
+// nor deliver it twice.
 // A CRC/framing violation on the receive path is treated exactly like a
 // dead socket: tear down, back off, reconnect.
 //
@@ -70,11 +72,11 @@ struct NodeConfig {
   core::MonitorConfig monitor;
   /// Samples per SAMPLE_CHUNK frame.
   std::size_t chunk_samples = 512;
-  /// Cap on queued-but-unsent frame bytes; overflow sheds oldest sample
-  /// chunks first and never sheds FULL_BEAT uploads silently.
+  /// Cap on send-queue bytes (sample chunks, heartbeats, BYE; never
+  /// uploads). Overflow sheds the oldest chunks and heartbeats, counted.
   std::size_t send_buffer_cap = 1u << 20;
-  /// Retransmit window: FULL_BEAT uploads held for ack (oldest dropped,
-  /// counted, when exceeded).
+  /// Retransmit window: the only store of FULL_BEAT uploads, each held
+  /// until its verdict. When full, the oldest is dropped, counted.
   std::size_t max_unacked_full_beats = 256;
   int heartbeat_interval_ms = 1000;
   int backoff_initial_ms = 10;
@@ -104,7 +106,10 @@ struct TxStats {
   std::uint64_t bytes_rx = 0;
   std::uint64_t frames_tx = 0;
   std::uint64_t frames_rx = 0;
-  std::uint64_t frames_dropped = 0;  ///< send-buffer overflow sheds
+  /// Sample chunks and heartbeats shed by send-buffer overflow, chunks lost
+  /// with a dead link, and uploads that left a full retransmit window and
+  /// can no longer be answered.
+  std::uint64_t frames_dropped = 0;
   std::uint64_t retransmits = 0;     ///< FULL_BEAT resends after reconnect
   std::uint64_t reconnects = 0;      ///< successful re-handshakes after a drop
   std::uint64_t parse_rejects = 0;   ///< CRC/framing violations received
@@ -112,7 +117,7 @@ struct TxStats {
   std::uint64_t samples_in = 0;      ///< samples pushed by the application
   std::uint64_t sanitized_nonfinite = 0;
   std::uint64_t beats_local = 0;     ///< normal beats kept as local records
-  std::uint64_t beats_uploaded = 0;  ///< FULL_BEAT frames queued
+  std::uint64_t beats_uploaded = 0;  ///< FULL_BEAT uploads created
   std::uint64_t verdicts_rx = 0;     ///< unique verdicts delivered to the sink
   std::uint64_t verdict_seq_gaps = 0;
   /// Selective only: repeated verdicts for an already-delivered upload seq
@@ -158,9 +163,8 @@ class SensorNodeClient {
   void set_verdict_sink(VerdictSink sink) { on_verdict_ = std::move(sink); }
 
   /// Feeds ADC samples into the node pipeline (policy-dependent fate).
-  /// The double overload sanitizes exactly like the monitor's untrusted
-  /// boundary: non-finite is replaced by the last accepted code
-  /// (sample-hold), everything else is clamped to the ADC rails — so the
+  /// The double overload applies the monitor's own boundary rule,
+  /// dsp::sanitize_sample, from the same mid-rail starting hold, so the
   /// codes on the wire equal the codes a direct in-process monitor would
   /// have accepted.
   void push(dsp::Sample x);
@@ -195,13 +199,13 @@ class SensorNodeClient {
   const drift::DriftTracker* drift_tracker() const {
     return drift_.has_value() ? &*drift_ : nullptr;
   }
-  /// Bytes queued (send queue + partially written frame), for tests.
+  /// Frame bytes not yet on the wire: uploads this connection has not sent,
+  /// the send queue, and the rest of a partially written frame.
   std::size_t pending_bytes() const;
   std::size_t unacked_full_beats() const { return unacked_.size(); }
 
-  /// The sanitization rule of the double path, exposed so tests and
-  /// benches can precompute the exact code stream that will cross the
-  /// wire. `last` carries the sample-hold state across calls.
+  /// dsp::sanitize_sample for one value, counting non-finite ones. `last`
+  /// is the sample-hold; push() starts it at dsp::mid_rail(rails).
   static dsp::Sample sanitize(double x, const dsp::QualityConfig& rails,
                               dsp::Sample& last,
                               std::uint64_t* nonfinite_count);
@@ -209,25 +213,17 @@ class SensorNodeClient {
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// A sample chunk, heartbeat or BYE. Its seq is assigned when it is sent,
+  /// so shed frames never leave a gap in the dense chunk numbering.
   struct QueuedFrame {
     FrameType type = FrameType::Heartbeat;
-    /// Frame seq; SampleChunk/Heartbeat get theirs assigned at send time
-    /// (so shed frames never leave a gap in the dense chunk numbering).
-    std::uint64_t seq = 0;
-    bool seq_at_send = false;
     std::vector<unsigned char> payload;
-  };
-
-  struct UnackedBeat {
-    std::vector<unsigned char> payload;
-    bool sent = false;  ///< reached the wire at least once
   };
 
   void on_pending_beat(const core::PendingBeat& pb);
   void stage_stream_sample(dsp::Sample x);
   void flush_stage(bool final_partial);
-  void enqueue(FrameType type, std::uint64_t seq, bool seq_at_send,
-               std::vector<unsigned char> payload);
+  void enqueue(FrameType type, std::vector<unsigned char> payload);
   bool fill_wire_out();
   bool step_link(Clock::time_point now, int timeout_ms);
   bool pump_io(Clock::time_point now, int timeout_ms);
@@ -250,7 +246,7 @@ class SensorNodeClient {
 
   // Ingest staging (stream mode) and the double-path sample-hold state.
   std::vector<dsp::Sample> stage_;
-  dsp::Sample last_code_ = 0;
+  dsp::Sample last_code_;
   bool finished_ = false;
 
   // Send side.
@@ -261,7 +257,10 @@ class SensorNodeClient {
   std::uint64_t next_chunk_seq_ = 0;
   std::uint64_t next_beat_seq_ = 0;
   std::uint64_t next_heartbeat_seq_ = 0;
-  std::map<std::uint64_t, UnackedBeat> unacked_;  // seq order
+  // The retransmit window: FULL_BEAT payloads by seq, until their verdict.
+  std::map<std::uint64_t, std::vector<unsigned char>> unacked_;
+  std::uint64_t upload_cursor_ = 0;  // lowest seq this connection may send
+  std::uint64_t sent_below_ = 0;     // seqs below it were sent: resends
 
   // Receive side.
   FrameParser parser_;

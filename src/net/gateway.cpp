@@ -620,14 +620,6 @@ void GatewayServer::enable_ab(lifecycle::AbSplit split) {
   ab_on_ = true;
 }
 
-void GatewayServer::disable_ab() {
-  const std::lock_guard<std::mutex> lock(models_mutex_);
-  ab_on_ = false;
-  // Collapse both arms onto the incumbent; sessions already opened on arm
-  // B keep their tag but future deployments treat the ward as one arm.
-  arm_model_[1] = arm_model_[0];
-}
-
 bool GatewayServer::ab_enabled() const {
   const std::lock_guard<std::mutex> lock(models_mutex_);
   return ab_on_;

@@ -229,7 +229,6 @@ class GatewayServer {
   /// — promote_candidate() graduates it fleet-wide. Callable while the
   /// server runs (from any thread).
   void enable_ab(lifecycle::AbSplit split);
-  void disable_ab();
   bool ab_enabled() const;
 
   /// Graduates the arm-B candidate: promotes its version in the registry

@@ -117,7 +117,6 @@ class EventPoller {
   /// are normal (timeout, EINTR).
   std::size_t wait(int timeout_ms, std::vector<PollEvent>& out);
 
-  std::size_t watched() const { return interest_.size(); }
   const char* backend() const { return epfd_ >= 0 ? "epoll" : "poll"; }
 
  private:

@@ -16,25 +16,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// The exact integer codes the node boundary admits for this stream —
-/// shared by both paths so their inputs are identical by construction.
-std::vector<dsp::Sample> sanitize_stream(const ScenarioStream& stream) {
-  const core::MonitorConfig mc;
-  std::vector<dsp::Sample> codes;
-  codes.reserve(stream.samples.size());
-  dsp::Sample last = 0;
-  for (const double x : stream.samples)
-    codes.push_back(
-        net::SensorNodeClient::sanitize(x, mc.quality, last, nullptr));
-  return codes;
-}
-
 }  // namespace
 
 std::vector<Verdict> run_direct(const embedded::EmbeddedClassifier& clf,
                                 const ScenarioStream& stream,
                                 std::size_t threads, std::size_t shards) {
-  const auto codes = sanitize_stream(stream);
+  // The codes the wire path's node admits for the same doubles.
+  const auto codes =
+      dsp::sanitize_lead(stream.samples, core::MonitorConfig{}.quality);
   service::FleetConfig cfg;
   cfg.threads = threads;
   cfg.shards = shards;

@@ -54,13 +54,6 @@ FaultInjector::FaultInjector(FaultInjectorConfig cfg)
   }
 }
 
-bool FaultInjector::active_at(std::size_t i) const {
-  return std::any_of(cfg_.events.begin(), cfg_.events.end(),
-                     [i](const FaultEvent& e) {
-                       return i >= e.start && i < e.start + e.duration;
-                     });
-}
-
 std::vector<double> FaultInjector::feed(dsp::Sample x) {
   const std::size_t i = index_++;
   double value = static_cast<double>(x);

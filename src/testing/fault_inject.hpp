@@ -75,12 +75,6 @@ class FaultInjector {
   /// output samples depending on the faults active at this input index.
   std::vector<double> feed(dsp::Sample x);
 
-  /// Number of input samples consumed so far.
-  std::size_t input_index() const { return index_; }
-
-  /// True if any event is active at input index `i`.
-  bool active_at(std::size_t i) const;
-
   /// Convenience: runs a whole signal through a fresh injector.
   static std::vector<double> apply(const dsp::Signal& in,
                                    const FaultInjectorConfig& cfg);

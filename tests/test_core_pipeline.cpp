@@ -69,8 +69,9 @@ TEST_F(PipelineTest, OnlyFlaggedBeatsAreDelineated) {
   for (const auto& b : result.beats) {
     EXPECT_EQ(b.delineated, hbrp::ecg::is_pathological(b.predicted));
     delineated += b.delineated;
-    if (b.delineated)
+    if (b.delineated) {
       EXPECT_NE(b.fiducials.qrs_onset, hbrp::ecg::Fiducials::kNoFiducial);
+    }
   }
   EXPECT_EQ(delineated, result.flagged_count());
   EXPECT_GT(delineated, 0u);

@@ -128,7 +128,7 @@ TEST_F(StreamingMonitorTest, MemoryBoundWellUnderIcyHeartRam) {
   // buffer, conditioner history and pending batch) must sit far below the
   // 96 KB of the SoC. The figure leaves out the per-thread
   // kernels::DspWorkspace the monitor borrows for conditioning and
-  // detection, ~212 KB at this configuration, which alone exceeds the SoC's
+  // detection, ~145 KB at this configuration, which alone exceeds the SoC's
   // RAM. test_footprint measures the heap a monitor really holds.
   EXPECT_LT(monitor.memory_samples() * sizeof(hbrp::dsp::Sample),
             48u * 1024u);

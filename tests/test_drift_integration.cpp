@@ -134,15 +134,8 @@ TEST_F(DriftIntegrationTest, SessionObservesEveryDeliveredGoodBeat) {
 
 TEST_F(DriftIntegrationTest, FleetDriftStateIsThreadShardBitIdentical) {
   const auto stream = scenario::build_scenario(shift_spec());
-  std::vector<dsp::Sample> codes;
-  codes.reserve(stream.samples.size());
-  {
-    const core::MonitorConfig mc;
-    dsp::Sample last = 0;
-    for (const double x : stream.samples)
-      codes.push_back(
-          net::SensorNodeClient::sanitize(x, mc.quality, last, nullptr));
-  }
+  const std::vector<dsp::Sample> codes =
+      dsp::sanitize_lead(stream.samples, core::MonitorConfig{}.quality);
 
   auto run = [&](std::size_t threads, std::size_t shards) {
     service::FleetEngine engine(*bundle_, drift_fleet_config(threads, shards));

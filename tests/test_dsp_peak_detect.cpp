@@ -57,7 +57,7 @@ constexpr ProfileCase kProfileCases[] = {
 
 INSTANTIATE_TEST_SUITE_P(Profiles, PeakDetectOnProfile,
                          ::testing::ValuesIn(kProfileCases),
-                         [](const auto& info) { return info.param.name; });
+                         [](const auto& p) { return p.param.name; });
 
 TEST(PeakDetect, RobustAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {

@@ -64,7 +64,9 @@ TEST(Synth, AnnotationsSortedAndInRange) {
   const auto rec = generate_record(quick_cfg(RecordProfile::Lbbb, 4));
   for (std::size_t i = 0; i < rec.beats.size(); ++i) {
     EXPECT_LT(rec.beats[i].sample, rec.duration_samples());
-    if (i > 0) EXPECT_GT(rec.beats[i].sample, rec.beats[i - 1].sample);
+    if (i > 0) {
+      EXPECT_GT(rec.beats[i].sample, rec.beats[i - 1].sample);
+    }
   }
 }
 
@@ -125,7 +127,7 @@ constexpr MixCase kMixCases[] = {{RecordProfile::NormalSinus, "normal"},
                                  {RecordProfile::Lbbb, "lbbb"}};
 
 INSTANTIATE_TEST_SUITE_P(Profiles, SynthMix, ::testing::ValuesIn(kMixCases),
-                         [](const auto& info) { return info.param.name; });
+                         [](const auto& p) { return p.param.name; });
 
 TEST(Synth, PvcIsPrematureWithCompensatoryPause) {
   const auto rec =

@@ -1,13 +1,16 @@
 // Heap footprint per stream: live heap bytes per core::StreamingBeatMonitor
 // and per drift-enabled service::FleetEngine session, after 60 s of
 // synthetic ECG in 512-sample packets; the drift tracker's own heap, which
-// must not grow per beat; and the classifier copies a FleetEngine keeps.
+// must not grow per beat; the classifier copies a FleetEngine keeps; the
+// per-thread DSP workspace itself; and the uploads a selective sensor node
+// holds while its link is down.
 //
 // The conditioning and detection intermediates are per thread
-// (kernels::DspWorkspace), so each test warms the thread's workspace with
-// one monitor before it starts counting: what remains is per-stream state.
-// The bounds catch any workspace that creeps back into a monitor or a
-// session, where ~200 KB of scratch would be copied per stream.
+// (kernels::DspWorkspace), so each per-stream test warms the thread's
+// workspace with one monitor before it starts counting: what remains is
+// per-stream state. The bounds catch any workspace that creeps back into a
+// monitor or a session, where ~145 KB of scratch would be copied per
+// stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +23,7 @@
 #include <new>
 #include <optional>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "core/streaming.hpp"
@@ -27,6 +31,7 @@
 #include "drift/tracker.hpp"
 #include "ecg/synth.hpp"
 #include "math/rng.hpp"
+#include "net/client.hpp"
 #include "service/fleet.hpp"
 
 namespace {
@@ -73,6 +78,9 @@ constexpr std::int64_t kMonitorBudget = 48 * 1024;
 constexpr std::int64_t kSessionBudget = 64 * 1024;
 // Seed means, per-seed norms and the score window at k = 8 with 3 seeds.
 constexpr std::int64_t kTrackerBudget = 1024;
+// A thread's DSP workspace at the default MonitorConfig: the conditioner
+// over a 512-sample packet plus the wavelet detector over an 8 s chunk.
+constexpr std::int64_t kWorkspaceBudget = 160 * 1024;
 
 std::int64_t live_bytes() {
   return g_live_bytes.load(std::memory_order_relaxed);
@@ -84,16 +92,21 @@ std::uint64_t new_calls() {
 
 // Untrained but well-formed: k coefficients over a 200-sample window
 // (50 columns, downsample 4) matches the default MonitorConfig geometry.
-// The footprint does not depend on what the classifier decides.
-embedded::EmbeddedClassifier make_classifier(std::size_t k = 8) {
+// The monitor's footprint does not depend on what the classifier decides;
+// a selective node's does. Widening the memberships makes the classes
+// overlap, and at alpha 1.0 a beat is then nearly always Unknown, which a
+// selective node uploads.
+embedded::EmbeddedClassifier make_classifier(std::size_t k = 8,
+                                             double alpha = 0.25,
+                                             double width = 1.0) {
   math::Rng rng(7);
   auto p = rp::make_achlioptas(k, 50, rng);
   nfc::NeuroFuzzyClassifier nfc(k);
   for (std::size_t i = 0; i < k; ++i)
     for (std::size_t l = 0; l < 3; ++l)
-      nfc.mf(i, l) = {rng.normal(0, 200), rng.uniform(5.0, 150.0)};
+      nfc.mf(i, l) = {rng.normal(0, 200), width * rng.uniform(5.0, 150.0)};
   return core::TrainedClassifier{rp::BeatProjector(std::move(p), 4),
-                                 std::move(nfc), 0.25}
+                                 std::move(nfc), alpha}
       .quantize();
 }
 
@@ -113,10 +126,10 @@ std::shared_ptr<const drift::TrainingCentroids> make_centroids() {
   return tc;
 }
 
-dsp::Signal synth_lead() {
+dsp::Signal synth_lead(double seconds = 60.0) {
   ecg::SynthConfig cfg;
   cfg.profile = ecg::RecordProfile::PvcOccasional;
-  cfg.duration_s = 60.0;
+  cfg.duration_s = seconds;
   cfg.num_leads = 1;
   cfg.seed = 31;
   return ecg::generate_record(cfg).leads[0];
@@ -256,6 +269,79 @@ TEST(Footprint, FleetEngineHoldsOneClassifierCopy) {
   EXPECT_LT(engine_growth, copy_growth / 2)
       << "engine heap grows " << engine_growth << " bytes from k = 8 to "
       << "k = 32; one classifier copy grows " << copy_growth << " bytes";
+}
+
+// What one default-config monitor leaves behind on a fresh thread, once it
+// has run and been destroyed, is the thread's DSP workspace. The wavelet
+// detector keeps one threshold per 2 s block, not one per sample.
+TEST(Footprint, ThreadWorkspaceAtDefaultConfig) {
+  const auto clf = make_classifier();
+  const dsp::Signal lead = synth_lead();
+  std::int64_t kept = 0;
+  std::thread([&] {
+    const std::int64_t before = live_bytes();
+    warm_workspace(clf, lead);
+    kept = live_bytes() - before;
+  }).join();
+  EXPECT_GT(kept, 0) << "the monitor never borrowed the thread's workspace";
+  EXPECT_LE(kept, kWorkspaceBudget)
+      << "thread workspace: " << kept << " bytes";
+}
+
+// A selective node holds each upload once, in its retransmit window. This
+// one is never polled (port 1, like the e2e ledger's node), so it never
+// connects: nothing is sent, nothing is acknowledged, and once the window
+// is full each new upload pushes out the oldest, which is counted as
+// dropped.
+TEST(Footprint, SelectiveNodeHoldsEachUploadOnce) {
+  const auto clf = make_classifier(8, 1.0, 10.0);
+  const dsp::Signal lead = synth_lead(600.0);
+  warm_workspace(clf, lead);
+
+  net::NodeConfig cfg;
+  cfg.port = 1;
+  cfg.policy = net::TxPolicy::Selective;
+  cfg.heartbeat_interval_ms = 0;
+  net::SensorNodeClient node(clf, cfg);
+  const std::size_t window = cfg.max_unacked_full_beats;
+  std::size_t k = 0;
+  const auto push_until = [&](const auto& done) {
+    while (!done() && k < packet_count(lead)) node.push(packet(lead, k++));
+    return done();
+  };
+
+  // Start counting once the node's own buffers are in steady state.
+  ASSERT_TRUE(push_until([&] { return node.unacked_full_beats() >= 8; }));
+  const std::int64_t base = live_bytes();
+  const std::size_t base_held = node.unacked_full_beats();
+  ASSERT_TRUE(
+      push_until([&] { return node.unacked_full_beats() == window; }));
+  const std::int64_t full = live_bytes();
+  // Another window's worth of uploads: the held set turns over, the heap
+  // stays put.
+  const std::uint64_t uploads_at_full = node.stats().beats_uploaded;
+  ASSERT_TRUE(push_until([&] {
+    return node.stats().beats_uploaded >= uploads_at_full + window;
+  }));
+  const std::int64_t later = live_bytes();
+
+  const std::int64_t frame = static_cast<std::int64_t>(
+      net::kHeaderBytes + 12 +
+      sizeof(dsp::Sample) * clf.projector().expected_window());
+  ASSERT_EQ(frame, 832);
+  const std::int64_t per_upload =
+      (full - base) / static_cast<std::int64_t>(window - base_held);
+  EXPECT_LT(per_upload, frame * 5 / 4)
+      << "live heap per held upload: " << per_upload << " bytes";
+  EXPECT_LT(later - full, frame)
+      << "live heap grew " << (later - full) << " bytes over " << window
+      << " uploads past a full window";
+  EXPECT_EQ(node.unacked_full_beats(), window);
+  const net::TxStats& s = node.stats();
+  EXPECT_EQ(s.frames_dropped, s.beats_uploaded - window);
+  EXPECT_EQ(s.frames_tx, 0u);
+  EXPECT_GT(s.beats_uploaded, 20 * s.beats_local)
+      << "alpha 1.0 should upload nearly every beat";
 }
 
 TEST(Footprint, DriftTrackerHeap) {

@@ -99,8 +99,10 @@ drift::TrainingCentroids make_centroids(std::uint64_t seed,
 
 lifecycle::ModelBundle make_bundle(std::uint64_t version, std::uint64_t seed,
                                    bool with_centroids = true) {
-  lifecycle::ModelBundle b{
-      .version = version, .model = make_model(seed), .alpha_test = 0.25};
+  lifecycle::ModelBundle b{.version = version,
+                           .model = make_model(seed),
+                           .centroids = {},
+                           .alpha_test = 0.25};
   if (with_centroids) b.centroids = make_centroids(seed + 1);
   return b;
 }
@@ -697,14 +699,7 @@ TEST_F(LifecycleSwapTest, SwapReseedsDriftFromBundleCentroids) {
 // --- gateway wire path -----------------------------------------------------
 
 std::vector<dsp::Sample> wire_codes(const std::vector<double>& lead) {
-  const core::MonitorConfig mc;
-  std::vector<dsp::Sample> codes;
-  codes.reserve(lead.size());
-  dsp::Sample last = 0;
-  for (const double x : lead)
-    codes.push_back(
-        net::SensorNodeClient::sanitize(x, mc.quality, last, nullptr));
-  return codes;
+  return dsp::sanitize_lead(lead, core::MonitorConfig{}.quality);
 }
 
 std::vector<VerdictSig> direct_ingest(
@@ -984,7 +979,8 @@ TEST_F(LifecycleSwapTest, NackedPushesLeaveModelAndTrafficUntouched) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   // (1) Duplicate: version 1 is the seeded incumbent.
-  const lifecycle::ModelBundle dup{.version = 1, .model = *trained_b_};
+  const lifecycle::ModelBundle dup{
+      .version = 1, .model = *trained_b_, .centroids = {}};
   auto r = net::push_bundle(port, dup);
   EXPECT_TRUE(r.delivered) << r.error;
   EXPECT_EQ(r.status, net::ModelPushStatus::Duplicate);
@@ -999,7 +995,8 @@ TEST_F(LifecycleSwapTest, NackedPushesLeaveModelAndTrafficUntouched) {
   // (3) Malformed: a real bundle with one payload byte flipped — the
   // announced digest is recomputed over the tampered image, so it passes
   // the digest check and must die on the bundle's own CRC.
-  const lifecycle::ModelBundle v3{.version = 3, .model = *trained_b_};
+  const lifecycle::ModelBundle v3{
+      .version = 3, .model = *trained_b_, .centroids = {}};
   auto tampered = lifecycle::encode_bundle(v3);
   tampered[tampered.size() - 9] ^= 0x10u;
   r = net::push_image(port, 3, tampered);
@@ -1009,7 +1006,9 @@ TEST_F(LifecycleSwapTest, NackedPushesLeaveModelAndTrafficUntouched) {
   // (4) BadGeometry: a well-formed bundle whose projector shape does not
   // match the incumbent's.
   const lifecycle::ModelBundle odd{
-      .version = 4, .model = make_model(900, /*k=*/6, /*cols=*/30)};
+      .version = 4,
+      .model = make_model(900, /*k=*/6, /*cols=*/30),
+      .centroids = {}};
   ASSERT_NE(odd.model.projector.expected_window(),
             trained_a_->projector.expected_window());
   r = net::push_bundle(port, odd);
@@ -1070,13 +1069,15 @@ TEST_F(LifecycleSwapTest, DowngradeRollbackAndRegistryFullOverWire) {
   EXPECT_EQ(harness.gw.active_model_version(), 10u);
 
   // Downgrade: older than the new incumbent.
-  const lifecycle::ModelBundle v7{.version = 7, .model = *trained_b_};
+  const lifecycle::ModelBundle v7{
+      .version = 7, .model = *trained_b_, .centroids = {}};
   r = net::push_bundle(port, v7);
   EXPECT_TRUE(r.delivered) << r.error;
   EXPECT_EQ(r.status, net::ModelPushStatus::Downgrade);
 
   // RegistryFull: both slots are now active (10) and rollback target (1).
-  const lifecycle::ModelBundle v11{.version = 11, .model = *trained_b_};
+  const lifecycle::ModelBundle v11{
+      .version = 11, .model = *trained_b_, .centroids = {}};
   r = net::push_bundle(port, v11);
   EXPECT_TRUE(r.delivered) << r.error;
   EXPECT_EQ(r.status, net::ModelPushStatus::RegistryFull);

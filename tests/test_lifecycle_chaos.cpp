@@ -103,14 +103,7 @@ std::vector<double> patient_lead(std::uint64_t seed, double seconds) {
 }
 
 std::vector<dsp::Sample> wire_codes(const std::vector<double>& lead) {
-  const core::MonitorConfig mc;
-  std::vector<dsp::Sample> codes;
-  codes.reserve(lead.size());
-  dsp::Sample last = 0;
-  for (const double x : lead)
-    codes.push_back(
-        net::SensorNodeClient::sanitize(x, mc.quality, last, nullptr));
-  return codes;
+  return dsp::sanitize_lead(lead, core::MonitorConfig{}.quality);
 }
 
 struct VerdictSig {

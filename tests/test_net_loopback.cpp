@@ -1,14 +1,16 @@
 // End-to-end loopback tests for the src/net subsystem: gateway + client
 // round trips, verdict bit-identity vs direct FleetEngine ingest across
 // thread/shard counts, the selective-transmission policy, corrupted-frame
-// rejection, reconnect recovery with at-least-once uploads, admission
-// refusal, and session-leak checks.
+// rejection, reconnect recovery with at-least-once uploads, the bounded
+// upload window across an outage, admission refusal, and session-leak
+// checks.
 #include <gtest/gtest.h>
 
 #include <poll.h>
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -67,14 +69,7 @@ std::vector<double> patient_lead(std::uint64_t seed, double seconds = 30.0) {
 
 /// The exact integer codes a node's double input becomes on the wire.
 std::vector<dsp::Sample> wire_codes(const std::vector<double>& lead) {
-  const core::MonitorConfig mc;
-  std::vector<dsp::Sample> codes;
-  codes.reserve(lead.size());
-  dsp::Sample last = 0;
-  for (const double x : lead)
-    codes.push_back(net::SensorNodeClient::sanitize(x, mc.quality, last,
-                                                    nullptr));
-  return codes;
+  return dsp::sanitize_lead(lead, core::MonitorConfig{}.quality);
 }
 
 struct VerdictSig {
@@ -85,12 +80,13 @@ struct VerdictSig {
   bool operator==(const VerdictSig&) const = default;
 };
 
-/// Reference path: the same sanitized codes offered straight into a
-/// FleetEngine session (no sockets), pumped to completion.
+/// Reference path: samples offered straight into a FleetEngine session (no
+/// sockets), pumped to completion. Integer codes are what crossed the wire;
+/// doubles meet the session's own untrusted boundary.
+template <typename T>
 std::vector<VerdictSig> direct_ingest(
     const embedded::EmbeddedClassifier& classifier,
-    std::span<const dsp::Sample> codes, std::size_t threads,
-    std::size_t shards) {
+    const std::vector<T>& samples, std::size_t threads, std::size_t shards) {
   service::FleetConfig cfg;
   cfg.threads = threads;
   cfg.shards = shards;
@@ -104,10 +100,11 @@ std::vector<VerdictSig> direct_ingest(
             static_cast<std::uint8_t>(r.beat.quality)});
       });
   EXPECT_TRUE(id.has_value());
+  const std::span<const T> all(samples);
   std::size_t off = 0;
-  while (off < codes.size()) {
-    const std::size_t n = std::min<std::size_t>(1024, codes.size() - off);
-    const auto res = engine.offer(*id, codes.subspan(off, n));
+  while (off < all.size()) {
+    const std::size_t n = std::min<std::size_t>(1024, all.size() - off);
+    const auto res = engine.offer(*id, all.subspan(off, n));
     off += res.accepted;
     engine.pump();
   }
@@ -176,7 +173,7 @@ TEST_F(NetLoopbackTest, StreamEverythingIsBitIdenticalToDirectIngest) {
   // claim leans on it: any thread/shard count produces the same stream.
   EXPECT_EQ(direct_ingest(*bundle_, codes, 4, 3), reference);
 
-  for (const auto [threads, shards] :
+  for (const auto& [threads, shards] :
        {std::pair<std::size_t, std::size_t>{1, 1}, {4, 3}}) {
     net::GatewayConfig gcfg;
     gcfg.fleet.threads = threads;
@@ -280,6 +277,35 @@ TEST_F(NetLoopbackTest, IntegerAndSanitizedDoublePushesAreEquivalent) {
 
   EXPECT_EQ(got, reference);
   EXPECT_EQ(client.stats().sanitized_nonfinite, 2u);
+}
+
+TEST_F(NetLoopbackTest, NanLedLeadMatchesDirectDoubleIngest) {
+  // The node and the monitor start their sample-hold at the same mid-rail
+  // code, so a lead that opens with non-finite samples crosses the wire as
+  // the codes the monitor's own double boundary would have made. A hold
+  // starting at the rail would open the stream with a clipped run.
+  auto lead = patient_lead(4);
+  std::fill_n(lead.begin(), 20, std::numeric_limits<double>::quiet_NaN());
+  const auto reference = direct_ingest(*bundle_, lead, 1, 1);
+  ASSERT_FALSE(reference.empty());
+
+  GatewayHarness harness(*bundle_, {});
+  net::NodeConfig ncfg;
+  ncfg.port = harness.gw.port();
+  ncfg.policy = net::TxPolicy::StreamEverything;
+  net::SensorNodeClient client(*bundle_, ncfg);
+  std::vector<VerdictSig> got;
+  client.set_verdict_sink(
+      [&got](std::uint64_t seq, const net::BeatVerdictMsg& v) {
+        got.push_back(VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
+      });
+  client.push(std::span<const double>(lead));
+  client.finish();
+  EXPECT_TRUE(client.drain(20000));
+  client.close(5000);
+
+  EXPECT_EQ(got, reference);
+  EXPECT_EQ(client.stats().sanitized_nonfinite, 20u);
 }
 
 TEST_F(NetLoopbackTest, SelectivePolicyKeepsNormalBeatsLocal) {
@@ -526,6 +552,135 @@ TEST_F(NetLoopbackTest, ClientReconnectsWithBackoffAndResendsUnacked) {
   EXPECT_EQ(verdict_seqs.size(), client->stats().beats_uploaded);
   await_gateway_idle(second.gw);
   EXPECT_EQ(second.gw.engine().session_count(), 0u);
+}
+
+TEST_F(NetLoopbackTest, UnansweredUploadsLeavingTheWindowAreCounted) {
+  // A small window, and a first "gateway" that completes the handshake but
+  // never answers: every upload the node sends there stays unanswered.
+  // Some leave the window while in flight on that connection, the rest
+  // during the outage after it. Each must end counted as dropped, so a
+  // drained node has one verdict or one drop per upload; that also means
+  // every upload seq was marked seen, which empties the verdict dedup set.
+  constexpr std::size_t kWindow = 8;
+  ecg::SynthConfig scfg;
+  scfg.profile = ecg::RecordProfile::PvcBigeminy;
+  scfg.duration_s = 60.0;
+  scfg.num_leads = 1;
+  scfg.seed = 31;
+  const dsp::Signal lead = ecg::generate_record(scfg).leads[0];
+  net::NodeConfig ncfg;
+  ncfg.policy = net::TxPolicy::Selective;
+  ncfg.max_unacked_full_beats = kWindow;
+  ncfg.backoff_initial_ms = 5;
+  ncfg.backoff_max_ms = 50;
+  std::vector<std::uint64_t> verdict_seqs;
+  std::optional<net::SensorNodeClient> client;
+  auto push_uploads = [&] {
+    const std::uint64_t before = client->stats().beats_uploaded;
+    client->push(std::span<const dsp::Sample>(lead));
+    return client->stats().beats_uploaded - before;
+  };
+
+  {
+    net::TcpListener mute(0);
+    ncfg.port = mute.port();
+    client.emplace(*bundle_, ncfg);
+    client->set_verdict_sink(
+        [&verdict_seqs](std::uint64_t seq, const net::BeatVerdictMsg&) {
+          verdict_seqs.push_back(seq);
+        });
+    net::Socket peer;
+    ASSERT_TRUE(poll_client_until(*client, [&] {
+      if (!peer.valid()) peer = mute.accept();
+      return peer.valid();
+    }));
+    std::vector<unsigned char> ack;
+    net::append_frame(ack, net::FrameType::HelloAck, 0,
+                      net::encode_hello_ack({}));
+    ASSERT_EQ(net::send_some(peer.fd(), ack).n, ack.size());
+    ASSERT_TRUE(
+        poll_client_until(*client, [&] { return client->established(); }));
+
+    // Fill the window and put all of it on the wire; then overflow it
+    // with those uploads still in flight, and send the newcomers too.
+    ASSERT_GE(push_uploads(), kWindow);
+    ASSERT_TRUE(poll_client_until(
+        *client, [&] { return client->pending_bytes() == 0; }));
+    ASSERT_GE(push_uploads(), kWindow);
+    ASSERT_TRUE(poll_client_until(
+        *client, [&] { return client->pending_bytes() == 0; }));
+  }
+  // The mute gateway is gone with its unread uploads.
+  ASSERT_TRUE(
+      poll_client_until(*client, [&] { return !client->established(); }));
+  // The outage pushes the last sent uploads out of the window.
+  ASSERT_GE(push_uploads(), kWindow);
+  client->finish();
+
+  GatewayHarness second(*bundle_, [&] {
+    net::GatewayConfig g;
+    g.port = ncfg.port;
+    return g;
+  }());
+  ASSERT_TRUE(poll_client_until(
+      *client,
+      [&] { return client->established() && client->unacked_full_beats() == 0; },
+      20000));
+  // Settled with the link still up: no upload waits for a disconnect to be
+  // counted.
+  const net::TxStats& s = client->stats();
+  EXPECT_EQ(s.verdicts_rx + s.frames_dropped, s.beats_uploaded);
+  client->close(5000);
+  EXPECT_EQ(s.verdicts_rx + s.frames_dropped, s.beats_uploaded);
+  std::vector<std::uint64_t> newest(kWindow);
+  for (std::size_t i = 0; i < kWindow; ++i)
+    newest[i] = s.beats_uploaded - kWindow + i;
+  EXPECT_EQ(verdict_seqs, newest);
+  EXPECT_EQ(s.verdict_dups, 0u);
+}
+
+TEST_F(NetLoopbackTest, OutageKeepsNewestUploadsCountsTheRest) {
+  // Minutes of bigeminy before the link ever comes up: the retransmit
+  // window keeps the newest uploads and counts every older one as dropped.
+  // Once connected, exactly the held uploads reach the gateway, oldest
+  // first, and nothing the node counted as dropped comes back answered.
+  ecg::SynthConfig scfg;
+  scfg.profile = ecg::RecordProfile::PvcBigeminy;
+  scfg.duration_s = 300.0;
+  scfg.num_leads = 1;
+  scfg.seed = 3;
+  const dsp::Signal lead = ecg::generate_record(scfg).leads[0];
+  constexpr std::size_t kWindow = 16;
+
+  GatewayHarness harness(*bundle_, {});
+  net::NodeConfig ncfg;
+  ncfg.port = harness.gw.port();
+  ncfg.policy = net::TxPolicy::Selective;
+  ncfg.max_unacked_full_beats = kWindow;
+  net::SensorNodeClient client(*bundle_, ncfg);
+  std::vector<std::uint64_t> verdict_seqs;
+  client.set_verdict_sink(
+      [&verdict_seqs](std::uint64_t seq, const net::BeatVerdictMsg&) {
+        verdict_seqs.push_back(seq);
+      });
+  client.push(std::span<const dsp::Sample>(lead));
+  client.finish();
+  const net::TxStats& s = client.stats();
+  ASSERT_GT(s.beats_uploaded, 2 * kWindow);
+  EXPECT_EQ(client.unacked_full_beats(), kWindow);
+  EXPECT_EQ(s.frames_tx, 0u) << "the node was never polled";
+
+  EXPECT_TRUE(client.drain(20000));
+  client.close(5000);
+
+  EXPECT_EQ(s.frames_dropped, s.beats_uploaded - kWindow);
+  EXPECT_EQ(s.verdicts_rx, s.beats_uploaded - s.frames_dropped);
+  std::vector<std::uint64_t> newest(kWindow);
+  for (std::size_t i = 0; i < kWindow; ++i)
+    newest[i] = s.beats_uploaded - kWindow + i;
+  EXPECT_EQ(verdict_seqs, newest);
+  EXPECT_EQ(harness.gw.stats().full_beats_rx.load(), kWindow);
+  EXPECT_EQ(s.retransmits, 0u);
 }
 
 TEST_F(NetLoopbackTest, AdmissionRefusalIsSignalledAndRecoverable) {
