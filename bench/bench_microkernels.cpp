@@ -33,6 +33,8 @@
 #include "kernels/dsp_wavelet.hpp"
 #include "kernels/fuzzify.hpp"
 #include "kernels/sparse_ternary.hpp"
+#include "math/crc32.hpp"
+#include "net/wire.hpp"
 #include "rp/packed_matrix.hpp"
 
 namespace {
@@ -414,6 +416,29 @@ void BM_SynthRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthRecord)->Unit(benchmark::kMillisecond);
 
+/// One SAMPLE_CHUNK frame of 512 codes, as a StreamEverything node sends
+/// it: 788 B under the 12-bit packing.
+std::vector<unsigned char> chunk_frame() {
+  std::vector<dsp::Sample> codes(512);
+  math::Rng rng(5);
+  for (auto& c : codes) c = static_cast<dsp::Sample>(rng.uniform_int(0, 2047));
+  std::vector<unsigned char> frame;
+  net::append_frame(frame, net::FrameType::SampleChunk, 0,
+                    net::encode_sample_chunk(codes));
+  return frame;
+}
+
+// The frame checksum both ends of the link compute over every byte; the
+// JSON report adds crc32_ns_per_byte.
+void BM_Crc32(benchmark::State& state) {
+  const std::vector<unsigned char> frame = chunk_frame();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(math::crc32(frame.data(), frame.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_Crc32);
+
 /// "BM_ProjectionSparseInt/16" -> "ProjectionSparseInt_16": the stable key
 /// stem used in BENCH_microkernels.json (and matched by perf_gate.py).
 std::string json_key_stem(const std::string& name) {
@@ -526,6 +551,10 @@ int main(int argc, char** argv) {
   const double mf_simd = reporter.find("IntMfSimd");
   if (mf_scalar > 0.0 && mf_simd > 0.0)
     report.set("intmf_simd_speedup", mf_scalar / mf_simd);
+  const double crc = reporter.find("Crc32");
+  if (crc > 0.0)
+    report.set("crc32_ns_per_byte",
+               crc / static_cast<double>(chunk_frame().size()));
 
   return report.write(json_path) ? 0 : 1;
 }

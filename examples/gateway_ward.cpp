@@ -61,10 +61,11 @@ struct NodeReport {
 /// active link never idles long enough to send one).
 std::uint64_t stream_baseline_bytes(std::uint64_t samples,
                                     std::size_t chunk_samples) {
-  const std::uint64_t chunks =
-      (samples + chunk_samples - 1) / std::max<std::size_t>(chunk_samples, 1);
-  return (hbrp::net::kHeaderBytes + 11) +
-         chunks * hbrp::net::kHeaderBytes + samples * 4;
+  using namespace hbrp::net;
+  const std::uint64_t tail = samples % chunk_samples;
+  return (kHeaderBytes + kHelloPayloadBytes) +
+         samples / chunk_samples * sample_chunk_frame_bytes(chunk_samples) +
+         (tail == 0 ? 0 : sample_chunk_frame_bytes(tail));
 }
 
 }  // namespace
@@ -188,7 +189,8 @@ int main(int argc, char** argv) {
     const NodeReport& r = reports[i];
     const bool selective = r.policy == net::TxPolicy::Selective;
     const std::uint64_t baseline =
-        stream_baseline_bytes(r.stats.samples_in, 512);
+        stream_baseline_bytes(r.stats.samples_in,
+                              net::NodeConfig{}.chunk_samples);
     if (selective) {
       selective_bytes += r.stats.bytes_tx;
       selective_baseline += baseline;

@@ -24,7 +24,9 @@
 #      gap), a fleet_server smoke (the example that snapshots live
 #      sessions), bench_net --quick, whose stream runs gate wire verdicts
 #      against direct in-process ingest bit-for-bit across the reactor
-#      axis (plus the same perf_gate comparison vs BENCH_net.json), and
+#      axis (plus the same perf_gate comparison vs BENCH_net.json, whose
+#      identity keys are compared before any different-CPU skip; a tamper
+#      self-check first proves a false identity_pass fails it), and
 #      fleet_soak — 10k concurrent loopback sessions through a 2-reactor
 #      gateway with a 512 MB peak-RSS ceiling. The telemetry JSON that
 #      gateway_ward, fleet_server and fleet_soak print is parsed by
@@ -125,6 +127,25 @@ python3 scripts/telemetry_json_check.py build/fleet_server.log \
   "Fleet telemetry snapshot:"
 echo "==== net identity gate (bench_net --quick)"
 ./build/bench/bench_net --quick --threads=0 --json=build/BENCH_net_quick.json
+# Self-check first: perf_gate.py compares identity keys before any
+# different-CPU skip, so a copy of the report with identity_pass false
+# must fail it on every host.
+echo "==== net identity gate self-check (gate must fail on identity_pass=false)"
+python3 - build/BENCH_net_quick.json build/BENCH_net_tampered.json <<'EOF2'
+import json
+import sys
+src, dst = sys.argv[1:]
+with open(src, encoding="utf-8") as f:
+    report = json.load(f)
+report["identity_pass"] = False
+with open(dst, "w", encoding="utf-8") as f:
+    json.dump(report, f)
+EOF2
+if python3 scripts/perf_gate.py BENCH_net.json build/BENCH_net_tampered.json \
+    >/dev/null 2>&1; then
+  echo "net identity gate self-check FAILED: tampered report passed" >&2
+  exit 1
+fi
 python3 scripts/perf_gate.py BENCH_net.json build/BENCH_net_quick.json
 
 # --- 1c2. 10k-session loopback soak smoke ---------------------------------

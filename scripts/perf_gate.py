@@ -19,9 +19,12 @@ Also gated, with the same warn-skip policy for missing keys:
 
 Comparability rules (the gate must never fail on numbers that were never
 comparable in the first place):
+  - the identity booleans do not depend on the host, so they are compared
+    first, on any machine;
   - if either report's ``cpu_model`` is missing or "unknown", or the two
-    models differ, the gate SKIPS (exit 0) with a clear message — a baseline
-    recorded on one machine says nothing about another;
+    models differ, the timing comparison SKIPS (exit 0 unless an identity
+    gate failed) with a clear message — a baseline recorded on one machine
+    says nothing about another;
   - if either report says ``virtualized: true`` the tolerance is doubled and
     a notice is printed — VM timing is noisy even for CPU time;
   - keys present in only one report are listed but never fatal, so adding or
@@ -52,6 +55,30 @@ def load_report(path):
     return data
 
 
+def compare_identities(base, fresh):
+    """Compares every shared ``*identity_pass`` boolean pair.
+
+    Returns (compared keys, keys whose true baseline turned false)."""
+    compared, broken = [], []
+    for key in sorted(k for k in base if k.endswith("identity_pass")):
+        if key not in fresh:
+            print(f"perf_gate: WARNING — identity key {key} missing from "
+                  "fresh run, skipped")
+            continue
+        b, f = base[key], fresh[key]
+        if not (isinstance(b, bool) and isinstance(f, bool)):
+            print(f"perf_gate: WARNING — {key} is not a boolean pair "
+                  f"({b!r} vs {f!r}), skipped")
+            continue
+        compared.append(key)
+        marker = ""
+        if b and not f:
+            broken.append(key)
+            marker = "  <-- IDENTITY BROKEN"
+        print(f"  {key:<40} {str(b):>12} -> {str(f):>12}{marker}")
+    return compared, broken
+
+
 def main(argv):
     tolerance = DEFAULT_TOLERANCE
     paths = []
@@ -75,15 +102,28 @@ def main(argv):
     base = load_report(paths[0])
     fresh = load_report(paths[1])
 
+    # Bit-identity booleans: a true baseline must never turn false, on any
+    # host — so this runs before the machine-comparability skip below.
+    identities, identity_failures = compare_identities(base, fresh)
+    if identity_failures:
+        print(f"\nperf_gate: FAIL — bit-identity regressed on: "
+              f"{', '.join(identity_failures)}\n"
+              "A true baseline identity gate turned false; this is a "
+              "determinism bug, not timing noise — fix it, do not "
+              "regenerate the baseline.")
+        return 1
+
     base_cpu = base.get("cpu_model", "unknown")
     fresh_cpu = fresh.get("cpu_model", "unknown")
     if base_cpu == "unknown" or fresh_cpu == "unknown":
-        print("perf_gate: SKIP — cpu_model unknown "
+        print("perf_gate: SKIP timings — cpu_model unknown "
               f"(baseline: '{base_cpu}', fresh: '{fresh_cpu}'); "
-              "numbers are not comparable on an unidentified machine")
+              "numbers are not comparable on an unidentified machine "
+              f"({len(identities)} identity key(s) gated)")
         return 0
     if base_cpu != fresh_cpu:
-        print("perf_gate: SKIP — baseline was recorded on a different CPU\n"
+        print("perf_gate: SKIP timings — baseline was recorded on a "
+              f"different CPU ({len(identities)} identity key(s) gated)\n"
               f"  baseline: {base_cpu}\n  fresh:    {fresh_cpu}")
         return 0
 
@@ -154,21 +194,6 @@ def main(argv):
         print(f"  {key:<40} {b:>11.2f}x -> {f:>11.2f}x speedup "
               f"({ratio - 1.0:+7.1%}){marker}")
 
-    # Bit-identity booleans: a true baseline must never turn false.
-    identity_failures = []
-    identities = shared_keys("identity_pass")
-    for key in identities:
-        b, f = base[key], fresh[key]
-        if not (isinstance(b, bool) and isinstance(f, bool)):
-            print(f"perf_gate: WARNING — {key} is not a boolean pair "
-                  f"({b!r} vs {f!r}), skipped")
-            continue
-        marker = ""
-        if b and not f:
-            identity_failures.append(key)
-            marker = "  <-- IDENTITY BROKEN"
-        print(f"  {key:<40} {str(b):>12} -> {str(f):>12}{marker}")
-
     total_skipped = skipped["missing"] + skipped["incomparable"]
     if total_skipped:
         print(f"perf_gate: {total_skipped} key(s) warn-skipped "
@@ -179,14 +204,6 @@ def main(argv):
     if not shared and not speedups and not identities:
         print("perf_gate: SKIP — no shared gated keys to compare")
         return 0
-
-    if identity_failures:
-        print(f"\nperf_gate: FAIL — bit-identity regressed on: "
-              f"{', '.join(identity_failures)}\n"
-              "A true baseline identity gate turned false; this is a "
-              "determinism bug, not timing noise — fix it, do not "
-              "regenerate the baseline.")
-        return 1
 
     if regressions:
         print(f"\nperf_gate: FAIL — {len(regressions)} benchmark(s) more "

@@ -1,9 +1,12 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 //
-// Used to guard persisted artefacts (trained models) against silent flash /
-// filesystem corruption: a single flipped bit anywhere in the payload is
-// detected before any length field is trusted. Table-driven, one lookup per
-// byte — negligible next to the file I/O it protects.
+// Guards persisted artefacts (model bundles) and every wire frame against
+// silent corruption: a single flipped bit anywhere in the payload is
+// detected before any length field is trusted. Slice-by-8 in portable
+// software: eight 256-entry tables fold eight bytes per step, and a
+// bytewise loop takes the tail. The SSE4.2 `crc32` instruction is not an
+// alternative: it computes CRC-32C (polynomial 0x82F63B78), a different
+// checksum, so it would change every frame and bundle on the wire.
 #pragma once
 
 #include <cstddef>

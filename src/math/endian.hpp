@@ -1,10 +1,12 @@
 // Explicit little-endian (de)serialization primitives.
 //
-// Every persisted or transmitted byte in this codebase — model bundles
+// Every persisted or transmitted field in this codebase — model bundles
 // (lifecycle/bundle) and wire frames (net/wire) — goes through these helpers,
-// so there is exactly one audited codec instead of one per subsystem. The
-// byte order is little-endian *by construction* (shift/or, never memcpy of
-// a native representation), so the format is identical on any host;
+// so there is exactly one audited codec instead of one per subsystem (the
+// one exception, net/wire's 24-bit words of two 12-bit sample codes, is
+// shift/or too). The byte order is little-endian *by construction*
+// (shift/or, never memcpy of a native representation), so the format is
+// identical on any host;
 // floating-point values travel as the IEEE-754 bit pattern of their
 // same-width unsigned integer.
 //

@@ -33,6 +33,17 @@ SensorNodeClient::SensorNodeClient(embedded::EmbeddedClassifier classifier,
                "SensorNodeClient: chunk_samples out of range");
   HBRP_REQUIRE(cfg_.max_unacked_full_beats >= 1,
                "SensorNodeClient: max_unacked_full_beats must be >= 1");
+  // Every code this node frames must fit the wire's 12 bits: raw codes are
+  // clamped to these rails, and a conditioned window (x - close(open(x)),
+  // then min/max and a rounded average) stays within
+  // +/-(rail_high - rail_low).
+  const dsp::QualityConfig& rails = cfg_.monitor.quality;
+  HBRP_REQUIRE(rails.rail_low >= kMinWireCode &&
+                   rails.rail_high <= kMaxWireCode &&
+                   rails.rail_low < rails.rail_high &&
+                   rails.rail_high - rails.rail_low <= kMaxWireCode,
+               "SensorNodeClient: ADC rails must lie in the 12-bit wire "
+               "range and span at most 2047 codes");
   backoff_ms_ = std::max(1, cfg_.backoff_initial_ms);
   if (cfg_.policy == TxPolicy::Selective) {
     monitor_.emplace(classifier_, cfg_.monitor);
@@ -160,6 +171,13 @@ void SensorNodeClient::on_pending_beat(const core::PendingBeat& pb) {
 }
 
 void SensorNodeClient::stage_stream_sample(dsp::Sample x) {
+  // The gateway's monitor would clamp an out-of-rail code to the same
+  // value; clamping here keeps every framed code inside 12 bits.
+  const dsp::QualityConfig& rails = cfg_.monitor.quality;
+  if (x < rails.rail_low || x > rails.rail_high) {
+    ++stats_.samples_clamped;
+    x = std::clamp(x, rails.rail_low, rails.rail_high);
+  }
   stage_.push_back(x);
   if (stage_.size() >= cfg_.chunk_samples) flush_stage(false);
 }
@@ -336,18 +354,6 @@ void SensorNodeClient::handle_frame(const FrameView& f) {
       }
       ++stats_.verdicts_rx;
       if (on_verdict_) on_verdict_(f.seq, *v);
-      return;
-    }
-    case FrameType::Ack: {
-      const auto ack = decode_ack(f.payload);
-      if (!ack.has_value()) {
-        ++stats_.parse_rejects;
-        disconnect(now, true);
-        return;
-      }
-      // A FULL_BEAT's wire-level ACK confirms receipt only; the upload
-      // stays held until its BEAT_VERDICT (see above) so a drop between
-      // ACK and verdict cannot lose the gateway's answer.
       return;
     }
     default:

@@ -5,8 +5,9 @@
 // classify on the node, and spend radio energy only where it buys clinical
 // value. Two policies, chosen at handshake:
 //
-//   StreamEverything  every sanitized ADC code is framed into SAMPLE_CHUNK
-//                     uploads; the gateway's FleetEngine classifies and
+//   StreamEverything  every sanitized ADC code, clamped to the rails, is
+//                     framed into SAMPLE_CHUNK uploads at 12 bits per
+//                     code; the gateway's FleetEngine classifies and
 //                     streams BEAT_VERDICT frames back. The baseline
 //                     system, and the path whose verdict sequence must be
 //                     bit-identical to direct in-process ingest.
@@ -15,22 +16,24 @@
 //                     A beat classified normal on Good signal becomes a
 //                     1-byte verdict record in the local log — zero radio.
 //                     A pathological or Unknown beat uploads the full
-//                     window as FULL_BEAT so the gateway can run the
-//                     detailed analysis; Suspect-signal beats upload a
-//                     0-sample escalation record (no trustworthy window).
+//                     window as FULL_BEAT (12 fixed bytes + 12 bits per
+//                     sample: 332 B for a 200-sample window) so the
+//                     gateway can run the detailed analysis; Suspect-
+//                     signal beats upload a 0-sample escalation record
+//                     (no trustworthy window).
 //
 // Link robustness: connect/reconnect with exponential backoff (reset on a
 // successful handshake), heartbeats on an idle link, and at-least-once
 // FULL_BEAT delivery. Each upload is held once, in a seq-ordered window,
-// until its BEAT_VERDICT (the authoritative acknowledgement; the wire ACK
-// only confirms receipt), and every connection sends it in ascending seq
-// ahead of the send queue. A full window drops its oldest upload, counted
-// once no verdict can come for it, so every upload ends as one verdict or
-// one drop. The send queue (chunks, heartbeats, BYE) sheds its oldest
-// chunks and heartbeats first, counted. The gateway re-verdicts duplicates
-// and the client dedupes verdicts by upload seq, so a connection drop
-// between ACK and verdict can neither lose a pathological beat's verdict
-// nor deliver it twice.
+// until its BEAT_VERDICT (its only acknowledgement), and every connection
+// sends it in ascending seq ahead of the send queue. A full window drops
+// its oldest upload, counted once no verdict can come for it, so every
+// upload ends as one verdict or one drop. The send queue (chunks,
+// heartbeats, BYE) sheds its oldest chunks and heartbeats first, counted.
+// The gateway re-verdicts duplicates and the client dedupes verdicts by
+// upload seq, so a connection drop between an upload's receipt and its
+// verdict can neither lose a pathological beat's verdict nor deliver it
+// twice.
 // A CRC/framing violation on the receive path is treated exactly like a
 // dead socket: tear down, back off, reconnect.
 //
@@ -68,7 +71,10 @@ struct NodeConfig {
   TxPolicy policy = TxPolicy::StreamEverything;
   std::uint32_t fs_hz = 360;
   /// Local pipeline geometry (selective policy) and the ADC rails used to
-  /// sanitize the untrusted double path in both policies.
+  /// sanitize the untrusted double path in both policies and to clamp
+  /// streamed integer codes. The rails must lie in [kMinWireCode,
+  /// kMaxWireCode] and span at most kMaxWireCode codes, so every framed
+  /// code fits the wire's 12 bits.
   core::MonitorConfig monitor;
   /// Samples per SAMPLE_CHUNK frame.
   std::size_t chunk_samples = 512;
@@ -116,6 +122,10 @@ struct TxStats {
   std::uint64_t hello_rejects = 0;   ///< handshakes refused by the gateway
   std::uint64_t samples_in = 0;      ///< samples pushed by the application
   std::uint64_t sanitized_nonfinite = 0;
+  /// StreamEverything: integer codes pushed outside the rails, clamped
+  /// before framing (the gateway's monitor would clamp them the same way;
+  /// the double path clamps inside sanitize()).
+  std::uint64_t samples_clamped = 0;
   std::uint64_t beats_local = 0;     ///< normal beats kept as local records
   std::uint64_t beats_uploaded = 0;  ///< FULL_BEAT uploads created
   std::uint64_t verdicts_rx = 0;     ///< unique verdicts delivered to the sink

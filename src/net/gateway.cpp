@@ -379,8 +379,7 @@ void GatewayServer::on_full_beat(Conn& c, const FrameView& f) {
     return;
   }
   // At-least-once from the client: a seq at or below the high-water mark
-  // was already processed — ack again (the first ack may have been lost
-  // with the previous connection) but do not re-classify or re-verdict.
+  // was already processed — answer again (below) but do not count it.
   const bool dup =
       c.last_full_seq.has_value() && f.seq <= *c.last_full_seq;
   FullBeatMsg m;
@@ -395,7 +394,6 @@ void GatewayServer::on_full_beat(Conn& c, const FrameView& f) {
     close_conn(c, false);
     return;
   }
-  enqueue_frame(c, FrameType::Ack, f.seq, encode_ack(AckMsg{FrameType::FullBeat}));
   if (dup) {
     // The first transmission's verdict may have died with a previous
     // connection (the client holds an upload until its verdict arrives).
@@ -462,9 +460,8 @@ void GatewayServer::dispatch(Conn& c, const FrameView& f) {
       on_full_beat(c, f);
       return;
     case FrameType::Heartbeat:
+      // Liveness only: reading it already refreshed the idle clock.
       stats_.heartbeats_rx.fetch_add(1, std::memory_order_relaxed);
-      enqueue_frame(c, FrameType::Ack, f.seq,
-                    encode_ack(AckMsg{FrameType::Heartbeat}));
       return;
     case FrameType::Bye:
       // Graceful close: flush the session tail as verdicts, drain, close.
@@ -478,7 +475,6 @@ void GatewayServer::dispatch(Conn& c, const FrameView& f) {
       return;
     case FrameType::HelloAck:
     case FrameType::BeatVerdict:
-    case FrameType::Ack:
     case FrameType::ModelAck:  // acks flow gateway -> pusher, never back
       stats_.conns_dropped_protocol.fetch_add(1, std::memory_order_relaxed);
       close_conn(c, false);

@@ -8,14 +8,14 @@
 //     SAMPLE_CHUNK seq-checked, decoded, engine.offer() on the session's
 //                  bounded ingest queue (integer path, no double copy)
 //     FULL_BEAT    node-side verdict escalation: the window is re-classified
-//                  with the gateway's own model, acked, and answered with a
-//                  BEAT_VERDICT (at-least-once from the client; a duplicate
-//                  seq is acked and re-verdicted from its own payload —
-//                  deterministic, so bit-identical — but not re-counted,
-//                  because the first verdict may have died with a previous
-//                  connection and the client holds the upload until one
-//                  arrives)
-//     HEARTBEAT    ACK echo
+//                  with the gateway's own model and answered with a
+//                  BEAT_VERDICT, the upload's only acknowledgement
+//                  (at-least-once from the client; a duplicate seq is
+//                  re-verdicted from its own payload — deterministic, so
+//                  bit-identical — but not re-counted, because the first
+//                  verdict may have died with a previous connection and
+//                  the client holds the upload until one arrives)
+//     HEARTBEAT    counted; refreshes the idle clock, never answered
 //     BYE          graceful close: the session tail is flushed as verdicts,
 //                  the send buffer drains, then the socket closes
 //     MODEL_PUSH   first frame of a *control* connection (never mixed with

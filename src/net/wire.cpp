@@ -15,12 +15,59 @@ using math::ByteReader;
 using math::load_le;
 using math::store_le;
 
-constexpr std::size_t kFullBeatFixedBytes =
-    8 + 1 + 1 + 2;  // r_peak, class, quality, count
-
 bool valid_type(std::uint8_t t) {
+  // 7 is unassigned: the numbers around it kept their v1 values.
   return t >= static_cast<std::uint8_t>(FrameType::Hello) &&
-         t <= static_cast<std::uint8_t>(FrameType::ModelAck);
+         t <= static_cast<std::uint8_t>(FrameType::ModelAck) && t != 7;
+}
+
+/// Appends `codes` in the packed 12-bit layout (see wire.hpp): the one
+/// encoder behind SAMPLE_CHUNK and the FULL_BEAT window.
+void append_codes(std::vector<unsigned char>& p,
+                  std::span<const dsp::Sample> codes) {
+  for (const dsp::Sample c : codes)
+    HBRP_REQUIRE(c >= kMinWireCode && c <= kMaxWireCode,
+                 "wire: sample code outside the 12-bit range");
+  const std::size_t at = p.size();
+  p.resize(at + packed_sample_bytes(codes.size()));
+  unsigned char* out = p.data() + at;
+  std::size_t i = 0;
+  for (; i + 1 < codes.size(); i += 2, out += 3) {
+    const std::uint32_t word =
+        (static_cast<std::uint32_t>(codes[i]) & 0xFFFu) |
+        (static_cast<std::uint32_t>(codes[i + 1]) & 0xFFFu) << 12;
+    out[0] = static_cast<unsigned char>(word & 0xFFu);
+    out[1] = static_cast<unsigned char>((word >> 8) & 0xFFu);
+    out[2] = static_cast<unsigned char>(word >> 16);
+  }
+  if (i < codes.size())
+    store_le<std::uint16_t>(out, static_cast<std::uint16_t>(codes[i] & 0xFFF));
+}
+
+/// Sign-extends a 12-bit two's-complement field.
+dsp::Sample from_12bit(std::uint32_t v) {
+  return static_cast<dsp::Sample>(static_cast<std::int32_t>(v ^ 0x800u) -
+                                  0x800);
+}
+
+/// The packed layout's inverse: `count` codes from exactly
+/// packed_sample_bytes(count) bytes at `in` into `out`. False, with `out`
+/// untouched, when an odd last code's pad nibble is not zero.
+bool unpack_codes(const unsigned char* in, std::size_t count,
+                  dsp::Sample* out) {
+  if (count % 2 != 0 &&
+      (load_le<std::uint16_t>(in + count / 2 * 3) & 0xF000u) != 0)
+    return false;
+  std::size_t i = 0;
+  for (; i + 1 < count; i += 2, in += 3) {
+    const std::uint32_t word = static_cast<std::uint32_t>(in[0]) |
+                               static_cast<std::uint32_t>(in[1]) << 8 |
+                               static_cast<std::uint32_t>(in[2]) << 16;
+    out[i] = from_12bit(word & 0xFFFu);
+    out[i + 1] = from_12bit(word >> 12);
+  }
+  if (i < count) out[i] = from_12bit(load_le<std::uint16_t>(in));
+  return true;
 }
 
 /// CRC over the first 16 header bytes (magic through seq) continued over
@@ -42,7 +89,6 @@ const char* to_string(FrameType t) {
     case FrameType::BeatVerdict: return "BEAT_VERDICT";
     case FrameType::FullBeat: return "FULL_BEAT";
     case FrameType::Heartbeat: return "HEARTBEAT";
-    case FrameType::Ack: return "ACK";
     case FrameType::Bye: return "BYE";
     case FrameType::ModelPush: return "MODEL_PUSH";
     case FrameType::ModelPushPart: return "MODEL_PUSH_PART";
@@ -123,12 +169,6 @@ std::vector<unsigned char> encode_beat_verdict(const BeatVerdictMsg& m) {
   return p;
 }
 
-std::vector<unsigned char> encode_ack(const AckMsg& m) {
-  std::vector<unsigned char> p;
-  append_le(p, static_cast<std::uint8_t>(m.acked));
-  return p;
-}
-
 std::vector<unsigned char> encode_model_push(const ModelPushMsg& m) {
   std::vector<unsigned char> p;
   append_le(p, m.version);
@@ -151,9 +191,7 @@ std::vector<unsigned char> encode_sample_chunk(
   HBRP_REQUIRE(samples.size() <= kMaxChunkSamples,
                "wire: sample chunk exceeds kMaxChunkSamples");
   std::vector<unsigned char> p;
-  p.reserve(samples.size() * sizeof(std::int32_t));
-  for (const dsp::Sample s : samples)
-    append_le(p, static_cast<std::int32_t>(s));
+  append_codes(p, samples);
   return p;
 }
 
@@ -163,18 +201,17 @@ std::vector<unsigned char> encode_full_beat(
                "wire: beat window exceeds kMaxWindowSamples");
   m.count = static_cast<std::uint16_t>(window.size());
   std::vector<unsigned char> p;
-  p.reserve(kFullBeatFixedBytes + window.size() * sizeof(std::int32_t));
+  p.reserve(kFullBeatFixedBytes + packed_sample_bytes(window.size()));
   append_le(p, m.r_peak);
   append_le(p, m.beat_class);
   append_le(p, m.quality);
   append_le(p, m.count);
-  for (const dsp::Sample s : window)
-    append_le(p, static_cast<std::int32_t>(s));
+  append_codes(p, window);
   return p;
 }
 
 std::optional<HelloMsg> decode_hello(std::span<const unsigned char> payload) {
-  if (payload.size() != 4 + 1 + 2 + 4) return std::nullopt;
+  if (payload.size() != kHelloPayloadBytes) return std::nullopt;
   ByteReader r(payload.data(), payload.size());
   HelloMsg m;
   m.node_id = r.get<std::uint32_t>();
@@ -211,12 +248,6 @@ std::optional<BeatVerdictMsg> decode_beat_verdict(
   return m;
 }
 
-std::optional<AckMsg> decode_ack(std::span<const unsigned char> payload) {
-  if (payload.size() != 1) return std::nullopt;
-  if (!valid_type(payload[0])) return std::nullopt;
-  return AckMsg{static_cast<FrameType>(payload[0])};
-}
-
 std::optional<ModelPushMsg> decode_model_push(
     std::span<const unsigned char> payload) {
   if (payload.size() != 8 + 8 + 8 + 4 + 4) return std::nullopt;
@@ -245,13 +276,17 @@ std::optional<ModelAckMsg> decode_model_ack(
 
 bool decode_sample_chunk(std::span<const unsigned char> payload,
                          std::vector<dsp::Sample>& out) {
-  if (payload.size() % sizeof(std::int32_t) != 0) return false;
-  const std::size_t count = payload.size() / sizeof(std::int32_t);
+  // 3 bytes per pair plus 2 for an odd last code: a length of 1 mod 3
+  // belongs to no count.
+  if (payload.size() % 3 == 1) return false;
+  const std::size_t count = payload.size() / 3 * 2 + payload.size() % 3 / 2;
   if (count == 0 || count > kMaxChunkSamples) return false;
   const std::size_t at = out.size();
   out.resize(at + count);
-  for (std::size_t i = 0; i < count; ++i)
-    out[at + i] = load_le<std::int32_t>(payload.data() + i * 4);
+  if (!unpack_codes(payload.data(), count, out.data() + at)) {
+    out.resize(at);
+    return false;
+  }
   return true;
 }
 
@@ -264,12 +299,12 @@ bool decode_full_beat(std::span<const unsigned char> payload, FullBeatMsg& m,
   m.quality = r.get<std::uint8_t>();
   m.count = r.get<std::uint16_t>();
   if (m.count > kMaxWindowSamples) return false;
-  if (r.remaining() != m.count * sizeof(std::int32_t)) return false;
-  window.clear();
-  window.reserve(m.count);
-  const unsigned char* s = r.bytes(m.count * sizeof(std::int32_t));
-  for (std::size_t i = 0; i < m.count; ++i)
-    window.push_back(load_le<std::int32_t>(s + i * 4));
+  if (r.remaining() != packed_sample_bytes(m.count)) return false;
+  window.resize(m.count);
+  if (!unpack_codes(r.bytes(r.remaining()), m.count, window.data())) {
+    window.clear();
+    return false;
+  }
   return true;
 }
 

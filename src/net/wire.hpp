@@ -1,4 +1,4 @@
-// WBSN wire protocol v1: versioned little-endian binary framing.
+// WBSN wire protocol v2: versioned little-endian binary framing.
 //
 // The transport between a sensor node and the ward gateway. Every frame is
 // a fixed 20-byte header followed by a bounded payload:
@@ -18,28 +18,41 @@
 // payload_len is additionally bounded before the CRC is even attempted so
 // a hostile length cannot stall the parser waiting for gigabytes.
 //
+// Samples travel as 12-bit two's-complement codes in [kMinWireCode,
+// kMaxWireCode], in one packed layout shared by SAMPLE_CHUNK payloads and
+// the FULL_BEAT window: each pair of codes (a, b) is the little-endian
+// 24-bit word (a & 0xFFF) | (b & 0xFFF) << 12, and an odd last code is a
+// little-endian 16-bit word whose top 4 bits are zero. n codes take
+// packed_sample_bytes(n) = 3 * (n / 2) + 2 * (n % 2) bytes. Encoders
+// reject a code outside the 12-bit range; decoders reject a length no
+// count maps to and a nonzero pad nibble. The node guarantees the range:
+// raw codes are clamped to ADC rails inside it, and a conditioned window
+// stays within +/-(rail_high - rail_low) <= 2047 (see SensorNodeClient).
+//
 // Frame types and their seq/payload contracts:
 //   Hello        client -> gateway   seq 0; HelloMsg (node id, TxPolicy,
 //                                    window length, sample rate)
 //   HelloAck     gateway -> client   seq 0; HelloAckMsg (session id, status)
 //   SampleChunk  client -> gateway   seq = dense chunk counter from 0; the
 //                                    gateway rejects any gap or reorder.
-//                                    Payload: N x int32 ADC codes.
+//                                    Payload: packed codes, 1..
+//                                    kMaxChunkSamples of them; the count
+//                                    follows from the length.
 //   BeatVerdict  gateway -> client   seq = per-session verdict sequence
 //                                    (dense, the FleetEngine delivery
 //                                    order contract); BeatVerdictMsg.
+//                                    For a FullBeat it echoes the upload's
+//                                    seq and is its only acknowledgement.
 //   FullBeat     client -> gateway   seq = dense beat-upload counter;
-//                                    FullBeatMsg + window samples. Resent
-//                                    after reconnect until its BeatVerdict
-//                                    arrives (at-least-once; the gateway
+//                                    FullBeatMsg (12 fixed bytes) + packed
+//                                    window codes. Resent after reconnect
+//                                    until its BeatVerdict arrives
+//                                    (at-least-once; the gateway
 //                                    re-verdicts duplicates and the client
 //                                    dedupes verdicts by seq).
 //   Heartbeat    client -> gateway   seq = client's heartbeat counter;
-//                                    empty payload; the gateway echoes it
-//                                    with Ack.
-//   Ack          gateway -> client   seq echoes the acknowledged frame's
-//                                    seq (a Heartbeat or FullBeat); AckMsg
-//                                    names the acked type.
+//                                    empty payload; keeps an idle link
+//                                    from being evicted. Not answered.
 //   Bye          client -> gateway   graceful close: the gateway flushes
 //                                    the session tail as BeatVerdict
 //                                    frames, then closes the connection.
@@ -57,6 +70,8 @@
 //   ModelAck     gateway -> pusher   seq 0; ModelAckMsg reports the push
 //                                    outcome (Ok or a NACK reason) and the
 //                                    bundle version it refers to.
+// Type 7 is unassigned (v1's ACK frame); the parser rejects it like any
+// other unknown type.
 //
 // FrameParser is the receive side: feed() raw socket bytes, then pull
 // complete frames with next(). It is incremental (handles any fragmentation
@@ -78,7 +93,7 @@
 namespace hbrp::net {
 
 inline constexpr std::uint16_t kWireMagic = 0xECB5;
-inline constexpr std::uint8_t kProtocolVersion = 1;
+inline constexpr std::uint8_t kProtocolVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 20;
 /// Upper bound on one frame's payload; caps parser buffering and keeps a
 /// corrupt length field from ever looking plausible. Large enough for a
@@ -90,6 +105,27 @@ inline constexpr std::size_t kMaxWindowSamples = 4096;
 /// Upper bound on one encoded model bundle streamed via MODEL_PUSH_PART
 /// frames; caps the gateway's reassembly buffer per control connection.
 inline constexpr std::size_t kMaxBundleBytes = 1u << 24;
+/// The 12-bit two's-complement range every sample code on the wire has.
+inline constexpr dsp::Sample kMinWireCode = -2048;
+inline constexpr dsp::Sample kMaxWireCode = 2047;
+/// Fixed payload sizes: HELLO, and the FULL_BEAT prefix (r_peak, class,
+/// quality, count) ahead of its packed window.
+inline constexpr std::size_t kHelloPayloadBytes = 4 + 1 + 2 + 4;
+inline constexpr std::size_t kFullBeatFixedBytes = 8 + 1 + 1 + 2;
+
+/// Bytes `n` packed 12-bit codes occupy: 3 per pair, 2 for an odd last one.
+constexpr std::size_t packed_sample_bytes(std::size_t n) {
+  return n / 2 * 3 + n % 2 * 2;
+}
+/// Whole-frame sizes, header included: the one definition of what a
+/// SAMPLE_CHUNK of `n` codes and a FULL_BEAT of an `n`-sample window cost
+/// on the wire.
+constexpr std::size_t sample_chunk_frame_bytes(std::size_t n) {
+  return kHeaderBytes + packed_sample_bytes(n);
+}
+constexpr std::size_t full_beat_frame_bytes(std::size_t n) {
+  return kHeaderBytes + kFullBeatFixedBytes + packed_sample_bytes(n);
+}
 
 enum class FrameType : std::uint8_t {
   Hello = 1,
@@ -98,7 +134,6 @@ enum class FrameType : std::uint8_t {
   BeatVerdict = 4,
   FullBeat = 5,
   Heartbeat = 6,
-  Ack = 7,
   Bye = 8,
   ModelPush = 9,
   ModelPushPart = 10,
@@ -157,10 +192,6 @@ struct FullBeatMsg {
                                 ///< only, no trustworthy window exists)
 };
 
-struct AckMsg {
-  FrameType acked = FrameType::Ack;
-};
-
 /// Announces a model-bundle upload (first frame of a control connection).
 /// `digest` is the FNV-1a 64-bit digest of the full encoded bundle image;
 /// the gateway recomputes it over the reassembled parts before trusting
@@ -211,33 +242,34 @@ void append_frame(std::vector<unsigned char>& out, FrameType type,
 std::vector<unsigned char> encode_hello(const HelloMsg& m);
 std::vector<unsigned char> encode_hello_ack(const HelloAckMsg& m);
 std::vector<unsigned char> encode_beat_verdict(const BeatVerdictMsg& m);
-std::vector<unsigned char> encode_ack(const AckMsg& m);
 std::vector<unsigned char> encode_model_push(const ModelPushMsg& m);
 std::vector<unsigned char> encode_model_ack(const ModelAckMsg& m);
-/// SampleChunk payload: `samples.size()` int32 codes (<= kMaxChunkSamples).
+/// SampleChunk payload: `samples.size()` packed codes (<= kMaxChunkSamples).
+/// Throws hbrp::Error when a code lies outside [kMinWireCode, kMaxWireCode].
 std::vector<unsigned char> encode_sample_chunk(
     std::span<const dsp::Sample> samples);
-/// FullBeat payload: fixed fields + `window.size()` int32 codes
+/// FullBeat payload: fixed fields + `window.size()` packed codes
 /// (<= kMaxWindowSamples; `m.count` is overwritten with window.size()).
+/// Throws hbrp::Error when a code lies outside [kMinWireCode, kMaxWireCode].
 std::vector<unsigned char> encode_full_beat(
     FullBeatMsg m, std::span<const dsp::Sample> window);
 
 // --- decode --------------------------------------------------------------
 // Strict: the payload must have exactly the expected size (and internally
-// consistent counts); anything else returns nullopt/false and the caller
-// treats the frame as a protocol violation.
+// consistent counts, and zero pad nibbles); anything else returns
+// nullopt/false and the caller treats the frame as a protocol violation.
 
 std::optional<HelloMsg> decode_hello(std::span<const unsigned char> payload);
 std::optional<HelloAckMsg> decode_hello_ack(
     std::span<const unsigned char> payload);
 std::optional<BeatVerdictMsg> decode_beat_verdict(
     std::span<const unsigned char> payload);
-std::optional<AckMsg> decode_ack(std::span<const unsigned char> payload);
 std::optional<ModelPushMsg> decode_model_push(
     std::span<const unsigned char> payload);
 std::optional<ModelAckMsg> decode_model_ack(
     std::span<const unsigned char> payload);
-/// Appends the chunk's samples to `out`; false on malformed payload.
+/// Appends the chunk's samples to `out`; false, with `out` unchanged, on a
+/// malformed payload.
 bool decode_sample_chunk(std::span<const unsigned char> payload,
                          std::vector<dsp::Sample>& out);
 /// Decodes the fixed fields and fills `window`; false on malformed payload.

@@ -326,11 +326,12 @@ TEST(Footprint, SelectiveNodeHoldsEachUploadOnce) {
   const std::int64_t later = live_bytes();
 
   const std::int64_t frame = static_cast<std::int64_t>(
-      net::kHeaderBytes + 12 +
-      sizeof(dsp::Sample) * clf.projector().expected_window());
-  ASSERT_EQ(frame, 832);
+      net::full_beat_frame_bytes(clf.projector().expected_window()));
+  ASSERT_EQ(frame, 332);
   const std::int64_t per_upload =
       (full - base) / static_cast<std::int64_t>(window - base_held);
+  // One held payload is the frame less its 20 B header, plus a map node;
+  // a second copy of each (>= 2 x 312 B) would exceed this bound.
   EXPECT_LT(per_upload, frame * 5 / 4)
       << "live heap per held upload: " << per_upload << " bytes";
   EXPECT_LT(later - full, frame)

@@ -1,9 +1,9 @@
 // End-to-end loopback tests for the src/net subsystem: gateway + client
 // round trips, verdict bit-identity vs direct FleetEngine ingest across
-// thread/shard counts, the selective-transmission policy, corrupted-frame
-// rejection, reconnect recovery with at-least-once uploads, the bounded
-// upload window across an outage, admission refusal, and session-leak
-// checks.
+// thread/shard counts, out-of-rail codes clamped on the node, the
+// selective-transmission policy, corrupted-frame rejection, reconnect
+// recovery with at-least-once uploads, the bounded upload window across an
+// outage, admission refusal, and session-leak checks.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -279,6 +279,66 @@ TEST_F(NetLoopbackTest, IntegerAndSanitizedDoublePushesAreEquivalent) {
   EXPECT_EQ(client.stats().sanitized_nonfinite, 2u);
 }
 
+TEST_F(NetLoopbackTest, OutOfRailIntegerCodesAreClampedOnTheNode) {
+  // Integer codes outside the rails cannot cross the 12-bit wire as they
+  // are. The node clamps them exactly as the gateway's monitor would, so
+  // the verdicts equal direct ingest of the clamped codes, which equal
+  // direct ingest of the raw ones.
+  auto codes = wire_codes(patient_lead(11));
+  const dsp::QualityConfig rails = core::MonitorConfig{}.quality;
+  const std::vector<std::pair<std::size_t, dsp::Sample>> outliers = {
+      {300, rails.rail_high + 1},
+      {301, 4000},
+      {2000, rails.rail_low - 1},
+      {2001, -3000},
+      {5000, std::numeric_limits<dsp::Sample>::max()},
+      {5001, std::numeric_limits<dsp::Sample>::min()}};
+  auto clamped = codes;
+  for (const auto& [at, value] : outliers) {
+    codes[at] = value;
+    clamped[at] = std::clamp(value, rails.rail_low, rails.rail_high);
+  }
+  const auto reference = direct_ingest(*bundle_, clamped, 1, 1);
+  ASSERT_FALSE(reference.empty());
+  EXPECT_EQ(direct_ingest(*bundle_, codes, 1, 1), reference);
+
+  GatewayHarness harness(*bundle_, {});
+  net::NodeConfig ncfg;
+  ncfg.port = harness.gw.port();
+  ncfg.policy = net::TxPolicy::StreamEverything;
+  net::SensorNodeClient client(*bundle_, ncfg);
+  std::vector<VerdictSig> got;
+  client.set_verdict_sink(
+      [&got](std::uint64_t seq, const net::BeatVerdictMsg& v) {
+        got.push_back(VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
+      });
+  client.push(std::span<const dsp::Sample>(codes));
+  client.finish();
+  EXPECT_TRUE(client.drain(20000));
+  client.close(5000);
+
+  EXPECT_EQ(got, reference);
+  EXPECT_EQ(client.stats().samples_clamped, outliers.size());
+  EXPECT_EQ(client.stats().frames_dropped, 0u);
+}
+
+TEST_F(NetLoopbackTest, NodeRailsMustFitTheWire) {
+  // The constructor refuses rails whose codes, or whose conditioned
+  // window (within +/-(rail_high - rail_low)), would not fit 12 bits.
+  const auto make = [](dsp::Sample lo, dsp::Sample hi) {
+    net::NodeConfig ncfg;
+    ncfg.port = 1;
+    ncfg.monitor.quality.rail_low = lo;
+    ncfg.monitor.quality.rail_high = hi;
+    net::SensorNodeClient client(*bundle_, ncfg);
+  };
+  EXPECT_NO_THROW(make(0, 2047));
+  EXPECT_NO_THROW(make(-1024, 1023));
+  EXPECT_THROW(make(0, 2048), hbrp::Error);
+  EXPECT_THROW(make(-2049, -100), hbrp::Error);
+  EXPECT_THROW(make(-1024, 1024), hbrp::Error);
+}
+
 TEST_F(NetLoopbackTest, NanLedLeadMatchesDirectDoubleIngest) {
   // The node and the monitor start their sample-hold at the same mid-rail
   // code, so a lead that opens with non-finite samples crosses the wire as
@@ -371,15 +431,19 @@ TEST_F(NetLoopbackTest, SelectivePolicyKeepsNormalBeatsLocal) {
   // nothing else leaves the node (heartbeats disabled above).
   const std::size_t w = bundle_->projector().expected_window();
   const std::uint64_t expect_bytes =
-      (net::kHeaderBytes + 11) + net::kHeaderBytes +
-      expect_full * (net::kHeaderBytes + 12 + sizeof(dsp::Sample) * w) +
-      expect_meta * (net::kHeaderBytes + 12);
+      (net::kHeaderBytes + net::kHelloPayloadBytes) + net::kHeaderBytes +
+      expect_full * net::full_beat_frame_bytes(w) +
+      expect_meta * net::full_beat_frame_bytes(0);
   EXPECT_EQ(s.bytes_tx, expect_bytes);
 
   // The paper's point: the selective policy costs a fraction of shipping
-  // the raw 4-byte-per-sample stream.
+  // the raw stream, the same samples as packed SAMPLE_CHUNK frames.
+  const std::size_t chunk = ncfg.chunk_samples;
   const std::uint64_t stream_everything_bytes =
-      static_cast<std::uint64_t>(lead.size()) * sizeof(dsp::Sample);
+      lead.size() / chunk * net::sample_chunk_frame_bytes(chunk) +
+      (lead.size() % chunk == 0
+           ? 0
+           : net::sample_chunk_frame_bytes(lead.size() % chunk));
   EXPECT_LT(s.bytes_tx, stream_everything_bytes / 2);
   const platform::PowerModel power;
   EXPECT_GT(net::radio_energy_j(s, power), 0.0);

@@ -1,14 +1,17 @@
-// Tests for net/wire.hpp — framing, typed codecs, and the incremental
-// FrameParser (fragmentation tolerance, strict corruption handling).
+// Tests for net/wire.hpp — framing, typed codecs (the 12-bit packed sample
+// layout included), the incremental FrameParser (fragmentation tolerance,
+// strict corruption handling), and a golden digest of the v2 bytes.
 #include "net/wire.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <vector>
 
+#include "math/check.hpp"
 #include "math/endian.hpp"
 #include "math/rng.hpp"
 
@@ -62,11 +65,6 @@ TEST(WireCodec, HelloAckAndVerdictRoundtrip) {
   EXPECT_EQ(gv->r_peak, v.r_peak);
   EXPECT_EQ(gv->beat_class, v.beat_class);
   EXPECT_EQ(gv->quality, v.quality);
-
-  const auto gk =
-      net::decode_ack(net::encode_ack(net::AckMsg{FrameType::FullBeat}));
-  ASSERT_TRUE(gk.has_value());
-  EXPECT_EQ(gk->acked, FrameType::FullBeat);
 }
 
 TEST(WireCodec, SampleChunkRoundtripPreservesSignedCodes) {
@@ -110,7 +108,7 @@ TEST(WireCodec, DecodersRejectWrongSizes) {
   longer.push_back(0);
   EXPECT_FALSE(net::decode_hello(longer).has_value());
 
-  // SampleChunk payloads must be a whole number of int32 codes.
+  // A SampleChunk length of 1 mod 3 belongs to no packed count.
   std::vector<unsigned char> ragged(7, 0);
   std::vector<dsp::Sample> out;
   EXPECT_FALSE(net::decode_sample_chunk(ragged, out));
@@ -123,6 +121,206 @@ TEST(WireCodec, DecodersRejectWrongSizes) {
   fb.pop_back();
   net::FullBeatMsg got;
   EXPECT_FALSE(net::decode_full_beat(fb, got, out));
+}
+
+/// Every 12-bit code, in ascending order: -2048 .. 2047.
+std::vector<dsp::Sample> all_codes() {
+  std::vector<dsp::Sample> codes(4096);
+  std::iota(codes.begin(), codes.end(), net::kMinWireCode);
+  return codes;
+}
+
+TEST(WireCodec, EveryTwelveBitCodeRoundTripsAtEveryPosition) {
+  const std::vector<dsp::Sample> codes = all_codes();
+  // A leading pad of 0 or 1 codes puts each code in the low and the high
+  // half of a pair, at an even (4096) and an odd (4097) count.
+  for (const std::size_t lead : {0u, 1u}) {
+    std::vector<dsp::Sample> in(lead, 7);
+    in.insert(in.end(), codes.begin(), codes.end());
+    const auto payload = net::encode_sample_chunk(in);
+    EXPECT_EQ(payload.size(), net::packed_sample_bytes(in.size()));
+    std::vector<dsp::Sample> out = {-1};  // decode appends
+    ASSERT_TRUE(net::decode_sample_chunk(payload, out));
+    ASSERT_EQ(out.size(), in.size() + 1);
+    EXPECT_TRUE(std::equal(in.begin(), in.end(), out.begin() + 1))
+        << "lead " << lead;
+
+    // A window of 4096 - lead codes: an even and an odd count.
+    const std::vector<dsp::Sample> window(
+        in.begin(), in.begin() + static_cast<std::ptrdiff_t>(
+                                     net::kMaxWindowSamples - lead));
+    net::FullBeatMsg m;
+    const auto beat = net::encode_full_beat(m, window);
+    EXPECT_EQ(beat.size(), net::kFullBeatFixedBytes +
+                               net::packed_sample_bytes(window.size()));
+    std::vector<dsp::Sample> got;
+    ASSERT_TRUE(net::decode_full_beat(beat, m, got));
+    EXPECT_EQ(got, window) << "lead " << lead;
+  }
+  // The odd last code, alone in its 16-bit word.
+  for (const dsp::Sample c : codes) {
+    const std::vector<dsp::Sample> one = {c};
+    const auto payload = net::encode_sample_chunk(one);
+    ASSERT_EQ(payload.size(), 2u);
+    std::vector<dsp::Sample> out;
+    ASSERT_TRUE(net::decode_sample_chunk(payload, out));
+    ASSERT_EQ(out, one);
+    net::FullBeatMsg m;
+    std::vector<dsp::Sample> got;
+    ASSERT_TRUE(net::decode_full_beat(net::encode_full_beat(m, one), m, got));
+    ASSERT_EQ(got, one);
+  }
+}
+
+TEST(WireCodec, PackedLayoutIsTheDocumentedBitPattern) {
+  // (a, b) -> little-endian (a & 0xFFF) | (b & 0xFFF) << 12; an odd last
+  // code -> little-endian 16 bits, top nibble zero.
+  const std::vector<dsp::Sample> codes = {-1, 0x123, -2048, 2047, -2};
+  const std::vector<unsigned char> want = {0xFF, 0x3F, 0x12, 0x00,
+                                           0xF8, 0x7F, 0xFE, 0x0F};
+  EXPECT_EQ(net::encode_sample_chunk(codes), want);
+}
+
+TEST(WireCodec, PackedDecodersRejectMalformedPayloads) {
+  std::vector<dsp::Sample> out = {42};
+  // Lengths of 1 mod 3 map to no count.
+  for (std::size_t len = 1; len < 64; len += 3)
+    EXPECT_FALSE(net::decode_sample_chunk(
+        std::vector<unsigned char>(len, 0), out))
+        << len;
+  // A nonzero pad nibble on the odd last code, at every bit of it.
+  const std::vector<dsp::Sample> three = {1, -2, 3};
+  const auto clean = net::encode_sample_chunk(three);
+  ASSERT_EQ(clean.size(), 5u);
+  for (int bit = 4; bit < 8; ++bit) {
+    auto bad = clean;
+    bad[4] = static_cast<unsigned char>(bad[4] | (1u << bit));
+    EXPECT_FALSE(net::decode_sample_chunk(bad, out)) << bit;
+  }
+  EXPECT_EQ(out, std::vector<dsp::Sample>{42}) << "a failed decode appended";
+  // Counts above the bounds, at lengths that match them exactly.
+  const std::vector<unsigned char> at_max(
+      net::packed_sample_bytes(net::kMaxChunkSamples), 0);
+  EXPECT_TRUE(net::decode_sample_chunk(at_max, out));
+  const std::vector<unsigned char> over_max(
+      net::packed_sample_bytes(net::kMaxChunkSamples + 1), 0);
+  EXPECT_FALSE(net::decode_sample_chunk(over_max, out));
+
+  net::FullBeatMsg m;
+  std::vector<dsp::Sample> window;
+  auto beat = net::encode_full_beat(m, three);
+  beat.back() = static_cast<unsigned char>(beat.back() | 0x80u);
+  EXPECT_FALSE(net::decode_full_beat(beat, m, window));
+  EXPECT_TRUE(window.empty());
+  for (const std::size_t len : {4u, 6u, 7u}) {
+    // count 3 packs into exactly 5 bytes.
+    beat.assign(net::kFullBeatFixedBytes + len, 0);
+    math::store_le<std::uint16_t>(beat.data() + 10, 3);
+    EXPECT_FALSE(net::decode_full_beat(beat, m, window)) << len;
+  }
+  const auto over = static_cast<std::uint16_t>(net::kMaxWindowSamples + 1);
+  beat.assign(net::kFullBeatFixedBytes + net::packed_sample_bytes(over), 0);
+  math::store_le<std::uint16_t>(beat.data() + 10, over);
+  EXPECT_FALSE(net::decode_full_beat(beat, m, window));
+  math::store_le<std::uint16_t>(
+      beat.data() + 10, static_cast<std::uint16_t>(net::kMaxWindowSamples));
+  beat.resize(net::kFullBeatFixedBytes +
+              net::packed_sample_bytes(net::kMaxWindowSamples));
+  EXPECT_TRUE(net::decode_full_beat(beat, m, window));
+}
+
+TEST(WireCodec, EncodersRejectCodesOutsideTwelveBits) {
+  for (const dsp::Sample bad : {2048, -2049}) {
+    const std::vector<dsp::Sample> codes = {0, bad, 0};
+    EXPECT_THROW(net::encode_sample_chunk(codes), hbrp::Error) << bad;
+    EXPECT_THROW(net::encode_full_beat(net::FullBeatMsg{}, codes),
+                 hbrp::Error)
+        << bad;
+  }
+}
+
+TEST(WireCodec, FrameSizesMatchEncodedFrames) {
+  const auto frame_size = [](FrameType t, const std::vector<unsigned char>& p) {
+    std::vector<unsigned char> out;
+    net::append_frame(out, t, 0, p);
+    return out.size();
+  };
+  for (const std::size_t n : {1u, 2u, 199u, 200u, 511u, 512u}) {
+    const std::vector<dsp::Sample> codes(n, -5);
+    EXPECT_EQ(frame_size(FrameType::SampleChunk,
+                         net::encode_sample_chunk(codes)),
+              net::sample_chunk_frame_bytes(n));
+    EXPECT_EQ(frame_size(FrameType::FullBeat,
+                         net::encode_full_beat(net::FullBeatMsg{}, codes)),
+              net::full_beat_frame_bytes(n));
+  }
+  EXPECT_EQ(net::full_beat_frame_bytes(0), 32u);
+  EXPECT_EQ(frame_size(FrameType::Hello, net::encode_hello(net::HelloMsg{})),
+            net::kHeaderBytes + net::kHelloPayloadBytes);
+  EXPECT_EQ(net::sample_chunk_frame_bytes(512), 788u);
+  EXPECT_EQ(net::full_beat_frame_bytes(200), 332u);
+}
+
+/// FNV-1a 64 over a byte stream.
+std::uint64_t fnv1a(std::span<const unsigned char> bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(WireGolden, V2FrameSequenceDigestIsPinned) {
+  // Pins the exact v2 bytes: a change here is a wire change, and must come
+  // with a protocol version bump.
+  const auto codes = [](std::size_t n, int step) {
+    std::vector<dsp::Sample> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+      v[i] = static_cast<dsp::Sample>(
+                 (static_cast<int>(i) * step + 1000) % 4096) -
+             2048;
+    return v;
+  };
+  std::vector<unsigned char> bytes;
+  net::HelloMsg hello;
+  hello.node_id = 0x0A0B0C0D;
+  hello.policy = net::TxPolicy::Selective;
+  hello.window = 200;
+  hello.fs_hz = 360;
+  net::append_frame(bytes, FrameType::Hello, 0, net::encode_hello(hello));
+  net::append_frame(bytes, FrameType::SampleChunk, 0,
+                    net::encode_sample_chunk(codes(512, 37)));
+  net::append_frame(bytes, FrameType::SampleChunk, 1,
+                    net::encode_sample_chunk(codes(511, 1231)));
+  net::FullBeatMsg beat;
+  beat.r_peak = 123456789;
+  beat.beat_class = 2;
+  beat.quality = 0;
+  net::append_frame(bytes, FrameType::FullBeat, 0,
+                    net::encode_full_beat(beat, codes(200, 97)));
+  beat.r_peak = 123457000;
+  beat.quality = 1;
+  net::append_frame(bytes, FrameType::FullBeat, 1,
+                    net::encode_full_beat(beat, {}));
+  net::append_frame(bytes, FrameType::Heartbeat, 3, {});
+  net::BeatVerdictMsg verdict;
+  verdict.r_peak = 123456789;
+  verdict.beat_class = 2;
+  verdict.quality = 0;
+  net::append_frame(bytes, FrameType::BeatVerdict, 0,
+                    net::encode_beat_verdict(verdict));
+  net::append_frame(bytes, FrameType::Bye, 0, {});
+
+  EXPECT_EQ(bytes.size(), (net::kHeaderBytes + net::kHelloPayloadBytes) +
+                              net::sample_chunk_frame_bytes(512) +
+                              net::sample_chunk_frame_bytes(511) +
+                              net::full_beat_frame_bytes(200) +
+                              net::full_beat_frame_bytes(0) +
+                              net::kHeaderBytes + (net::kHeaderBytes + 10) +
+                              net::kHeaderBytes);
+  EXPECT_EQ(bytes.size(), 2040u);
+  EXPECT_EQ(fnv1a(bytes), 0x66925950232A80E2ull);
 }
 
 TEST(WireFrame, ParserRoundtripsFramesOfEveryType) {
@@ -225,6 +423,21 @@ TEST(WireFrame, HostileLengthFieldIsRejectedBeforeBuffering) {
   ASSERT_TRUE(p.feed(bytes));
   FrameView f;
   EXPECT_EQ(p.next(f), FrameParser::Status::Corrupt);
+}
+
+TEST(WireFrame, RetiredAckTypeIsUnknown) {
+  // Type 7 carried v1's ACK; v2 assigns it nothing. An honestly framed,
+  // CRC-valid type-7 frame is corrupt, and its neighbours still parse.
+  for (const std::uint8_t type : {6, 7, 8}) {
+    std::vector<unsigned char> bytes;
+    net::append_frame(bytes, static_cast<FrameType>(type), 1, {});
+    FrameParser p;
+    ASSERT_TRUE(p.feed(bytes));
+    FrameView f;
+    EXPECT_EQ(p.next(f), type == 7 ? FrameParser::Status::Corrupt
+                                   : FrameParser::Status::Ok)
+        << int{type};
+  }
 }
 
 TEST(WireFrame, UnknownTypeAndBadVersionAreCorrupt) {
@@ -371,6 +584,66 @@ TEST(WireFuzz, OversizedLengthFieldsNeverAllocate) {
     // The bound check fires before buffering grows toward the hostile
     // length: nothing beyond the bytes actually fed is ever retained.
     EXPECT_LE(p.buffered(), bytes.size());
+  }
+}
+
+/// A payload decoder either rejects `payload` or decodes it to values that
+/// re-encode to the identical bytes: no two byte strings mean one thing.
+void expect_canonical(const std::vector<unsigned char>& payload) {
+  std::vector<dsp::Sample> codes;
+  if (net::decode_sample_chunk(payload, codes)) {
+    EXPECT_EQ(net::encode_sample_chunk(codes), payload)
+        << "chunk of " << payload.size() << " bytes";
+  }
+  net::FullBeatMsg m;
+  std::vector<dsp::Sample> window;
+  if (net::decode_full_beat(payload, m, window)) {
+    EXPECT_EQ(m.count, window.size());
+    EXPECT_EQ(net::encode_full_beat(m, window), payload)
+        << "full beat of " << payload.size() << " bytes";
+  }
+}
+
+TEST(WireFuzz, PayloadDecodersAcceptOnlyCanonicalBytes) {
+  math::Rng rng(1212);
+  const auto random_bytes = [&rng](std::size_t n) {
+    std::vector<unsigned char> v(n);
+    for (auto& b : v) b = static_cast<unsigned char>(rng.uniform_index(256));
+    return v;
+  };
+  // Random payloads of every length 0..1024.
+  for (std::size_t len = 0; len <= 1024; ++len) {
+    auto payload = random_bytes(len);
+    expect_canonical(payload);
+    // Give the FULL_BEAT decoder a count that matches the length, so it
+    // gets past the size check and reaches the packed codes.
+    if (len >= net::kFullBeatFixedBytes) {
+      const std::size_t body = len - net::kFullBeatFixedBytes;
+      if (body % 3 != 1) {
+        math::store_le<std::uint16_t>(
+            payload.data() + 10,
+            static_cast<std::uint16_t>(body / 3 * 2 + body % 3 / 2));
+        expect_canonical(payload);
+      }
+    }
+  }
+  // 1-4 bit flips of valid payloads.
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<dsp::Sample> codes(1 + rng.uniform_index(600));
+    for (auto& c : codes)
+      c = static_cast<dsp::Sample>(rng.uniform_index(4096)) - 2048;
+    net::FullBeatMsg m;
+    m.r_peak = rng.uniform_index(1u << 30);
+    m.beat_class = static_cast<std::uint8_t>(rng.uniform_index(4));
+    auto payload = round % 2 == 0 ? net::encode_sample_chunk(codes)
+                                  : net::encode_full_beat(m, codes);
+    const auto flips = 1 + rng.uniform_index(4);
+    for (std::uint64_t i = 0; i < flips; ++i) {
+      const std::size_t at = rng.uniform_index(payload.size());
+      payload[at] = static_cast<unsigned char>(
+          payload[at] ^ (1u << rng.uniform_index(8)));
+    }
+    expect_canonical(payload);
   }
 }
 
