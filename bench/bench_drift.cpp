@@ -123,7 +123,9 @@ Replay replay(const Trained& t, const scenario::ScenarioSpec& spec,
     if (alarm_beat == 0 && tracker.alarm_active())
       alarm_beat = tracker.beats();
   };
-  monitor.push_block(std::span<const double>(stream.samples), sink);
+  const auto codes =
+      dsp::sanitize_lead(stream.samples, core::MonitorConfig{}.quality);
+  monitor.push_block(codes, sink);
   monitor.flush(sink);
   r.beats = tracker.beats();
   r.novel = tracker.novel_beats();
@@ -147,7 +149,9 @@ std::vector<std::int32_t> harvest_projections(const Trained& t,
     (void)t.classifier.classify_window(pb.window, scratch);
     us.insert(us.end(), scratch.u.begin(), scratch.u.end());
   };
-  monitor.push_block(std::span<const double>(stream.samples), sink);
+  const auto codes =
+      dsp::sanitize_lead(stream.samples, core::MonitorConfig{}.quality);
+  monitor.push_block(codes, sink);
   monitor.flush(sink);
   (void)k;
   return us;

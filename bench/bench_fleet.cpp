@@ -88,7 +88,7 @@ embedded::EmbeddedClassifier train_quick(std::size_t threads) {
 // One grid cell: replay `streams[0..sessions)` through a fresh engine with
 // `reactors` shards, one replay/pump thread per shard.
 CellResult run_cell(const embedded::EmbeddedClassifier& classifier,
-                    const std::vector<std::vector<double>>& streams,
+                    const std::vector<dsp::Signal>& streams,
                     std::size_t sessions, std::size_t reactors) {
   CellResult cell;
   cell.sessions = sessions;
@@ -133,7 +133,7 @@ CellResult run_cell(const embedded::EmbeddedClassifier& classifier,
         if (offset >= streams[i].size()) continue;
         any = true;
         const std::size_t n = std::min(kPacket, streams[i].size() - offset);
-        std::span<const double> packet(streams[i].data() + offset, n);
+        std::span<const dsp::Sample> packet(streams[i].data() + offset, n);
         // Per-round shard pump: the queue bound is never hit, so nothing
         // is ever deferred and the replay is lossless.
         while (true) {
@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
   const ecg::RecordProfile profiles[] = {
       ecg::RecordProfile::NormalSinus, ecg::RecordProfile::PvcOccasional,
       ecg::RecordProfile::PvcBigeminy, ecg::RecordProfile::Lbbb};
-  std::vector<std::vector<double>> streams(max_sessions);
+  std::vector<dsp::Signal> streams(max_sessions);
   for (std::size_t i = 0; i < max_sessions; ++i) {
     ecg::SynthConfig scfg;
     scfg.profile = profiles[i % std::size(profiles)];
@@ -216,7 +216,7 @@ int main(int argc, char** argv) {
     scfg.num_leads = 1;
     scfg.seed = 9000 + i;
     const auto rec = ecg::generate_record(scfg);
-    streams[i].assign(rec.leads[0].begin(), rec.leads[0].end());
+    streams[i] = rec.leads[0];
   }
 
   bench::WallTimer total_timer;

@@ -91,14 +91,13 @@ TrainedPair train_pair(std::size_t threads) {
           std::move(clf_b), std::move(ca), std::move(cb)};
 }
 
-std::vector<double> patient_lead(std::uint64_t seed, double seconds) {
+dsp::Signal patient_lead(std::uint64_t seed, double seconds) {
   ecg::SynthConfig cfg;
   cfg.profile = ecg::RecordProfile::PvcOccasional;
   cfg.duration_s = seconds;
   cfg.num_leads = 1;
   cfg.seed = seed;
-  const auto rec = ecg::generate_record(cfg);
-  return {rec.leads[0].begin(), rec.leads[0].end()};
+  return ecg::generate_record(cfg).leads[0];
 }
 
 struct Tagged {
@@ -113,11 +112,12 @@ struct Tagged {
   }
 };
 
-/// Direct ingest of a double lead on one engine; `mid_hook(engine, id,
-/// offered)` runs after every pumped block.
+/// Direct ingest of a lead on one engine; `mid_hook(engine, id, offered)`
+/// runs after every pumped block.
 std::vector<Tagged> run_engine(
     const embedded::EmbeddedClassifier& classifier,
-    std::span<const double> lead, std::size_t threads, std::size_t shards,
+    std::span<const dsp::Sample> lead, std::size_t threads,
+    std::size_t shards,
     const std::function<void(service::FleetEngine&, service::SessionId,
                              std::size_t)>& mid_hook = nullptr) {
   service::FleetConfig cfg;
@@ -287,7 +287,7 @@ int main(int argc, char** argv) {
     std::vector<double> inflight;
     std::uint64_t version = 1;
     std::size_t block = 0;
-    const std::span<const double> span(lead);
+    const std::span<const dsp::Sample> span(lead);
     // Cycle the lead until enough swaps are sampled: one continuous
     // session, a swap staged every third block.
     while (static_cast<int>(latencies_us.size()) < target_swaps) {

@@ -204,8 +204,8 @@ int main(int argc, char** argv) {
   std::printf("# training classifier (%zu threads)\n", threads);
   const auto classifier = train_quick(threads);
 
-  // The ward: profiles rotate; codes are pre-sanitized exactly like the
-  // client's double path so the reference and the wire see identical input.
+  // The ward: profiles rotate; each lead becomes codes once, at this edge,
+  // so the reference and the wire see identical input.
   const ecg::RecordProfile profiles[] = {
       ecg::RecordProfile::NormalSinus, ecg::RecordProfile::PvcOccasional,
       ecg::RecordProfile::PvcBigeminy, ecg::RecordProfile::Lbbb};

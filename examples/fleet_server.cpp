@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   const ecg::RecordProfile profiles[] = {
       ecg::RecordProfile::NormalSinus, ecg::RecordProfile::PvcOccasional,
       ecg::RecordProfile::PvcBigeminy, ecg::RecordProfile::Lbbb};
-  std::vector<std::vector<double>> streams(nodes);
+  std::vector<dsp::Signal> streams(nodes);
   std::vector<ecg::RecordProfile> node_profile(nodes);
   for (std::size_t i = 0; i < nodes; ++i) {
     ecg::SynthConfig scfg;
@@ -81,7 +81,8 @@ int main(int argc, char** argv) {
     const auto& lead = rec.leads[0];
     if (i == 0) {
       // Node 0's electrode detaches briefly and its driver emits NaN: the
-      // session's SQI gating and telemetry must absorb it.
+      // session's SQI gating and telemetry must absorb it. The driver's
+      // doubles become ADC codes at this edge (dsp::sanitize_lead).
       testing::FaultInjectorConfig fcfg;
       fcfg.seed = 7;
       fcfg.events = {
@@ -90,11 +91,11 @@ int main(int argc, char** argv) {
           {testing::FaultKind::NonFinite, 2 * lead.size() / 3,
            static_cast<std::size_t>(rec.fs_hz), 0.0, 0.25},
       };
-      testing::FaultInjector injector(fcfg);
-      for (const auto x : lead)
-        for (const double y : injector.feed(x)) streams[i].push_back(y);
+      streams[i] =
+          dsp::sanitize_lead(testing::FaultInjector::apply(lead, fcfg),
+                             core::MonitorConfig{}.quality);
     } else {
-      streams[i].assign(lead.begin(), lead.end());
+      streams[i] = lead;
     }
   }
 
@@ -139,7 +140,7 @@ int main(int argc, char** argv) {
       if (offset >= streams[i].size()) continue;
       any = true;
       const std::size_t n = std::min(kPacket, streams[i].size() - offset);
-      std::span<const double> packet(streams[i].data() + offset, n);
+      std::span<const dsp::Sample> packet(streams[i].data() + offset, n);
       // The bounded queue defers what does not fit: retry until it has
       // taken the whole packet.
       while (true) {

@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
   const ecg::RecordProfile profiles[] = {
       ecg::RecordProfile::NormalSinus, ecg::RecordProfile::PvcOccasional,
       ecg::RecordProfile::PvcBigeminy, ecg::RecordProfile::Lbbb};
-  std::vector<std::vector<double>> leads(std::size(profiles));
+  std::vector<dsp::Signal> leads(std::size(profiles));
   for (std::size_t i = 0; i < leads.size(); ++i) {
     ecg::SynthConfig scfg;
     scfg.profile = profiles[i];
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
     scfg.num_leads = 1;
     scfg.seed = 6100 + i;
     const auto rec = ecg::generate_record(scfg);
-    leads[i].assign(rec.leads[0].begin(), rec.leads[0].end());
+    leads[i] = rec.leads[0];
   }
   const std::size_t lead_len = leads[0].size();
 
@@ -213,7 +213,8 @@ int main(int argc, char** argv) {
         for (std::size_t i = d; i < nodes; i += drivers, ++slot) {
           const auto& lead = leads[i % leads.size()];
           const std::size_t n = std::min(kPacket, lead.size() - off);
-          clients[slot]->push(std::span<const double>(lead.data() + off, n));
+          clients[slot]->push(
+              std::span<const dsp::Sample>(lead.data() + off, n));
           clients[slot]->poll_once(0);
         }
       }

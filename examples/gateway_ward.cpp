@@ -7,8 +7,8 @@
 // other half streams every sample to the gateway for central
 // classification. Node 0 additionally suffers an injected flaky electrode
 // (lead-off plus NaN bursts from the driver) to show the fault path end to
-// end: sanitization on the node, SQI gating in the pipeline,
-// suspect-signal escalation records on the wire.
+// end: sanitization into ADC codes at the driver edge, SQI gating in the
+// pipeline, suspect-signal escalation records on the wire.
 //
 // At the end a per-node table compares bytes on the wire and the implied
 // radio energy (platform::PowerModel) against the stream-everything
@@ -98,8 +98,9 @@ int main(int argc, char** argv) {
   const ecg::RecordProfile profiles[] = {
       ecg::RecordProfile::NormalSinus, ecg::RecordProfile::PvcOccasional,
       ecg::RecordProfile::PvcBigeminy, ecg::RecordProfile::Lbbb};
-  std::vector<std::vector<double>> streams(nodes);
+  std::vector<dsp::Signal> streams(nodes);
   std::vector<ecg::RecordProfile> node_profile(nodes);
+  std::size_t nonfinite = 0;  // node 0's driver output held at the edge
   for (std::size_t i = 0; i < nodes; ++i) {
     ecg::SynthConfig scfg;
     scfg.profile = profiles[i % std::size(profiles)];
@@ -118,11 +119,19 @@ int main(int argc, char** argv) {
           {testing::FaultKind::NonFinite, 2 * lead.size() / 3,
            static_cast<std::size_t>(rec.fs_hz), 0.0, 0.25},
       };
+      // The driver hands up doubles; they become codes here, under the
+      // node's rails, before the node sees them.
       testing::FaultInjector injector(fcfg);
+      const dsp::QualityConfig rails = net::NodeConfig{}.monitor.quality;
+      dsp::Sample hold = dsp::mid_rail(rails);
       for (const auto x : lead)
-        for (const double y : injector.feed(x)) streams[i].push_back(y);
+        for (const double y : injector.feed(x)) {
+          dsp::SampleFix fix = dsp::SampleFix::None;
+          streams[i].push_back(dsp::sanitize_sample(y, rails, hold, fix));
+          nonfinite += fix == dsp::SampleFix::Held;
+        }
     } else {
-      streams[i].assign(lead.begin(), lead.end());
+      streams[i] = lead;
     }
   }
 
@@ -162,10 +171,10 @@ int main(int argc, char** argv) {
           });
 
       constexpr std::size_t kPacket = 512;  // one radio packet per push
-      const std::vector<double>& lead = streams[i];
+      const dsp::Signal& lead = streams[i];
       for (std::size_t off = 0; off < lead.size(); off += kPacket) {
         const std::size_t n = std::min(kPacket, lead.size() - off);
-        client.push(std::span<const double>(lead.data() + off, n));
+        client.push(std::span<const dsp::Sample>(lead.data() + off, n));
         client.poll_once(0);
       }
       client.close(/*deadline_ms=*/30000);
@@ -232,11 +241,9 @@ int main(int argc, char** argv) {
                                           selective_bytes) *
                     power.radio_j_per_byte);
   }
-  const NodeReport& faulty = reports[0];
-  std::printf("node 0's flaky electrode: %llu non-finite samples "
-              "sanitized on the node\n",
-              static_cast<unsigned long long>(
-                  faulty.stats.sanitized_nonfinite));
+  std::printf("node 0's flaky electrode: %zu non-finite samples "
+              "sanitized at the driver edge\n",
+              nonfinite);
 
   std::printf("\nGateway stats:\n%s\n", gateway.stats().json().c_str());
   std::printf("\nFleet telemetry snapshot:\n%s",

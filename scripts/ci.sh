@@ -18,7 +18,11 @@
 #      divergence), then perf_gate.py compares its identity/speedup keys
 #      against the committed BENCH_fleet.json (the full-run-only
 #      fleet_widest_speedup key warn-skips on quick grids by design);
-#   5. gateway loopback soak smoke: gateway_ward (8 concurrent sensor
+#   5. fault-replay smoke: holter_monitor 0.5 feeds a bare monitor a
+#      record with lead-off, saturation and a NaN burst, converting the
+#      injector's doubles to ADC codes at its edge; the step fails unless
+#      it exits 0 and its replay reports a nonzero non-finite count. Then
+#      the gateway loopback soak smoke: gateway_ward (8 concurrent sensor
 #      clients over real loopback TCP, one with an injected flaky
 #      electrode; exits non-zero on an unclean close or a verdict sequence
 #      gap), a fleet_server smoke (the example that snapshots live
@@ -114,9 +118,18 @@ echo "==== fleet gate (identity/speedup keys vs BENCH_fleet.json)"
 # so that comparison warn-skips; identity_pass is gated hard.
 python3 scripts/perf_gate.py BENCH_fleet.json build/BENCH_fleet_quick.json
 
-# --- 1c. gateway loopback soak smoke --------------------------------------
-# The examples' stdout is kept under build/ so the telemetry JSON they
-# print can be parsed and its schema_version checked.
+# --- 1c. fault replay + gateway loopback soak smoke -----------------------
+# The examples' stdout is kept under build/ so what they print (the fault
+# replay's counts, the telemetry JSON) can be checked.
+echo "==== fault-replay smoke (holter_monitor: lead-off, saturation, NaN burst)"
+./build/examples/holter_monitor 0.5 | tee build/holter_monitor.log
+nonfinite=$(sed -n 's/^ *\([0-9][0-9]*\) non-finite samples rejected.*/\1/p' \
+  build/holter_monitor.log)
+if [[ -z "${nonfinite}" || "${nonfinite}" -eq 0 ]]; then
+  echo "holter_monitor smoke FAILED: the fault replay reported no" \
+    "non-finite samples" >&2
+  exit 1
+fi
 echo "==== gateway soak smoke (gateway_ward: 8 clients + fault injection)"
 ./build/examples/gateway_ward 8 20 0 | tee build/gateway_ward.log
 python3 scripts/telemetry_json_check.py build/gateway_ward.log \

@@ -23,25 +23,12 @@ StreamingBeatMonitor::StreamingBeatMonitor(
       static_cast<std::size_t>(cfg_.overlap_s * cfg_.peak.fs_hz);
   const std::size_t min_overlap =
       cfg_.window_before + cfg_.window_after +
-      static_cast<std::size_t>(cfg_.peak.refractory_s * cfg_.peak.fs_hz);
+      static_cast<std::size_t>(dsp::kRefractoryS * cfg_.peak.fs_hz);
   HBRP_REQUIRE(overlap_samples_ >= min_overlap,
                "StreamingBeatMonitor: overlap shorter than one beat window "
                "plus the refractory period");
   HBRP_REQUIRE(chunk_samples_ > 2 * overlap_samples_,
                "StreamingBeatMonitor: chunk must exceed twice the overlap");
-  last_raw_ = dsp::mid_rail(cfg_.quality);
-}
-
-void StreamingBeatMonitor::push(double x, const PendingBeatSink& sink) {
-  // Reject a non-finite value but keep the timeline, the conditioner and
-  // the SQI chunking aligned: the boundary rule sample-holds the last
-  // accepted code.
-  dsp::SampleFix fix = dsp::SampleFix::None;
-  const dsp::Sample code =
-      dsp::sanitize_sample(x, cfg_.quality, last_raw_, fix);
-  if (fix == dsp::SampleFix::Held) ++stats_.rejected_nonfinite;
-  if (fix == dsp::SampleFix::Clamped) ++stats_.clamped;
-  push(code, sink);
 }
 
 void StreamingBeatMonitor::push(dsp::Sample x, const PendingBeatSink& sink) {
@@ -50,7 +37,6 @@ void StreamingBeatMonitor::push(dsp::Sample x, const PendingBeatSink& sink) {
     ++stats_.clamped;
     x = std::clamp(x, cfg_.quality.rail_low, cfg_.quality.rail_high);
   }
-  last_raw_ = x;
   const std::size_t idx = input_index_++;
 
   if (cfg_.quality_gating) {
@@ -106,11 +92,6 @@ void StreamingBeatMonitor::sync_conditioner(const PendingBeatSink& sink) {
 void StreamingBeatMonitor::push_block(std::span<const dsp::Sample> xs,
                                       const PendingBeatSink& sink) {
   for (const dsp::Sample x : xs) push(x, sink);
-}
-
-void StreamingBeatMonitor::push_block(std::span<const double> xs,
-                                      const PendingBeatSink& sink) {
-  for (const double x : xs) push(x, sink);
 }
 
 void StreamingBeatMonitor::rearm(std::size_t at_absolute) {

@@ -27,10 +27,10 @@
 // segments (lead-off, saturation) detection is suppressed entirely and the
 // conditioner plus rolling buffer are re-armed on recovery, so no stale
 // filter state or poisoned adaptive threshold touches the first beats
-// after a reconnect. The raw-ADC boundary itself is defended: the
-// push(double) overload rejects non-finite samples and both overloads
-// clamp out-of-range codes, with every intervention counted in
-// MonitorStats.
+// after a reconnect. The monitor takes ADC codes only: a producer holding
+// doubles (a driver that can hand up NaN) turns them into codes at its own
+// edge with dsp::sanitize_sample / dsp::sanitize_lead. The monitor still
+// clamps out-of-range codes to the rails, counted in MonitorStats.
 #pragma once
 
 #include <deque>
@@ -61,7 +61,6 @@ struct MonitorBeat {
 /// Cumulative acquisition/robustness counters (never reset by flush()).
 struct MonitorStats {
   std::size_t samples_in = 0;         ///< raw samples offered to push()
-  std::size_t rejected_nonfinite = 0; ///< NaN/Inf dropped at the boundary
   std::size_t clamped = 0;            ///< out-of-range codes clamped to rails
   std::size_t bad_signal_samples = 0; ///< samples discarded while Bad
   std::size_t suspect_beats = 0;      ///< beats escalated to Unknown
@@ -116,17 +115,15 @@ class StreamingBeatMonitor {
   /// `sink` in report order. No per-sample allocation on the steady-state
   /// path — this is the firmware-shaped entry point.
   void push(dsp::Sample x, const PendingBeatSink& sink);
+  /// A double is not a code: sanitize it at the edge (dsp::sanitize_sample)
+  /// instead of letting it truncate through the implicit conversion.
+  void push(double x, const PendingBeatSink& sink) = delete;
 
-  /// Untrusted raw front-end entry point: rejects non-finite values and
-  /// clamps the rest into the ADC range before the integer path sees them.
-  void push(double x, const PendingBeatSink& sink);
-
-  /// Block entry points: feed a contiguous run of samples. Exactly
+  /// Block entry point: feeds a contiguous run of samples. Exactly
   /// equivalent to pushing each sample in order — same beats, same order,
   /// same stats — but the natural shape for batch producers (drain queues,
   /// record replay) now that the conditioner itself works in blocks.
   void push_block(std::span<const dsp::Sample> xs, const PendingBeatSink& sink);
-  void push_block(std::span<const double> xs, const PendingBeatSink& sink);
 
   /// Finalizes everything still buffered into `sink` and resets the monitor
   /// (the cumulative stats() survive).
@@ -176,7 +173,6 @@ class StreamingBeatMonitor {
   // Degradation machine (see header comment).
   dsp::SignalQuality quality_state_ = dsp::SignalQuality::Good;
   std::size_t input_index_ = 0;  // raw samples accepted onto the timeline
-  dsp::Sample last_raw_ = 0;     // sample-hold value for rejected inputs
   bool needs_rearm_ = false;     // recovery pending: restart timeline anchors
   // Sparse (absolute index, state-from-there) history so beats finalized
   // several seconds later are tagged with the quality at *their* position.

@@ -41,9 +41,8 @@ std::vector<Extremum> local_extrema(const Signal& w) {
 // silent blocks do not collapse the threshold.
 std::vector<double> threshold_envelope(const Signal& w,
                                        const PeakDetectorConfig& cfg) {
-  const auto block =
-      std::max<std::size_t>(1, static_cast<std::size_t>(
-                                   cfg.block_s * cfg.fs_hz));
+  const auto block = std::max<std::size_t>(
+      1, static_cast<std::size_t>(kBlockS * cfg.fs_hz));
   std::vector<double> block_max;
   for (std::size_t start = 0; start < w.size(); start += block) {
     const std::size_t end = std::min(w.size(), start + block);
@@ -60,7 +59,7 @@ std::vector<double> threshold_envelope(const Signal& w,
         std::clamp(block_max[b], 0.5 * med, 2.0 * med);
     const std::size_t end = std::min(w.size(), start + block);
     for (std::size_t i = start; i < end; ++i)
-      thr[i] = cfg.threshold_frac * env;
+      thr[i] = kThresholdFrac * env;
   }
   return thr;
 }
@@ -160,10 +159,9 @@ std::vector<std::size_t> detect_r_peaks(const Signal& conditioned,
   const std::vector<Extremum> ext = local_extrema(w);
   const std::vector<double> thr = threshold_envelope(w, cfg);
   const std::vector<double> fine_thr = threshold_envelope(fine, cfg);
-  const auto pair_window = static_cast<std::size_t>(
-      cfg.pair_window_s * cfg.fs_hz);
-  const auto refractory =
-      static_cast<std::size_t>(cfg.refractory_s * cfg.fs_hz);
+  const auto pair_window =
+      static_cast<std::size_t>(kPairWindowS * cfg.fs_hz);
+  const auto refractory = static_cast<std::size_t>(kRefractoryS * cfg.fs_hz);
 
   std::vector<Candidate> cands = scan_pairs(w, ext, thr, fine, fine_thr, 1.0,
                                             0.5, 0, w.size(), pair_window);
@@ -201,15 +199,15 @@ std::vector<std::size_t> detect_r_peaks(const Signal& conditioned,
       } else {
         mean_rr = 0.875 * mean_rr + 0.125 * rr;
       }
-      if (rr > cfg.searchback_rr_factor * mean_rr) {
+      if (rr > kSearchbackRrFactor * mean_rr) {
         const std::size_t lo = cands[i - 1].peak + refractory;
         const std::size_t hi = cands[i].peak > refractory
                                    ? cands[i].peak - refractory
                                    : 0;
         if (lo < hi) {
           auto found =
-              scan_pairs(w, ext, thr, fine, fine_thr, cfg.searchback_frac,
-                         0.5 * cfg.searchback_frac, lo, hi, pair_window);
+              scan_pairs(w, ext, thr, fine, fine_thr, kSearchbackFrac,
+                         0.5 * kSearchbackFrac, lo, hi, pair_window);
           extra.insert(extra.end(), found.begin(), found.end());
         }
       }

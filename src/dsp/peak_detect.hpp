@@ -26,41 +26,47 @@ namespace hbrp::dsp {
 /// detector by tests/test_detector_equivalence.cpp.
 enum class PeakDetectorKind : std::uint8_t { Wavelet, AdaptiveThreshold };
 
+// Detector constants, shared by dsp::detect_r_peaks and the block ports in
+// kernels/dsp_peaks.hpp. Times are in seconds and scale with
+// PeakDetectorConfig::fs_hz.
+
+/// Minimum separation between beats (s). 250 ms == 240 bpm ceiling.
+inline constexpr double kRefractoryS = 0.25;
+/// Maximum separation between the two maxima of a QRS pair (s).
+inline constexpr double kPairWindowS = 0.12;
+/// Adaptive threshold as a fraction of the running signal-peak estimate.
+inline constexpr double kThresholdFrac = 0.3;
+/// Analysis block used to seed the adaptive threshold (s).
+inline constexpr double kBlockS = 2.0;
+/// Search-back triggers when RR exceeds this multiple of the running mean.
+inline constexpr double kSearchbackRrFactor = 1.66;
+/// Threshold scaling during search-back.
+inline constexpr double kSearchbackFrac = 0.4;
+
+// The adaptive-threshold fast path (kernels::detect_r_peaks_adaptive).
+
+/// Exponential decay rate (per second) of the running QRS-energy estimate
+/// between beats.
+inline constexpr double kAdaptiveDecayPerS = 1.0;
+/// Trigger threshold as a fraction of the running QRS-energy estimate.
+/// 0.5 clears synthetic tall-T and noisy-LBBB records with the
+/// slope-energy front end (see kernels::detect_r_peaks_adaptive).
+inline constexpr double kAdaptiveFrac = 0.5;
+/// Floor for the running estimate, as a fraction of the median per-block
+/// energy maximum (keeps long pauses from decaying into the noise floor).
+inline constexpr double kAdaptiveFloorFrac = 0.05;
+/// Forward apex-search window after a threshold crossing (s).
+inline constexpr double kAdaptiveSearchS = 0.10;
+
 struct PeakDetectorConfig {
   int fs_hz = kMitBihFs;
   /// Wavelet scale index (0-based) whose modulus maxima drive detection;
   /// scale 2^3 concentrates QRS energy at 360 Hz.
   std::size_t detect_scale = 2;
-  /// Minimum separation between beats (s). 250 ms == 240 bpm ceiling.
-  double refractory_s = 0.25;
-  /// Maximum separation between the two maxima of a QRS pair (s).
-  double pair_window_s = 0.12;
-  /// Adaptive threshold as a fraction of the running signal-peak estimate.
-  double threshold_frac = 0.3;
-  /// Analysis block used to seed the adaptive threshold (s).
-  double block_s = 2.0;
-  /// Search-back triggers when RR exceeds this multiple of the running mean.
-  double searchback_rr_factor = 1.66;
-  /// Threshold scaling during search-back.
-  double searchback_frac = 0.4;
-
   /// Detector selection for streaming consumers (core::StreamingBeatMonitor
   /// and everything above it). Batch dsp::detect_r_peaks always runs the
-  /// wavelet detector; kernels::detect_r_peaks_adaptive reads the fields
-  /// below.
+  /// wavelet detector.
   PeakDetectorKind kind = PeakDetectorKind::Wavelet;
-  /// Exponential decay rate (per second) of the running QRS-energy estimate
-  /// between beats.
-  double adaptive_decay_per_s = 1.0;
-  /// Trigger threshold as a fraction of the running QRS-energy estimate.
-  /// 0.5 clears synthetic tall-T and noisy-LBBB records with the
-  /// slope-energy front end (see kernels::detect_r_peaks_adaptive).
-  double adaptive_frac = 0.5;
-  /// Floor for the running estimate, as a fraction of the median per-block
-  /// energy maximum (keeps long pauses from decaying into the noise floor).
-  double adaptive_floor_frac = 0.05;
-  /// Forward apex-search window after a threshold crossing (s).
-  double adaptive_search_s = 0.10;
 };
 
 /// Detects R-peak sample indices in a conditioned (baseline-free) ECG lead.

@@ -9,6 +9,29 @@ namespace hbrp::dsp {
 
 namespace {
 
+/// A sample within this distance of a rail counts as clipped.
+constexpr Sample kRailMargin = 8;
+
+/// |x[n] - x[n-1]| <= kFlatDelta counts toward the flat-line fraction.
+/// Zero means exact repeats only: a detached electrode is *exactly*
+/// constant, whereas clean quantized ECG dithers by ±1 adu even in quiet
+/// diastole, so this separates the two without false alarms.
+constexpr Sample kFlatDelta = 0;
+/// |x[n] - x[n-1]| >= kImpulseDelta counts toward the impulse fraction.
+constexpr Sample kImpulseDelta = 700;
+
+/// Chunk fractions that demote to Bad.
+constexpr double kClipBadFrac = 0.10;
+constexpr double kFlatBadFrac = 0.80;
+/// Chunk variance (adu^2) at or below which the chunk is a flat-line /
+/// lead-off chunk regardless of the run-length check.
+constexpr double kBadVariance = 2.0;
+
+/// Chunk fractions that demote to (at least) Suspect.
+constexpr double kClipSuspectFrac = 0.02;
+constexpr double kFlatSuspectFrac = 0.50;
+constexpr double kImpulseSuspectFrac = 0.02;
+
 std::size_t frac_count(double frac, std::size_t chunk) {
   // Threshold count for "fraction of the chunk"; ceil so a zero fraction
   // still requires at least one sample and frac==1 requires the full chunk.
@@ -55,15 +78,15 @@ SignalQualityEstimator::SignalQualityEstimator(const QualityConfig& cfg)
   HBRP_REQUIRE(chunk_samples_ >= 8,
                "SignalQualityEstimator: chunk must span at least 8 samples");
   clip_bad_count_ = std::max<std::size_t>(
-      1, frac_count(cfg.clip_bad_frac, chunk_samples_));
+      1, frac_count(kClipBadFrac, chunk_samples_));
   flat_bad_count_ = std::max<std::size_t>(
-      1, frac_count(cfg.flat_bad_frac, chunk_samples_));
+      1, frac_count(kFlatBadFrac, chunk_samples_));
   clip_suspect_count_ = std::max<std::size_t>(
-      1, frac_count(cfg.clip_suspect_frac, chunk_samples_));
+      1, frac_count(kClipSuspectFrac, chunk_samples_));
   flat_suspect_count_ = std::max<std::size_t>(
-      1, frac_count(cfg.flat_suspect_frac, chunk_samples_));
+      1, frac_count(kFlatSuspectFrac, chunk_samples_));
   impulse_suspect_count_ = std::max<std::size_t>(
-      1, frac_count(cfg.impulse_suspect_frac, chunk_samples_));
+      1, frac_count(kImpulseSuspectFrac, chunk_samples_));
 }
 
 void SignalQualityEstimator::reset() {
@@ -79,14 +102,14 @@ std::optional<SignalQuality> SignalQualityEstimator::push(Sample x) {
   // Clamp first: corrupt samples far outside the ADC range must degrade
   // into countable clipping, not overflow the accumulators.
   const Sample clamped = std::clamp(x, cfg_.rail_low, cfg_.rail_high);
-  if (clamped - cfg_.rail_low <= cfg_.rail_margin ||
-      cfg_.rail_high - clamped <= cfg_.rail_margin)
+  if (clamped - cfg_.rail_low <= kRailMargin ||
+      cfg_.rail_high - clamped <= kRailMargin)
     ++clipped_;
   if (has_prev_) {
     const std::int64_t jump = std::abs(static_cast<std::int64_t>(clamped) -
                                        static_cast<std::int64_t>(prev_));
-    if (jump <= cfg_.flat_delta) ++flat_;
-    if (jump >= cfg_.impulse_delta) ++impulses_;
+    if (jump <= kFlatDelta) ++flat_;
+    if (jump >= kImpulseDelta) ++impulses_;
   }
   prev_ = clamped;
   has_prev_ = true;
@@ -129,7 +152,7 @@ SignalQuality SignalQualityEstimator::grade_chunk() {
   last_.variance = variance;
 
   if (clipped_ >= clip_bad_count_ || flat_ >= flat_bad_count_ ||
-      variance <= cfg_.bad_variance)
+      variance <= kBadVariance)
     last_.grade = SignalQuality::Bad;
   else if (clipped_ >= clip_suspect_count_ || flat_ >= flat_suspect_count_ ||
            impulses_ >= impulse_suspect_count_)

@@ -45,6 +45,8 @@ constexpr const char* to_string(SignalQuality q) {
   return "?";
 }
 
+/// The sampling rate, the chunking, the rails and the recovery streak. The
+/// grading thresholds are constants of dsp/quality.cpp.
 struct QualityConfig {
   int fs_hz = kMitBihFs;
   /// SQI evaluation granularity (s). Short enough that one bad chunk costs
@@ -56,28 +58,6 @@ struct QualityConfig {
   /// int32 garbage degrades into detectable clipping instead of overflow.
   Sample rail_low = 0;
   Sample rail_high = 2047;
-  /// A sample within this distance of a rail counts as clipped.
-  Sample rail_margin = 8;
-
-  /// |x[n] - x[n-1]| <= flat_delta counts toward the flat-line fraction.
-  /// Zero means exact repeats only: a detached electrode is *exactly*
-  /// constant, whereas clean quantized ECG dithers by ±1 adu even in quiet
-  /// diastole, so this separates the two without false alarms.
-  Sample flat_delta = 0;
-  /// |x[n] - x[n-1]| >= impulse_delta counts toward the impulse fraction.
-  Sample impulse_delta = 700;
-
-  /// Chunk fractions that demote to Bad.
-  double clip_bad_frac = 0.10;
-  double flat_bad_frac = 0.80;
-  /// Chunk variance (adu^2) at or below which the chunk is a flat-line /
-  /// lead-off chunk regardless of the run-length check.
-  double bad_variance = 2.0;
-
-  /// Chunk fractions that demote to (at least) Suspect.
-  double clip_suspect_frac = 0.02;
-  double flat_suspect_frac = 0.50;
-  double impulse_suspect_frac = 0.02;
 
   /// Consecutive clean chunks required to step one state toward Good.
   int recover_chunks = 2;
@@ -97,8 +77,10 @@ enum class SampleFix : std::uint8_t {
   Held,     ///< non-finite: replaced by the held code
 };
 
-/// The untrusted ADC boundary's rule for one double sample, shared by the
-/// streaming monitor and the sensor node. A non-finite value repeats
+/// The ADC boundary's rule for one double sample: the one place a double
+/// becomes a code. The monitor, the fleet session and the sensor node take
+/// codes only; a producer that holds doubles (a driver that can hand up
+/// NaN) converts them at its own edge with this. A non-finite value repeats
 /// `hold`, so the timeline keeps its cadence and a sustained burst
 /// flat-lines into something the SQI estimator degrades on. Any other
 /// value is clamped to the rails, rounded, and becomes the new `hold`.

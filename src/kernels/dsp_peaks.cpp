@@ -40,8 +40,8 @@ void local_extrema(const Signal& w, std::vector<Extremum>& out) {
 
 // One threshold per block of `block` samples: sample i's threshold is
 // thr[i / block]. The reference stores the same value at every sample.
-void threshold_envelope(const Signal& w, const PeakDetectorConfig& cfg,
-                        std::size_t block, std::vector<double>& block_max,
+void threshold_envelope(const Signal& w, std::size_t block,
+                        std::vector<double>& block_max,
                         std::vector<double>& thr) {
   block_max.clear();
   for (std::size_t start = 0; start < w.size(); start += block) {
@@ -55,7 +55,8 @@ void threshold_envelope(const Signal& w, const PeakDetectorConfig& cfg,
   if (block_max.empty()) return;
   const double med = hbrp::math::median(block_max);
   for (const double m : block_max)
-    thr.push_back(cfg.threshold_frac * std::clamp(m, 0.5 * med, 2.0 * med));
+    thr.push_back(dsp::kThresholdFrac *
+                  std::clamp(m, 0.5 * med, 2.0 * med));
 }
 
 std::size_t zero_crossing(const Signal& w, std::size_t lo, std::size_t hi) {
@@ -169,13 +170,13 @@ void detect_r_peaks_block(const Signal& conditioned,
                                           : cfg.detect_scale];
   local_extrema(w, scr.ext);
   const auto block = std::max<std::size_t>(
-      1, static_cast<std::size_t>(cfg.block_s * cfg.fs_hz));
-  threshold_envelope(w, cfg, block, scr.block_max, scr.thr);
-  threshold_envelope(fine, cfg, block, scr.block_max, scr.fine_thr);
+      1, static_cast<std::size_t>(dsp::kBlockS * cfg.fs_hz));
+  threshold_envelope(w, block, scr.block_max, scr.thr);
+  threshold_envelope(fine, block, scr.block_max, scr.fine_thr);
   const auto pair_window =
-      static_cast<std::size_t>(cfg.pair_window_s * cfg.fs_hz);
+      static_cast<std::size_t>(dsp::kPairWindowS * cfg.fs_hz);
   const auto refractory =
-      static_cast<std::size_t>(cfg.refractory_s * cfg.fs_hz);
+      static_cast<std::size_t>(dsp::kRefractoryS * cfg.fs_hz);
 
   scr.cands.clear();
   scan_pairs(w, scr.ext, scr.thr, fine, scr.fine_thr, block, 1.0, 0.5, 0,
@@ -184,7 +185,7 @@ void detect_r_peaks_block(const Signal& conditioned,
   if (cfg.detect_scale + 1 < dsp::kWaveletScales) {
     const Signal& coarse = scr.dec.detail[cfg.detect_scale + 1];
     local_extrema(coarse, scr.coarse_ext);
-    threshold_envelope(coarse, cfg, block, scr.block_max, scr.coarse_thr);
+    threshold_envelope(coarse, block, scr.block_max, scr.coarse_thr);
     scan_pairs(coarse, scr.coarse_ext, scr.coarse_thr, w, scr.thr, block, 1.0,
                1.3, 0, coarse.size(), 2 * pair_window, scr.cands);
   }
@@ -205,13 +206,13 @@ void detect_r_peaks_block(const Signal& conditioned,
       } else {
         mean_rr = 0.875 * mean_rr + 0.125 * rr;
       }
-      if (rr > cfg.searchback_rr_factor * mean_rr) {
+      if (rr > dsp::kSearchbackRrFactor * mean_rr) {
         const std::size_t lo = scr.cands[i - 1].peak + refractory;
         const std::size_t hi =
             scr.cands[i].peak > refractory ? scr.cands[i].peak - refractory : 0;
         if (lo < hi)
           scan_pairs(w, scr.ext, scr.thr, fine, scr.fine_thr, block,
-                     cfg.searchback_frac, 0.5 * cfg.searchback_frac, lo, hi,
+                     dsp::kSearchbackFrac, 0.5 * dsp::kSearchbackFrac, lo, hi,
                      pair_window, scr.extra);
       }
     }
@@ -265,7 +266,7 @@ void detect_r_peaks_adaptive(const Signal& conditioned,
   // median tracks typical QRS energy and the floor keeps long pauses from
   // decaying the estimate into the noise.
   const auto block = std::max<std::size_t>(
-      1, static_cast<std::size_t>(cfg.block_s * cfg.fs_hz));
+      1, static_cast<std::size_t>(dsp::kBlockS * cfg.fs_hz));
   scr.block_max.clear();
   for (std::size_t start = 0; start < n; start += block) {
     const std::size_t end = std::min(n, start + block);
@@ -276,20 +277,20 @@ void detect_r_peaks_adaptive(const Signal& conditioned,
   }
   const double med = hbrp::math::median(scr.block_max);
   if (med <= 0.0) return;  // flat record: nothing to detect
-  const double floor_amp = cfg.adaptive_floor_frac * med;
+  const double floor_amp = dsp::kAdaptiveFloorFrac * med;
   const double decay = std::clamp(
-      1.0 - cfg.adaptive_decay_per_s / static_cast<double>(cfg.fs_hz), 0.0,
+      1.0 - dsp::kAdaptiveDecayPerS / static_cast<double>(cfg.fs_hz), 0.0,
       1.0);
   const auto refractory =
-      static_cast<std::size_t>(cfg.refractory_s * cfg.fs_hz);
+      static_cast<std::size_t>(dsp::kRefractoryS * cfg.fs_hz);
   const auto search = std::max<std::size_t>(
-      1, static_cast<std::size_t>(cfg.adaptive_search_s * cfg.fs_hz));
+      1, static_cast<std::size_t>(dsp::kAdaptiveSearchS * cfg.fs_hz));
 
   double amp = med;
   std::size_t next_ok = 0;
   scr.cands.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    if (i >= next_ok && scr.energy[i] >= cfg.adaptive_frac * amp) {
+    if (i >= next_ok && scr.energy[i] >= dsp::kAdaptiveFrac * amp) {
       // Threshold crossing on the QRS upslope: the apex is the energy
       // maximum within the short forward window.
       const std::size_t hi = std::min(n - 1, i + search);

@@ -46,7 +46,7 @@ struct PeakScratch {
   WaveletScratch wavelet;
   std::vector<Extremum> ext;
   std::vector<Extremum> coarse_ext;
-  /// Wavelet detector: one threshold per block_s block at each scale. The
+  /// Wavelet detector: one threshold per dsp::kBlockS block at each scale. The
   /// adaptive detector reuses `thr` as its per-sample slope buffer.
   std::vector<double> thr;
   std::vector<double> fine_thr;
@@ -66,7 +66,7 @@ void detect_r_peaks_block(const dsp::Signal& conditioned,
                           std::vector<std::size_t>& peaks);
 
 /// Adaptive-threshold detector: running-amplitude decay over the squared
-/// conditioned signal; reads the cfg.adaptive_* fields.
+/// conditioned signal; tuned by the dsp::kAdaptive* constants.
 void detect_r_peaks_adaptive(const dsp::Signal& conditioned,
                              const dsp::PeakDetectorConfig& cfg,
                              PeakScratch& scratch,

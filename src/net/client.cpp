@@ -24,9 +24,7 @@ const char* to_string(LinkState s) {
 
 SensorNodeClient::SensorNodeClient(embedded::EmbeddedClassifier classifier,
                                    NodeConfig cfg)
-    : classifier_(std::move(classifier)),
-      cfg_(std::move(cfg)),
-      last_code_(dsp::mid_rail(cfg_.monitor.quality)) {
+    : classifier_(std::move(classifier)), cfg_(std::move(cfg)) {
   HBRP_REQUIRE(cfg_.port != 0, "SensorNodeClient: gateway port is required");
   HBRP_REQUIRE(cfg_.chunk_samples >= 1 &&
                    cfg_.chunk_samples <= kMaxChunkSamples,
@@ -77,11 +75,6 @@ void SensorNodeClient::push(dsp::Sample x) {
     stage_stream_sample(x);
 }
 
-void SensorNodeClient::push(double x) {
-  push(sanitize(x, cfg_.monitor.quality, last_code_,
-                &stats_.sanitized_nonfinite));
-}
-
 void SensorNodeClient::push(std::span<const dsp::Sample> xs) {
   if (monitor_.has_value()) {
     // Block fast path: the monitor's conditioner batches across the whole
@@ -91,10 +84,6 @@ void SensorNodeClient::push(std::span<const dsp::Sample> xs) {
     return;
   }
   for (const dsp::Sample x : xs) push(x);
-}
-
-void SensorNodeClient::push(std::span<const double> xs) {
-  for (const double x : xs) push(x);
 }
 
 void SensorNodeClient::finish() {

@@ -5,7 +5,7 @@
 // classify on the node, and spend radio energy only where it buys clinical
 // value. Two policies, chosen at handshake:
 //
-//   StreamEverything  every sanitized ADC code, clamped to the rails, is
+//   StreamEverything  every pushed ADC code, clamped to the rails, is
 //                     framed into SAMPLE_CHUNK uploads at 12 bits per
 //                     code; the gateway's FleetEngine classifies and
 //                     streams BEAT_VERDICT frames back. The baseline
@@ -70,9 +70,8 @@ struct NodeConfig {
   std::uint32_t node_id = 0;
   TxPolicy policy = TxPolicy::StreamEverything;
   std::uint32_t fs_hz = 360;
-  /// Local pipeline geometry (selective policy) and the ADC rails used to
-  /// sanitize the untrusted double path in both policies and to clamp
-  /// streamed integer codes. The rails must lie in [kMinWireCode,
+  /// Local pipeline geometry (selective policy) and the ADC rails that
+  /// streamed codes are clamped to. The rails must lie in [kMinWireCode,
   /// kMaxWireCode] and span at most kMaxWireCode codes, so every framed
   /// code fits the wire's 12 bits.
   core::MonitorConfig monitor;
@@ -121,10 +120,8 @@ struct TxStats {
   std::uint64_t parse_rejects = 0;   ///< CRC/framing violations received
   std::uint64_t hello_rejects = 0;   ///< handshakes refused by the gateway
   std::uint64_t samples_in = 0;      ///< samples pushed by the application
-  std::uint64_t sanitized_nonfinite = 0;
-  /// StreamEverything: integer codes pushed outside the rails, clamped
-  /// before framing (the gateway's monitor would clamp them the same way;
-  /// the double path clamps inside sanitize()).
+  /// StreamEverything: codes pushed outside the rails, clamped before
+  /// framing (the gateway's monitor would clamp them the same way).
   std::uint64_t samples_clamped = 0;
   std::uint64_t beats_local = 0;     ///< normal beats kept as local records
   std::uint64_t beats_uploaded = 0;  ///< FULL_BEAT uploads created
@@ -172,15 +169,15 @@ class SensorNodeClient {
 
   void set_verdict_sink(VerdictSink sink) { on_verdict_ = std::move(sink); }
 
-  /// Feeds ADC samples into the node pipeline (policy-dependent fate).
-  /// The double overload applies the monitor's own boundary rule,
-  /// dsp::sanitize_sample, from the same mid-rail starting hold, so the
-  /// codes on the wire equal the codes a direct in-process monitor would
-  /// have accepted.
+  /// Feeds ADC codes into the node pipeline (policy-dependent fate). A
+  /// driver that hands up doubles converts them at its own edge with
+  /// dsp::sanitize_sample / dsp::sanitize_lead, the one double-to-code
+  /// rule, so the codes on the wire equal what a direct in-process
+  /// session is offered.
   void push(dsp::Sample x);
-  void push(double x);
+  /// A double is not a code; see above.
+  void push(double x) = delete;
   void push(std::span<const dsp::Sample> xs);
-  void push(std::span<const double> xs);
 
   /// Flushes the local pipeline tail (selective) or the partial staged
   /// chunk (stream mode) into the send queue. Idempotent.
@@ -215,7 +212,8 @@ class SensorNodeClient {
   std::size_t unacked_full_beats() const { return unacked_.size(); }
 
   /// dsp::sanitize_sample for one value, counting non-finite ones. `last`
-  /// is the sample-hold; push() starts it at dsp::mid_rail(rails).
+  /// is the sample-hold. Kept for the end-to-end benchmark, which builds
+  /// its codes with it; new code calls dsp::sanitize_sample directly.
   static dsp::Sample sanitize(double x, const dsp::QualityConfig& rails,
                               dsp::Sample& last,
                               std::uint64_t* nonfinite_count);
@@ -254,9 +252,8 @@ class SensorNodeClient {
   std::optional<drift::DriftTracker> drift_;  // opt-in novelty escalation
   std::uint64_t last_escalation_beat_ = 0;    // drift_->beats() at last one
 
-  // Ingest staging (stream mode) and the double-path sample-hold state.
+  // Ingest staging (stream mode).
   std::vector<dsp::Sample> stage_;
-  dsp::Sample last_code_;
   bool finished_ = false;
 
   // Send side.

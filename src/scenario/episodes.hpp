@@ -109,8 +109,9 @@ struct RrStats {
   double pnn50 = 0.0;
 };
 
-/// One compiled scenario: the adversarial sample stream (doubles — the
-/// untrusted raw-ADC boundary; NaN/Inf faults survive into it) plus truth.
+/// One compiled scenario: the adversarial sample stream (doubles, as a
+/// driver hands them up; NaN/Inf faults survive into it, and the runners
+/// turn them into codes with dsp::sanitize_lead) plus truth.
 struct ScenarioStream {
   int fs_hz = dsp::kMitBihFs;
   std::vector<double> samples;

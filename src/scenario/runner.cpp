@@ -21,7 +21,8 @@ using Clock = std::chrono::steady_clock;
 std::vector<Verdict> run_direct(const embedded::EmbeddedClassifier& clf,
                                 const ScenarioStream& stream,
                                 std::size_t threads, std::size_t shards) {
-  // The codes the wire path's node admits for the same doubles.
+  // The stream's doubles become codes here, at the edge, by the rule
+  // run_wire applies before its node sees them.
   const auto codes =
       dsp::sanitize_lead(stream.samples, core::MonitorConfig{}.quality);
   service::FleetConfig cfg;
@@ -85,9 +86,13 @@ WireRunResult run_wire(const embedded::EmbeddedClassifier& clf,
               Verdict{seq, v.r_peak, v.beat_class, v.quality});
         });
 
-    // Push in slices with interleaved polls so the send queue stays under
-    // its cap even while chaos stalls or kills the link.
-    const std::span<const double> all(stream.samples);
+    // The node takes codes: the stream's doubles (NaN bursts included)
+    // become codes here, under the node's own rails. Push in slices with
+    // interleaved polls so the send queue stays under its cap even while
+    // chaos stalls or kills the link.
+    const auto codes =
+        dsp::sanitize_lead(stream.samples, ncfg.monitor.quality);
+    const std::span<const dsp::Sample> all(codes);
     std::size_t off = 0;
     while (off < all.size()) {
       const std::size_t n = std::min<std::size_t>(2048, all.size() - off);

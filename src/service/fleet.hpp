@@ -113,13 +113,11 @@ class FleetEngine {
   /// delivers the tail in order, and frees the slot. False if unknown.
   bool close_session(SessionId id);
 
-  /// Enqueues raw samples for `id`, applying fleet admission control; the
+  /// Enqueues ADC codes for `id`, applying fleet admission control; the
   /// session queue accepts the prefix that fits and defers the rest to
-  /// the caller, who retries it after a pump. The double overload is the
-  /// untrusted front-end boundary (non-finite samples survive the queue
-  /// and are sanitized by the monitor); the integer overload enqueues
-  /// directly, with no intermediate double buffer. Safe from any thread.
-  OfferOutcome offer(SessionId id, std::span<const double> samples);
+  /// the caller, who retries it after a pump. The session's monitor clamps
+  /// codes outside the rails; a producer holding doubles converts them at
+  /// its own edge (dsp::sanitize_lead). Safe from any thread.
   OfferOutcome offer(SessionId id, std::span<const dsp::Sample> samples);
 
   /// Runs one whole-fleet scheduling round — every shard body, through the
@@ -187,10 +185,6 @@ class FleetEngine {
   std::size_t shard_count() const { return shards_.size(); }
 
  private:
-  /// Shared body of the two offer() overloads (defined in fleet.cpp).
-  template <typename T>
-  OfferOutcome offer_impl(SessionId id, std::span<const T> samples);
-
   struct Shard {
     explicit Shard(std::size_t window_length) : batch(window_length) {}
     /// Serializes pump bodies on this shard (distinct shards run freely).

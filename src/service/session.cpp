@@ -68,8 +68,7 @@ std::size_t Session::queued() const {
   return queue_.size();
 }
 
-template <typename T>
-OfferOutcome Session::enqueue(std::span<const T> samples,
+OfferOutcome Session::enqueue(std::span<const dsp::Sample> samples,
                               Clock::time_point now) {
   const std::lock_guard<std::mutex> lock(queue_mutex_);
   OfferOutcome out;
@@ -92,13 +91,6 @@ OfferOutcome Session::enqueue(std::span<const T> samples,
   telemetry_.queue_high_water.note(queue_.size());
   return out;
 }
-
-// The two producer-facing element types: the untrusted double front end and
-// trusted integer-sample producers (no intermediate double copy).
-template OfferOutcome Session::enqueue<double>(std::span<const double>,
-                                               Clock::time_point);
-template OfferOutcome Session::enqueue<dsp::Sample>(std::span<const dsp::Sample>,
-                                                    Clock::time_point);
 
 std::size_t Session::begin_drain(std::size_t limit) {
   const std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -152,7 +144,7 @@ void Session::process_drained(core::BeatBatch& batch, bool flush) {
         end = static_cast<std::size_t>(upto - drain_base_);
     }
     monitor_.push_block(
-        std::span<const double>(drain_buf_.data() + i, end - i), sink);
+        std::span<const dsp::Sample>(drain_buf_.data() + i, end - i), sink);
     i = end;
   }
   telemetry_.samples_processed.fetch_add(drain_buf_.size(),
@@ -216,8 +208,6 @@ void Session::mirror_monitor_stats() {
                                     std::memory_order_relaxed);
   telemetry_.sqi_recoveries.store(stats.recoveries,
                                   std::memory_order_relaxed);
-  telemetry_.nonfinite_rejected.store(stats.rejected_nonfinite,
-                                      std::memory_order_relaxed);
 }
 
 void Session::mirror_drift() {

@@ -2,9 +2,11 @@
 //
 // A Session owns everything that is per-patient: the fault-tolerant
 // StreamingBeatMonitor (with its own SQI/degradation state), a bounded
-// MPSC ingest queue of raw samples, the monotonically sequenced result log,
-// and the session's telemetry counters. Producers (radio threads, replay
-// harnesses) call FleetEngine::offer() from any thread; the engine's pump()
+// MPSC ingest queue of ADC codes (dsp::Sample, 4 bytes each: a producer
+// holding doubles sanitizes them at its own edge before it offers), the
+// monotonically sequenced result log, and the session's telemetry
+// counters. Producers (radio threads, replay harnesses) call
+// FleetEngine::offer() from any thread; the engine's pump()
 // drains each session on exactly one shard per round, so all monitor state
 // is single-writer and needs no lock — only the ingest queue itself is
 // mutex-guarded, and only for the few microseconds of a bulk enqueue or
@@ -154,13 +156,10 @@ class Session {
     Clock::time_point enqueued_at;
   };
 
-  /// Enqueues the prefix that fits under the queue lock and defers the
-  /// rest; the queue grows by exactly `accepted`. Templated over the
-  /// element type (double for the untrusted front end, dsp::Sample for
-  /// trusted integer producers) so neither path copies into a temporary
-  /// buffer first; explicit instantiations live in session.cpp.
-  template <typename T>
-  OfferOutcome enqueue(std::span<const T> samples, Clock::time_point now);
+  /// Enqueues the prefix of `samples` (ADC codes) that fits under the
+  /// queue lock and defers the rest; the queue grows by exactly `accepted`.
+  OfferOutcome enqueue(std::span<const dsp::Sample> samples,
+                       Clock::time_point now);
   /// Moves up to `limit` queued samples (and their arrival stamps) into the
   /// drain buffers; returns how many. Pump rounds pass
   /// max_samples_per_pump, close() the whole queue.
@@ -225,11 +224,11 @@ class Session {
   /// thread) services this session on every pump round.
   std::size_t shard_ = 0;
 
-  // Ingest queue. `front_pos_` is the absolute stream index of queue_[0];
-  // stamps_ maps absolute index ranges (everything up to `upto`) to the
-  // offer arrival time, compressed to one entry per offer call.
+  // Ingest queue of ADC codes. `front_pos_` is the absolute stream index of
+  // queue_[0]; stamps_ maps absolute index ranges (everything up to `upto`)
+  // to the offer arrival time, compressed to one entry per offer call.
   mutable std::mutex queue_mutex_;
-  std::deque<double> queue_;
+  std::deque<dsp::Sample> queue_;
   struct Stamp {
     std::uint64_t upto = 0;
     Clock::time_point at;
@@ -239,7 +238,7 @@ class Session {
   std::uint64_t front_pos_ = 0;
 
   // Drain buffers, touched only by the owning pump shard.
-  std::vector<double> drain_buf_;
+  std::vector<dsp::Sample> drain_buf_;
   std::vector<Stamp> drain_stamps_;
   std::uint64_t drain_base_ = 0;
   std::vector<Pending> pending_;

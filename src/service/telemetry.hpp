@@ -73,7 +73,6 @@ struct SessionTelemetry {
   /// Mirrored from core::MonitorStats after each pump round.
   std::atomic<std::uint64_t> sqi_degradations{0};
   std::atomic<std::uint64_t> sqi_recoveries{0};
-  std::atomic<std::uint64_t> nonfinite_rejected{0};
   /// Mirrored from the session's drift::DriftTracker after each pump
   /// round; all zero when drift tracking is disabled.
   std::atomic<std::uint64_t> drift_beats{0};
@@ -142,8 +141,10 @@ struct FleetTelemetry {
 /// swaps_staged/swaps_applied, gateway bundle-push counters); version 5
 /// removed the per-session drift cluster count (the drift tracker keeps
 /// no cluster map); version 6 removed the per-session eviction count
-/// (session ingest is lossless: a queued sample is never evicted).
-inline constexpr std::uint64_t kTelemetrySchemaVersion = 6;
+/// (session ingest is lossless: a queued sample is never evicted); version
+/// 7 removed the per-session nonfinite_rejected count (sessions take ADC
+/// codes; a producer holding doubles sanitizes them at its own edge).
+inline constexpr std::uint64_t kTelemetrySchemaVersion = 7;
 
 /// The snapshot writers' one field formatter: appends `"key": v` to `out`,
 /// preceded by ", " unless `first` (a double never opens an object).

@@ -9,8 +9,9 @@
 // failure seed can be replayed.
 //
 // The injector emits `double` samples: that is the only way to represent
-// the NaN/Inf fault class, and it mirrors the untrusted raw-ADC boundary
-// the monitor's sanitizing push(double) overload defends.
+// the NaN/Inf fault class, the output of a driver layer that misbehaves.
+// A consumer turns them into ADC codes at its edge with
+// dsp::sanitize_sample / dsp::sanitize_lead before any stage sees them.
 #pragma once
 
 #include <cstddef>

@@ -260,19 +260,20 @@ TEST_F(StreamingMonitorTest, BeatsStraddlingOverlapAgreeAcrossChunkSizes) {
 }
 
 TEST_F(StreamingMonitorTest, StatsCountSanitizedInputs) {
+  // The monitor takes codes; out-of-rail ones are clamped and counted.
+  // (The double-to-code rule is dsp::sanitize_sample's: SanitizeSample.*.)
   StreamingBeatMonitor monitor(*bundle_);
   const PendingBeatSink sink = [](const PendingBeat&) {};
-  monitor.push(std::numeric_limits<double>::quiet_NaN(), sink);
-  monitor.push(std::numeric_limits<double>::infinity(), sink);
-  monitor.push(-std::numeric_limits<double>::infinity(), sink);
-  monitor.push(1e9, sink);     // clamped high
-  monitor.push(-1e9, sink);    // clamped low
-  monitor.push(1024.0, sink);  // fine
-  monitor.push(4000, sink);    // integer path, clamped
+  monitor.push(4000, sink);   // clamped high
+  monitor.push(-4000, sink);  // clamped low
+  monitor.push(std::numeric_limits<hbrp::dsp::Sample>::max(), sink);
+  monitor.push(1024, sink);   // fine
+  monitor.push(0, sink);      // on the rail: fine
+  monitor.push(2047, sink);   // on the rail: fine
+  monitor.push(2048, sink);   // one past the rail: clamped
   const auto& stats = monitor.stats();
   EXPECT_EQ(stats.samples_in, 7u);
-  EXPECT_EQ(stats.rejected_nonfinite, 3u);
-  EXPECT_EQ(stats.clamped, 3u);
+  EXPECT_EQ(stats.clamped, 4u);
   // Stats survive flush(); the quality machine resets.
   monitor.flush(sink);
   EXPECT_EQ(monitor.stats().samples_in, 7u);

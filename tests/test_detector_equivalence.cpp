@@ -13,12 +13,12 @@
 // and across the adversarial scenario suite.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstddef>
 #include <vector>
 
 #include "dsp/morphology.hpp"
 #include "dsp/peak_detect.hpp"
+#include "dsp/quality.hpp"
 #include "ecg/synth.hpp"
 #include "kernels/dsp_condition.hpp"
 #include "kernels/dsp_peaks.hpp"
@@ -104,23 +104,16 @@ TEST(DetectorEquivalence, AdaptiveTracksWaveletAcrossProfiles) {
 }
 
 TEST(DetectorEquivalence, AdaptiveTracksWaveletOnScenarioSuite) {
-  // The adversarial suite streams doubles through the untrusted-ADC
-  // boundary; sanitize the way the monitor front door does (non-finite ->
-  // hold is overkill here, zero suffices for a detector-level comparison).
+  // The adversarial suite streams doubles, NaN bursts included; they
+  // become ADC codes by the one boundary rule, as at every other edge.
   const auto suite = scenario::standard_scenarios(40.0, 2400);
   kernels::PeakScratch peak_scratch;
   kernels::ConditionScratch cond_scratch;
   Counts agreement;
   for (const auto& spec : suite) {
     const auto stream = scenario::build_scenario(spec);
-    dsp::Signal raw(stream.samples.size());
-    for (std::size_t i = 0; i < stream.samples.size(); ++i) {
-      const double x = stream.samples[i];
-      raw[i] = std::isfinite(x)
-                   ? static_cast<dsp::Sample>(std::lround(
-                         std::clamp(x, -32768.0, 32767.0)))
-                   : 0;
-    }
+    const dsp::Signal raw =
+        dsp::sanitize_lead(stream.samples, dsp::QualityConfig{});
     dsp::Signal sig;
     kernels::condition_ecg_block(raw, dsp::FilterConfig{}, cond_scratch, sig);
 

@@ -115,8 +115,10 @@ TEST_F(DriftIntegrationTest, SessionObservesEveryDeliveredGoodBeat) {
         if (r.beat.quality == dsp::SignalQuality::Good) ++good;
       });
   ASSERT_TRUE(id.has_value());
+  const auto codes =
+      dsp::sanitize_lead(stream.samples, core::MonitorConfig{}.quality);
+  const std::span<const dsp::Sample> all(codes);
   std::size_t off = 0;
-  const std::span<const double> all(stream.samples);
   while (off < all.size()) {
     const std::size_t n = std::min<std::size_t>(4096, all.size() - off);
     off += engine.offer(*id, all.subspan(off, n)).accepted;
@@ -172,8 +174,10 @@ TEST_F(DriftIntegrationTest, TelemetryJsonCarriesSchemaAndDriftFields) {
   service::FleetEngine engine(*bundle_, drift_fleet_config(1, 1));
   const auto id = engine.open_session([](const service::SessionResult&) {});
   ASSERT_TRUE(id.has_value());
+  const auto codes =
+      dsp::sanitize_lead(stream.samples, core::MonitorConfig{}.quality);
+  const std::span<const dsp::Sample> all(codes);
   std::size_t off = 0;
-  const std::span<const double> all(stream.samples);
   while (off < all.size()) {
     const std::size_t n = std::min<std::size_t>(4096, all.size() - off);
     off += engine.offer(*id, all.subspan(off, n)).accepted;
@@ -220,7 +224,9 @@ TEST_F(DriftIntegrationTest, MorphologyShiftAlarmsCleanStaysQuiet) {
           bundle_->classify_window(pb.window, scratch);
       tracker.observe(scratch.u, !ecg::is_pathological(verdict));
     };
-    monitor.push_block(std::span<const double>(stream.samples), sink);
+    monitor.push_block(
+        dsp::sanitize_lead(stream.samples, core::MonitorConfig{}.quality),
+        sink);
     monitor.flush(sink);
     return tracker.alarms();
   };

@@ -97,7 +97,7 @@ TEST(PeakDetect, PeaksSortedAndRefractorySpaced) {
   hbrp::dsp::PeakDetectorConfig det_cfg;
   const auto det = detect_r_peaks(conditioned_lead(rec), det_cfg);
   const auto refractory =
-      static_cast<std::size_t>(det_cfg.refractory_s * det_cfg.fs_hz);
+      static_cast<std::size_t>(hbrp::dsp::kRefractoryS * det_cfg.fs_hz);
   for (std::size_t i = 1; i < det.size(); ++i) {
     EXPECT_LT(det[i - 1], det[i]);
     EXPECT_GE(det[i] - det[i - 1], refractory);

@@ -1,9 +1,13 @@
 // Tests for the streaming signal-quality estimator: clean signal stays
 // Good, each fault signature demotes correctly, hysteresis governs
 // recovery, and corrupt int32 garbage cannot overflow the accumulators.
+// Also the ADC boundary rule, dsp::sanitize_sample / dsp::sanitize_lead:
+// the one place a double becomes a code.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "dsp/quality.hpp"
 #include "ecg/synth.hpp"
@@ -13,6 +17,7 @@ namespace {
 
 using hbrp::dsp::QualityConfig;
 using hbrp::dsp::Sample;
+using hbrp::dsp::SampleFix;
 using hbrp::dsp::Signal;
 using hbrp::dsp::SignalQuality;
 using hbrp::dsp::SignalQualityEstimator;
@@ -67,8 +72,9 @@ TEST(SignalQuality, SaturationPlateauGoesBad) {
 TEST(SignalQuality, ImpulseBurstGoesSuspectNotBad) {
   SignalQualityEstimator est;
   Signal sig = synth_lead(9, 10.0);
-  // Electrosurgery-style spikes: well above impulse_delta, sparse enough
-  // not to clip or flat-line, dense enough to cross the suspect fraction.
+  // Electrosurgery-style spikes: jumps well above the 700-adu impulse
+  // delta, sparse enough not to clip or flat-line, dense enough to cross
+  // the suspect fraction.
   for (std::size_t i = est.chunk_samples(); i < sig.size(); i += 20)
     sig[i] = (i / 20) % 2 ? 1900 : 120;
   const SignalQuality worst = run_worst(est, sig);
@@ -161,6 +167,80 @@ TEST(SignalQuality, ConfigValidation) {
   cfg = {};
   cfg.recover_chunks = 0;
   EXPECT_THROW(SignalQualityEstimator{cfg}, hbrp::Error);
+}
+
+// --- the double -> code boundary rule --------------------------------------
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(SanitizeSample, NonFiniteRepeatsTheHold) {
+  const QualityConfig rails;
+  for (const double x : {kNaN, kInf, -kInf}) {
+    Sample hold = 700;
+    SampleFix fix = SampleFix::None;
+    EXPECT_EQ(hbrp::dsp::sanitize_sample(x, rails, hold, fix), 700) << x;
+    EXPECT_EQ(fix, SampleFix::Held) << x;
+    EXPECT_EQ(hold, 700) << x;
+  }
+}
+
+TEST(SanitizeSample, OutOfRailValuesClampAndBecomeTheHold) {
+  const QualityConfig rails;  // [0, 2047]
+  const std::vector<std::pair<double, Sample>> cases = {
+      {1e9, 2047}, {2047.5, 2047}, {2048.0, 2047}, {1e300, 2047},
+      {-1e9, 0},   {-0.5, 0},      {-1.0, 0},      {-1e300, 0}};
+  for (const auto& [x, code] : cases) {
+    Sample hold = 700;
+    SampleFix fix = SampleFix::None;
+    EXPECT_EQ(hbrp::dsp::sanitize_sample(x, rails, hold, fix), code) << x;
+    EXPECT_EQ(fix, SampleFix::Clamped) << x;
+    EXPECT_EQ(hold, code) << x;
+  }
+}
+
+TEST(SanitizeSample, InRailValuesRoundHalfAwayFromZero) {
+  QualityConfig rails;
+  rails.rail_low = -1024;  // signed rails: rounding below zero too
+  rails.rail_high = 1023;
+  const std::vector<std::pair<double, Sample>> cases = {
+      {0.5, 1},       {512.5, 513},    {512.49, 512}, {512.0, 512},
+      {-512.5, -513}, {-512.49, -512}, {-0.5, -1},    {-0.49, 0},
+      {1023.0, 1023}, {-1024.0, -1024}};
+  for (const auto& [x, code] : cases) {
+    Sample hold = 7;
+    SampleFix fix = SampleFix::Clamped;
+    EXPECT_EQ(hbrp::dsp::sanitize_sample(x, rails, hold, fix), code) << x;
+    EXPECT_EQ(fix, SampleFix::None) << x;
+    EXPECT_EQ(hold, code) << x;
+  }
+  // The default 11-bit rails: 1024.5 -> 1025.
+  const QualityConfig adc;
+  Sample hold = 0;
+  SampleFix fix = SampleFix::Held;
+  EXPECT_EQ(hbrp::dsp::sanitize_sample(1024.5, adc, hold, fix), 1025);
+  EXPECT_EQ(fix, SampleFix::None);
+}
+
+TEST(SanitizeLead, NanLedLeadOpensAtMidRail) {
+  // The hold starts between the rails, so a lead that opens with
+  // non-finite samples does not open with a clipped run; after that it
+  // carries each accepted code forward.
+  const QualityConfig rails;  // [0, 2047]: mid-rail 1023
+  ASSERT_EQ(hbrp::dsp::mid_rail(rails), 1023);
+  const std::vector<double> lead = {kNaN,  kNaN, -kInf, 1500.4, kNaN,
+                                    -7.0,  kInf, 3000.0, kNaN,  1024.5};
+  const std::vector<Sample> codes = {1023, 1023, 1023, 1500, 1500,
+                                     0,    0,    2047, 2047, 1025};
+  EXPECT_EQ(hbrp::dsp::sanitize_lead(lead, rails), codes);
+
+  QualityConfig signed_rails;
+  signed_rails.rail_low = -1000;
+  signed_rails.rail_high = 1000;
+  const std::vector<double> nan_led = {kNaN, kNaN, 10.0};
+  EXPECT_EQ(hbrp::dsp::sanitize_lead(nan_led, signed_rails),
+            (std::vector<Sample>{0, 0, 10}));
+  EXPECT_TRUE(hbrp::dsp::sanitize_lead({}, rails).empty());
 }
 
 }  // namespace

@@ -62,11 +62,25 @@ class FaultInjectionTest : public ::testing::Test {
     return hbrp::ecg::generate_record(cfg).leads[0];
   }
 
-  // Feeds `lead` (integer codes or raw doubles) and flushes, classifying
-  // each surrendered window as a node does.
-  template <typename Lead>
+  // The injector's doubles as ADC codes, converted at the edge by the one
+  // boundary rule; `held` (optional) counts the non-finite values it held.
+  static hbrp::dsp::Signal edge_codes(const std::vector<double>& xs,
+                                      std::size_t* held = nullptr) {
+    const hbrp::dsp::QualityConfig rails = MonitorConfig{}.quality;
+    hbrp::dsp::Signal codes;
+    hbrp::dsp::Sample hold = hbrp::dsp::mid_rail(rails);
+    for (const double x : xs) {
+      hbrp::dsp::SampleFix fix = hbrp::dsp::SampleFix::None;
+      codes.push_back(hbrp::dsp::sanitize_sample(x, rails, hold, fix));
+      if (held != nullptr && fix == hbrp::dsp::SampleFix::Held) ++*held;
+    }
+    return codes;
+  }
+
+  // Feeds `lead` and flushes, classifying each surrendered window as a
+  // node does.
   static std::vector<MonitorBeat> run(StreamingBeatMonitor& monitor,
-                                      const Lead& lead) {
+                                      const hbrp::dsp::Signal& lead) {
     std::vector<MonitorBeat> beats;
     hbrp::embedded::ClassifyScratch scratch;
     const PendingBeatSink sink = [&](const PendingBeat& pb) {
@@ -148,7 +162,8 @@ TEST_F(FaultInjectionTest, LeadOffAndSaturationAreGatedAndRecovered) {
   ASSERT_EQ(faulted.size(), lead.size());
 
   StreamingBeatMonitor gated(*bundle_);
-  const auto fault_beats = run(gated, faulted);  // (a) must not crash
+  // (a) must not crash
+  const auto fault_beats = run(gated, edge_codes(faulted));
 
   StreamingBeatMonitor reference(*bundle_);
   const auto clean_beats = run(reference, lead);
@@ -226,9 +241,11 @@ TEST_F(FaultInjectionTest, NonFiniteBurstIsRejectedAndCounted) {
   fcfg.events = {{FaultKind::NonFinite, 10 * kFs, 2 * kFs, 0.0, 0.3}};
   const auto faulted = FaultInjector::apply(lead, fcfg);
 
+  std::size_t held = 0;
+  const auto codes = edge_codes(faulted, &held);
+  EXPECT_GT(held, 100u);
   StreamingBeatMonitor monitor(*bundle_);
-  const auto beats = run(monitor, faulted);  // must not throw
-  EXPECT_GT(monitor.stats().rejected_nonfinite, 100u);
+  const auto beats = run(monitor, codes);  // must not throw
   EXPECT_EQ(monitor.stats().samples_in, faulted.size());
   EXPECT_GT(beats.size(), 20u);  // the record is still monitored
 }
@@ -241,7 +258,7 @@ TEST_F(FaultInjectionTest, ImpulseBurstEscalatesToUnknown) {
   const auto faulted = FaultInjector::apply(lead, fcfg);
 
   StreamingBeatMonitor monitor(*bundle_);
-  const auto beats = run(monitor, faulted);
+  const auto beats = run(monitor, edge_codes(faulted));
   // Beats inside the burst that were detected at all must carry the
   // Suspect tag and the safe-default Unknown class (=> pathological, so
   // the node escalates to full delineation instead of guessing).
@@ -267,7 +284,7 @@ TEST_F(FaultInjectionTest, DropAndDupGlitchesDoNotCrashOrDesync) {
   const auto faulted = FaultInjector::apply(lead, fcfg);
 
   StreamingBeatMonitor monitor(*bundle_);
-  const auto beats = run(monitor, faulted);
+  const auto beats = run(monitor, edge_codes(faulted));
   // Monotone, de-duplicated output stream survives timeline glitches.
   for (std::size_t i = 1; i < beats.size(); ++i)
     EXPECT_GT(beats[i].r_peak, beats[i - 1].r_peak + 30);

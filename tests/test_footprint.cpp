@@ -1,9 +1,10 @@
 // Heap footprint per stream: live heap bytes per core::StreamingBeatMonitor
 // and per drift-enabled service::FleetEngine session, after 60 s of
-// synthetic ECG in 512-sample packets; the drift tracker's own heap, which
-// must not grow per beat; the classifier copies a FleetEngine keeps; the
-// per-thread DSP workspace itself; and the uploads a selective sensor node
-// holds while its link is down.
+// synthetic ECG in 512-sample packets; the bytes a session's ingest queue
+// spends per queued sample; the drift tracker's own heap, which must not
+// grow per beat; the classifier copies a FleetEngine keeps; the per-thread
+// DSP workspace itself; and the uploads a selective sensor node holds
+// while its link is down.
 //
 // The conditioning and detection intermediates are per thread
 // (kernels::DspWorkspace), so each per-stream test warms the thread's
@@ -241,6 +242,30 @@ TEST(Footprint, FleetSessionHeapPerSession) {
       << "live heap per session: " << per_session << " bytes";
   EXPECT_GE(beats, kStreams * 50);
   for (const service::SessionId id : ids) EXPECT_TRUE(engine.close_session(id));
+}
+
+// A session queues ADC codes. Filled to its default capacity and never
+// pumped, its queue grows the heap by the 4 bytes of each int32 code plus
+// the deque's block map, where a queue of doubles would need 8 or more.
+TEST(Footprint, SessionQueueHoldsCodes) {
+  const auto clf = make_classifier();
+  const dsp::Signal lead = synth_lead();
+  service::FleetEngine engine(clf);
+  const auto id = engine.open_session({});
+  ASSERT_TRUE(id.has_value());
+  const std::size_t capacity = service::SessionConfig{}.queue_capacity;
+  ASSERT_GE(lead.size(), capacity);
+
+  const std::int64_t before = live_bytes();
+  std::size_t queued = 0;
+  for (std::size_t k = 0; queued < capacity; ++k)
+    queued += engine.offer(*id, packet(lead, k)).accepted;
+  const std::int64_t growth = live_bytes() - before;
+  ASSERT_EQ(engine.queued_samples(), capacity);
+  const double per_sample =
+      static_cast<double>(growth) / static_cast<double>(capacity);
+  EXPECT_LT(per_sample, 5.0)
+      << "queue heap: " << growth << " bytes for " << capacity << " samples";
 }
 
 // A FleetEngine keeps one copy of its construction-time classifier: the

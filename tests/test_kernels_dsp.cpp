@@ -327,7 +327,7 @@ TEST(KernelsDspPeaks, AdaptiveDetectorRespectsRefractoryAndOrdering) {
   kernels::detect_r_peaks_kind(sig, cfg, scratch, peaks);
   ASSERT_FALSE(peaks.empty());
   const auto refractory =
-      static_cast<std::size_t>(cfg.refractory_s * cfg.fs_hz);
+      static_cast<std::size_t>(dsp::kRefractoryS * cfg.fs_hz);
   for (std::size_t i = 1; i < peaks.size(); ++i) {
     EXPECT_LT(peaks[i - 1], peaks[i]);
     EXPECT_GE(peaks[i] - peaks[i - 1], refractory);
@@ -402,11 +402,9 @@ TEST_F(KernelsDspMonitorTest, PushBlockMatchesPerSampleUnderFaults) {
         {hbrp::testing::FaultKind::NonFinite, 3 * lead.size() / 4, 2 * fs, 0.0,
          0.25},
     };
-    hbrp::testing::FaultInjector injector(fcfg);
-    std::vector<double> stream;
-    for (const auto x : lead)
-      for (const double y : injector.feed(x)) stream.push_back(y);
-    return stream;
+    // The injector's doubles become codes at the edge, as a driver's do.
+    return dsp::sanitize_lead(hbrp::testing::FaultInjector::apply(lead, fcfg),
+                              core::MonitorConfig{}.quality);
   };
   const auto stream = make_stream();
 
@@ -434,7 +432,7 @@ TEST_F(KernelsDspMonitorTest, PushBlockMatchesPerSampleUnderFaults) {
 
   const auto per_sample = run(
       [&](core::StreamingBeatMonitor& m, const core::PendingBeatSink& sink) {
-        for (const double x : stream) m.push(x, sink);
+        for (const dsp::Sample x : stream) m.push(x, sink);
       });
   ASSERT_FALSE(per_sample.empty());
 
@@ -451,7 +449,8 @@ TEST_F(KernelsDspMonitorTest, PushBlockMatchesPerSampleUnderFaults) {
                                        : static_cast<std::size_t>(
                                              rng.uniform_int(1, 2000));
         take = std::min(take, stream.size() - i);
-        m.push_block(std::span<const double>(stream.data() + i, take), sink);
+        m.push_block(std::span<const dsp::Sample>(stream.data() + i, take),
+                     sink);
         i += take;
       }
     });
@@ -621,7 +620,7 @@ TEST(KernelsDspWorkspace, InterleavedConditionersMatchBatch) {
 // class and a hash of its surrendered window.
 struct MonitorSpec {
   core::MonitorConfig cfg;
-  std::vector<double> input;
+  dsp::Signal input;
   std::size_t packet = 512;
   std::size_t flush_at = 0;  // 0: only the final flush
 };
@@ -643,7 +642,7 @@ class MonitorRun {
 
   void step() {
     const auto take = std::min(spec_->packet, spec_->input.size() - pos_);
-    const std::span<const double> xs(spec_->input.data() + pos_, take);
+    const std::span<const dsp::Sample> xs(spec_->input.data() + pos_, take);
     const core::PendingBeatSink sink = [this](const core::PendingBeat& pb) {
       on_beat(pb);
     };
@@ -675,15 +674,15 @@ class MonitorRun {
   std::vector<SeenBeat> seen_;
 };
 
-std::vector<double> synth_input(ecg::RecordProfile profile,
-                                std::uint64_t seed, bool faulted) {
+dsp::Signal synth_input(ecg::RecordProfile profile, std::uint64_t seed,
+                        bool faulted) {
   ecg::SynthConfig scfg;
   scfg.profile = profile;
   scfg.duration_s = 60.0;
   scfg.num_leads = 1;
   scfg.seed = seed;
   const dsp::Signal lead = ecg::generate_record(scfg).leads[0];
-  if (!faulted) return {lead.begin(), lead.end()};
+  if (!faulted) return lead;
   const std::size_t fs = dsp::kMitBihFs;
   hbrp::testing::FaultInjectorConfig fcfg;
   fcfg.seed = seed;
@@ -691,11 +690,9 @@ std::vector<double> synth_input(ecg::RecordProfile profile,
       {hbrp::testing::FaultKind::LeadOff, lead.size() / 3, 5 * fs, 0.0, 0.0},
       {hbrp::testing::FaultKind::NonFinite, 2 * lead.size() / 3, fs, 0.0, 0.3},
   };
-  hbrp::testing::FaultInjector injector(fcfg);
-  std::vector<double> stream;
-  for (const auto x : lead)
-    for (const double y : injector.feed(x)) stream.push_back(y);
-  return stream;
+  // The injector's doubles become codes at the edge, as a driver's do.
+  return dsp::sanitize_lead(hbrp::testing::FaultInjector::apply(lead, fcfg),
+                            core::MonitorConfig{}.quality);
 }
 
 std::vector<MonitorSpec> monitor_specs() {

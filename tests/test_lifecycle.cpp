@@ -468,20 +468,19 @@ std::shared_ptr<const drift::TrainingCentroids>
 std::shared_ptr<const drift::TrainingCentroids>
     LifecycleSwapTest::centroids_b_;
 
-std::vector<double> patient_lead(std::uint64_t seed, double seconds) {
+dsp::Signal patient_lead(std::uint64_t seed, double seconds) {
   ecg::SynthConfig cfg;
   cfg.profile = ecg::RecordProfile::PvcOccasional;
   cfg.duration_s = seconds;
   cfg.num_leads = 1;
   cfg.seed = seed;
-  const auto rec = ecg::generate_record(cfg);
-  return {rec.leads[0].begin(), rec.leads[0].end()};
+  return ecg::generate_record(cfg).leads[0];
 }
 
-/// Direct ingest of a double lead on one engine; returns tagged verdicts.
+/// Direct ingest of a lead on one engine; returns tagged verdicts.
 std::vector<TaggedVerdict> run_engine(
     const embedded::EmbeddedClassifier& classifier,
-    std::span<const double> lead, std::size_t threads, std::size_t shards,
+    std::span<const dsp::Sample> lead, std::size_t threads, std::size_t shards,
     const std::function<void(service::FleetEngine&, service::SessionId,
                              std::size_t)>& mid_hook = nullptr) {
   service::FleetConfig cfg;
@@ -591,7 +590,7 @@ TEST_F(LifecycleSwapTest, SwapStagedAfterLastPumpClassifiesCloseTail) {
       });
   ASSERT_TRUE(id.has_value());
   // The first half is pumped through; the second stays queued until close.
-  const std::span<const double> all(lead);
+  const std::span<const dsp::Sample> all(lead);
   const std::size_t half = lead.size() / 2;
   for (std::size_t off = 0; off < half; off += 2048) {
     const std::size_t n = std::min<std::size_t>(2048, half - off);
@@ -631,7 +630,7 @@ TEST_F(LifecycleSwapTest, RestagingSameModelIsIdempotent) {
   bool staged = false;
   while (off < lead.size()) {
     const std::size_t n = std::min<std::size_t>(2048, lead.size() - off);
-    off += engine.offer(*id, std::span<const double>(lead).subspan(off, n))
+    off += engine.offer(*id, std::span<const dsp::Sample>(lead).subspan(off, n))
                .accepted;
     engine.pump();
     if (!staged && off >= 2048 * 2) {
@@ -670,7 +669,7 @@ TEST_F(LifecycleSwapTest, SwapReseedsDriftFromBundleCentroids) {
   std::size_t off = 0;
   while (off < pre_swap) {
     const std::size_t n = std::min<std::size_t>(2048, pre_swap - off);
-    off += engine.offer(*id, std::span<const double>(lead).subspan(off, n))
+    off += engine.offer(*id, std::span<const dsp::Sample>(lead).subspan(off, n))
                .accepted;
     engine.pump();
   }
@@ -683,7 +682,7 @@ TEST_F(LifecycleSwapTest, SwapReseedsDriftFromBundleCentroids) {
   engine.pump();  // applies the swap, re-seeding from centroids_b_
   while (off < lead.size()) {
     const std::size_t n = std::min<std::size_t>(2048, lead.size() - off);
-    off += engine.offer(*id, std::span<const double>(lead).subspan(off, n))
+    off += engine.offer(*id, std::span<const dsp::Sample>(lead).subspan(off, n))
                .accepted;
     engine.pump();
   }
@@ -697,10 +696,6 @@ TEST_F(LifecycleSwapTest, SwapReseedsDriftFromBundleCentroids) {
 }
 
 // --- gateway wire path -----------------------------------------------------
-
-std::vector<dsp::Sample> wire_codes(const std::vector<double>& lead) {
-  return dsp::sanitize_lead(lead, core::MonitorConfig{}.quality);
-}
 
 std::vector<VerdictSig> direct_ingest(
     const embedded::EmbeddedClassifier& classifier,
@@ -764,14 +759,12 @@ std::size_t expect_split(const std::vector<VerdictSig>& got,
 // the new model's run, with zero drops or duplicates, for 1 and 2 reactors.
 TEST_F(LifecycleSwapTest, GatewayPushMidIngestSwapsEverySession) {
   constexpr std::size_t kClients = 2;
-  std::vector<std::vector<double>> leads;
-  std::vector<std::vector<dsp::Sample>> codes;
+  std::vector<dsp::Signal> leads;
   std::vector<std::vector<VerdictSig>> ref_a(kClients), ref_b(kClients);
   for (std::size_t i = 0; i < kClients; ++i) {
     leads.push_back(patient_lead(60 + i, 20.0));
-    codes.push_back(wire_codes(leads[i]));
-    ref_a[i] = direct_ingest(*clf_a_, codes[i]);
-    ref_b[i] = direct_ingest(*clf_b_, codes[i]);
+    ref_a[i] = direct_ingest(*clf_a_, leads[i]);
+    ref_b[i] = direct_ingest(*clf_b_, leads[i]);
     ASSERT_FALSE(ref_a[i].empty());
     ASSERT_EQ(ref_a[i].size(), ref_b[i].size());
   }
@@ -801,7 +794,7 @@ TEST_F(LifecycleSwapTest, GatewayPushMidIngestSwapsEverySession) {
               got[i].push_back(
                   VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
             });
-        const std::span<const double> lead(leads[i]);
+        const std::span<const dsp::Sample> lead(leads[i]);
         // Rendezvous: hold the stream mid-ingest until the push lands so
         // the swap provably targets live sessions with traffic in flight —
         // the session must exist and have delivered verdicts on the OLD
@@ -931,8 +924,7 @@ net::PushResult raw_push(std::uint16_t port, const net::ModelPushMsg& m,
 // whole barrage gets the bit-identical old-model verdict stream.
 TEST_F(LifecycleSwapTest, NackedPushesLeaveModelAndTrafficUntouched) {
   const auto lead = patient_lead(70, 18.0);
-  const auto codes = wire_codes(lead);
-  const auto ref_a = direct_ingest(*clf_a_, codes);
+  const auto ref_a = direct_ingest(*clf_a_, lead);
   ASSERT_FALSE(ref_a.empty());
 
   net::GatewayConfig gcfg;
@@ -952,7 +944,7 @@ TEST_F(LifecycleSwapTest, NackedPushesLeaveModelAndTrafficUntouched) {
         [&got](std::uint64_t seq, const net::BeatVerdictMsg& v) {
           got.push_back(VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
         });
-    const std::span<const double> span(lead);
+    const std::span<const dsp::Sample> span(lead);
     // Feed at least half, then keep feeding a second at a time until the
     // gateway has delivered a verdict — the NACK barrage below must hit a
     // session that is provably live with traffic in flight.
@@ -1111,9 +1103,8 @@ TEST_F(LifecycleSwapTest, AbSplitDeploysCandidateToArmBOnly) {
   ASSERT_TRUE(have_a && have_b);
 
   const auto lead = patient_lead(80, 16.0);
-  const auto codes = wire_codes(lead);
-  const auto ref_a = direct_ingest(*clf_a_, codes);
-  const auto ref_b = direct_ingest(*clf_b_, codes);
+  const auto ref_a = direct_ingest(*clf_a_, lead);
+  const auto ref_b = direct_ingest(*clf_b_, lead);
   ASSERT_FALSE(ref_a.empty());
 
   net::GatewayConfig gcfg;
@@ -1142,7 +1133,7 @@ TEST_F(LifecycleSwapTest, AbSplitDeploysCandidateToArmBOnly) {
             got[i].push_back(
                 VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
           });
-      const std::span<const double> span(lead);
+      const std::span<const dsp::Sample> span(lead);
       // Session must be live on its arm's model before the candidate push
       // (see the mid-ingest test for why); feed until the first verdict.
       std::size_t fed = span.size() / 2;
@@ -1199,8 +1190,8 @@ TEST_F(LifecycleSwapTest, AbSplitDeploysCandidateToArmBOnly) {
 // thrown inside a pump fails this test rather than a reactor thread.
 TEST_F(LifecycleSwapTest, PushWithManyDriftSeedsSwapsLiveSession) {
   const auto lead = patient_lead(90, 30.0);
-  const std::span<const double> span(lead);
-  const std::size_t expected = direct_ingest(*clf_a_, wire_codes(lead)).size();
+  const std::span<const dsp::Sample> span(lead);
+  const std::size_t expected = direct_ingest(*clf_a_, lead).size();
   ASSERT_GT(expected, 0u);
 
   net::GatewayConfig gcfg;

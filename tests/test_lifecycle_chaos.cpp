@@ -92,18 +92,13 @@ std::shared_ptr<const drift::TrainingCentroids>
 std::shared_ptr<const drift::TrainingCentroids>
     LifecycleChaosTest::centroids_b_;
 
-std::vector<double> patient_lead(std::uint64_t seed, double seconds) {
+dsp::Signal patient_lead(std::uint64_t seed, double seconds) {
   ecg::SynthConfig cfg;
   cfg.profile = ecg::RecordProfile::PvcOccasional;
   cfg.duration_s = seconds;
   cfg.num_leads = 1;
   cfg.seed = seed;
-  const auto rec = ecg::generate_record(cfg);
-  return {rec.leads[0].begin(), rec.leads[0].end()};
-}
-
-std::vector<dsp::Sample> wire_codes(const std::vector<double>& lead) {
-  return dsp::sanitize_lead(lead, core::MonitorConfig{}.quality);
+  return ecg::generate_record(cfg).leads[0];
 }
 
 struct VerdictSig {
@@ -166,7 +161,7 @@ struct ChaosHarness {
 // verdict stream with no drops.
 TEST_F(LifecycleChaosTest, KilledPushLeavesGatewayOnOldVersion) {
   const auto lead = patient_lead(120, 15.0);
-  const auto ref_a = direct_ingest(*clf_a_, wire_codes(lead));
+  const auto ref_a = direct_ingest(*clf_a_, lead);
   ASSERT_FALSE(ref_a.empty());
 
   net::GatewayConfig gcfg;
@@ -199,7 +194,7 @@ TEST_F(LifecycleChaosTest, KilledPushLeavesGatewayOnOldVersion) {
         [&got](std::uint64_t seq, const net::BeatVerdictMsg& v) {
           got.push_back(VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
         });
-    const std::span<const double> span(lead);
+    const std::span<const dsp::Sample> span(lead);
     // Feed past the halfway mark until the first verdict lands so the
     // chaos-harassed pushes provably target a live session (detector
     // warm-up is signal-dependent).
@@ -316,7 +311,7 @@ TEST_F(LifecycleChaosTest, SwapDuringDriftAlarmReArmsAgainstNewSeeds) {
   const service::SessionTelemetry* t = engine.session_telemetry(*id);
   ASSERT_NE(t, nullptr);
 
-  const std::span<const double> span(lead);
+  const std::span<const dsp::Sample> span(lead);
   const std::size_t pre_swap = lead.size() * 2 / 3;
   std::size_t off = 0;
   while (off < pre_swap) {

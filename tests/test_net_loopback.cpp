@@ -56,20 +56,14 @@ class NetLoopbackTest : public ::testing::Test {
 
 const embedded::EmbeddedClassifier* NetLoopbackTest::bundle_ = nullptr;
 
-std::vector<double> patient_lead(std::uint64_t seed, double seconds = 30.0) {
+dsp::Signal patient_lead(std::uint64_t seed, double seconds = 30.0) {
   ecg::SynthConfig cfg;
   cfg.profile = seed % 2 == 0 ? ecg::RecordProfile::PvcOccasional
                               : ecg::RecordProfile::NormalSinus;
   cfg.duration_s = seconds;
   cfg.num_leads = 1;
   cfg.seed = seed;
-  const auto rec = ecg::generate_record(cfg);
-  return {rec.leads[0].begin(), rec.leads[0].end()};
-}
-
-/// The exact integer codes a node's double input becomes on the wire.
-std::vector<dsp::Sample> wire_codes(const std::vector<double>& lead) {
-  return dsp::sanitize_lead(lead, core::MonitorConfig{}.quality);
+  return ecg::generate_record(cfg).leads[0];
 }
 
 struct VerdictSig {
@@ -80,13 +74,11 @@ struct VerdictSig {
   bool operator==(const VerdictSig&) const = default;
 };
 
-/// Reference path: samples offered straight into a FleetEngine session (no
-/// sockets), pumped to completion. Integer codes are what crossed the wire;
-/// doubles meet the session's own untrusted boundary.
-template <typename T>
+/// Reference path: the codes offered straight into a FleetEngine session
+/// (no sockets), pumped to completion.
 std::vector<VerdictSig> direct_ingest(
     const embedded::EmbeddedClassifier& classifier,
-    const std::vector<T>& samples, std::size_t threads, std::size_t shards) {
+    const dsp::Signal& samples, std::size_t threads, std::size_t shards) {
   service::FleetConfig cfg;
   cfg.threads = threads;
   cfg.shards = shards;
@@ -100,7 +92,7 @@ std::vector<VerdictSig> direct_ingest(
             static_cast<std::uint8_t>(r.beat.quality)});
       });
   EXPECT_TRUE(id.has_value());
-  const std::span<const T> all(samples);
+  const std::span<const dsp::Sample> all(samples);
   std::size_t off = 0;
   while (off < all.size()) {
     const std::size_t n = std::min<std::size_t>(1024, all.size() - off);
@@ -166,12 +158,11 @@ TEST_F(NetLoopbackTest, GracefulCloseReleasesConnectionAndSession) {
 
 TEST_F(NetLoopbackTest, StreamEverythingIsBitIdenticalToDirectIngest) {
   const auto lead = patient_lead(7);
-  const auto codes = wire_codes(lead);
-  const auto reference = direct_ingest(*bundle_, codes, 1, 1);
+  const auto reference = direct_ingest(*bundle_, lead, 1, 1);
   ASSERT_FALSE(reference.empty());
   // The engine's own determinism contract, restated here because the wire
   // claim leans on it: any thread/shard count produces the same stream.
-  EXPECT_EQ(direct_ingest(*bundle_, codes, 4, 3), reference);
+  EXPECT_EQ(direct_ingest(*bundle_, lead, 4, 3), reference);
 
   for (const auto& [threads, shards] :
        {std::pair<std::size_t, std::size_t>{1, 1}, {4, 3}}) {
@@ -190,7 +181,7 @@ TEST_F(NetLoopbackTest, StreamEverythingIsBitIdenticalToDirectIngest) {
           got.push_back(VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
         });
 
-    client.push(std::span<const double>(lead));
+    client.push(std::span<const dsp::Sample>(lead));
     client.finish();
     EXPECT_TRUE(client.drain(20000));
     client.close(5000);
@@ -210,7 +201,7 @@ TEST_F(NetLoopbackTest, TinySessionQueueStaysLossless) {
   // reactor's retry has moved it into the queue, and the verdict stream
   // must still equal direct ingest of every sample.
   const auto lead = patient_lead(13);
-  const auto reference = direct_ingest(*bundle_, wire_codes(lead), 1, 1);
+  const auto reference = direct_ingest(*bundle_, lead, 1, 1);
   ASSERT_FALSE(reference.empty());
 
   net::GatewayConfig gcfg;
@@ -228,7 +219,7 @@ TEST_F(NetLoopbackTest, TinySessionQueueStaysLossless) {
       [&got](std::uint64_t seq, const net::BeatVerdictMsg& v) {
         got.push_back(VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
       });
-  client.push(std::span<const double>(lead));
+  client.push(std::span<const dsp::Sample>(lead));
   client.finish();
   EXPECT_TRUE(client.drain(20000));
   // The engine numbers sessions from 1; this client's is the only one.
@@ -251,40 +242,12 @@ TEST_F(NetLoopbackTest, TinySessionQueueStaysLossless) {
   EXPECT_EQ(client.stats().frames_dropped, 0u);
 }
 
-TEST_F(NetLoopbackTest, IntegerAndSanitizedDoublePushesAreEquivalent) {
-  // The double path may carry non-finite garbage; what crosses the wire is
-  // the sanitized code stream, so verdicts must match pushing those codes.
-  auto lead = patient_lead(9);
-  lead[100] = std::numeric_limits<double>::quiet_NaN();
-  lead[101] = std::numeric_limits<double>::infinity();
-  lead[500] = 1e12;  // clamped to the rail
-  const auto codes = wire_codes(lead);
-  const auto reference = direct_ingest(*bundle_, codes, 2, 2);
-
-  GatewayHarness harness(*bundle_, {});
-  net::NodeConfig ncfg;
-  ncfg.port = harness.gw.port();
-  net::SensorNodeClient client(*bundle_, ncfg);
-  std::vector<VerdictSig> got;
-  client.set_verdict_sink(
-      [&got](std::uint64_t seq, const net::BeatVerdictMsg& v) {
-        got.push_back(VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
-      });
-  client.push(std::span<const double>(lead));
-  client.finish();
-  EXPECT_TRUE(client.drain(20000));
-  client.close(5000);
-
-  EXPECT_EQ(got, reference);
-  EXPECT_EQ(client.stats().sanitized_nonfinite, 2u);
-}
-
 TEST_F(NetLoopbackTest, OutOfRailIntegerCodesAreClampedOnTheNode) {
   // Integer codes outside the rails cannot cross the 12-bit wire as they
   // are. The node clamps them exactly as the gateway's monitor would, so
   // the verdicts equal direct ingest of the clamped codes, which equal
   // direct ingest of the raw ones.
-  auto codes = wire_codes(patient_lead(11));
+  auto codes = patient_lead(11);
   const dsp::QualityConfig rails = core::MonitorConfig{}.quality;
   const std::vector<std::pair<std::size_t, dsp::Sample>> outliers = {
       {300, rails.rail_high + 1},
@@ -339,40 +302,11 @@ TEST_F(NetLoopbackTest, NodeRailsMustFitTheWire) {
   EXPECT_THROW(make(-1024, 1024), hbrp::Error);
 }
 
-TEST_F(NetLoopbackTest, NanLedLeadMatchesDirectDoubleIngest) {
-  // The node and the monitor start their sample-hold at the same mid-rail
-  // code, so a lead that opens with non-finite samples crosses the wire as
-  // the codes the monitor's own double boundary would have made. A hold
-  // starting at the rail would open the stream with a clipped run.
-  auto lead = patient_lead(4);
-  std::fill_n(lead.begin(), 20, std::numeric_limits<double>::quiet_NaN());
-  const auto reference = direct_ingest(*bundle_, lead, 1, 1);
-  ASSERT_FALSE(reference.empty());
-
-  GatewayHarness harness(*bundle_, {});
-  net::NodeConfig ncfg;
-  ncfg.port = harness.gw.port();
-  ncfg.policy = net::TxPolicy::StreamEverything;
-  net::SensorNodeClient client(*bundle_, ncfg);
-  std::vector<VerdictSig> got;
-  client.set_verdict_sink(
-      [&got](std::uint64_t seq, const net::BeatVerdictMsg& v) {
-        got.push_back(VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
-      });
-  client.push(std::span<const double>(lead));
-  client.finish();
-  EXPECT_TRUE(client.drain(20000));
-  client.close(5000);
-
-  EXPECT_EQ(got, reference);
-  EXPECT_EQ(client.stats().sanitized_nonfinite, 20u);
-}
-
 TEST_F(NetLoopbackTest, SelectivePolicyKeepsNormalBeatsLocal) {
   // Mostly-normal rhythm: the node's monitor equals the fleet session's
   // monitor, so the reference run predicts the exact local/upload split.
   const auto lead = patient_lead(9);
-  const auto reference = direct_ingest(*bundle_, wire_codes(lead), 1, 1);
+  const auto reference = direct_ingest(*bundle_, lead, 1, 1);
   std::size_t expect_local = 0, expect_full = 0, expect_meta = 0;
   for (const auto& r : reference) {
     const bool good = static_cast<dsp::SignalQuality>(r.quality) ==
@@ -401,7 +335,7 @@ TEST_F(NetLoopbackTest, SelectivePolicyKeepsNormalBeatsLocal) {
         verdict_seqs.push_back(seq);
       });
 
-  client.push(std::span<const double>(lead));
+  client.push(std::span<const dsp::Sample>(lead));
   client.finish();
   EXPECT_TRUE(client.drain(20000));
   client.close(5000);
@@ -539,7 +473,7 @@ TEST_F(NetLoopbackTest, GatewayDropsCorruptAndOutOfSeqConnections) {
 
   // A well-behaved client still gets full service afterwards.
   const auto lead = patient_lead(3, 10.0);
-  const auto reference = direct_ingest(*bundle_, wire_codes(lead), 1, 1);
+  const auto reference = direct_ingest(*bundle_, lead, 1, 1);
   net::NodeConfig ncfg;
   ncfg.port = port;
   net::SensorNodeClient client(*bundle_, ncfg);
@@ -548,7 +482,7 @@ TEST_F(NetLoopbackTest, GatewayDropsCorruptAndOutOfSeqConnections) {
       [&got](std::uint64_t seq, const net::BeatVerdictMsg& v) {
         got.push_back(VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
       });
-  client.push(std::span<const double>(lead));
+  client.push(std::span<const dsp::Sample>(lead));
   client.finish();
   EXPECT_TRUE(client.drain(20000));
   client.close(5000);
@@ -580,7 +514,7 @@ TEST_F(NetLoopbackTest, ClientReconnectsWithBackoffAndResendsUnacked) {
         *client, [&] { return client->established(); }));
     // Queue the whole record (uploads land in the unacked window), then
     // kill the gateway before the client gets to flush everything.
-    client->push(std::span<const double>(lead));
+    client->push(std::span<const dsp::Sample>(lead));
     client->finish();
     ASSERT_GT(client->stats().beats_uploaded, 0u);
   }
@@ -784,7 +718,7 @@ TEST_F(NetLoopbackTest, ConcurrentMixedPolicyClients) {
   GatewayHarness harness(*bundle_, gcfg);
 
   constexpr std::size_t kClients = 4;
-  std::vector<std::vector<double>> leads;
+  std::vector<dsp::Signal> leads;
   std::vector<std::vector<VerdictSig>> got(kClients);
   std::vector<net::TxStats> stats(kClients);
   for (std::size_t i = 0; i < kClients; ++i)
@@ -804,7 +738,7 @@ TEST_F(NetLoopbackTest, ConcurrentMixedPolicyClients) {
             got[i].push_back(
                 VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
           });
-      client.push(std::span<const double>(leads[i]));
+      client.push(std::span<const dsp::Sample>(leads[i]));
       client.finish();
       EXPECT_TRUE(client.drain(30000)) << "client " << i;
       client.close(5000);
@@ -817,7 +751,7 @@ TEST_F(NetLoopbackTest, ConcurrentMixedPolicyClients) {
     if (i % 2 == 0) {
       // Streaming clients: the wire stream is bit-identical to direct
       // ingest even with three other sessions competing for the engine.
-      EXPECT_EQ(got[i], direct_ingest(*bundle_, wire_codes(leads[i]), 1, 1))
+      EXPECT_EQ(got[i], direct_ingest(*bundle_, leads[i], 1, 1))
           << "client " << i;
       EXPECT_EQ(stats[i].verdict_seq_gaps, 0u);
     } else {

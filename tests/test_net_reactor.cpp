@@ -57,19 +57,14 @@ class NetReactorTest : public ::testing::Test {
 
 const embedded::EmbeddedClassifier* NetReactorTest::bundle_ = nullptr;
 
-std::vector<double> patient_lead(std::uint64_t seed, double seconds = 15.0) {
+dsp::Signal patient_lead(std::uint64_t seed, double seconds = 15.0) {
   ecg::SynthConfig cfg;
   cfg.profile = seed % 2 == 0 ? ecg::RecordProfile::PvcOccasional
                               : ecg::RecordProfile::NormalSinus;
   cfg.duration_s = seconds;
   cfg.num_leads = 1;
   cfg.seed = seed;
-  const auto rec = ecg::generate_record(cfg);
-  return {rec.leads[0].begin(), rec.leads[0].end()};
-}
-
-std::vector<dsp::Sample> wire_codes(const std::vector<double>& lead) {
-  return dsp::sanitize_lead(lead, core::MonitorConfig{}.quality);
+  return ecg::generate_record(cfg).leads[0];
 }
 
 struct VerdictSig {
@@ -121,11 +116,11 @@ struct GatewayHarness {
 // threads the gateway shards them across.
 TEST_F(NetReactorTest, VerdictStreamsAreReactorCountInvariant) {
   constexpr std::size_t kClients = 6;
-  std::vector<std::vector<double>> leads;
+  std::vector<dsp::Signal> leads;
   std::vector<std::vector<VerdictSig>> reference(kClients);
   for (std::size_t i = 0; i < kClients; ++i) {
     leads.push_back(patient_lead(40 + i));
-    reference[i] = direct_ingest(*bundle_, wire_codes(leads[i]));
+    reference[i] = direct_ingest(*bundle_, leads[i]);
     ASSERT_FALSE(reference[i].empty()) << "client " << i;
   }
 
@@ -151,7 +146,7 @@ TEST_F(NetReactorTest, VerdictStreamsAreReactorCountInvariant) {
               got[i].push_back(
                   VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
             });
-        client.push(std::span<const double>(leads[i]));
+        client.push(std::span<const dsp::Sample>(leads[i]));
         client.finish();
         EXPECT_TRUE(client.drain(30000))
             << "client " << i << " reactors " << reactors;
@@ -260,7 +255,7 @@ TEST_F(NetReactorTest, IdleBackoffBoundsWakeupsAndStaysResponsive) {
 
   // A late client still gets full service with prompt verdicts.
   const auto lead = patient_lead(77, 10.0);
-  const auto reference = direct_ingest(*bundle_, wire_codes(lead));
+  const auto reference = direct_ingest(*bundle_, lead);
   net::NodeConfig ncfg;
   ncfg.port = harness.gw.port();
   net::SensorNodeClient client(*bundle_, ncfg);
@@ -269,7 +264,7 @@ TEST_F(NetReactorTest, IdleBackoffBoundsWakeupsAndStaysResponsive) {
       [&got](std::uint64_t seq, const net::BeatVerdictMsg& v) {
         got.push_back(VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
       });
-  client.push(std::span<const double>(lead));
+  client.push(std::span<const dsp::Sample>(lead));
   client.finish();
   EXPECT_TRUE(client.drain(20000));
   client.close(5000);
@@ -280,7 +275,7 @@ TEST_F(NetReactorTest, IdleBackoffBoundsWakeupsAndStaysResponsive) {
 // results must be indistinguishable from the epoll path.
 TEST_F(NetReactorTest, PollFallbackBackendIsBitIdentical) {
   const auto lead = patient_lead(88);
-  const auto reference = direct_ingest(*bundle_, wire_codes(lead));
+  const auto reference = direct_ingest(*bundle_, lead);
   ASSERT_FALSE(reference.empty());
 
   ::setenv("HBRP_NET_POLL", "1", 1);
@@ -299,7 +294,7 @@ TEST_F(NetReactorTest, PollFallbackBackendIsBitIdentical) {
         [&got](std::uint64_t seq, const net::BeatVerdictMsg& v) {
           got.push_back(VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
         });
-    client.push(std::span<const double>(lead));
+    client.push(std::span<const dsp::Sample>(lead));
     client.finish();
     EXPECT_TRUE(client.drain(20000));
     client.close(5000);

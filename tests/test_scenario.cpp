@@ -125,7 +125,7 @@ TEST(ScenarioBuild, ElectrodeDropObscuresAndInjectsNonFinite) {
       s.samples.begin(), s.samples.end(),
       [](double x) { return !std::isfinite(x); });
   EXPECT_TRUE(has_nonfinite) << "driver garbage must survive to the "
-                                "untrusted double boundary";
+                                "edge that sanitizes it";
 }
 
 TEST(ScenarioBuild, ClockSkewStretchesTimeline) {

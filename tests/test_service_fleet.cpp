@@ -17,6 +17,8 @@
 
 namespace {
 
+using hbrp::dsp::Sample;
+using hbrp::dsp::Signal;
 using hbrp::service::FleetConfig;
 using hbrp::service::FleetEngine;
 using hbrp::service::OfferOutcome;
@@ -52,15 +54,14 @@ class FleetEngineTest : public ::testing::Test {
 
 const hbrp::embedded::EmbeddedClassifier* FleetEngineTest::bundle_ = nullptr;
 
-std::vector<double> patient_lead(std::uint64_t seed, double seconds = 45.0) {
+Signal patient_lead(std::uint64_t seed, double seconds = 45.0) {
   hbrp::ecg::SynthConfig cfg;
   cfg.profile = seed % 2 == 0 ? hbrp::ecg::RecordProfile::PvcOccasional
                               : hbrp::ecg::RecordProfile::NormalSinus;
   cfg.duration_s = seconds;
   cfg.num_leads = 1;
   cfg.seed = seed;
-  const auto rec = hbrp::ecg::generate_record(cfg);
-  return {rec.leads[0].begin(), rec.leads[0].end()};
+  return hbrp::ecg::generate_record(cfg).leads[0];
 }
 
 /// The per-session output signature the determinism tests compare.
@@ -81,7 +82,7 @@ BeatSig signature(const SessionResult& r) {
 /// close. Returns one signature sequence per input lead.
 std::vector<std::vector<BeatSig>> replay_fleet(
     const hbrp::embedded::EmbeddedClassifier& classifier,
-    const std::vector<std::vector<double>>& leads, std::size_t threads,
+    const std::vector<Signal>& leads, std::size_t threads,
     std::size_t shards, std::size_t chunk = 1024) {
   FleetConfig cfg;
   cfg.threads = threads;
@@ -108,7 +109,7 @@ std::vector<std::vector<BeatSig>> replay_fleet(
       any = true;
       const std::size_t n = std::min(chunk, leads[i].size() - offset);
       const auto res = engine.offer(
-          ids[i], std::span<const double>(leads[i].data() + offset, n));
+          ids[i], std::span<const Sample>(leads[i].data() + offset, n));
       EXPECT_EQ(res.accepted, n);  // queues are sized for the schedule
     }
     offset += chunk;
@@ -134,7 +135,7 @@ TEST_F(FleetEngineTest, MatchesStandaloneMonitor) {
           beat.predicted = bundle_->classify_window(pb.window, scratch);
         reference.push_back(beat);
       };
-  for (const double x : lead) monitor.push(x, ref_sink);
+  for (const Sample x : lead) monitor.push(x, ref_sink);
   monitor.flush(ref_sink);
 
   const auto fleet = replay_fleet(*bundle_, {lead}, 2, 2);
@@ -150,7 +151,7 @@ TEST_F(FleetEngineTest, MatchesStandaloneMonitor) {
 }
 
 TEST_F(FleetEngineTest, DeterministicAcrossThreadsAndShards) {
-  std::vector<std::vector<double>> leads;
+  std::vector<Signal> leads;
   for (std::uint64_t s = 1; s <= 6; ++s) leads.push_back(patient_lead(s));
 
   const auto serial = replay_fleet(*bundle_, leads, 1, 1);
@@ -170,8 +171,7 @@ TEST_F(FleetEngineTest, DeterministicAcrossThreadsAndShards) {
 }
 
 TEST_F(FleetEngineTest, InOrderDenseSequencedDelivery) {
-  std::vector<std::vector<double>> leads = {patient_lead(11),
-                                            patient_lead(12)};
+  std::vector<Signal> leads = {patient_lead(11), patient_lead(12)};
   const auto out = replay_fleet(*bundle_, leads, 4, 2, 357);
   for (const auto& seq : out) {
     ASSERT_GT(seq.size(), 10u);
@@ -209,23 +209,23 @@ TEST_F(FleetEngineTest, AdmissionControlQueueBound) {
   const auto id = engine.open_session({});
   ASSERT_TRUE(id);
 
-  const std::vector<double> big(800, 1024.0);
-  EXPECT_EQ(engine.offer(*id, std::span<const double>(big)).accepted, 800u);
-  const std::vector<double> more(300, 1024.0);
-  const auto res = engine.offer(*id, std::span<const double>(more));
+  const std::vector<Sample> big(800, 1024);
+  EXPECT_EQ(engine.offer(*id, std::span<const Sample>(big)).accepted, 800u);
+  const std::vector<Sample> more(300, 1024);
+  const auto res = engine.offer(*id, std::span<const Sample>(more));
   EXPECT_EQ(res.accepted, 0u);
   EXPECT_EQ(res.rejected, 300u);
   EXPECT_EQ(engine.telemetry().offers_rejected.load(), 1u);
 
   engine.pump();  // frees the gauge
   EXPECT_EQ(engine.queued_samples(), 0u);
-  EXPECT_EQ(engine.offer(*id, std::span<const double>(more)).accepted, 300u);
+  EXPECT_EQ(engine.offer(*id, std::span<const Sample>(more)).accepted, 300u);
 }
 
 TEST_F(FleetEngineTest, UnknownSessionOfferIsRejected) {
   FleetEngine engine(*bundle_, {});
-  const std::vector<double> x(10, 0.0);
-  const auto res = engine.offer(SessionId{999}, std::span<const double>(x));
+  const std::vector<Sample> x(10, 0);
+  const auto res = engine.offer(SessionId{999}, std::span<const Sample>(x));
   EXPECT_EQ(res.accepted, 0u);
   EXPECT_EQ(res.rejected, 10u);
   EXPECT_FALSE(engine.close_session(SessionId{999}));
@@ -242,7 +242,7 @@ TEST_F(FleetEngineTest, BackpressureBlockDefersWithoutLoss) {
   std::size_t offset = 0;
   while (offset < lead.size()) {
     const auto res = engine.offer(
-        *id, std::span<const double>(lead.data() + offset,
+        *id, std::span<const Sample>(lead.data() + offset,
                                      lead.size() - offset));
     EXPECT_EQ(res.rejected, 0u);
     EXPECT_EQ(res.accepted + res.deferred, lead.size() - offset);
@@ -273,12 +273,10 @@ TEST_F(FleetEngineTest, FaultInjectedBurstsHonorBackpressure) {
       {hbrp::testing::FaultKind::LeadOff, n / 2, n / 10, 0.0, 0.0},
       {hbrp::testing::FaultKind::DupSamples, 3 * n / 4, n / 10, 0.0, 0.0},
   };
-  hbrp::testing::FaultInjector injector(fcfg);
-  std::vector<double> corrupted;
-  for (const double x : lead)
-    for (const double y :
-         injector.feed(static_cast<hbrp::dsp::Sample>(x)))
-      corrupted.push_back(y);
+  // The injector's doubles become codes at the edge, as a driver's do.
+  const Signal corrupted =
+      hbrp::dsp::sanitize_lead(hbrp::testing::FaultInjector::apply(lead, fcfg),
+                               hbrp::core::MonitorConfig{}.quality);
 
   FleetConfig cfg;
   cfg.session.queue_capacity = 700;
@@ -293,7 +291,7 @@ TEST_F(FleetEngineTest, FaultInjectedBurstsHonorBackpressure) {
   while (offset < corrupted.size()) {
     const std::size_t take = std::min(burst, corrupted.size() - offset);
     const OfferOutcome res = engine.offer(
-        *id, std::span<const double>(corrupted.data() + offset, take));
+        *id, std::span<const Sample>(corrupted.data() + offset, take));
     EXPECT_EQ(res.accepted + res.deferred, take);
     EXPECT_EQ(res.rejected, 0u);
     offset += res.accepted;
@@ -326,8 +324,8 @@ TEST_F(FleetEngineTest, RateCapBoundsWorkPerPump) {
   const auto id = engine.open_session({});
   ASSERT_TRUE(id);
 
-  const std::vector<double> x(5000, 1024.0);
-  ASSERT_EQ(engine.offer(*id, std::span<const double>(x)).accepted, 5000u);
+  const std::vector<Sample> x(5000, 1024);
+  ASSERT_EQ(engine.offer(*id, std::span<const Sample>(x)).accepted, 5000u);
   engine.pump();
   EXPECT_EQ(engine.queued_samples(), 4000u);
   engine.pump();
@@ -346,7 +344,7 @@ TEST_F(FleetEngineTest, CloseMidStreamDeliversTailThenReopenIsClean) {
   ASSERT_TRUE(a);
   // Half the record, then close mid-stream: the buffered tail must come out.
   const std::size_t half = lead.size() / 2;
-  engine.offer(*a, std::span<const double>(lead.data(), half));
+  engine.offer(*a, std::span<const Sample>(lead.data(), half));
   engine.drain();
   const std::size_t before_close = first.size();
   EXPECT_TRUE(engine.close_session(*a));
@@ -356,7 +354,7 @@ TEST_F(FleetEngineTest, CloseMidStreamDeliversTailThenReopenIsClean) {
   const auto b = engine.open_session(
       [&](const SessionResult& r) { second.push_back(signature(r)); });
   ASSERT_TRUE(b);
-  engine.offer(*b, std::span<const double>(lead));
+  engine.offer(*b, std::span<const Sample>(lead));
   engine.drain();
   EXPECT_TRUE(engine.close_session(*b));
   ASSERT_FALSE(second.empty());
@@ -382,7 +380,7 @@ TEST_F(FleetEngineTest, CloseWithoutPumpMatchesPumpedRun) {
       out.push_back({signature(r), r.model_version});
     });
     EXPECT_TRUE(id.has_value());
-    const std::span<const double> all(lead);
+    const std::span<const Sample> all(lead);
     for (std::size_t off = 0; off < lead.size(); off += 1024) {
       const std::size_t n = std::min<std::size_t>(1024, lead.size() - off);
       EXPECT_EQ(engine.offer(*id, all.subspan(off, n)).accepted, n);
@@ -405,7 +403,7 @@ TEST_F(FleetEngineTest, TelemetryJsonSnapshot) {
   const auto id = engine.open_session({});
   ASSERT_TRUE(id);
   const auto lead = patient_lead(51, 20.0);
-  engine.offer(*id, std::span<const double>(lead));
+  engine.offer(*id, std::span<const Sample>(lead));
   engine.drain();
 
   const std::string json = engine.telemetry_json();
@@ -445,7 +443,7 @@ TEST_F(FleetEngineTest, ConcurrentProducersWithLivePump) {
         const std::size_t take = std::min<std::size_t>(512,
                                                        lead.size() - offset);
         const auto res = engine.offer(
-            ids[i], std::span<const double>(lead.data() + offset, take));
+            ids[i], std::span<const Sample>(lead.data() + offset, take));
         offset += res.accepted;
         if (res.accepted == 0) std::this_thread::yield();
       }
