@@ -1,7 +1,6 @@
 // Kernel micro-benchmarks (google-benchmark): throughput of every stage of
-// the embedded chain on the host, plus the storage-vs-execution projection
-// ablation (packed decode vs sparse index lists) and the scalar-vs-SIMD
-// fuzzification kernels. These do not reproduce a paper table; they document
+// the embedded chain on the host, plus the sparse projection kernel against
+// its dense reference and the scalar-vs-SIMD fuzzification kernels. These do not reproduce a paper table; they document
 // the computational profile of this implementation and feed the CI perf gate
 // (scripts/perf_gate.py) through BENCH_microkernels.json.
 //
@@ -9,7 +8,7 @@
 // so it takes the usual --benchmark_* flags; the one extra flag is
 // --json=PATH (default BENCH_microkernels.json), which writes every
 // benchmark's per-iteration CPU time as a flat `<name>_ns_per_op` key plus the
-// derived packed-vs-sparse and scalar-vs-SIMD speedup ratios, stamped with
+// derived block-vs-sample and scalar-vs-SIMD speedup ratios, stamped with
 // the machine provenance from bench::JsonReport.
 #include <benchmark/benchmark.h>
 
@@ -35,7 +34,7 @@
 #include "kernels/sparse_ternary.hpp"
 #include "math/crc32.hpp"
 #include "net/wire.hpp"
-#include "rp/packed_matrix.hpp"
+#include "rp/achlioptas.hpp"
 
 namespace {
 
@@ -148,14 +147,12 @@ void BM_AdaptiveThresholdDetect(benchmark::State& state) {
 }
 BENCHMARK(BM_AdaptiveThresholdDetect)->Unit(benchmark::kMicrosecond);
 
-// --- Projection: storage format (packed decode) vs execution format
-// (sparse index lists). Same matrix, same input, same int32 results; the
-// allocating packed.apply() is kept as the pre-existing baseline and the
-// apply_into forms isolate the kernel from the allocator.
+// --- Projection: the sparse execution kernel (index lists) vs the dense
+// reference. Same matrix, same input, same int32 results; apply_into
+// isolates the kernel from the allocator.
 
 struct ProjectionFixture {
   rp::TernaryMatrix dense;
-  rp::PackedTernaryMatrix packed;
   kernels::SparseTernary sparse;
   dsp::Signal v;
 
@@ -164,7 +161,6 @@ struct ProjectionFixture {
           math::Rng rng(1);
           return rp::make_achlioptas(k, 50, rng);
         }()),
-        packed(dense),
         sparse(kernels::SparseTernary::build(
             dense.rows(), dense.cols(),
             [this](std::size_t r, std::size_t c) { return dense.at(r, c); })),
@@ -173,23 +169,6 @@ struct ProjectionFixture {
     for (auto& x : v) x = static_cast<int>(rng.uniform_int(-1024, 1023));
   }
 };
-
-void BM_ProjectionPacked(benchmark::State& state) {
-  const ProjectionFixture fx(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(fx.packed.apply(fx.v));
-}
-BENCHMARK(BM_ProjectionPacked)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_ProjectionPackedInto(benchmark::State& state) {
-  const ProjectionFixture fx(static_cast<std::size_t>(state.range(0)));
-  std::vector<std::int32_t> out(fx.dense.rows());
-  for (auto _ : state) {
-    fx.packed.apply_into(fx.v, out);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_ProjectionPackedInto)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_ProjectionSparseInt(benchmark::State& state) {
   const ProjectionFixture fx(static_cast<std::size_t>(state.range(0)));
@@ -202,18 +181,6 @@ void BM_ProjectionSparseInt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProjectionSparseInt)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_ProjectionSparseFloat(benchmark::State& state) {
-  const ProjectionFixture fx(static_cast<std::size_t>(state.range(0)));
-  std::vector<double> out(fx.dense.rows());
-  for (auto _ : state) {
-    fx.sparse.apply_into(std::span<const dsp::Sample>(fx.v),
-                         std::span<double>(out));
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_ProjectionSparseFloat)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_ProjectionDense(benchmark::State& state) {
   const ProjectionFixture fx(static_cast<std::size_t>(state.range(0)));
@@ -515,16 +482,7 @@ int main(int argc, char** argv) {
   for (const auto& [stem, ns] : reporter.results())
     report.set(stem + "_ns_per_op", ns);
 
-  // Derived headline ratios. sparse_speedup_k* is the tentpole number: the
-  // same apply_into contract executed from the packed storage format vs the
-  // sparse execution format.
-  for (const int k : {8, 16, 32}) {
-    const std::string suffix = std::to_string(k);
-    const double packed = reporter.find("ProjectionPackedInto_" + suffix);
-    const double sparse = reporter.find("ProjectionSparseInt_" + suffix);
-    if (packed > 0.0 && sparse > 0.0)
-      report.set("sparse_speedup_k" + suffix, packed / sparse);
-  }
+  // Derived headline ratios.
   const double fz_scalar = reporter.find("FuzzifyFloatScalar");
   const double fz_simd = reporter.find("FuzzifyFloatSimd");
   if (fz_scalar > 0.0 && fz_simd > 0.0)

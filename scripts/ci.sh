@@ -2,11 +2,13 @@
 # Full CI sweep: tier-1 build + tests, then the sanitizer matrix.
 #
 #   1. default (Release) build with warnings as errors (-DHBRP_WERROR=ON),
+#      a check that no ctest name prints a parameter's raw bytes, the
 #      full ctest suite — the tier-1 gate — then
 #      the DSP kernel-equivalence subset re-run under HBRP_FORCE_SCALAR=1,
 #      so the scalar halves of the block kernels are gated even on AVX2
 #      hosts;
-#   2. ASan + UBSan build (-DENABLE_SANITIZERS=ON), full ctest suite;
+#   2. ASan + UBSan build (-DENABLE_SANITIZERS=ON), full ctest suite; a
+#      UBSan report aborts its test (-fno-sanitize-recover=undefined);
 #   3. TSan build (-DENABLE_TSAN=ON), full ctest suite — races in
 #      core::Executor, the parallel GA fitness fan-out, the chunked metric
 #      merges, the fleet engine's producer/pump concurrency, the
@@ -93,6 +95,14 @@ run_suite() {
 
 # --- 1. tier-1: default build + full suite --------------------------------
 run_suite build -DHBRP_WERROR=ON
+# A ctest name must not carry a parameter's raw bytes: gtest prints a struct
+# without a PrintTo as "N-byte object <...>", pointers included, so the name
+# would change from build to build.
+echo "==== ctest names are stable (no raw parameter bytes)"
+if ctest --test-dir build -N | grep -e '-byte object <'; then
+  echo "ctest names above print raw parameter bytes; add a PrintTo" >&2
+  exit 1
+fi
 ctest --test-dir build --output-on-failure -j
 
 # --- 1a. DSP kernel equivalence, forced-scalar dispatch -------------------
@@ -104,9 +114,11 @@ ctest --test-dir build --output-on-failure -j
 # kernels produce — its digests must be dispatch-independent too — and so
 # does Dataset, because build_dataset conditions and detects with the
 # dispatched kernels and its pinned output digests must hold under both.
+# TrainedBundleDigest pins a trained model, and training evaluates its MFs
+# with the dispatched log_fuzzy_batch kernel.
 echo "==== DSP kernel equivalence under HBRP_FORCE_SCALAR=1"
 HBRP_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
-  -R 'KernelsDsp|ExtremumEquivalence|DetectorEquivalence|Drift|Lifecycle|Dataset' -j
+  -R 'KernelsDsp|ExtremumEquivalence|DetectorEquivalence|Drift|Lifecycle|Dataset|TrainedBundleDigest' -j
 
 # --- 1b. fleet soak smoke: scaling grid + bit-identity gate ---------------
 # Quick-run reports stay under build/ so a CI pass never dirties the tree

@@ -5,13 +5,13 @@
 // scores hundreds of candidate projections against thousands of beats.
 // BeatBatch fixes the data layout instead: all windows live back-to-back in
 // one arena (beat i occupies samples [i*W, (i+1)*W)), labels ride alongside,
-// and the batch entry points (rp::BeatProjector::project_batch,
+// and the batch entry points (rp::BeatProjector::project_int_batch,
 // nfc::NeuroFuzzyClassifier::classify_batch, embedded classify_batch) walk
 // the arena with caller-owned scratch buffers — zero per-beat allocation in
 // steady state and a cache-friendly sequential access pattern.
 //
 // A BeatBatch is immutable once built and is safe to share across Executor
-// workers; every worker brings its own scratch (EvalScratch below).
+// workers; every worker brings its own scratch.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +21,6 @@
 #include "dsp/signal.hpp"
 #include "ecg/dataset.hpp"
 #include "ecg/types.hpp"
-#include "embedded/bundle.hpp"
 
 namespace hbrp::core {
 
@@ -57,17 +56,6 @@ class BeatBatch {
   std::size_t window_length_ = 0;
   std::vector<dsp::Sample> samples_;
   std::vector<ecg::BeatClass> labels_;
-};
-
-/// Per-thread workspace bundling every scratch buffer the batched
-/// evaluation chain needs. Buffers grow to the high-water mark of the
-/// batches they serve and are then reused.
-struct EvalScratch {
-  rp::ProjectionScratch projection;
-  std::vector<double> u;             ///< float-path projected coefficients
-  std::vector<std::int32_t> u_int;   ///< integer-path projected coefficients
-  std::vector<ecg::BeatClass> cls;   ///< per-beat decisions
-  embedded::ClassifyScratch embedded;
 };
 
 }  // namespace hbrp::core

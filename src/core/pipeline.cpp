@@ -68,6 +68,7 @@ PipelineResult RealTimePipeline::process(const ecg::Record& record) const {
 
   PipelineResult result;
   result.beats.reserve(peaks.size());
+  embedded::ClassifyScratch classify_scratch;
   const std::size_t guard =
       std::max(cfg_.window_before, cfg_.window_after);
   for (const std::size_t peak : peaks) {
@@ -76,7 +77,7 @@ PipelineResult RealTimePipeline::process(const ecg::Record& record) const {
     beat.r_peak = peak;
     const dsp::Signal window = dsp::extract_window(
         reference, peak, cfg_.window_before, cfg_.window_after);
-    beat.predicted = classifier_.classify_window(window);
+    beat.predicted = classifier_.classify_window(window, classify_scratch);
 
     const bool needs_delineation =
         !cfg_.gate_delineation || ecg::is_pathological(beat.predicted);

@@ -28,6 +28,23 @@ struct ChunkPlan {
   std::size_t end(std::size_t c) const { return (c + 1) * n / chunks; }
 };
 
+// The trainer's double-typed data is the node's integer projection,
+// converted here and nowhere else: row i of the result is window_at(i)
+// projected by project_int_into. The conversion is exact: a window of
+// 12-bit codes projects to |u| <= d * 2^11, far below 2^31, let alone 2^53.
+template <typename WindowAt>
+math::Mat project_rows(std::size_t n, const rp::BeatProjector& projector,
+                       WindowAt window_at) {
+  math::Mat out(n, projector.coefficients());
+  rp::ProjectionScratch scratch;
+  std::vector<std::int32_t> u(projector.coefficients());
+  for (std::size_t i = 0; i < n; ++i) {
+    projector.project_int_into(window_at(i), u, scratch);
+    std::copy(u.begin(), u.end(), out.row(i).begin());
+  }
+  return out;
+}
+
 }  // namespace
 
 ProjectedDataset project_dataset(const ecg::BeatDataset& ds,
@@ -36,13 +53,11 @@ ProjectedDataset project_dataset(const ecg::BeatDataset& ds,
   HBRP_REQUIRE(ds.window_size() == projector.expected_window(),
                "project_dataset(): window/projector size mismatch");
   ProjectedDataset out;
-  out.u = math::Mat(ds.beats.size(), projector.coefficients());
+  out.u = project_rows(ds.beats.size(), projector, [&ds](std::size_t i) {
+    return std::span<const dsp::Sample>(ds.beats[i].samples);
+  });
   out.labels.reserve(ds.beats.size());
-  rp::ProjectionScratch scratch;
-  for (std::size_t i = 0; i < ds.beats.size(); ++i) {
-    projector.project_into(ds.beats[i].samples, out.u.row(i), scratch);
-    out.labels.push_back(ds.beats[i].label);
-  }
+  for (const ecg::BeatWindow& b : ds.beats) out.labels.push_back(b.label);
   return out;
 }
 
@@ -52,11 +67,9 @@ ProjectedDataset project_dataset(const BeatBatch& batch,
   HBRP_REQUIRE(batch.window_length() == projector.expected_window(),
                "project_dataset(): window/projector size mismatch");
   ProjectedDataset out;
-  out.u = math::Mat(batch.size(), projector.coefficients());
+  out.u = project_rows(batch.size(), projector,
+                       [&batch](std::size_t i) { return batch.window(i); });
   out.labels.assign(batch.labels().begin(), batch.labels().end());
-  rp::ProjectionScratch scratch;
-  projector.project_batch(batch.windows(), batch.size(), out.u.flat(),
-                          scratch);
   return out;
 }
 

@@ -36,12 +36,15 @@ struct ProjectedDataset {
   std::vector<ecg::BeatClass> labels;
 };
 
-/// Projects every beat window of `ds` through `projector` (float path).
+/// Projects every beat window of `ds` through `projector`: the integer
+/// projection the node computes (project_int_into), converted to double
+/// for the float NFC. The conversion is exact, so training sees exactly
+/// the coefficients the deployed classifier sees.
 ProjectedDataset project_dataset(const ecg::BeatDataset& ds,
                                  const rp::BeatProjector& projector);
 
-/// Batch-engine form: projects a contiguous BeatBatch arena in one sweep
-/// (rp::BeatProjector::project_batch; no per-beat allocation).
+/// Batch-engine form over a contiguous BeatBatch arena (no per-beat
+/// allocation). Identical to the per-beat form.
 ProjectedDataset project_dataset(const BeatBatch& batch,
                                  const rp::BeatProjector& projector);
 
@@ -54,7 +57,7 @@ ConfusionMatrix evaluate(const nfc::NeuroFuzzyClassifier& nfc,
                          const Executor* executor = nullptr);
 
 /// Evaluates an integer classifier at `alpha_q16` over beat windows
-/// (runs the full embedded path: downsample, packed projection, int NFC).
+/// (runs the full embedded path: downsample, sparse projection, int NFC).
 ConfusionMatrix evaluate_embedded(const embedded::EmbeddedClassifier& cls,
                                   const ecg::BeatDataset& ds);
 

@@ -24,12 +24,6 @@ void EmbeddedClassifier::set_alpha_q16(std::uint32_t alpha_q16) {
 }
 
 ecg::BeatClass EmbeddedClassifier::classify_window(
-    const dsp::Signal& window) const {
-  const std::vector<std::int32_t> u = projector_.project_int(window);
-  return classifier_.classify(u, alpha_q16_);
-}
-
-ecg::BeatClass EmbeddedClassifier::classify_window(
     std::span<const dsp::Sample> window, ClassifyScratch& scratch) const {
   scratch.u.resize(projector_.coefficients());
   projector_.project_int_into(window, scratch.u, scratch.projection);

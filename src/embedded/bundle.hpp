@@ -3,9 +3,10 @@
 // Everything the WBSN firmware needs for the paper's early-classification
 // stage, in its memory-optimized form: the 2-bit packed projection matrix,
 // the downsampling factor, the integer MF tables and the Q16 decision
-// threshold. classify_window() is bit-exact with what runs on the node, and
-// export_c_header() emits the tables as a self-contained C header for
-// actual firmware integration.
+// threshold. export_c_header() emits the tables as a self-contained C
+// header for actual firmware integration. On the host, classify_window()
+// and classify_batch() run the same arithmetic the node does, projecting
+// through the sparse form the projector builds next to the packed one.
 #pragma once
 
 #include <cstdint>
@@ -32,11 +33,9 @@ class EmbeddedClassifier {
                      std::uint32_t alpha_q16);
 
   /// Classifies one beat window at the acquisition rate (e.g. 200 samples
-  /// at 360 Hz): downsample -> sparse-index projection -> integer NFC.
-  ecg::BeatClass classify_window(const dsp::Signal& window) const;
-
-  /// Allocation-free form for streaming callers: the projected-coefficient
-  /// buffer lives in `scratch`. Bit-identical to classify_window above.
+  /// at 360 Hz): downsample -> sparse-index projection -> integer NFC. The
+  /// projected-coefficient buffer lives in `scratch`, so a warm scratch
+  /// makes the call allocation-free.
   ecg::BeatClass classify_window(std::span<const dsp::Sample> window,
                                  ClassifyScratch& scratch) const;
 

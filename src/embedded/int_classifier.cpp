@@ -8,6 +8,32 @@
 
 namespace hbrp::embedded {
 
+namespace {
+
+// The fuzzification chain of Section III-B, written once for both callers:
+// `grade(j, l)` is coefficient j's membership grade for class l, looked up
+// per call by fuzzify() and read from a precomputed tile by classify_batch.
+// Seeds with coefficient 0's grades; before each further multiply, shifts
+// all three accumulators left by the largest common safe amount (set by the
+// current maximum), then drops the low 16 bits. This keeps the leading 16
+// bits of the dominant class and the ratios between classes; the
+// 16-bit x 16-bit product that follows cannot overflow.
+template <typename Grade>
+std::array<std::uint32_t, ecg::kNumClasses> renormalized_product(
+    std::size_t k, Grade grade) {
+  std::array<std::uint32_t, ecg::kNumClasses> acc{};
+  for (std::size_t l = 0; l < ecg::kNumClasses; ++l) acc[l] = grade(0, l);
+  for (std::size_t j = 1; j < k; ++j) {
+    const std::uint32_t top = *std::max_element(acc.begin(), acc.end());
+    const int shift = math::headroom32(top);
+    for (std::uint32_t& a : acc) a = (a << shift) >> 16;
+    for (std::size_t l = 0; l < ecg::kNumClasses; ++l) acc[l] *= grade(j, l);
+  }
+  return acc;
+}
+
+}  // namespace
+
 IntClassifier IntClassifier::from_float(const nfc::NeuroFuzzyClassifier& nfc,
                                         MfShape shape) {
   IntClassifier out;
@@ -46,26 +72,10 @@ std::array<std::uint32_t, ecg::kNumClasses> IntClassifier::fuzzify(
     std::span<const std::int32_t> u) const {
   HBRP_REQUIRE(u.size() == coefficients_,
                "IntClassifier::fuzzify(): input size mismatch");
-  std::array<std::uint32_t, ecg::kNumClasses> acc{};
-
-  // Seed with the first coefficient's grades.
-  for (std::size_t l = 0; l < ecg::kNumClasses; ++l)
-    acc[l] = grade(0, l, u[0]);
-
-  for (std::size_t k = 1; k < coefficients_; ++k) {
-    // Renormalize: shift all three accumulators left by the largest common
-    // safe amount (dictated by the current maximum), then drop the low 16
-    // bits. This keeps the leading 16 bits of the dominant class while
-    // preserving the ratios between classes.
-    const std::uint32_t top = *std::max_element(acc.begin(), acc.end());
-    const int shift = math::headroom32(top);
-    for (std::uint32_t& a : acc) a = (a << shift) >> 16;
-    // Multiply in the next membership grades: 16-bit x 16-bit -> 32-bit,
-    // no overflow possible.
-    for (std::size_t l = 0; l < ecg::kNumClasses; ++l)
-      acc[l] *= grade(k, l, u[k]);
-  }
-  return acc;
+  return renormalized_product(coefficients_,
+                              [&](std::size_t j, std::size_t l) {
+                                return grade(j, l, u[j]);
+                              });
 }
 
 ecg::BeatClass IntClassifier::defuzzify(
@@ -148,30 +158,18 @@ void IntClassifier::classify_batch(std::span<const std::int32_t> u,
       }
     }
 
-    // Fuzzification + decision per beat: the exact renormalization chain of
-    // fuzzify() over the precomputed grades — same arithmetic, same order,
-    // so decisions are bit-identical to classify() per row.
+    // Fuzzification + decision per beat: fuzzify()'s chain over the
+    // precomputed grades, so decisions are bit-identical to classify().
     for (std::size_t i = 0; i < n; ++i) {
-      std::array<std::uint32_t, ecg::kNumClasses> acc{};
-      for (std::size_t l = 0; l < ecg::kNumClasses; ++l)
-        acc[l] = scratch.grades[l * kTile + i];
-      for (std::size_t j = 1; j < k; ++j) {
-        const std::uint32_t top = *std::max_element(acc.begin(), acc.end());
-        const int shift = math::headroom32(top);
-        for (std::uint32_t& a : acc) a = (a << shift) >> 16;
-        for (std::size_t l = 0; l < ecg::kNumClasses; ++l)
-          acc[l] *= scratch.grades[(j * ecg::kNumClasses + l) * kTile + i];
-      }
-      out[done + i] = defuzzify(acc, alpha_q16);
+      const std::uint16_t* g = scratch.grades.data() + i;
+      out[done + i] = defuzzify(
+          renormalized_product(k,
+                               [&](std::size_t j, std::size_t l) {
+                                 return g[(j * ecg::kNumClasses + l) * kTile];
+                               }),
+          alpha_q16);
     }
   }
-}
-
-void IntClassifier::classify_batch(std::span<const std::int32_t> u,
-                                   std::size_t count, std::uint32_t alpha_q16,
-                                   std::span<ecg::BeatClass> out) const {
-  FuzzifyScratch scratch;
-  classify_batch(u, count, alpha_q16, out, scratch);
 }
 
 const LinearizedMF& IntClassifier::linear_mf(std::size_t k,

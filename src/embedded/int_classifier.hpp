@@ -70,16 +70,11 @@ class IntClassifier {
   /// coefficients() projected values each, row-major; one decision per
   /// beat is written to `out`. Bit-identical to classify() per row: the
   /// batched path evaluates the MF grades through the (dispatching) batch
-  /// kernels over transposed tiles, then runs the exact renormalization
-  /// chain per beat. Allocation-free given a warm `scratch`.
+  /// kernels over transposed tiles, then runs fuzzify()'s renormalization
+  /// chain per beat over them. Allocation-free given a warm `scratch`.
   void classify_batch(std::span<const std::int32_t> u, std::size_t count,
                       std::uint32_t alpha_q16, std::span<ecg::BeatClass> out,
                       FuzzifyScratch& scratch) const;
-
-  /// Convenience overload with a throwaway scratch (one allocation per call).
-  void classify_batch(std::span<const std::int32_t> u, std::size_t count,
-                      std::uint32_t alpha_q16,
-                      std::span<ecg::BeatClass> out) const;
 
   /// RAM the parameter tables occupy on the node.
   std::size_t memory_bytes() const;

@@ -33,9 +33,8 @@ SparseTernary SparseTernary::build(
 
 namespace {
 
-// Shared gather core: plus-sum minus minus-sum in int64. Exact for any
-// realistic window (|sum| < 2^47 even at full-scale int32 samples over
-// 2^16 columns), so both public overloads just cast the same value.
+// Gather core: plus-sum minus minus-sum in int64. Exact for any realistic
+// window (|sum| < 2^47 even at full-scale int32 samples over 2^16 columns).
 inline std::int64_t row_sum(const std::uint16_t* idx, std::uint32_t plus_begin,
                             std::uint32_t plus_end, std::uint32_t minus_end,
                             const dsp::Sample* v) {
@@ -57,18 +56,6 @@ void SparseTernary::apply_into(std::span<const dsp::Sample> v,
     const std::int64_t acc =
         row_sum(idx, pos_[2 * r], pos_[2 * r + 1], pos_[2 * r + 2], v.data());
     out[r] = static_cast<std::int32_t>(acc);
-  }
-}
-
-void SparseTernary::apply_into(std::span<const dsp::Sample> v,
-                               std::span<double> out) const {
-  assert(v.size() == cols_);
-  assert(out.size() == rows_);
-  const std::uint16_t* idx = idx_.data();
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const std::int64_t acc =
-        row_sum(idx, pos_[2 * r], pos_[2 * r + 1], pos_[2 * r + 2], v.data());
-    out[r] = static_cast<double>(acc);
   }
 }
 

@@ -12,17 +12,19 @@
 // index-gather sums with zero multiplies and zero decode work — on average
 // d/3 additions per row instead of d decode-and-branch steps.
 //
-// Equivalence contract (gated by tests/test_kernels.cpp):
-//   - integer path: bit-identical to the dense/packed kernels. Integer
-//     addition is commutative mod 2^32, so regrouping (+1 terms, then -1
-//     terms) cannot change the result.
-//   - float path: bit-identical too, not merely ULP-close, for this
-//     codebase's inputs. Projection inputs are integer samples, and every
-//     partial sum of <= 2^20 samples of |v| < 2^31 stays far below 2^53,
-//     so both the dense double accumulation and this int64 accumulation
-//     are exact; the final cast is the only rounding and it rounds an
-//     exactly-representable value. Accumulation order within a row is
-//     fixed, so results are deterministic for any thread count.
+// This is the one kernel that computes u = P v: every projection the
+// system runs (node, gateway, fleet, trainer) goes through apply_into.
+//
+// Equivalence contract (gated by tests/test_kernels.cpp and
+// tests/test_properties.cpp): bit-identical to the dense reference
+// rp::TernaryMatrix::apply(span<const dsp::Sample>) for any input. Both
+// accumulate each row exactly in int64 and convert to int32 (modulo 2^32
+// when the exact sum does not fit), so regrouping the +1 terms before the
+// -1 terms cannot change a result. The accumulation order within a row is
+// fixed, so results are deterministic for any thread count. The trainer's
+// double-typed data is this kernel's output converted to double
+// (core::project_dataset), exact because a window of 12-bit codes sums to
+// |u| <= d * 2^11, far below 2^31.
 #pragma once
 
 #include <cstdint>
@@ -52,16 +54,10 @@ class SparseTernary {
   /// Non-zero entries (diagnostic; the execution cost per output row).
   std::size_t nonzeros() const { return idx_.size(); }
 
-  /// u = P v, integer path: writes rows() int32 accumulators into `out`.
-  /// Bit-identical to TernaryMatrix/PackedTernaryMatrix::apply_into.
+  /// u = P v: writes rows() int32 coefficients into `out`. Bit-identical
+  /// to rp::TernaryMatrix::apply(span<const dsp::Sample>).
   void apply_into(std::span<const dsp::Sample> v,
                   std::span<std::int32_t> out) const;
-
-  /// u = P v, float path: writes rows() doubles into `out`. Exact integer
-  /// accumulation (see header comment), bit-identical to the dense float
-  /// kernel for integer sample inputs.
-  void apply_into(std::span<const dsp::Sample> v,
-                  std::span<double> out) const;
 
  private:
   std::size_t rows_ = 0;

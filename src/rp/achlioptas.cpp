@@ -28,7 +28,8 @@ std::vector<std::int32_t> TernaryMatrix::apply(
   HBRP_REQUIRE(v.size() == cols_, "TernaryMatrix::apply(): size mismatch");
   std::vector<std::int32_t> out(rows_, 0);
   for (std::size_t r = 0; r < rows_; ++r) {
-    std::int32_t acc = 0;
+    // Exact for cols < 2^32: |sum| <= cols * 2^31 < 2^63.
+    std::int64_t acc = 0;
     const std::int8_t* row_ptr = data_.data() + r * cols_;
     for (std::size_t c = 0; c < cols_; ++c) {
       const std::int8_t e = row_ptr[c];
@@ -37,47 +38,9 @@ std::vector<std::int32_t> TernaryMatrix::apply(
       else if (e == -1)
         acc -= v[c];
     }
-    out[r] = acc;
+    out[r] = static_cast<std::int32_t>(acc);
   }
   return out;
-}
-
-void TernaryMatrix::apply_into(std::span<const dsp::Sample> v,
-                               std::span<double> out) const {
-  HBRP_REQUIRE(v.size() == cols_, "TernaryMatrix::apply_into(): size mismatch");
-  HBRP_REQUIRE(out.size() >= rows_,
-               "TernaryMatrix::apply_into(): output too small");
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    const std::int8_t* row_ptr = data_.data() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) {
-      const std::int8_t e = row_ptr[c];
-      if (e == 1)
-        acc += static_cast<double>(v[c]);
-      else if (e == -1)
-        acc -= static_cast<double>(v[c]);
-    }
-    out[r] = acc;
-  }
-}
-
-void TernaryMatrix::apply_into(std::span<const dsp::Sample> v,
-                               std::span<std::int32_t> out) const {
-  HBRP_REQUIRE(v.size() == cols_, "TernaryMatrix::apply_into(): size mismatch");
-  HBRP_REQUIRE(out.size() >= rows_,
-               "TernaryMatrix::apply_into(): output too small");
-  for (std::size_t r = 0; r < rows_; ++r) {
-    std::int32_t acc = 0;
-    const std::int8_t* row_ptr = data_.data() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) {
-      const std::int8_t e = row_ptr[c];
-      if (e == 1)
-        acc += v[c];
-      else if (e == -1)
-        acc -= v[c];
-    }
-    out[r] = acc;
-  }
 }
 
 double TernaryMatrix::density() const {

@@ -21,7 +21,8 @@ namespace hbrp::rp {
 
 /// Dense ternary matrix with elements in {-1, 0, +1}, one int8 each.
 /// This is the train-time representation (mutated by the genetic algorithm);
-/// the run-time 2-bit form is rp::PackedTernaryMatrix.
+/// the stored 2-bit form is rp::PackedTernaryMatrix, and projections execute
+/// from kernels::SparseTernary.
 class TernaryMatrix {
  public:
   TernaryMatrix() = default;
@@ -47,22 +48,14 @@ class TernaryMatrix {
     return {data_.data() + r * cols_, cols_};
   }
 
-  /// u = P v over doubles (training path).
+  /// u = P v over doubles: the reference the trainer's projected data is
+  /// checked against.
   math::Vec apply(std::span<const double> v) const;
 
-  /// u = P v over integer samples (embedded path); accumulators are 32-bit,
-  /// sufficient for d <= 2^20 samples of 11-bit data.
+  /// u = P v over integer samples: the reference kernels::SparseTernary is
+  /// checked against. Each row accumulates in 64 bits and converts to
+  /// int32, which wraps modulo 2^32 only if the exact sum does not fit.
   std::vector<std::int32_t> apply(std::span<const dsp::Sample> v) const;
-
-  /// Allocation-free float-path projection of an integer sample vector:
-  /// writes rows() doubles into `out`. Accumulation is in doubles, in the
-  /// same order as apply(span<const double>), so results are bit-identical
-  /// to converting `v` to doubles first.
-  void apply_into(std::span<const dsp::Sample> v, std::span<double> out) const;
-
-  /// Allocation-free integer-path projection: writes rows() values to `out`.
-  void apply_into(std::span<const dsp::Sample> v,
-                  std::span<std::int32_t> out) const;
 
   /// Fraction of non-zero entries.
   double density() const;

@@ -35,34 +35,6 @@ std::int8_t PackedTernaryMatrix::at(std::size_t r, std::size_t c) const {
   return decode((byte >> (2 * (c % 4))) & 0x3u);
 }
 
-std::vector<std::int32_t> PackedTernaryMatrix::apply(
-    std::span<const dsp::Sample> v) const {
-  std::vector<std::int32_t> out(rows_, 0);
-  apply_into(v, out);
-  return out;
-}
-
-void PackedTernaryMatrix::apply_into(std::span<const dsp::Sample> v,
-                                     std::span<std::int32_t> out) const {
-  HBRP_REQUIRE(v.size() == cols_,
-               "PackedTernaryMatrix::apply_into(): size mismatch");
-  HBRP_REQUIRE(out.size() >= rows_,
-               "PackedTernaryMatrix::apply_into(): output too small");
-  for (std::size_t r = 0; r < rows_; ++r) {
-    std::int32_t acc = 0;
-    const std::uint8_t* row_bytes = data_.data() + r * bytes_per_row_;
-    for (std::size_t c = 0; c < cols_; ++c) {
-      const std::uint8_t bits =
-          (row_bytes[c / 4] >> (2 * (c % 4))) & 0x3u;
-      if (bits == 1)
-        acc += v[c];
-      else if (bits == 2)
-        acc -= v[c];
-    }
-    out[r] = acc;
-  }
-}
-
 TernaryMatrix PackedTernaryMatrix::unpack() const {
   TernaryMatrix m(rows_, cols_);
   for (std::size_t r = 0; r < rows_; ++r)

@@ -5,13 +5,17 @@
 // representation — the difference between fitting and not fitting alongside
 // everything else in a 96 KB WBSN. Encoding: 00 -> 0, 01 -> +1, 10 -> -1
 // (11 is invalid), four elements per byte, row-major.
+//
+// This is the storage format only: the bytes a firmware image ships
+// (embedded::EmbeddedClassifier::export_c_header) and the memory the node
+// budget counts. It has no compute method; projections execute from
+// kernels::SparseTernary.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "dsp/signal.hpp"
 #include "rp/achlioptas.hpp"
 
 namespace hbrp::rp {
@@ -34,13 +38,6 @@ class PackedTernaryMatrix {
   /// The stored 2-bit code itself, row-major, each row padded to whole
   /// bytes (padding elements are 00) — the table a firmware image ships.
   std::span<const std::uint8_t> bytes() const { return data_; }
-
-  /// u = P v in integer arithmetic (the embedded projection kernel).
-  std::vector<std::int32_t> apply(std::span<const dsp::Sample> v) const;
-
-  /// Allocation-free form: writes rows() coefficients into `out`.
-  void apply_into(std::span<const dsp::Sample> v,
-                  std::span<std::int32_t> out) const;
 
   /// Unpacks back to the dense form (exact round trip).
   TernaryMatrix unpack() const;

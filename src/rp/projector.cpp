@@ -16,33 +16,6 @@ BeatProjector::BeatProjector(TernaryMatrix p, std::size_t downsample_factor)
                "BeatProjector: empty projection matrix");
 }
 
-math::Vec BeatProjector::project(const dsp::Signal& window) const {
-  math::Vec v(coefficients());
-  ProjectionScratch scratch;
-  project_into(window, v, scratch);
-  return v;
-}
-
-std::vector<std::int32_t> BeatProjector::project_int(
-    const dsp::Signal& window) const {
-  std::vector<std::int32_t> out(coefficients());
-  ProjectionScratch scratch;
-  project_int_into(window, out, scratch);
-  return out;
-}
-
-void BeatProjector::project_into(std::span<const dsp::Sample> window,
-                                 std::span<double> out,
-                                 ProjectionScratch& scratch) const {
-  HBRP_REQUIRE(window.size() == expected_window(),
-               "BeatProjector::project_into(): window size mismatch");
-  scratch.downsampled.resize(dense_.cols());
-  dsp::downsample_avg_into(window, downsample_, scratch.downsampled);
-  // Sparse execution format; bit-identical to dense_.apply_into() because
-  // all partial sums of integer samples are exact in both int64 and double.
-  sparse_.apply_into(scratch.downsampled, out);
-}
-
 void BeatProjector::project_int_into(std::span<const dsp::Sample> window,
                                      std::span<std::int32_t> out,
                                      ProjectionScratch& scratch) const {
@@ -50,22 +23,7 @@ void BeatProjector::project_int_into(std::span<const dsp::Sample> window,
                "BeatProjector::project_int_into(): window size mismatch");
   scratch.downsampled.resize(dense_.cols());
   dsp::downsample_avg_into(window, downsample_, scratch.downsampled);
-  // Sparse execution format; bit-identical to packed_.apply_into() (integer
-  // addition regroups freely mod 2^32).
   sparse_.apply_into(scratch.downsampled, out);
-}
-
-void BeatProjector::project_batch(std::span<const dsp::Sample> windows,
-                                  std::size_t count, std::span<double> out,
-                                  ProjectionScratch& scratch) const {
-  const std::size_t w = expected_window();
-  const std::size_t k = coefficients();
-  HBRP_REQUIRE(windows.size() == count * w,
-               "BeatProjector::project_batch(): windows size mismatch");
-  HBRP_REQUIRE(out.size() >= count * k,
-               "BeatProjector::project_batch(): output too small");
-  for (std::size_t i = 0; i < count; ++i)
-    project_into(windows.subspan(i * w, w), out.subspan(i * k, k), scratch);
 }
 
 void BeatProjector::project_int_batch(std::span<const dsp::Sample> windows,

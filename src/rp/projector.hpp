@@ -2,9 +2,12 @@
 //
 // The paper's classifier input chain is: 200-sample beat window at 360 Hz ->
 // 4x downsampling (50 samples at 90 Hz) -> k-coefficient random projection.
-// BeatProjector owns the trained matrix in both its dense (training) and
-// 2-bit packed (embedded) forms and applies the full chain on either data
-// path, guaranteeing the two stay consistent.
+// BeatProjector owns the trained matrix in its dense (training), 2-bit
+// packed (storage) and sparse-index (execution) forms, and applies the
+// chain in integer arithmetic only: project_int_into per window and
+// project_int_batch over an arena are the system's two projection calls.
+// The trainer's double-typed data is project_int_into's output converted
+// to double (core::project_dataset).
 #pragma once
 
 #include <cstdint>
@@ -35,46 +38,30 @@ class BeatProjector {
     return dense_.cols() * downsample_;
   }
 
-  /// Float path (training): downsample then project to doubles.
-  math::Vec project(const dsp::Signal& window) const;
-
-  /// Integer path (embedded): downsample then project via the packed matrix.
-  std::vector<std::int32_t> project_int(const dsp::Signal& window) const;
-
-  /// Allocation-free float-path projection of one window into `out`
-  /// (coefficients() doubles). Bit-identical to project().
-  void project_into(std::span<const dsp::Sample> window, std::span<double> out,
-                    ProjectionScratch& scratch) const;
-
-  /// Allocation-free integer-path projection of one window into `out`
-  /// (coefficients() values). Bit-identical to project_int().
+  /// Downsamples one window and projects it into `out` (coefficients()
+  /// values). Allocation-free given a warm `scratch`.
   void project_int_into(std::span<const dsp::Sample> window,
                         std::span<std::int32_t> out,
                         ProjectionScratch& scratch) const;
 
-  /// Batch float-path projection: `windows` holds `count` windows of
-  /// expected_window() samples each, concatenated; `out` receives count x
-  /// coefficients() doubles, row-major. No per-beat heap allocation: the
-  /// only buffer is scratch.downsampled, reused across beats.
-  void project_batch(std::span<const dsp::Sample> windows, std::size_t count,
-                     std::span<double> out, ProjectionScratch& scratch) const;
-
-  /// Batch integer-path projection, same layout contract as project_batch.
+  /// Batch form: `windows` holds `count` windows of expected_window()
+  /// samples each, concatenated; `out` receives count x coefficients()
+  /// values, row-major, each row equal to project_int_into of its window.
+  /// No per-beat heap allocation: the only buffer is scratch.downsampled,
+  /// reused across beats.
   void project_int_batch(std::span<const dsp::Sample> windows,
                          std::size_t count, std::span<std::int32_t> out,
                          ProjectionScratch& scratch) const;
 
   const TernaryMatrix& matrix() const { return dense_; }
   const PackedTernaryMatrix& packed() const { return packed_; }
-  const kernels::SparseTernary& sparse() const { return sparse_; }
 
  private:
   TernaryMatrix dense_;
   PackedTernaryMatrix packed_;
   // Runtime execution format: per-row +1/-1 index lists built once from the
   // dense matrix. dense_ stays the train-time form, packed_ the
-  // storage/serialization form; every projection entry point executes from
-  // sparse_ (bit-identical by the kernels equivalence contract).
+  // storage/serialization form; both projection calls execute from sparse_.
   kernels::SparseTernary sparse_;
   std::size_t downsample_ = 1;
 };

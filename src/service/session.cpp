@@ -208,6 +208,9 @@ void Session::mirror_monitor_stats() {
                                     std::memory_order_relaxed);
   telemetry_.sqi_recoveries.store(stats.recoveries,
                                   std::memory_order_relaxed);
+  telemetry_.samples_clamped.store(stats.clamped, std::memory_order_relaxed);
+  telemetry_.bad_signal_samples.store(stats.bad_signal_samples,
+                                      std::memory_order_relaxed);
 }
 
 void Session::mirror_drift() {

@@ -73,6 +73,8 @@ struct SessionTelemetry {
   /// Mirrored from core::MonitorStats after each pump round.
   std::atomic<std::uint64_t> sqi_degradations{0};
   std::atomic<std::uint64_t> sqi_recoveries{0};
+  std::atomic<std::uint64_t> samples_clamped{0};  ///< out-of-rail codes
+  std::atomic<std::uint64_t> bad_signal_samples{0};  ///< suppressed while Bad
   /// Mirrored from the session's drift::DriftTracker after each pump
   /// round; all zero when drift tracking is disabled.
   std::atomic<std::uint64_t> drift_beats{0};
@@ -143,8 +145,10 @@ struct FleetTelemetry {
 /// no cluster map); version 6 removed the per-session eviction count
 /// (session ingest is lossless: a queued sample is never evicted); version
 /// 7 removed the per-session nonfinite_rejected count (sessions take ADC
-/// codes; a producer holding doubles sanitizes them at its own edge).
-inline constexpr std::uint64_t kTelemetrySchemaVersion = 7;
+/// codes; a producer holding doubles sanitizes them at its own edge);
+/// version 8 added the per-session samples_clamped and bad_signal_samples
+/// counts, mirrored from the session's monitor.
+inline constexpr std::uint64_t kTelemetrySchemaVersion = 8;
 
 /// The snapshot writers' one field formatter: appends `"key": v` to `out`,
 /// preceded by ", " unless `first` (a double never opens an object).

@@ -9,6 +9,7 @@
 #include "dsp/morphology.hpp"
 #include "ecg/dataset.hpp"
 #include "kernels/dsp_condition.hpp"
+#include "lifecycle/bundle.hpp"
 
 namespace {
 
@@ -86,6 +87,37 @@ TEST(Determinism, ParallelTrainingBitIdenticalToSerial) {
       hbrp::core::evaluate(b.nfc, proj_b, b.alpha_train, &executor);
   EXPECT_DOUBLE_EQ(cm_serial.ndr(), cm_parallel.ndr());
   EXPECT_DOUBLE_EQ(cm_serial.arr(), cm_parallel.arr());
+}
+
+// Golden digest of a trained model bundle: projection matrix, MFs, alpha
+// and the drift centroids of ts1, committed while the trainer still ran its
+// own double-typed projection. Run-vs-run checks above cannot see a change
+// that moves both runs alike; this one fails on any moved bit of what
+// training produces. Also run under HBRP_FORCE_SCALAR=1, because training
+// evaluates its MFs with the dispatched log_fuzzy_batch kernel.
+TEST(Determinism, TrainedBundleDigestIsPinned) {
+  hbrp::ecg::DatasetBuilderConfig dcfg;
+  dcfg.record_duration_s = 120.0;
+  dcfg.max_per_record_per_class = 20;
+  dcfg.seed = 911;
+  const auto ts1 = hbrp::ecg::build_dataset({90, 90, 90}, dcfg);
+  dcfg.max_per_record_per_class = 60;
+  dcfg.seed = 912;
+  const auto ts2 = hbrp::ecg::build_dataset({600, 80, 80}, dcfg);
+  hbrp::core::TwoStepConfig cfg;
+  cfg.ga.population = 4;
+  cfg.ga.generations = 3;
+  cfg.seed = 914;
+  cfg.threads = 1;
+  const hbrp::core::TrainedClassifier trained =
+      hbrp::core::TwoStepTrainer(ts1, ts2, cfg).run();
+  const hbrp::lifecycle::ModelBundle bundle{
+      .model = trained,
+      .centroids =
+          hbrp::core::compute_training_centroids(trained.quantize(), ts1)};
+  EXPECT_EQ(hbrp::lifecycle::bundle_digest(
+                hbrp::lifecycle::encode_bundle(bundle)),
+            0x215616563b352bccull);
 }
 
 TEST(Determinism, FitnessIsAPureFunctionOfTheMatrix) {

@@ -2,6 +2,8 @@
 // synthetic generator's ground-truth annotations.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "dsp/morphology.hpp"
 #include "dsp/peak_detect.hpp"
 #include "ecg/synth.hpp"
@@ -30,6 +32,10 @@ struct ProfileCase {
   hbrp::ecg::RecordProfile profile;
   const char* name;
 };
+
+// Prints the case by name. Without it gtest prints the struct's bytes, and
+// with them the name pointer, into every registered ctest name.
+void PrintTo(const ProfileCase& c, std::ostream* os) { *os << c.name; }
 
 class PeakDetectOnProfile : public ::testing::TestWithParam<ProfileCase> {};
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "ecg/morphology.hpp"
 #include "ecg/synth.hpp"
@@ -99,6 +100,10 @@ struct MixCase {
   RecordProfile profile;
   const char* name;
 };
+
+// Prints the case by name. Without it gtest prints the struct's bytes, and
+// with them the name pointer, into every registered ctest name.
+void PrintTo(const MixCase& c, std::ostream* os) { *os << c.name; }
 
 class SynthMix : public ::testing::TestWithParam<MixCase> {};
 

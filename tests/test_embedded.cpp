@@ -226,8 +226,9 @@ TEST(Bundle, ClassifyWindowRunsFullChain) {
   hbrp::embedded::EmbeddedClassifier bundle(
       proj, IntClassifier::from_float(nfc), 0);
   const hbrp::dsp::Signal window(200, 0);
+  hbrp::embedded::ClassifyScratch scratch;
   // A zero window projects to zeros -> nearest class 0 (centres at 0).
-  EXPECT_EQ(bundle.classify_window(window), BeatClass::N);
+  EXPECT_EQ(bundle.classify_window(window, scratch), BeatClass::N);
   EXPECT_EQ(bundle.memory_bytes(),
             proj.packed().memory_bytes() +
                 bundle.classifier().memory_bytes());

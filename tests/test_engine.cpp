@@ -11,6 +11,7 @@
 #include "core/batch.hpp"
 #include "core/executor.hpp"
 #include "core/trainer.hpp"
+#include "dsp/resample.hpp"
 #include "ecg/dataset.hpp"
 #include "embedded/bundle.hpp"
 #include "math/fixed.hpp"
@@ -151,26 +152,15 @@ struct EngineFixture : ::testing::Test {
   std::unique_ptr<hbrp::embedded::EmbeddedClassifier> bundle;
 };
 
-TEST_F(EngineFixture, ProjectBatchBitIdenticalToPerBeat) {
-  const std::size_t k = projector->coefficients();
-  std::vector<double> batched(batch.size() * k);
-  hbrp::rp::ProjectionScratch scratch;
-  projector->project_batch(batch.windows(), batch.size(), batched, scratch);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto u = projector->project(ds.beats[i].samples);
-    for (std::size_t c = 0; c < k; ++c)
-      ASSERT_EQ(batched[i * k + c], u[c]) << "beat " << i;
-  }
-}
-
 TEST_F(EngineFixture, ProjectIntBatchBitIdenticalToPerBeat) {
   const std::size_t k = projector->coefficients();
   std::vector<std::int32_t> batched(batch.size() * k);
   hbrp::rp::ProjectionScratch scratch;
   projector->project_int_batch(batch.windows(), batch.size(), batched,
                                scratch);
+  std::vector<std::int32_t> u(k);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto u = projector->project_int(ds.beats[i].samples);
+    projector->project_int_into(ds.beats[i].samples, u, scratch);
     for (std::size_t c = 0; c < k; ++c)
       ASSERT_EQ(batched[i * k + c], u[c]) << "beat " << i;
   }
@@ -178,15 +168,13 @@ TEST_F(EngineFixture, ProjectIntBatchBitIdenticalToPerBeat) {
 
 TEST_F(EngineFixture, NfcClassifyBatchMatchesPerBeat) {
   const std::size_t k = projector->coefficients();
-  std::vector<double> u(batch.size() * k);
-  hbrp::rp::ProjectionScratch scratch;
-  projector->project_batch(batch.windows(), batch.size(), u, scratch);
+  const auto data = hbrp::core::project_dataset(batch, *projector);
+  const std::span<const double> u = data.u.flat();
   for (const double alpha : {0.0, 0.05, 0.5}) {
     std::vector<hbrp::ecg::BeatClass> out(batch.size());
     nfc->classify_batch(u, batch.size(), alpha, out);
     for (std::size_t i = 0; i < batch.size(); ++i)
-      ASSERT_EQ(out[i],
-                nfc->classify({u.data() + i * k, k}, alpha))
+      ASSERT_EQ(out[i], nfc->classify(u.subspan(i * k, k), alpha))
           << "alpha " << alpha << " beat " << i;
   }
 }
@@ -195,8 +183,10 @@ TEST_F(EngineFixture, EmbeddedClassifyBatchMatchesClassifyWindow) {
   std::vector<hbrp::ecg::BeatClass> out(batch.size());
   hbrp::embedded::ClassifyScratch scratch;
   bundle->classify_batch(batch.windows(), batch.size(), out, scratch);
+  hbrp::embedded::ClassifyScratch window_scratch;
   for (std::size_t i = 0; i < batch.size(); ++i)
-    ASSERT_EQ(out[i], bundle->classify_window(ds.beats[i].samples))
+    ASSERT_EQ(out[i],
+              bundle->classify_window(ds.beats[i].samples, window_scratch))
         << "beat " << i;
 }
 
@@ -206,32 +196,32 @@ TEST_F(EngineFixture, BatchEntryPointsHandleEmptyAndSingleBeat) {
   const std::size_t k = projector->coefficients();
 
   // Empty batch: every entry point is a no-op.
-  projector->project_batch({}, 0, {}, scratch);
   projector->project_int_batch({}, 0, {}, scratch);
   nfc->classify_batch({}, 0, 0.1, {});
   bundle->classify_batch({}, 0, {}, escratch);
 
   // Single beat: identical to the scalar call.
-  std::vector<double> u(k);
-  projector->project_batch(batch.window(0), 1, u, scratch);
-  const auto expect = projector->project(ds.beats[0].samples);
-  for (std::size_t c = 0; c < k; ++c) ASSERT_EQ(u[c], expect[c]);
+  std::vector<std::int32_t> u(k), expect(k);
+  projector->project_int_batch(batch.window(0), 1, u, scratch);
+  projector->project_int_into(ds.beats[0].samples, expect, scratch);
+  EXPECT_EQ(u, expect);
   hbrp::ecg::BeatClass cls;
   bundle->classify_batch(batch.window(0), 1, {&cls, 1}, escratch);
-  EXPECT_EQ(cls, bundle->classify_window(ds.beats[0].samples));
+  hbrp::embedded::ClassifyScratch window_scratch;
+  EXPECT_EQ(cls, bundle->classify_window(ds.beats[0].samples, window_scratch));
 }
 
 TEST_F(EngineFixture, BatchSizeMismatchesAreRejected) {
   hbrp::rp::ProjectionScratch scratch;
   const std::size_t k = projector->coefficients();
-  std::vector<double> u(batch.size() * k);
+  std::vector<std::int32_t> u(batch.size() * k);
   // Output span too small for the count.
-  EXPECT_THROW(projector->project_batch(batch.windows(), batch.size(),
-                                        {u.data(), k}, scratch),
+  EXPECT_THROW(projector->project_int_batch(batch.windows(), batch.size(),
+                                            {u.data(), k}, scratch),
                hbrp::Error);
   // Window span not a multiple of the expected window.
-  EXPECT_THROW(projector->project_batch(batch.windows().subspan(1),
-                                        batch.size(), u, scratch),
+  EXPECT_THROW(projector->project_int_batch(batch.windows().subspan(1),
+                                            batch.size(), u, scratch),
                hbrp::Error);
 }
 
@@ -256,6 +246,25 @@ TEST_F(EngineFixture, EvaluateEmbeddedBatchAndParallelIdenticalToLegacy) {
   EXPECT_EQ(legacy.arr(), batched.arr());
   EXPECT_EQ(legacy.ndr(), parallel.ndr());
   EXPECT_EQ(legacy.arr(), parallel.arr());
+}
+
+// The trainer's double-typed data: every row, from either overload, is the
+// dense double-typed projection of the beat's downsampled window.
+TEST_F(EngineFixture, ProjectDatasetRowsAreTheDenseFloatProjection) {
+  const auto a = hbrp::core::project_dataset(ds, *projector);
+  const auto b = hbrp::core::project_dataset(batch, *projector);
+  ASSERT_EQ(a.u.rows(), ds.beats.size());
+  ASSERT_EQ(b.u.rows(), ds.beats.size());
+  for (std::size_t i = 0; i < ds.beats.size(); ++i) {
+    const hbrp::dsp::Signal down = hbrp::dsp::downsample_avg(
+        ds.beats[i].samples, projector->downsample_factor());
+    const std::vector<double> x(down.begin(), down.end());
+    const auto ref = projector->matrix().apply(std::span<const double>(x));
+    for (std::size_t c = 0; c < ref.size(); ++c) {
+      ASSERT_EQ(a.u.at(i, c), ref[c]) << "beat " << i;
+      ASSERT_EQ(b.u.at(i, c), ref[c]) << "beat " << i;
+    }
+  }
 }
 
 TEST_F(EngineFixture, ProjectDatasetBatchIdenticalToPerBeatOverload) {

@@ -1,6 +1,6 @@
 // Kernel-layer equivalence gates: the sparse-index projection vs. the dense
-// and packed reference kernels, the batch fuzzification kernels vs. the
-// per-value canonical forms, and scalar-vs-AVX2 bit-identity. These tests
+// reference, the batch fuzzification kernels vs. the per-value canonical
+// forms, and scalar-vs-AVX2 bit-identity. These tests
 // are the enforcement of the equivalence contract documented in
 // src/kernels/*.hpp and DESIGN.md §10.
 #include <gtest/gtest.h>
@@ -43,29 +43,29 @@ std::vector<Sample> random_samples(std::size_t n, Rng& rng, std::int32_t lo,
   return v;
 }
 
-// --- sparse-index projection vs. the dense/packed references ---------------
+// --- sparse-index projection vs. the dense reference ------------------------
 
 TEST(SparseTernary, MatchesDenseAndPackedOnRandomShapes) {
+  // Built from the dense form or from the 2-bit storage form, the kernel
+  // reproduces the dense reference.
   Rng rng(20250806);
   for (const std::size_t k : {std::size_t{8}, std::size_t{16}, std::size_t{32}}) {
     for (int rep = 0; rep < 8; ++rep) {
       const TernaryMatrix dense = make_achlioptas(k, 50, rng);
       const PackedTernaryMatrix packed(dense);
       const kernels::SparseTernary sparse = sparse_from(dense);
+      const kernels::SparseTernary from_packed = kernels::SparseTernary::build(
+          k, 50,
+          [&packed](std::size_t r, std::size_t c) { return packed.at(r, c); });
 
       const std::vector<Sample> v = random_samples(50, rng, -2048, 2047);
-      std::vector<std::int32_t> ref_int(k), got_int(k);
-      std::vector<double> ref_f(k), got_f(k);
-      packed.apply_into(v, ref_int);
-      dense.apply_into(v, ref_f);
-      sparse.apply_into(v, std::span<std::int32_t>(got_int));
-      sparse.apply_into(v, std::span<double>(got_f));
-
-      EXPECT_EQ(ref_int, got_int) << "k=" << k << " rep=" << rep;
-      // Integer-sample inputs: every partial sum is exact in double, so the
-      // float path is bit-identical, not merely close.
-      for (std::size_t r = 0; r < k; ++r)
-        EXPECT_EQ(ref_f[r], got_f[r]) << "k=" << k << " row=" << r;
+      const std::vector<std::int32_t> ref =
+          dense.apply(std::span<const Sample>(v));
+      std::vector<std::int32_t> got(k), got_packed(k);
+      sparse.apply_into(v, got);
+      from_packed.apply_into(v, got_packed);
+      EXPECT_EQ(ref, got) << "k=" << k << " rep=" << rep;
+      EXPECT_EQ(ref, got_packed) << "k=" << k << " rep=" << rep;
     }
   }
 }
@@ -81,35 +81,33 @@ TEST(SparseTernary, AllZeroRowsAndNoNegativeRows) {
 
   Rng rng(7);
   const std::vector<Sample> v = random_samples(50, rng, -5000, 5000);
-  std::vector<std::int32_t> ref(4), got(4);
-  std::vector<double> ref_f(4), got_f(4);
-  m.apply_into(v, ref);
-  m.apply_into(v, ref_f);
-  sparse.apply_into(v, std::span<std::int32_t>(got));
-  sparse.apply_into(v, std::span<double>(got_f));
+  const std::vector<std::int32_t> ref = m.apply(std::span<const Sample>(v));
+  std::vector<std::int32_t> got(4);
+  sparse.apply_into(v, got);
   EXPECT_EQ(got[0], 0);
-  EXPECT_EQ(got_f[0], 0.0);
   EXPECT_EQ(ref, got);
-  for (std::size_t r = 0; r < 4; ++r) EXPECT_EQ(ref_f[r], got_f[r]);
 }
 
 TEST(SparseTernary, ExtremeSampleValuesWrapLikeReference) {
-  // Integer overflow must wrap identically to the packed kernel (int32
-  // accumulation is modular either way).
+  // A row sum that does not fit int32 converts modulo 2^32, identically in
+  // the kernel and the dense reference. Both sum exactly in int64 first:
+  // signed int32 overflow would be undefined, not modular.
   TernaryMatrix m(2, 4);
   m.set(0, 0, 1);
   m.set(0, 1, 1);
   m.set(0, 2, 1);
   m.set(1, 0, 1);
   m.set(1, 1, -1);
-  const PackedTernaryMatrix packed(m);
   const kernels::SparseTernary sparse = sparse_from(m);
   const std::int32_t big = std::numeric_limits<std::int32_t>::max();
   const std::vector<Sample> v = {big, big, big, -7};
-  std::vector<std::int32_t> ref(2), got(2);
-  packed.apply_into(v, ref);
-  sparse.apply_into(v, std::span<std::int32_t>(got));
+  const std::vector<std::int32_t> ref = m.apply(std::span<const Sample>(v));
+  std::vector<std::int32_t> got(2);
+  sparse.apply_into(v, got);
   EXPECT_EQ(ref, got);
+  // 3 * (2^31 - 1) = 2^32 + 2^31 - 3, which converts to 2^31 - 3.
+  EXPECT_EQ(ref[0], big - 2);
+  EXPECT_EQ(ref[1], 0);
 }
 
 TEST(SparseTernary, NonzerosAndShapeAccessors) {
@@ -279,7 +277,8 @@ TEST(ClassifierBatch, IntSmallBatchFallbackMatches) {
   for (std::int32_t& x : u)
     x = static_cast<std::int32_t>(rng.uniform_int(-400, 400));
   std::vector<hbrp::ecg::BeatClass> batch(count);
-  ic.classify_batch(u, count, 0, batch);
+  hbrp::embedded::FuzzifyScratch scratch;
+  ic.classify_batch(u, count, 0, batch, scratch);
   for (std::size_t i = 0; i < count; ++i)
     EXPECT_EQ(batch[i],
               ic.classify(std::span<const std::int32_t>(u).subspan(i * k, k), 0));

@@ -8,6 +8,7 @@
 #include "dsp/morphology.hpp"
 #include "dsp/resample.hpp"
 #include "embedded/int_classifier.hpp"
+#include "kernels/sparse_ternary.hpp"
 #include "math/check.hpp"
 #include "math/rng.hpp"
 #include "nfc/classifier.hpp"
@@ -18,7 +19,9 @@ namespace {
 using hbrp::math::Rng;
 
 // ---------------------------------------------------------------------------
-// Packed matrix == dense matrix, for arbitrary shapes and inputs.
+// Packed matrix == dense matrix, for arbitrary shapes and inputs: the 2-bit
+// storage round-trips, and the kernel built from it projects like the
+// dense reference.
 class PackedEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PackedEquivalence, ApplyAgreesWithDense) {
@@ -27,9 +30,14 @@ TEST_P(PackedEquivalence, ApplyAgreesWithDense) {
   const std::size_t d = 1 + rng.uniform_index(300);
   const auto p = hbrp::rp::make_achlioptas(k, d, rng);
   const hbrp::rp::PackedTernaryMatrix packed(p);
+  const auto sparse = hbrp::kernels::SparseTernary::build(
+      k, d,
+      [&packed](std::size_t r, std::size_t c) { return packed.at(r, c); });
   hbrp::dsp::Signal v(d);
   for (auto& x : v) x = static_cast<int>(rng.uniform_int(-4096, 4095));
-  EXPECT_EQ(packed.apply(v), p.apply(std::span<const hbrp::dsp::Sample>(v)));
+  std::vector<std::int32_t> u(k);
+  sparse.apply_into(v, u);
+  EXPECT_EQ(u, p.apply(std::span<const hbrp::dsp::Sample>(v)));
   EXPECT_EQ(packed.unpack(), p);
 }
 
@@ -208,7 +216,8 @@ TEST_P(NfcProperties, ClassifyBatchEquivalentToPerBeat) {
 
     std::vector<hbrp::ecg::BeatClass> out(count), out_int(count);
     nfc.classify_batch(u, count, alpha, out);
-    integer.classify_batch(ui, count, alpha_q16, out_int);
+    hbrp::embedded::FuzzifyScratch scratch;
+    integer.classify_batch(ui, count, alpha_q16, out_int, scratch);
     for (std::size_t i = 0; i < count; ++i) {
       EXPECT_EQ(out[i], nfc.classify({u.data() + i * k, k}, alpha));
       EXPECT_EQ(out_int[i],

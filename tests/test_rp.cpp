@@ -1,8 +1,10 @@
-// Tests for Achlioptas random projections: generation, packing, projection
-// paths and Johnson-Lindenstrauss behaviour.
+// Tests for Achlioptas random projections: generation, packing, the
+// projector's window chain and Johnson-Lindenstrauss behaviour.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "math/check.hpp"
 #include "rp/achlioptas.hpp"
@@ -113,15 +115,6 @@ TEST(Packed, MemoryIsQuarterOfBytePerElement) {
   EXPECT_EQ(packed.memory_bytes() * 4, p.rows() * p.cols());
 }
 
-TEST(Packed, ApplyMatchesDense) {
-  Rng rng(9);
-  const TernaryMatrix p = make_achlioptas(32, 50, rng);
-  const PackedTernaryMatrix packed(p);
-  hbrp::dsp::Signal v(50);
-  for (auto& x : v) x = static_cast<int>(rng.uniform_int(-2048, 2047));
-  EXPECT_EQ(packed.apply(v), p.apply(std::span<const hbrp::dsp::Sample>(v)));
-}
-
 TEST(Packed, AtOutOfRangeThrows) {
   Rng rng(10);
   const PackedTernaryMatrix packed(make_achlioptas(2, 5, rng));
@@ -164,31 +157,27 @@ TEST(Jl, InvalidInputsThrow) {
 
 TEST(Projector, WindowChainDimensions) {
   Rng rng(14);
-  hbrp::rp::BeatProjector proj(make_achlioptas(8, 50, rng), 4);
+  const TernaryMatrix p = make_achlioptas(8, 50, rng);
+  hbrp::rp::BeatProjector proj(p, 4);
   EXPECT_EQ(proj.coefficients(), 8u);
   EXPECT_EQ(proj.expected_window(), 200u);
-  hbrp::dsp::Signal window(200, 100);
-  EXPECT_EQ(proj.project(window).size(), 8u);
-  EXPECT_EQ(proj.project_int(window).size(), 8u);
-}
-
-TEST(Projector, FloatAndIntPathsAgree) {
-  Rng rng(15);
-  hbrp::rp::BeatProjector proj(make_achlioptas(16, 50, rng), 4);
-  hbrp::dsp::Signal window(200);
-  for (auto& x : window) x = static_cast<int>(rng.uniform_int(-900, 900));
-  const auto fd = proj.project(window);
-  const auto fi = proj.project_int(window);
-  for (std::size_t i = 0; i < fd.size(); ++i)
-    EXPECT_DOUBLE_EQ(fd[i], static_cast<double>(fi[i]));
+  // A constant window downsamples to 50 samples of the same constant.
+  const hbrp::dsp::Signal window(200, 100);
+  const hbrp::dsp::Signal downsampled(50, 100);
+  std::vector<std::int32_t> u(8);
+  hbrp::rp::ProjectionScratch scratch;
+  proj.project_int_into(window, u, scratch);
+  EXPECT_EQ(u, p.apply(std::span<const hbrp::dsp::Sample>(downsampled)));
 }
 
 TEST(Projector, WrongWindowSizeThrows) {
   Rng rng(16);
   hbrp::rp::BeatProjector proj(make_achlioptas(8, 50, rng), 4);
   hbrp::dsp::Signal bad(199, 0);
-  EXPECT_THROW(proj.project(bad), hbrp::Error);
-  EXPECT_THROW(proj.project_int(bad), hbrp::Error);
+  std::vector<std::int32_t> u(8);
+  hbrp::rp::ProjectionScratch scratch;
+  EXPECT_THROW(proj.project_int_into(bad, u, scratch), hbrp::Error);
+  EXPECT_THROW(proj.project_int_batch(bad, 1, u, scratch), hbrp::Error);
 }
 
 TEST(Projector, DownsampleOneIsDirectProjection) {
@@ -199,7 +188,10 @@ TEST(Projector, DownsampleOneIsDirectProjection) {
   hbrp::dsp::Signal window(50);
   for (auto& x : window) x = static_cast<int>(rng.uniform_int(-100, 100));
   const auto direct = p.apply(std::span<const hbrp::dsp::Sample>(window));
-  EXPECT_EQ(proj.project_int(window), direct);
+  std::vector<std::int32_t> u(8);
+  hbrp::rp::ProjectionScratch scratch;
+  proj.project_int_into(window, u, scratch);
+  EXPECT_EQ(u, direct);
 }
 
 }  // namespace

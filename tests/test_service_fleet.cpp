@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -414,6 +416,51 @@ TEST_F(FleetEngineTest, TelemetryJsonSnapshot) {
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
+}
+
+// A session mirrors what its monitor clamped and suppressed into its
+// telemetry and the JSON snapshot, so an operator can see a node streaming
+// out-of-rail codes and how much signal a lead-off cost.
+TEST_F(FleetEngineTest, TelemetryCountsClampedAndSuppressedSamples) {
+  Signal codes = patient_lead(61, 30.0);
+  const std::size_t n = codes.size();
+  codes[n / 5] = 4000;
+  codes[n / 5 + 1] = -4000;
+  codes[n / 5 + 2] = std::numeric_limits<Sample>::max();
+  codes[n / 5 + 3] = 2048;
+  // Lead-off: a 3 s flat line.
+  std::fill_n(codes.begin() + static_cast<std::ptrdiff_t>(n / 2),
+              3 * hbrp::dsp::kMitBihFs, Sample{0});
+  const auto out_of_rail = static_cast<std::uint64_t>(std::count_if(
+      codes.begin(), codes.end(), [](Sample x) { return x < 0 || x > 2047; }));
+  ASSERT_GE(out_of_rail, 4u);
+
+  // Reference: a standalone monitor over the same codes.
+  hbrp::core::StreamingBeatMonitor monitor(*bundle_);
+  monitor.push_block(codes, [](const hbrp::core::PendingBeat&) {});
+  const std::uint64_t clamped = monitor.stats().clamped;
+  const std::uint64_t suppressed = monitor.stats().bad_signal_samples;
+  EXPECT_EQ(clamped, out_of_rail);
+  ASSERT_GT(suppressed, 0u);
+
+  FleetEngine engine(*bundle_, {});
+  const auto id = engine.open_session({});
+  ASSERT_TRUE(id);
+  ASSERT_EQ(engine.offer(*id, std::span<const Sample>(codes)).accepted, n);
+  engine.drain();
+  const auto* t = engine.session_telemetry(*id);
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->samples_clamped.load(), clamped);
+  EXPECT_EQ(t->bad_signal_samples.load(), suppressed);
+  const std::string json = engine.telemetry_json();
+  EXPECT_NE(json.find("\"samples_clamped\": " + std::to_string(clamped)),
+            std::string::npos)
+      << json;
+  EXPECT_NE(
+      json.find("\"bad_signal_samples\": " + std::to_string(suppressed)),
+      std::string::npos)
+      << json;
+  EXPECT_TRUE(engine.close_session(*id));
 }
 
 TEST_F(FleetEngineTest, ConcurrentProducersWithLivePump) {
