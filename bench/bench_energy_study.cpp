@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
   bench::JsonReport report("energy_study");
   const bench::WallTimer timer;
   const auto splits = bench::load_splits(args);
-  const core::BeatBatch test_batch = core::BeatBatch::from_dataset(splits.test);
   const core::Executor executor(args.threads);
 
   const auto cfg = bench::trainer_config(args, 8);
@@ -29,7 +28,7 @@ int main(int argc, char** argv) {
   const auto cm = bench::at_min_arr(
       [&](double alpha) {
         bundle.set_alpha_q16(math::to_q16(alpha));
-        return core::evaluate_embedded(bundle, test_batch, &executor);
+        return core::evaluate_embedded(bundle, splits.test, &executor);
       },
       0.97);
 
@@ -89,7 +88,7 @@ int main(int argc, char** argv) {
              100.0 * platform::relative_saving(base.radio_w, prop.radio_w));
   report.set("total_saving_pct",
              100.0 * platform::relative_saving(base.total_w(), prop.total_w()));
-  report.set("test_beats", test_batch.size());
+  report.set("test_beats", splits.test.size());
   report.set("threads", executor.threads());
   report.set("wall_s", timer.seconds());
   report.write(args.json_path);

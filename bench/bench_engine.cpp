@@ -7,10 +7,10 @@
 //      MF parameters, same alpha, same metrics); this harness asserts it
 //      and fails hard on any divergence, so the reported speedup is only
 //      ever quoted for equivalent results.
-//   2. Batched evaluation — the contiguous BeatBatch path (projection and
-//      integer classification over an arena, reusable scratch, no per-beat
-//      allocation) versus the legacy per-beat loop, serial and with the
-//      executor.
+//   2. Evaluation throughput — core::evaluate_embedded over the test
+//      split's window arena (projection and integer classification in
+//      classify_batch sweeps, reusable scratch, no per-beat allocation),
+//      serial and with the executor; the two must agree exactly.
 //
 // Datasets are synthetic and self-contained (no cached splits), so the
 // binary runs anywhere in seconds and the JSON report is reproducible.
@@ -102,49 +102,39 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- 2. Batched vs per-beat evaluation ---------------------------------
-  bench::print_header("Engine — batched evaluation throughput");
+  // --- 2. Evaluation throughput: serial vs executor ---------------------
+  bench::print_header("Engine — evaluation throughput");
   const auto bundle = trained_serial.quantize();
-  const core::BeatBatch batch = core::BeatBatch::from_dataset(test);
   const core::Executor executor(nthreads);
   const std::size_t reps = args.quick ? 3 : 10;
 
   timer.reset();
-  core::ConfusionMatrix cm_legacy;
+  core::ConfusionMatrix cm_eval;
   for (std::size_t r = 0; r < reps; ++r)
-    cm_legacy = core::evaluate_embedded(bundle, test);
-  const double t_legacy = timer.seconds();
+    cm_eval = core::evaluate_embedded(bundle, test);
+  const double t_eval = timer.seconds();
 
   timer.reset();
-  core::ConfusionMatrix cm_batch;
+  core::ConfusionMatrix cm_eval_mt;
   for (std::size_t r = 0; r < reps; ++r)
-    cm_batch = core::evaluate_embedded(bundle, batch);
-  const double t_batch = timer.seconds();
+    cm_eval_mt = core::evaluate_embedded(bundle, test, &executor);
+  const double t_eval_mt = timer.seconds();
 
-  timer.reset();
-  core::ConfusionMatrix cm_batch_mt;
-  for (std::size_t r = 0; r < reps; ++r)
-    cm_batch_mt = core::evaluate_embedded(bundle, batch, &executor);
-  const double t_batch_mt = timer.seconds();
-
-  if (cm_legacy.ndr() != cm_batch.ndr() ||
-      cm_legacy.arr() != cm_batch.arr() ||
-      cm_legacy.ndr() != cm_batch_mt.ndr() ||
-      cm_legacy.arr() != cm_batch_mt.arr()) {
+  if (cm_eval.ndr() != cm_eval_mt.ndr() ||
+      cm_eval.arr() != cm_eval_mt.arr()) {
     std::fprintf(stderr,
-                 "bench_engine: batched evaluation diverged from per-beat\n");
+                 "bench_engine: parallel evaluation diverged from serial\n");
     return 1;
   }
 
-  const double beats = static_cast<double>(batch.size() * reps);
+  const double beats = static_cast<double>(test.size() * reps);
   auto rate = [beats](double t) { return t > 0.0 ? beats / t : 0.0; };
-  std::printf("%zu beats x %zu reps (NDR %.3f, ARR %.3f — all paths agree)\n",
-              batch.size(), reps, cm_legacy.ndr(), cm_legacy.arr());
-  std::printf("per-beat loop:          %8.0f beats/s\n", rate(t_legacy));
-  std::printf("batched, serial:        %8.0f beats/s  (%.2fx)\n",
-              rate(t_batch), t_batch > 0.0 ? t_legacy / t_batch : 0.0);
-  std::printf("batched, %zu threads:    %8.0f beats/s  (%.2fx)\n", nthreads,
-              rate(t_batch_mt), t_batch_mt > 0.0 ? t_legacy / t_batch_mt : 0.0);
+  const double mt_speedup = t_eval_mt > 0.0 ? t_eval / t_eval_mt : 0.0;
+  std::printf("%zu beats x %zu reps (NDR %.3f, ARR %.3f — both paths agree)\n",
+              test.size(), reps, cm_eval.ndr(), cm_eval.arr());
+  std::printf("serial:                 %8.0f beats/s\n", rate(t_eval));
+  std::printf("%zu threads:             %8.0f beats/s  (%.2fx)\n", nthreads,
+              rate(t_eval_mt), mt_speedup);
 
   report.set("threads", nthreads);
   report.set("hardware_threads", core::Executor::hardware_threads());
@@ -154,15 +144,11 @@ int main(int argc, char** argv) {
   report.set("bit_identical", identical);
   report.set("ndr", cm_s.ndr());
   report.set("arr", cm_s.arr());
-  report.set("test_beats", batch.size());
+  report.set("test_beats", test.size());
   report.set("eval_reps", reps);
-  report.set("eval_perbeat_beats_per_s", rate(t_legacy));
-  report.set("eval_batched_beats_per_s", rate(t_batch));
-  report.set("eval_batched_mt_beats_per_s", rate(t_batch_mt));
-  report.set("eval_batched_speedup",
-             t_batch > 0.0 ? t_legacy / t_batch : 0.0);
-  report.set("eval_batched_mt_speedup",
-             t_batch_mt > 0.0 ? t_legacy / t_batch_mt : 0.0);
+  report.set("eval_batched_beats_per_s", rate(t_eval));
+  report.set("eval_batched_mt_beats_per_s", rate(t_eval_mt));
+  report.set("eval_batched_mt_speedup", mt_speedup);
   report.write(args.json_path);
   return 0;
 }

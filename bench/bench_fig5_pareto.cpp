@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
   bench::JsonReport report("fig5_pareto");
   const bench::WallTimer timer;
   const auto splits = bench::load_splits(args);
-  const core::BeatBatch test_batch = core::BeatBatch::from_dataset(splits.test);
   const core::Executor executor(args.threads);
 
   const auto cfg = bench::trainer_config(args, 8);
@@ -45,10 +44,10 @@ int main(int argc, char** argv) {
     const auto g = core::evaluate(trained.nfc, test_proj, alpha, &executor);
     gauss_pts.push_back({alpha, g.ndr(), g.arr()});
     bundle_lin.set_alpha_q16(math::to_q16(alpha));
-    const auto l = core::evaluate_embedded(bundle_lin, test_batch, &executor);
+    const auto l = core::evaluate_embedded(bundle_lin, splits.test, &executor);
     lin_pts.push_back({alpha, l.ndr(), l.arr()});
     bundle_tri.set_alpha_q16(math::to_q16(alpha));
-    const auto t = core::evaluate_embedded(bundle_tri, test_batch, &executor);
+    const auto t = core::evaluate_embedded(bundle_tri, splits.test, &executor);
     tri_pts.push_back({alpha, t.ndr(), t.arr()});
   }
 
@@ -86,7 +85,7 @@ int main(int argc, char** argv) {
   report.set("ndr_at_arr985_linearized_pct", ndr_at(lin_pts, 0.985));
   report.set("ndr_at_arr985_triangular_pct", ndr_at(tri_pts, 0.985));
   report.set("alpha_points", alphas.size());
-  report.set("test_beats", test_batch.size());
+  report.set("test_beats", splits.test.size());
   report.set("threads", executor.threads());
   report.set("wall_s", timer.seconds());
   report.write(args.json_path);

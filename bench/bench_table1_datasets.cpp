@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
                        const ecg::DatasetSpec& paper) {
     const auto c = ds.counts();
     std::printf("%-16s %8zu %8zu %8zu %10zu   (%zu/%zu/%zu = %zu)\n", name,
-                c.n, c.v, c.l, ds.beats.size(), paper.n, paper.v, paper.l,
+                c.n, c.v, c.l, ds.size(), paper.n, paper.v, paper.l,
                 paper.total());
     report.set(key + "_n", c.n);
     report.set(key + "_v", c.v);

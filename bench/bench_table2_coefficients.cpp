@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
   const bench::WallTimer timer;
 
   const auto splits = bench::load_splits(args);
-  const core::BeatBatch test_batch = core::BeatBatch::from_dataset(splits.test);
   const core::Executor executor(args.threads);
   constexpr double kMinArr = 0.97;
 
@@ -74,7 +73,7 @@ int main(int argc, char** argv) {
     const auto int_cm = bench::at_min_arr(
         [&](double alpha) {
           bundle.set_alpha_q16(math::to_q16(alpha));
-          return core::evaluate_embedded(bundle, test_batch, &executor);
+          return core::evaluate_embedded(bundle, splits.test, &executor);
         },
         kMinArr);
     ndr_wbsn.push_back(100.0 * int_cm.ndr());
@@ -116,7 +115,7 @@ int main(int argc, char** argv) {
   report.set("ndr_pc_pct", std::span<const double>(ndr_pc));
   report.set("ndr_wbsn_pct", std::span<const double>(ndr_wbsn));
   report.set("ndr_pca_pct", std::span<const double>(ndr_pca));
-  report.set("test_beats", test_batch.size());
+  report.set("test_beats", splits.test.size());
 
   if (downsample_sweep) {
     bench::print_header(

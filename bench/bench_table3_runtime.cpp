@@ -80,7 +80,6 @@ int main(int argc, char** argv) {
   const bench::WallTimer timer;
 
   const auto splits = bench::load_splits(args);
-  const core::BeatBatch test_batch = core::BeatBatch::from_dataset(splits.test);
   const core::Executor executor(args.threads);
 
   // Train the k = 8 classifier and measure the workload it induces on the
@@ -93,7 +92,7 @@ int main(int argc, char** argv) {
   const auto cm = bench::at_min_arr(
       [&](double alpha) {
         bundle.set_alpha_q16(math::to_q16(alpha));
-        return core::evaluate_embedded(bundle, test_batch, &executor);
+        return core::evaluate_embedded(bundle, splits.test, &executor);
       },
       0.97);
 
@@ -131,7 +130,7 @@ int main(int argc, char** argv) {
   report.set("arr", cm.arr());
   report.set("ndr", cm.ndr());
   report.set("classifier_memory_bytes", bundle.memory_bytes());
-  report.set("test_beats", test_batch.size());
+  report.set("test_beats", splits.test.size());
   report.set("threads", executor.threads());
   report.set("wall_s", timer.seconds());
   report.write(args.json_path);

@@ -6,13 +6,14 @@
 namespace hbrp::core {
 
 math::Mat dataset_matrix(const ecg::BeatDataset& ds, std::size_t downsample) {
-  HBRP_REQUIRE(!ds.beats.empty(), "dataset_matrix(): empty dataset");
+  HBRP_REQUIRE(!ds.empty(), "dataset_matrix(): empty dataset");
   HBRP_REQUIRE(ds.window_size() % downsample == 0,
                "dataset_matrix(): window not divisible by downsample");
   const std::size_t d = ds.window_size() / downsample;
-  math::Mat out(ds.beats.size(), d);
-  for (std::size_t i = 0; i < ds.beats.size(); ++i) {
-    const dsp::Signal w = dsp::downsample_avg(ds.beats[i].samples, downsample);
+  math::Mat out(ds.size(), d);
+  dsp::Signal w(d);
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    dsp::downsample_avg_into(ds.window(i), downsample, w);
     for (std::size_t c = 0; c < d; ++c)
       out.at(i, c) = static_cast<double>(w[c]);
   }
@@ -29,8 +30,7 @@ PcaClassifier train_pca_baseline(const ecg::BeatDataset& ts1,
 
   ProjectedDataset d1;
   d1.u = cls.pca.transform(x1);
-  d1.labels.reserve(ts1.beats.size());
-  for (const auto& b : ts1.beats) d1.labels.push_back(b.label);
+  d1.labels = ts1.labels;
   nfc::train(cls.nfc, d1.u, d1.labels, cfg.nfc_train);
 
   const ProjectedDataset d2 = project_dataset(ts2, cls);
@@ -42,8 +42,7 @@ ProjectedDataset project_dataset(const ecg::BeatDataset& ds,
                                  const PcaClassifier& cls) {
   ProjectedDataset out;
   out.u = cls.pca.transform(dataset_matrix(ds, cls.downsample));
-  out.labels.reserve(ds.beats.size());
-  for (const auto& b : ds.beats) out.labels.push_back(b.label);
+  out.labels = ds.labels;
   return out;
 }
 

@@ -63,8 +63,7 @@ PipelineResult RealTimePipeline::process(const ecg::Record& record) const {
     leads_ready = true;
   };
 
-  delineation::DelineatorConfig del_cfg = cfg_.delineator;
-  del_cfg.fs_hz = record.fs_hz;
+  const delineation::DelineatorConfig del_cfg{record.fs_hz};
 
   PipelineResult result;
   result.beats.reserve(peaks.size());

@@ -24,7 +24,6 @@ struct PipelineConfig {
   std::size_t window_after = 100;
   dsp::FilterConfig filter = dsp::FilterConfig::for_rate(dsp::kMitBihFs);
   dsp::PeakDetectorConfig peak;
-  delineation::DelineatorConfig delineator;
   /// When false the delineation stage is always on (sub-system (2) mode,
   /// the paper's baseline for Table III).
   bool gate_delineation = true;

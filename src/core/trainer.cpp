@@ -28,48 +28,26 @@ struct ChunkPlan {
   std::size_t end(std::size_t c) const { return (c + 1) * n / chunks; }
 };
 
-// The trainer's double-typed data is the node's integer projection,
-// converted here and nowhere else: row i of the result is window_at(i)
-// projected by project_int_into. The conversion is exact: a window of
-// 12-bit codes projects to |u| <= d * 2^11, far below 2^31, let alone 2^53.
-template <typename WindowAt>
-math::Mat project_rows(std::size_t n, const rp::BeatProjector& projector,
-                       WindowAt window_at) {
-  math::Mat out(n, projector.coefficients());
-  rp::ProjectionScratch scratch;
-  std::vector<std::int32_t> u(projector.coefficients());
-  for (std::size_t i = 0; i < n; ++i) {
-    projector.project_int_into(window_at(i), u, scratch);
-    std::copy(u.begin(), u.end(), out.row(i).begin());
-  }
-  return out;
-}
-
 }  // namespace
 
+// The trainer's double-typed data is the node's integer projection,
+// converted here and nowhere else: row i of the result is window i
+// projected by project_int_into. The conversion is exact: a window of
+// 12-bit codes projects to |u| <= d * 2^11, far below 2^31, let alone 2^53.
 ProjectedDataset project_dataset(const ecg::BeatDataset& ds,
                                  const rp::BeatProjector& projector) {
-  HBRP_REQUIRE(!ds.beats.empty(), "project_dataset(): empty dataset");
+  HBRP_REQUIRE(!ds.empty(), "project_dataset(): empty dataset");
   HBRP_REQUIRE(ds.window_size() == projector.expected_window(),
                "project_dataset(): window/projector size mismatch");
   ProjectedDataset out;
-  out.u = project_rows(ds.beats.size(), projector, [&ds](std::size_t i) {
-    return std::span<const dsp::Sample>(ds.beats[i].samples);
-  });
-  out.labels.reserve(ds.beats.size());
-  for (const ecg::BeatWindow& b : ds.beats) out.labels.push_back(b.label);
-  return out;
-}
-
-ProjectedDataset project_dataset(const BeatBatch& batch,
-                                 const rp::BeatProjector& projector) {
-  HBRP_REQUIRE(!batch.empty(), "project_dataset(): empty batch");
-  HBRP_REQUIRE(batch.window_length() == projector.expected_window(),
-               "project_dataset(): window/projector size mismatch");
-  ProjectedDataset out;
-  out.u = project_rows(batch.size(), projector,
-                       [&batch](std::size_t i) { return batch.window(i); });
-  out.labels.assign(batch.labels().begin(), batch.labels().end());
+  out.u = math::Mat(ds.size(), projector.coefficients());
+  rp::ProjectionScratch scratch;
+  std::vector<std::int32_t> u(projector.coefficients());
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    projector.project_int_into(ds.window(i), u, scratch);
+    std::copy(u.begin(), u.end(), out.u.row(i).begin());
+  }
+  out.labels = ds.labels;
   return out;
 }
 
@@ -103,29 +81,20 @@ ConfusionMatrix evaluate(const nfc::NeuroFuzzyClassifier& nfc,
 }
 
 ConfusionMatrix evaluate_embedded(const embedded::EmbeddedClassifier& cls,
-                                  const ecg::BeatDataset& ds) {
-  ConfusionMatrix cm;
-  rp::ProjectionScratch scratch;
-  std::vector<std::int32_t> u(cls.projector().coefficients());
-  for (const ecg::BeatWindow& b : ds.beats) {
-    cls.projector().project_int_into(b.samples, u, scratch);
-    cm.add(b.label, cls.classifier().classify(u, cls.alpha_q16()));
-  }
-  return cm;
-}
-
-ConfusionMatrix evaluate_embedded(const embedded::EmbeddedClassifier& cls,
-                                  const BeatBatch& batch,
+                                  const ecg::BeatDataset& ds,
                                   const Executor* executor) {
-  const std::size_t w = batch.window_length();
-  const ChunkPlan plan(batch.size(), executor);
+  const std::size_t w = ds.window_size();
+  HBRP_REQUIRE(ds.samples.size() == ds.size() * w,
+               "evaluate_embedded(): inconsistent window arena");
+  const std::span<const dsp::Sample> windows(ds.samples);
+  const ChunkPlan plan(ds.size(), executor);
   if (plan.chunks == 1) {
     embedded::ClassifyScratch scratch;
-    std::vector<ecg::BeatClass> decisions(batch.size());
-    cls.classify_batch(batch.windows(), batch.size(), decisions, scratch);
+    std::vector<ecg::BeatClass> decisions(ds.size());
+    cls.classify_batch(windows, ds.size(), decisions, scratch);
     ConfusionMatrix cm;
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      cm.add(batch.label(i), decisions[i]);
+    for (std::size_t i = 0; i < ds.size(); ++i)
+      cm.add(ds.labels[i], decisions[i]);
     return cm;
   }
   std::vector<ConfusionMatrix> parts(plan.chunks);
@@ -135,10 +104,10 @@ ConfusionMatrix evaluate_embedded(const embedded::EmbeddedClassifier& cls,
     if (count == 0) return;
     embedded::ClassifyScratch scratch;
     std::vector<ecg::BeatClass> decisions(count);
-    cls.classify_batch(batch.windows().subspan(begin * w, count * w), count,
+    cls.classify_batch(windows.subspan(begin * w, count * w), count,
                        decisions, scratch);
     for (std::size_t i = 0; i < count; ++i)
-      parts[c].add(batch.label(begin + i), decisions[i]);
+      parts[c].add(ds.labels[begin + i], decisions[i]);
   });
   ConfusionMatrix cm;
   for (const ConfusionMatrix& part : parts) cm.merge(part);
@@ -200,11 +169,7 @@ embedded::EmbeddedClassifier TrainedClassifier::quantize(
 
 TwoStepTrainer::TwoStepTrainer(const ecg::BeatDataset& ts1,
                                const ecg::BeatDataset& ts2, TwoStepConfig cfg)
-    : ts1_(ts1),
-      ts2_(ts2),
-      batch1_(BeatBatch::from_dataset(ts1)),
-      batch2_(BeatBatch::from_dataset(ts2)),
-      cfg_(std::move(cfg)) {
+    : ts1_(ts1), ts2_(ts2), cfg_(std::move(cfg)) {
   HBRP_REQUIRE(ts1.window_size() == ts2.window_size(),
                "TwoStepTrainer: split window geometry mismatch");
   HBRP_REQUIRE(ts1.window_size() % cfg_.downsample == 0,
@@ -212,22 +177,27 @@ TwoStepTrainer::TwoStepTrainer(const ecg::BeatDataset& ts1,
   HBRP_REQUIRE(cfg_.coefficients >= 1, "TwoStepTrainer: coefficients >= 1");
 }
 
-TrainedClassifier TwoStepTrainer::train_with_projection(
-    const rp::TernaryMatrix& p) const {
+TrainedClassifier TwoStepTrainer::train(const rp::TernaryMatrix& p,
+                                        ProjectedDataset& d2) const {
   rp::BeatProjector projector(p, cfg_.downsample);
-  const ProjectedDataset d1 = project_dataset(batch1_, projector);
+  const ProjectedDataset d1 = project_dataset(ts1_, projector);
   nfc::NeuroFuzzyClassifier classifier(cfg_.coefficients);
   nfc::train(classifier, d1.u, d1.labels, cfg_.nfc_train);
-  const ProjectedDataset d2 = project_dataset(batch2_, projector);
+  d2 = project_dataset(ts2_, projector);
   const double alpha = calibrate_alpha(classifier, d2, cfg_.min_arr);
   return TrainedClassifier{std::move(projector), std::move(classifier),
                            alpha};
 }
 
+TrainedClassifier TwoStepTrainer::train_with_projection(
+    const rp::TernaryMatrix& p) const {
+  ProjectedDataset d2;
+  return train(p, d2);
+}
+
 drift::TrainingCentroids compute_training_centroids(
     const embedded::EmbeddedClassifier& cls, const ecg::BeatDataset& ds) {
-  HBRP_REQUIRE(!ds.beats.empty(),
-               "compute_training_centroids: empty dataset");
+  HBRP_REQUIRE(!ds.empty(), "compute_training_centroids: empty dataset");
   HBRP_REQUIRE(ds.window_size() == cls.projector().expected_window(),
                "compute_training_centroids: window geometry mismatch");
   const std::size_t k = cls.projector().coefficients();
@@ -243,9 +213,9 @@ drift::TrainingCentroids compute_training_centroids(
 
   rp::ProjectionScratch scratch;
   std::vector<std::int32_t> u(k);
-  for (const auto& beat : ds.beats) {
-    cls.projector().project_int_into(beat.samples, u, scratch);
-    const auto c = static_cast<std::size_t>(beat.label);
+  for (std::size_t b = 0; b < ds.size(); ++b) {
+    cls.projector().project_int_into(ds.window(b), u, scratch);
+    const auto c = static_cast<std::size_t>(ds.labels[b]);
     count[c] += 1.0;
     for (std::size_t i = 0; i < k; ++i) {
       const double x = static_cast<double>(u[i]);
@@ -290,8 +260,8 @@ drift::TrainingCentroids compute_training_centroids(
 }
 
 double TwoStepTrainer::fitness(const rp::TernaryMatrix& p) const {
-  const TrainedClassifier trained = train_with_projection(p);
-  const ProjectedDataset d2 = project_dataset(batch2_, trained.projector);
+  ProjectedDataset d2;
+  const TrainedClassifier trained = train(p, d2);
   return evaluate(trained.nfc, d2, trained.alpha_train).ndr();
 }
 

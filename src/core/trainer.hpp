@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/executor.hpp"
 #include "core/metrics.hpp"
 #include "drift/tracker.hpp"
@@ -43,11 +42,6 @@ struct ProjectedDataset {
 ProjectedDataset project_dataset(const ecg::BeatDataset& ds,
                                  const rp::BeatProjector& projector);
 
-/// Batch-engine form over a contiguous BeatBatch arena (no per-beat
-/// allocation). Identical to the per-beat form.
-ProjectedDataset project_dataset(const BeatBatch& batch,
-                                 const rp::BeatProjector& projector);
-
 /// Evaluates a float NFC at threshold `alpha` over a projected dataset.
 /// With an executor, beats are scored in parallel chunks whose partial
 /// confusion matrices merge in chunk order — the result is identical to a
@@ -56,15 +50,13 @@ ConfusionMatrix evaluate(const nfc::NeuroFuzzyClassifier& nfc,
                          const ProjectedDataset& data, double alpha,
                          const Executor* executor = nullptr);
 
-/// Evaluates an integer classifier at `alpha_q16` over beat windows
-/// (runs the full embedded path: downsample, sparse projection, int NFC).
+/// Evaluates an integer classifier at its alpha_q16 over the dataset's
+/// windows: the full embedded path (downsample, sparse projection, int
+/// NFC) as one classify_batch sweep over the arena. With an executor,
+/// chunks run in parallel and merge in chunk order — identical to a serial
+/// run for any thread count.
 ConfusionMatrix evaluate_embedded(const embedded::EmbeddedClassifier& cls,
-                                  const ecg::BeatDataset& ds);
-
-/// Batch-engine form over a contiguous BeatBatch, optionally parallel.
-/// Bit-identical to the per-beat form for any thread count.
-ConfusionMatrix evaluate_embedded(const embedded::EmbeddedClassifier& cls,
-                                  const BeatBatch& batch,
+                                  const ecg::BeatDataset& ds,
                                   const Executor* executor = nullptr);
 
 /// Smallest alpha such that ARR >= min_arr on `data` (1.0 if unreachable).
@@ -109,7 +101,8 @@ struct TrainedClassifier {
 
 class TwoStepTrainer {
  public:
-  /// ts1/ts2 per Table I; both must use the same window geometry.
+  /// ts1/ts2 per Table I; both must use the same window geometry. The
+  /// trainer keeps references, not copies: both splits must outlive it.
   TwoStepTrainer(const ecg::BeatDataset& ts1, const ecg::BeatDataset& ts2,
                  TwoStepConfig cfg);
 
@@ -126,12 +119,14 @@ class TwoStepTrainer {
   const std::vector<double>& last_history() const { return history_; }
 
  private:
+  /// train_with_projection(), also handing back ts2 as the trained
+  /// projector projects it, so fitness() scores the candidate without
+  /// projecting ts2 a second time.
+  TrainedClassifier train(const rp::TernaryMatrix& p,
+                          ProjectedDataset& d2) const;
+
   const ecg::BeatDataset& ts1_;
   const ecg::BeatDataset& ts2_;
-  // Both splits copied once into contiguous arenas; every candidate
-  // evaluation then runs the batched, allocation-free path over them.
-  BeatBatch batch1_;
-  BeatBatch batch2_;
   TwoStepConfig cfg_;
   mutable std::vector<double> history_;
 };

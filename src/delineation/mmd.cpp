@@ -19,6 +19,17 @@ dsp::Signal mmd(const dsp::Signal& x, std::size_t length) {
 
 namespace {
 
+/// MMD structuring-element length, in seconds, for QRS-scale analysis.
+constexpr double kQrsScaleS = 0.06;
+/// Search windows relative to the R peak (seconds).
+constexpr double kQrsOnsetSearchS = 0.18;
+constexpr double kQrsEndSearchS = 0.20;
+constexpr double kPSearchS = 0.32;
+constexpr double kTSearchS = 0.48;
+/// Amplitude threshold (fraction of wave peak MMD response) used to
+/// accept a P/T wave as present.
+constexpr double kWavePresenceFrac = 0.08;
+
 std::size_t odd_samples(double seconds, int fs) {
   auto n = static_cast<std::size_t>(seconds * fs);
   if (n % 2 == 0) ++n;
@@ -97,17 +108,15 @@ ecg::Fiducials delineate_beat(const dsp::Signal& conditioned,
   const std::size_t r = r_peak - crop_lo;
   const std::size_t last = crop.size() - 1;
 
-  const dsp::Signal q_resp = mmd(crop, odd_samples(cfg.qrs_scale_s, fs));
+  const dsp::Signal q_resp = mmd(crop, odd_samples(kQrsScaleS, fs));
 
   ecg::Fiducials f;
   f.r_peak = r_peak;
 
   // --- QRS boundaries ------------------------------------------------------
   const std::size_t qrs_lo =
-      r > samples(cfg.qrs_onset_search_s) ? r - samples(cfg.qrs_onset_search_s)
-                                          : 0;
-  const std::size_t qrs_hi =
-      std::min(last, r + samples(cfg.qrs_end_search_s));
+      r > samples(kQrsOnsetSearchS) ? r - samples(kQrsOnsetSearchS) : 0;
+  const std::size_t qrs_hi = std::min(last, r + samples(kQrsEndSearchS));
   dsp::Sample qrs_max = 0;
   for (std::size_t i = qrs_lo; i <= qrs_hi; ++i)
     qrs_max = std::max(qrs_max, static_cast<dsp::Sample>(std::abs(q_resp[i])));
@@ -125,13 +134,13 @@ ecg::Fiducials delineate_beat(const dsp::Signal& conditioned,
 
   // --- P wave --------------------------------------------------------------
   const std::size_t p_lo =
-      r > samples(cfg.p_search_s) ? r - samples(cfg.p_search_s) : 0;
+      r > samples(kPSearchS) ? r - samples(kPSearchS) : 0;
   const std::size_t p_hi = onset > samples(0.012) ? onset - samples(0.012) : 0;
   if (p_hi > p_lo + samples(0.03)) {
     const std::size_t p_peak = abs_argmax(crop, p_lo, p_hi);
     const double r_amp = std::abs(static_cast<double>(crop[r]));
     if (std::abs(static_cast<double>(crop[p_peak])) >=
-            std::max(4.0, cfg.wave_presence_frac * r_amp) &&
+            std::max(4.0, kWavePresenceFrac * r_amp) &&
         p_peak > p_lo && p_peak < p_hi) {
       f.p_peak = crop_lo + p_peak;
       f.p_onset = crop_lo + amplitude_boundary(crop, p_peak, -1, p_lo);
@@ -141,12 +150,12 @@ ecg::Fiducials delineate_beat(const dsp::Signal& conditioned,
 
   // --- T wave --------------------------------------------------------------
   const std::size_t t_lo = std::min(last, end + samples(0.016));
-  const std::size_t t_hi = std::min(last, r + samples(cfg.t_search_s));
+  const std::size_t t_hi = std::min(last, r + samples(kTSearchS));
   if (t_hi > t_lo + samples(0.05)) {
     const std::size_t t_peak = abs_argmax(crop, t_lo, t_hi);
     const double r_amp = std::abs(static_cast<double>(crop[r]));
     if (std::abs(static_cast<double>(crop[t_peak])) >=
-            std::max(4.0, cfg.wave_presence_frac * r_amp) &&
+            std::max(4.0, kWavePresenceFrac * r_amp) &&
         t_peak > t_lo && t_peak < t_hi) {
       f.t_peak = crop_lo + t_peak;
       f.t_onset = crop_lo + amplitude_boundary(crop, t_peak, -1, t_lo);

@@ -26,18 +26,6 @@ dsp::Signal mmd(const dsp::Signal& x, std::size_t length);
 
 struct DelineatorConfig {
   int fs_hz = dsp::kMitBihFs;
-  /// MMD structuring-element lengths, in seconds, for QRS-scale and
-  /// P/T-scale analysis.
-  double qrs_scale_s = 0.06;
-  double wave_scale_s = 0.14;
-  /// Search windows relative to the R peak (seconds).
-  double qrs_onset_search_s = 0.18;
-  double qrs_end_search_s = 0.20;
-  double p_search_s = 0.32;
-  double t_search_s = 0.48;
-  /// Amplitude threshold (fraction of wave peak MMD response) used to
-  /// accept a P/T wave as present.
-  double wave_presence_frac = 0.08;
 };
 
 /// Delineates one beat on conditioned single-lead data.

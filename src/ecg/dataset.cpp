@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "dsp/resample.hpp"
 #include "kernels/dsp_condition.hpp"
 #include "kernels/dsp_peaks.hpp"
 #include "math/check.hpp"
@@ -13,6 +12,9 @@
 namespace hbrp::ecg {
 
 namespace {
+
+/// Peak-to-annotation matching tolerance in samples (~42 ms at 360 Hz).
+constexpr std::size_t kMatchTolerance = 15;
 
 // Matches detected peaks to annotations (both sorted). Returns, per
 // annotation, the index of its matched detection or npos.
@@ -68,10 +70,17 @@ T get(std::ifstream& in) {
 
 }  // namespace
 
+std::span<const dsp::Sample> BeatDataset::window(std::size_t i) const {
+  const std::size_t w = window_size();
+  HBRP_REQUIRE(i < size() && (i + 1) * w <= samples.size(),
+               "BeatDataset::window(): index out of range");
+  return {samples.data() + i * w, w};
+}
+
 DatasetSpec BeatDataset::counts() const {
   DatasetSpec c;
-  for (const BeatWindow& b : beats) {
-    switch (b.label) {
+  for (const BeatClass label : labels) {
+    switch (label) {
       case BeatClass::N: ++c.n; break;
       case BeatClass::V: ++c.v; break;
       case BeatClass::L: ++c.l; break;
@@ -90,7 +99,8 @@ BeatDataset build_dataset(const DatasetSpec& spec,
   ds.window_before = cfg.window_before;
   ds.window_after = cfg.window_after;
   ds.num_leads = cfg.num_leads;
-  ds.beats.reserve(spec.total());
+  ds.samples.reserve(spec.total() * ds.window_size());
+  ds.labels.reserve(spec.total());
 
   DatasetSpec remaining = spec;
   math::Rng rng(cfg.seed);
@@ -127,19 +137,13 @@ BeatDataset build_dataset(const DatasetSpec& spec,
       for (std::size_t i = 0; i < rec.leads.size(); ++i)
         kernels::condition_ecg_block(rec.leads[i], filter_cfg,
                                      condition_scratch, conditioned_leads[i]);
-      if (cfg.use_detected_peaks) {
-        kernels::PeakScratch peak_scratch;
-        kernels::detect_r_peaks_kind(conditioned_leads[0], det_cfg,
-                                     peak_scratch, peaks);
-      }
-    }
-    if (!cfg.use_detected_peaks) {
-      peaks.reserve(rec.beats.size());
-      for (const BeatAnnotation& ann : rec.beats) peaks.push_back(ann.sample);
+      kernels::PeakScratch peak_scratch;
+      kernels::detect_r_peaks_kind(conditioned_leads[0], det_cfg,
+                                   peak_scratch, peaks);
     }
     const dsp::Signal& conditioned = conditioned_leads[0];
     const std::vector<std::size_t> match =
-        match_annotations(peaks, rec.beats, cfg.match_tolerance);
+        match_annotations(peaks, rec.beats, kMatchTolerance);
 
     std::array<std::size_t, kNumClasses> taken_this_record{};
     for (std::size_t ai = 0; ai < rec.beats.size(); ++ai) {
@@ -160,15 +164,14 @@ BeatDataset build_dataset(const DatasetSpec& spec,
       if (taken >= cfg.max_per_record_per_class) continue;
       ++taken;
       --*quota;
-      BeatWindow bw;
-      bw.label = rec.beats[ai].cls;
-      bw.samples.reserve(ds.window_size());
-      for (const dsp::Signal& lead : conditioned_leads) {
-        const dsp::Signal w = dsp::extract_window(
-            lead, peak, cfg.window_before, cfg.window_after);
-        bw.samples.insert(bw.samples.end(), w.begin(), w.end());
-      }
-      ds.beats.push_back(std::move(bw));
+      // The edge guard keeps [peak - before, peak + after) inside every
+      // lead, so each lead's window is a plain slice of it.
+      const auto from = static_cast<std::ptrdiff_t>(peak - cfg.window_before);
+      const auto to = static_cast<std::ptrdiff_t>(peak + cfg.window_after);
+      for (const dsp::Signal& lead : conditioned_leads)
+        ds.samples.insert(ds.samples.end(), lead.begin() + from,
+                          lead.begin() + to);
+      ds.labels.push_back(rec.beats[ai].cls);
     }
   }
   return ds;
@@ -183,14 +186,14 @@ void save_dataset(const BeatDataset& ds, const std::filesystem::path& path) {
   put<std::uint32_t>(out, static_cast<std::uint32_t>(ds.window_before));
   put<std::uint32_t>(out, static_cast<std::uint32_t>(ds.window_after));
   put<std::uint32_t>(out, static_cast<std::uint32_t>(ds.num_leads));
-  put<std::uint64_t>(out, ds.beats.size());
-  for (const BeatWindow& b : ds.beats) {
-    put<std::uint8_t>(out, static_cast<std::uint8_t>(b.label));
-    HBRP_REQUIRE(b.samples.size() == ds.window_size(),
-                 "dataset: inconsistent window size");
-    out.write(reinterpret_cast<const char*>(b.samples.data()),
-              static_cast<std::streamsize>(b.samples.size() *
-                                           sizeof(dsp::Sample)));
+  const std::size_t w = ds.window_size();
+  HBRP_REQUIRE(ds.samples.size() == ds.size() * w,
+               "dataset: inconsistent window size");
+  put<std::uint64_t>(out, ds.size());
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    put<std::uint8_t>(out, static_cast<std::uint8_t>(ds.labels[i]));
+    out.write(reinterpret_cast<const char*>(ds.samples.data() + i * w),
+              static_cast<std::streamsize>(w * sizeof(dsp::Sample)));
   }
   HBRP_REQUIRE(out.good(), "dataset: write failure: " + path.string());
 }
@@ -207,17 +210,25 @@ BeatDataset load_dataset(const std::filesystem::path& path) {
   ds.window_before = get<std::uint32_t>(in);
   ds.window_after = get<std::uint32_t>(in);
   ds.num_leads = get<std::uint32_t>(in);
-  HBRP_REQUIRE(ds.num_leads >= 1, "dataset: invalid lead count");
+  HBRP_REQUIRE(ds.num_leads >= 1 && ds.num_leads <= 3,
+               "dataset: invalid lead count");
   const auto count = get<std::uint64_t>(in);
-  ds.beats.resize(count);
-  for (BeatWindow& b : ds.beats) {
+  const std::size_t w = ds.window_size();
+  // Bound the claimed count by the bytes actually present before sizing
+  // the arena, so a corrupt count cannot request a huge allocation.
+  const std::uintmax_t beat_bytes = 1 + w * sizeof(dsp::Sample);
+  const auto remaining = std::filesystem::file_size(path) -
+                         static_cast<std::uintmax_t>(in.tellg());
+  HBRP_REQUIRE(count <= remaining / beat_bytes,
+               "dataset: truncated beats in " + path.string());
+  ds.samples.resize(count * w);
+  ds.labels.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
     const auto label = get<std::uint8_t>(in);
     HBRP_REQUIRE(label <= 2, "dataset: invalid label");
-    b.label = static_cast<BeatClass>(label);
-    b.samples.resize(ds.window_size());
-    in.read(reinterpret_cast<char*>(b.samples.data()),
-            static_cast<std::streamsize>(b.samples.size() *
-                                         sizeof(dsp::Sample)));
+    ds.labels[i] = static_cast<BeatClass>(label);
+    in.read(reinterpret_cast<char*>(ds.samples.data() + i * w),
+            static_cast<std::streamsize>(w * sizeof(dsp::Sample)));
     HBRP_REQUIRE(in.good(), "dataset: truncated beats in " + path.string());
   }
   return ds;

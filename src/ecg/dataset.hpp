@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,25 +40,27 @@ inline constexpr DatasetSpec kTrainingSet1{150, 150, 150};
 inline constexpr DatasetSpec kTrainingSet2{10024, 892, 1084};
 inline constexpr DatasetSpec kTestSet{74355, 6618, 8039};
 
-/// One labeled beat window (conditioned samples at the acquisition rate).
-/// For multi-lead datasets the per-lead windows are concatenated
-/// lead-major: [lead0 window | lead1 window | ...].
-struct BeatWindow {
-  dsp::Signal samples;
-  BeatClass label = BeatClass::N;
-};
-
+/// Labeled beat windows (conditioned samples at the acquisition rate),
+/// back to back in one arena: beat i occupies samples [i*W, (i+1)*W) with
+/// W = window_size(), and labels[i] is its class. For multi-lead datasets
+/// each window concatenates the per-lead windows lead-major:
+/// [lead0 window | lead1 window | ...].
 struct BeatDataset {
   int fs_hz = dsp::kMitBihFs;
   std::size_t window_before = 100;
   std::size_t window_after = 100;
   std::size_t num_leads = 1;
-  std::vector<BeatWindow> beats;
+  std::vector<dsp::Sample> samples;
+  std::vector<BeatClass> labels;
 
   /// Total samples per beat across all leads.
   std::size_t window_size() const {
     return num_leads * (window_before + window_after);
   }
+  std::size_t size() const { return labels.size(); }
+  bool empty() const { return labels.empty(); }
+  /// Window of beat i, a view into the arena.
+  std::span<const dsp::Sample> window(std::size_t i) const;
   DatasetSpec counts() const;
 };
 
@@ -70,10 +73,6 @@ struct DatasetBuilderConfig {
   std::size_t num_leads = 1;
   /// Synthetic record length; shorter records mean more distinct "patients".
   double record_duration_s = 600.0;
-  /// Peak-to-annotation matching tolerance in samples (~42 ms at 360 Hz).
-  std::size_t match_tolerance = 15;
-  /// When false, windows are cut on annotated peaks (oracle; for ablation).
-  bool use_detected_peaks = true;
   /// Cap on beats taken per class from any single record, so small splits
   /// still span many "patients" (morphology templates). Training on beats
   /// of one or two records would underestimate within-class variance and

@@ -31,10 +31,9 @@ FleetEngine::FleetEngine(embedded::EmbeddedClassifier classifier,
   const std::size_t shards =
       std::max<std::size_t>(1, cfg_.shards != 0 ? cfg_.shards
                                                 : executor_.threads());
-  const std::size_t window = geometry().expected_window();
   shards_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s)
-    shards_.push_back(std::make_unique<Shard>(window));
+    shards_.push_back(std::make_unique<Shard>());
 }
 
 FleetEngine::~FleetEngine() {
@@ -200,20 +199,22 @@ std::size_t FleetEngine::pump_shard_body(std::size_t s) {
   const SteadyClock::time_point t0 = SteadyClock::now();
 
   // Phase 1: drain + window. Each member session is serviced by exactly
-  // this shard and the shard writes only its own batch and scratch — the
+  // this shard and the shard writes only its own windows and scratch — the
   // core::Executor single-writer discipline, now held per reactor too.
   // Staged model swaps are installed first, before any sample of this
   // round is drained: the pump-round edge is a beat boundary, so every
   // beat delivered last round carries the old bundle's version and every
   // beat from here on the new one.
-  shard.batch.clear();
+  const std::size_t k = geometry().coefficients();
+  const std::size_t window = geometry().expected_window();
+  shard.windows.clear();
   shard.run_ends.clear();
   std::uint64_t drained = 0;
   for (Session* session : shard.members) {
     session->apply_pending_swap();
     drained += session->begin_drain(session->config().max_samples_per_pump);
-    session->process_drained(shard.batch);
-    shard.run_ends.push_back(shard.batch.size());
+    session->process_drained(shard.windows);
+    shard.run_ends.push_back(shard.windows.size() / window);
   }
   queued_samples_.fetch_sub(drained, std::memory_order_relaxed);
   shard.queued.fetch_sub(drained, std::memory_order_relaxed);
@@ -225,12 +226,11 @@ std::size_t FleetEngine::pump_shard_body(std::size_t s) {
   // with a fleet on one model (the steady state) this is exactly the old
   // whole-batch call. Per-run projections are gathered into u_all so slot
   // indexing survives the split.
-  const std::size_t k = geometry().coefficients();
-  const std::size_t window = geometry().expected_window();
-  shard.classes.resize(shard.batch.size());
-  shard.u_all.resize(shard.batch.size() * k);
-  if (!shard.batch.empty()) {
-    const std::span<const dsp::Sample> windows = shard.batch.windows();
+  const std::size_t slots = shard.windows.size() / window;
+  shard.classes.resize(slots);
+  shard.u_all.resize(slots * k);
+  if (slots > 0) {
+    const std::span<const dsp::Sample> windows = shard.windows;
     std::size_t begin_slot = 0;
     std::size_t m = 0;
     while (m < shard.members.size()) {
@@ -279,10 +279,9 @@ std::size_t FleetEngine::pump_shard_body(std::size_t s) {
   fleet_.drain_ns.fetch_add(ns_between(t0, t1), std::memory_order_relaxed);
   fleet_.classify_ns.fetch_add(ns_between(t1, t2), std::memory_order_relaxed);
   fleet_.deliver_ns.fetch_add(ns_between(t2, t3), std::memory_order_relaxed);
-  if (!shard.batch.empty()) {
+  if (slots > 0) {
     fleet_.batches.fetch_add(1, std::memory_order_relaxed);
-    fleet_.batched_beats.fetch_add(shard.batch.size(),
-                                   std::memory_order_relaxed);
+    fleet_.batched_beats.fetch_add(slots, std::memory_order_relaxed);
   }
   fleet_.beats_out.fetch_add(beats, std::memory_order_relaxed);
   return beats;

@@ -13,7 +13,7 @@
 //   1. drain + window: the shard drains up to each member session's rate
 //      cap from its ingest queue, runs the monitor in
 //      deferred-classification mode, and appends every finalized beat
-//      window to the shard's core::BeatBatch — the cross-session batch
+//      window to the shard's window vector — the cross-session batch
 //      that is this layer's throughput headline;
 //   2. batch classification: the shard classifies its batch in one
 //      embedded::classify_batch sweep with reusable per-shard scratch —
@@ -65,7 +65,6 @@
 #include <string>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/executor.hpp"
 #include "service/session.hpp"
 #include "service/telemetry.hpp"
@@ -186,18 +185,19 @@ class FleetEngine {
 
  private:
   struct Shard {
-    explicit Shard(std::size_t window_length) : batch(window_length) {}
     /// Serializes pump bodies on this shard (distinct shards run freely).
     std::mutex mutex;
     /// Stable membership, id-sorted. Mutated only under the registry
     /// *unique* lock (open/close), read under the shared lock — so pump
     /// bodies and snapshots never race the list itself.
     std::vector<Session*> members;
-    core::BeatBatch batch;
+    /// This round's windows to classify, back to back (slot i at
+    /// [i * window, (i + 1) * window)).
+    std::vector<dsp::Sample> windows;
     std::vector<ecg::BeatClass> classes;
     embedded::ClassifyScratch scratch;
-    /// Cumulative batch size after each member's phase-1 drain: member i
-    /// owns batch slots [run_ends[i-1], run_ends[i]). Lets phase 2 classify
+    /// Cumulative slot count after each member's phase-1 drain: member i
+    /// owns slots [run_ends[i-1], run_ends[i]). Lets phase 2 classify
     /// contiguous same-model runs when sessions run different bundles.
     std::vector<std::size_t> run_ends;
     /// Row-major integer projections for the whole batch (row = slot),

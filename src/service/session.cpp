@@ -111,7 +111,8 @@ std::size_t Session::begin_drain(std::size_t limit) {
   return take;
 }
 
-void Session::process_drained(core::BeatBatch& batch, bool flush) {
+void Session::process_drained(std::vector<dsp::Sample>& windows,
+                              bool flush) {
   std::size_t stamp_i = 0;
   Clock::time_point current_stamp{};
   if (!drain_stamps_.empty()) current_stamp = drain_stamps_.front().at;
@@ -121,8 +122,8 @@ void Session::process_drained(core::BeatBatch& batch, bool flush) {
     p.needs_classification = pb.needs_classification;
     p.enqueued_at = current_stamp;
     if (pb.needs_classification) {
-      p.slot = static_cast<std::uint32_t>(batch.size());
-      batch.append(pb.window, ecg::BeatClass::Unknown);
+      p.slot = static_cast<std::uint32_t>(windows.size() / pb.window.size());
+      windows.insert(windows.end(), pb.window.begin(), pb.window.end());
     }
     pending_.push_back(p);
   };
@@ -238,12 +239,14 @@ std::size_t Session::close() {
   const std::size_t removed =
       begin_drain(std::numeric_limits<std::size_t>::max());
   const embedded::EmbeddedClassifier& classifier = model_->classifier;
-  core::BeatBatch batch(classifier.projector().expected_window());
-  process_drained(batch, /*flush=*/true);
-  std::vector<ecg::BeatClass> classes(batch.size());
+  std::vector<dsp::Sample> windows;
+  process_drained(windows, /*flush=*/true);
+  const std::size_t count =
+      windows.size() / classifier.projector().expected_window();
+  std::vector<ecg::BeatClass> classes(count);
   embedded::ClassifyScratch scratch;
-  if (!batch.empty())
-    classifier.classify_batch(batch.windows(), batch.size(), classes, scratch);
+  if (count > 0)
+    classifier.classify_batch(windows, count, classes, scratch);
   deliver(classes, scratch.u, classifier.projector().coefficients());
   return removed;
 }

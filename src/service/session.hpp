@@ -19,10 +19,11 @@
 // retries its deferred remainder loses nothing.
 //
 // Each session classifies and observes drift in one place. The monitor only
-// finds and grades beats; their windows go into a core::BeatBatch — the
-// shard's on a pump round, a local one in close() — one classify_batch call
-// labels them, and deliver() patches the classes in, feeds each projection
-// to the drift tracker and hands the beats out in sequence order.
+// finds and grades beats; their windows go back to back into one sample
+// vector — the shard's on a pump round, a local one in close() — one
+// classify_batch call labels them, and deliver() patches the classes in,
+// feeds each projection to the drift tracker and hands the beats out in
+// sequence order.
 //
 // Per-beat latency is measured end to end (sample enqueued -> result
 // delivered): each offer is stamped with its arrival time and the stamp
@@ -40,7 +41,6 @@
 #include <span>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/streaming.hpp"
 #include "drift/tracker.hpp"
 #include "service/telemetry.hpp"
@@ -148,7 +148,7 @@ class Session {
   using Clock = std::chrono::steady_clock;
 
   /// A beat finalized during this pump round, awaiting classification
-  /// and in-order delivery. `slot` indexes the owning shard's BeatBatch.
+  /// and in-order delivery. `slot` indexes the owning shard's windows.
   struct Pending {
     core::MonitorBeat beat;
     std::uint32_t slot = 0;
@@ -166,11 +166,11 @@ class Session {
   std::size_t begin_drain(std::size_t limit);
   /// Feeds the drained samples through the monitor — then, when `flush`,
   /// its buffered tail — appending windows that need classification to
-  /// `batch` and recording a Pending for every finalized beat. Called from
-  /// the owning pump shard, or by close().
-  void process_drained(core::BeatBatch& batch, bool flush = false);
+  /// `windows`, back to back, and recording a Pending for every finalized
+  /// beat. Called from the owning pump shard, or by close().
+  void process_drained(std::vector<dsp::Sample>& windows, bool flush = false);
   /// Delivers this round's pending beats in order, patching predictions
-  /// from `shard_classes` (classify_batch's output over the batch the
+  /// from `shard_classes` (classify_batch's output over the windows the
   /// pending slots index: the shard's, or close()'s own) and — when drift
   /// tracking is on — observing each batch-classified beat's projection
   /// out of `shard_u` (that call's count x `coefficients` row-major integer
@@ -180,7 +180,7 @@ class Session {
                       std::span<const std::int32_t> shard_u,
                       std::size_t coefficients);
   /// Drains whatever is still queued and the monitor's flush tail down the
-  /// pump round's path — batch, classify_batch, deliver() — on the calling
+  /// pump round's path — windows, classify_batch, deliver() — on the calling
   /// thread; returns the number of queued samples consumed (for the
   /// fleet-wide gauge).
   std::size_t close();

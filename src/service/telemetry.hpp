@@ -105,7 +105,7 @@ struct FleetTelemetry {
   std::atomic<std::uint64_t> offers_rejected{0};    ///< admission: queue bound
   std::atomic<std::uint64_t> pumps{0};        ///< whole-fleet pump() rounds
   std::atomic<std::uint64_t> shard_pumps{0};  ///< per-shard pump bodies run
-  std::atomic<std::uint64_t> batches{0};        ///< non-empty BeatBatch runs
+  std::atomic<std::uint64_t> batches{0};        ///< non-empty classify rounds
   std::atomic<std::uint64_t> batched_beats{0};  ///< windows classified in batch
   std::atomic<std::uint64_t> beats_out{0};
   /// Cumulative wall time spent in each pump phase, summed over shard

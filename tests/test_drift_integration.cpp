@@ -103,7 +103,7 @@ TEST_F(DriftIntegrationTest, TrainingCentroidExportMatchesModel) {
     EXPECT_GT(c.mass, 0.0);
     mass += c.mass;
   }
-  EXPECT_DOUBLE_EQ(mass, static_cast<double>(ts1_->beats.size()));
+  EXPECT_DOUBLE_EQ(mass, static_cast<double>(ts1_->size()));
 }
 
 TEST_F(DriftIntegrationTest, SessionObservesEveryDeliveredGoodBeat) {

@@ -31,7 +31,7 @@ TEST(Dataset, FillsExactQuotas) {
   EXPECT_EQ(c.n, 40u);
   EXPECT_EQ(c.v, 25u);
   EXPECT_EQ(c.l, 30u);
-  EXPECT_EQ(ds.beats.size(), spec.total());
+  EXPECT_EQ(ds.size(), spec.total());
 }
 
 TEST(Dataset, WindowsHaveRequestedShape) {
@@ -40,18 +40,17 @@ TEST(Dataset, WindowsHaveRequestedShape) {
   cfg.window_after = 120;
   const BeatDataset ds = hbrp::ecg::build_dataset({10, 5, 5}, cfg);
   EXPECT_EQ(ds.window_size(), 200u);
-  for (const auto& b : ds.beats) EXPECT_EQ(b.samples.size(), 200u);
+  EXPECT_EQ(ds.samples.size(), ds.size() * 200u);
+  EXPECT_EQ(ds.window(ds.size() - 1).size(), 200u);
+  EXPECT_THROW(ds.window(ds.size()), hbrp::Error);
 }
 
 TEST(Dataset, DeterministicInSeed) {
   const DatasetSpec spec{15, 10, 10};
   const BeatDataset a = hbrp::ecg::build_dataset(spec, quick_cfg(9));
   const BeatDataset b = hbrp::ecg::build_dataset(spec, quick_cfg(9));
-  ASSERT_EQ(a.beats.size(), b.beats.size());
-  for (std::size_t i = 0; i < a.beats.size(); ++i) {
-    EXPECT_EQ(a.beats[i].label, b.beats[i].label);
-    EXPECT_EQ(a.beats[i].samples, b.beats[i].samples);
-  }
+  EXPECT_EQ(a.labels, b.labels);
+  EXPECT_EQ(a.samples, b.samples);
 }
 
 TEST(Dataset, RPeakCenteredWindows) {
@@ -59,22 +58,16 @@ TEST(Dataset, RPeakCenteredWindows) {
   // conditioned beat should sit near index `window_before` for N beats.
   const BeatDataset ds = hbrp::ecg::build_dataset({30, 1, 1}, quick_cfg(11));
   std::size_t near = 0, total = 0;
-  for (const auto& b : ds.beats) {
-    if (b.label != BeatClass::N) continue;
-    const auto it = std::max_element(b.samples.begin(), b.samples.end());
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    if (ds.labels[i] != BeatClass::N) continue;
+    const auto w = ds.window(i);
     const auto pos =
-        static_cast<std::size_t>(it - b.samples.begin());
+        static_cast<std::size_t>(std::max_element(w.begin(), w.end()) -
+                                 w.begin());
     ++total;
     if (pos >= ds.window_before - 8 && pos <= ds.window_before + 8) ++near;
   }
   EXPECT_GT(static_cast<double>(near) / static_cast<double>(total), 0.9);
-}
-
-TEST(Dataset, OracleAndDetectedPeaksBothWork) {
-  DatasetBuilderConfig cfg = quick_cfg(13);
-  cfg.use_detected_peaks = false;
-  const BeatDataset oracle = hbrp::ecg::build_dataset({20, 10, 10}, cfg);
-  EXPECT_EQ(oracle.beats.size(), 40u);
 }
 
 TEST(Dataset, EmptySpecThrows) {
@@ -91,11 +84,8 @@ TEST(Dataset, SaveLoadRoundTrip) {
   EXPECT_EQ(back.fs_hz, ds.fs_hz);
   EXPECT_EQ(back.window_before, ds.window_before);
   EXPECT_EQ(back.window_after, ds.window_after);
-  ASSERT_EQ(back.beats.size(), ds.beats.size());
-  for (std::size_t i = 0; i < ds.beats.size(); ++i) {
-    EXPECT_EQ(back.beats[i].label, ds.beats[i].label);
-    EXPECT_EQ(back.beats[i].samples, ds.beats[i].samples);
-  }
+  EXPECT_EQ(back.labels, ds.labels);
+  EXPECT_EQ(back.samples, ds.samples);
   fs::remove(path);
 }
 
@@ -115,6 +105,25 @@ TEST(Dataset, LoadRejectsCorruptMagic) {
   fs::remove(path);
 }
 
+// The beat count in the header is bounded by the bytes that follow it, so
+// a corrupt count fails as a truncated file instead of sizing the arena.
+TEST(Dataset, LoadRejectsCountBeyondFileSize) {
+  const fs::path path =
+      fs::temp_directory_path() /
+      ("hbrp_count_" + std::to_string(::getpid()) + ".bin");
+  hbrp::ecg::save_dataset(hbrp::ecg::build_dataset({4, 2, 2}, quick_cfg(23)),
+                          path);
+  for (const std::uint64_t count : {std::uint64_t{9}, std::uint64_t{1} << 40}) {
+    {
+      std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(24);  // magic (8) + fs, before, after, leads (4 each)
+      f.write(reinterpret_cast<const char*>(&count), sizeof count);
+    }
+    EXPECT_THROW(hbrp::ecg::load_dataset(path), hbrp::Error) << count;
+  }
+  fs::remove(path);
+}
+
 TEST(Dataset, LoadOrBuildUsesCache) {
   const fs::path path =
       fs::temp_directory_path() /
@@ -125,9 +134,8 @@ TEST(Dataset, LoadOrBuildUsesCache) {
   EXPECT_TRUE(fs::exists(path));
   const BeatDataset second =
       hbrp::ecg::load_or_build(path, spec, quick_cfg(19));
-  ASSERT_EQ(second.beats.size(), first.beats.size());
-  for (std::size_t i = 0; i < first.beats.size(); ++i)
-    EXPECT_EQ(second.beats[i].samples, first.beats[i].samples);
+  EXPECT_EQ(second.labels, first.labels);
+  EXPECT_EQ(second.samples, first.samples);
   fs::remove(path);
 }
 
@@ -156,9 +164,9 @@ std::uint64_t dataset_digest(const BeatDataset& ds) {
       h *= 1099511628211ull;
     }
   };
-  for (const auto& b : ds.beats) {
-    mix(static_cast<std::uint32_t>(b.label), 1);
-    for (const hbrp::dsp::Sample x : b.samples)
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    mix(static_cast<std::uint32_t>(ds.labels[i]), 1);
+    for (const hbrp::dsp::Sample x : ds.window(i))
       mix(static_cast<std::uint32_t>(x), 4);
   }
   return h;
@@ -177,6 +185,35 @@ TEST(Dataset, OutputDigestIsPinned) {
   cfg.num_leads = 3;
   EXPECT_EQ(dataset_digest(hbrp::ecg::build_dataset(spec, cfg)),
             0x37ad9c7432ef78caull);
+}
+
+// FNV-1a of the bytes save_dataset() writes for a 3-lead dataset, pinned
+// while each window still lived in its own heap vector: the arena changed
+// the in-memory layout only, so caches written before it still load.
+TEST(Dataset, SavedFileDigestIsPinned) {
+  DatasetBuilderConfig cfg = quick_cfg(1515);
+  cfg.max_per_record_per_class = 10;
+  cfg.num_leads = 3;
+  const BeatDataset ds = hbrp::ecg::build_dataset({30, 15, 15}, cfg);
+  const fs::path path =
+      fs::temp_directory_path() /
+      ("hbrp_pinned_" + std::to_string(::getpid()) + ".bin");
+  hbrp::ecg::save_dataset(ds, path);
+  std::uint64_t h = 14695981039346656037ull;
+  {
+    std::ifstream in(path, std::ios::binary);
+    for (char c; in.get(c);) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(fs::file_size(path), 32u + 60u * (1u + 600u * 4u));
+  EXPECT_EQ(h, 0x1fe9858abb5e377dull);
+  const BeatDataset back = hbrp::ecg::load_dataset(path);
+  EXPECT_EQ(back.num_leads, 3u);
+  EXPECT_EQ(back.labels, ds.labels);
+  EXPECT_EQ(back.samples, ds.samples);
+  fs::remove(path);
 }
 
 TEST(Dataset, PaperSpecsMatchTableOne) {

@@ -1,6 +1,6 @@
 // The batched evaluation engine: core::Executor scheduling/determinism
-// contracts, the BeatBatch arena container, and exact equivalence of every
-// batch entry point with its per-beat counterpart.
+// contracts, and exact equivalence of every batch entry point, run over a
+// dataset's window arena, with its per-beat counterpart.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/executor.hpp"
 #include "core/trainer.hpp"
 #include "dsp/resample.hpp"
@@ -19,7 +18,6 @@
 
 namespace {
 
-using hbrp::core::BeatBatch;
 using hbrp::core::Executor;
 
 hbrp::ecg::BeatDataset quick_split(const hbrp::ecg::DatasetSpec& spec,
@@ -95,44 +93,11 @@ TEST(Executor, SequentialJobsReuseWorkers) {
   EXPECT_EQ(count.load(), 50 * 20);
 }
 
-// ---------------------------------------------------------------- BeatBatch
-
-TEST(BeatBatch, RoundTripsDatasetExactly) {
-  const auto ds = quick_split({40, 40, 40}, 71, 15);
-  const BeatBatch batch = BeatBatch::from_dataset(ds);
-  ASSERT_EQ(batch.size(), ds.beats.size());
-  EXPECT_EQ(batch.window_length(), ds.window_size());
-  EXPECT_EQ(batch.windows().size(), batch.size() * batch.window_length());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch.label(i), ds.beats[i].label);
-    const auto w = batch.window(i);
-    ASSERT_EQ(w.size(), ds.beats[i].samples.size());
-    for (std::size_t s = 0; s < w.size(); ++s)
-      ASSERT_EQ(w[s], ds.beats[i].samples[s]);
-  }
-}
-
-TEST(BeatBatch, AppendClearAndValidation) {
-  BeatBatch batch(4);
-  EXPECT_TRUE(batch.empty());
-  const hbrp::dsp::Sample w1[] = {1, -2, 3, -4};
-  batch.append(w1, hbrp::ecg::BeatClass::V);
-  EXPECT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch.label(0), hbrp::ecg::BeatClass::V);
-  const hbrp::dsp::Sample bad[] = {1, 2};
-  EXPECT_THROW(batch.append(bad, hbrp::ecg::BeatClass::N),
-               hbrp::Error);
-  batch.clear();
-  EXPECT_TRUE(batch.empty());
-  EXPECT_THROW(batch.window(0), hbrp::Error);
-}
-
 // ------------------------------------------------- batch/scalar equivalence
 
 struct EngineFixture : ::testing::Test {
   void SetUp() override {
     ds = quick_split({80, 50, 50}, 81, 25);
-    batch = hbrp::core::BeatBatch::from_dataset(ds);
     hbrp::math::Rng rng(82);
     projector = std::make_unique<hbrp::rp::BeatProjector>(
         hbrp::rp::make_achlioptas(8, ds.window_size() / 4, rng), 4);
@@ -146,7 +111,6 @@ struct EngineFixture : ::testing::Test {
   }
 
   hbrp::ecg::BeatDataset ds;
-  hbrp::core::BeatBatch batch{1};
   std::unique_ptr<hbrp::rp::BeatProjector> projector;
   std::unique_ptr<hbrp::nfc::NeuroFuzzyClassifier> nfc;
   std::unique_ptr<hbrp::embedded::EmbeddedClassifier> bundle;
@@ -154,13 +118,12 @@ struct EngineFixture : ::testing::Test {
 
 TEST_F(EngineFixture, ProjectIntBatchBitIdenticalToPerBeat) {
   const std::size_t k = projector->coefficients();
-  std::vector<std::int32_t> batched(batch.size() * k);
+  std::vector<std::int32_t> batched(ds.size() * k);
   hbrp::rp::ProjectionScratch scratch;
-  projector->project_int_batch(batch.windows(), batch.size(), batched,
-                               scratch);
+  projector->project_int_batch(ds.samples, ds.size(), batched, scratch);
   std::vector<std::int32_t> u(k);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    projector->project_int_into(ds.beats[i].samples, u, scratch);
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    projector->project_int_into(ds.window(i), u, scratch);
     for (std::size_t c = 0; c < k; ++c)
       ASSERT_EQ(batched[i * k + c], u[c]) << "beat " << i;
   }
@@ -168,25 +131,24 @@ TEST_F(EngineFixture, ProjectIntBatchBitIdenticalToPerBeat) {
 
 TEST_F(EngineFixture, NfcClassifyBatchMatchesPerBeat) {
   const std::size_t k = projector->coefficients();
-  const auto data = hbrp::core::project_dataset(batch, *projector);
+  const auto data = hbrp::core::project_dataset(ds, *projector);
   const std::span<const double> u = data.u.flat();
   for (const double alpha : {0.0, 0.05, 0.5}) {
-    std::vector<hbrp::ecg::BeatClass> out(batch.size());
-    nfc->classify_batch(u, batch.size(), alpha, out);
-    for (std::size_t i = 0; i < batch.size(); ++i)
+    std::vector<hbrp::ecg::BeatClass> out(ds.size());
+    nfc->classify_batch(u, ds.size(), alpha, out);
+    for (std::size_t i = 0; i < ds.size(); ++i)
       ASSERT_EQ(out[i], nfc->classify(u.subspan(i * k, k), alpha))
           << "alpha " << alpha << " beat " << i;
   }
 }
 
 TEST_F(EngineFixture, EmbeddedClassifyBatchMatchesClassifyWindow) {
-  std::vector<hbrp::ecg::BeatClass> out(batch.size());
+  std::vector<hbrp::ecg::BeatClass> out(ds.size());
   hbrp::embedded::ClassifyScratch scratch;
-  bundle->classify_batch(batch.windows(), batch.size(), out, scratch);
+  bundle->classify_batch(ds.samples, ds.size(), out, scratch);
   hbrp::embedded::ClassifyScratch window_scratch;
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    ASSERT_EQ(out[i],
-              bundle->classify_window(ds.beats[i].samples, window_scratch))
+  for (std::size_t i = 0; i < ds.size(); ++i)
+    ASSERT_EQ(out[i], bundle->classify_window(ds.window(i), window_scratch))
         << "beat " << i;
 }
 
@@ -202,31 +164,32 @@ TEST_F(EngineFixture, BatchEntryPointsHandleEmptyAndSingleBeat) {
 
   // Single beat: identical to the scalar call.
   std::vector<std::int32_t> u(k), expect(k);
-  projector->project_int_batch(batch.window(0), 1, u, scratch);
-  projector->project_int_into(ds.beats[0].samples, expect, scratch);
+  projector->project_int_batch(ds.window(0), 1, u, scratch);
+  projector->project_int_into(ds.window(0), expect, scratch);
   EXPECT_EQ(u, expect);
   hbrp::ecg::BeatClass cls;
-  bundle->classify_batch(batch.window(0), 1, {&cls, 1}, escratch);
+  bundle->classify_batch(ds.window(0), 1, {&cls, 1}, escratch);
   hbrp::embedded::ClassifyScratch window_scratch;
-  EXPECT_EQ(cls, bundle->classify_window(ds.beats[0].samples, window_scratch));
+  EXPECT_EQ(cls, bundle->classify_window(ds.window(0), window_scratch));
 }
 
 TEST_F(EngineFixture, BatchSizeMismatchesAreRejected) {
   hbrp::rp::ProjectionScratch scratch;
   const std::size_t k = projector->coefficients();
-  std::vector<std::int32_t> u(batch.size() * k);
+  const std::span<const hbrp::dsp::Sample> windows(ds.samples);
+  std::vector<std::int32_t> u(ds.size() * k);
   // Output span too small for the count.
-  EXPECT_THROW(projector->project_int_batch(batch.windows(), batch.size(),
+  EXPECT_THROW(projector->project_int_batch(windows, ds.size(),
                                             {u.data(), k}, scratch),
                hbrp::Error);
   // Window span not a multiple of the expected window.
-  EXPECT_THROW(projector->project_int_batch(batch.windows().subspan(1),
-                                            batch.size(), u, scratch),
+  EXPECT_THROW(projector->project_int_batch(windows.subspan(1), ds.size(), u,
+                                            scratch),
                hbrp::Error);
 }
 
 TEST_F(EngineFixture, EvaluateParallelIdenticalToSerial) {
-  const auto data = hbrp::core::project_dataset(batch, *projector);
+  const auto data = hbrp::core::project_dataset(ds, *projector);
   const Executor executor(4);
   for (const double alpha : {0.0, 0.05, 0.3}) {
     const auto serial = hbrp::core::evaluate(*nfc, data, alpha);
@@ -236,46 +199,42 @@ TEST_F(EngineFixture, EvaluateParallelIdenticalToSerial) {
   }
 }
 
+// evaluate_embedded's classify_batch sweeps, serial and parallel, against
+// the plainest reference: one classify_window call per beat.
 TEST_F(EngineFixture, EvaluateEmbeddedBatchAndParallelIdenticalToLegacy) {
-  const auto legacy = hbrp::core::evaluate_embedded(*bundle, ds);
-  const auto batched = hbrp::core::evaluate_embedded(*bundle, batch);
+  hbrp::core::ConfusionMatrix legacy;
+  hbrp::embedded::ClassifyScratch scratch;
+  for (std::size_t i = 0; i < ds.size(); ++i)
+    legacy.add(ds.labels[i], bundle->classify_window(ds.window(i), scratch));
+  const auto batched = hbrp::core::evaluate_embedded(*bundle, ds);
   const Executor executor(4);
-  const auto parallel =
-      hbrp::core::evaluate_embedded(*bundle, batch, &executor);
-  EXPECT_EQ(legacy.ndr(), batched.ndr());
-  EXPECT_EQ(legacy.arr(), batched.arr());
-  EXPECT_EQ(legacy.ndr(), parallel.ndr());
-  EXPECT_EQ(legacy.arr(), parallel.arr());
+  const auto parallel = hbrp::core::evaluate_embedded(*bundle, ds, &executor);
+  for (const auto* cm : {&batched, &parallel})
+    for (std::size_t t = 0; t < hbrp::ecg::kNumClasses; ++t)
+      for (std::size_t p = 0; p <= hbrp::ecg::kNumClasses; ++p) {
+        const auto truth = static_cast<hbrp::ecg::BeatClass>(t);
+        const auto predicted = static_cast<hbrp::ecg::BeatClass>(p);
+        ASSERT_EQ(cm->count(truth, predicted), legacy.count(truth, predicted))
+            << "truth " << t << " predicted " << p;
+      }
+  EXPECT_EQ(legacy.total(), ds.size());
 }
 
-// The trainer's double-typed data: every row, from either overload, is the
-// dense double-typed projection of the beat's downsampled window.
+// The trainer's double-typed data: every row is the dense double-typed
+// projection of the beat's downsampled window.
 TEST_F(EngineFixture, ProjectDatasetRowsAreTheDenseFloatProjection) {
   const auto a = hbrp::core::project_dataset(ds, *projector);
-  const auto b = hbrp::core::project_dataset(batch, *projector);
-  ASSERT_EQ(a.u.rows(), ds.beats.size());
-  ASSERT_EQ(b.u.rows(), ds.beats.size());
-  for (std::size_t i = 0; i < ds.beats.size(); ++i) {
-    const hbrp::dsp::Signal down = hbrp::dsp::downsample_avg(
-        ds.beats[i].samples, projector->downsample_factor());
+  ASSERT_EQ(a.u.rows(), ds.size());
+  EXPECT_EQ(a.labels, ds.labels);
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    const hbrp::dsp::Signal window(ds.window(i).begin(), ds.window(i).end());
+    const hbrp::dsp::Signal down =
+        hbrp::dsp::downsample_avg(window, projector->downsample_factor());
     const std::vector<double> x(down.begin(), down.end());
     const auto ref = projector->matrix().apply(std::span<const double>(x));
-    for (std::size_t c = 0; c < ref.size(); ++c) {
+    for (std::size_t c = 0; c < ref.size(); ++c)
       ASSERT_EQ(a.u.at(i, c), ref[c]) << "beat " << i;
-      ASSERT_EQ(b.u.at(i, c), ref[c]) << "beat " << i;
-    }
   }
-}
-
-TEST_F(EngineFixture, ProjectDatasetBatchIdenticalToPerBeatOverload) {
-  const auto a = hbrp::core::project_dataset(ds, *projector);
-  const auto b = hbrp::core::project_dataset(batch, *projector);
-  ASSERT_EQ(a.u.rows(), b.u.rows());
-  ASSERT_EQ(a.u.cols(), b.u.cols());
-  ASSERT_EQ(a.labels, b.labels);
-  for (std::size_t i = 0; i < a.u.rows(); ++i)
-    for (std::size_t c = 0; c < a.u.cols(); ++c)
-      ASSERT_EQ(a.u.at(i, c), b.u.at(i, c));
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // synthetic ECG in 512-sample packets; the bytes a session's ingest queue
 // spends per queued sample; the drift tracker's own heap, which must not
 // grow per beat; the classifier copies a FleetEngine keeps; the per-thread
-// DSP workspace itself; and the uploads a selective sensor node holds
-// while its link is down.
+// DSP workspace itself; the uploads a selective sensor node holds while
+// its link is down; and what a two-step trainer keeps of its splits.
 //
 // The conditioning and detection intermediates are per thread
 // (kernels::DspWorkspace), so each per-stream test warms the thread's
@@ -407,6 +407,33 @@ TEST(Footprint, DriftTrackerHeap) {
   EXPECT_GT(tracker.novel_beats(), 0u);
   EXPECT_LT(tracker.novel_beats(), kBeats / 2);
   EXPECT_GT(tracker.alarms(), 0u);
+}
+
+// A trainer keeps references to its two splits: constructing one adds
+// under 1% of their window bytes to the live heap, where a trainer that
+// copied both splits into arenas of its own would add all of them.
+TEST(Footprint, TrainerHoldsNoCopyOfItsSplits) {
+  const auto split = [](std::size_t beats) {
+    ecg::BeatDataset ds;
+    for (std::size_t i = 0; i < beats; ++i) {
+      for (std::size_t s = 0; s < ds.window_size(); ++s)
+        ds.samples.push_back(static_cast<dsp::Sample>((i * 31 + s) % 401));
+      ds.labels.push_back(static_cast<ecg::BeatClass>(i % 3));
+    }
+    return ds;
+  };
+  const ecg::BeatDataset ts1 = split(450);
+  const ecg::BeatDataset ts2 = split(1200);
+  const auto window_bytes = static_cast<std::int64_t>(
+      (ts1.samples.size() + ts2.samples.size()) * sizeof(dsp::Sample));
+  core::TwoStepConfig cfg;
+
+  const std::int64_t before = live_bytes();
+  const core::TwoStepTrainer trainer(ts1, ts2, std::move(cfg));
+  const std::int64_t grown = live_bytes() - before;
+  EXPECT_LT(grown * 100, window_bytes)
+      << "trainer construction grew the heap by " << grown << " B over "
+      << window_bytes << " B of windows";
 }
 
 }  // namespace
