@@ -32,6 +32,12 @@
 #include "ecg/dataset.hpp"
 #include "kernels/cpu.hpp"
 
+// Defines HBRP_GIT_COMMIT, stamped at build time (bench/git_stamp.cmake);
+// a build that does not generate it reports the commit as "unknown".
+#if __has_include("hbrp_git_commit.hpp")
+#include "hbrp_git_commit.hpp"
+#endif
+
 namespace hbrp::bench {
 
 /// A per-binary boolean flag (e.g. bench_table2's --downsample-sweep),
@@ -157,7 +163,8 @@ class WallTimer {
 class JsonReport {
  public:
   /// Every report opens with its provenance: which bench, which commit the
-  /// binary was configured from, when the run started (UTC), and the machine
+  /// binary was built from ("-dirty" when its tracked files differed from
+  /// that commit), when the run started (UTC), and the machine
   /// context a perf number is meaningless without — CPU model, the SIMD
   /// level the kernel dispatcher actually selected at startup (so a report
   /// produced under HBRP_FORCE_SCALAR=1 is self-describing), whether the

@@ -115,10 +115,11 @@ ctest --test-dir build --output-on-failure -j
 # does Dataset, because build_dataset conditions and detects with the
 # dispatched kernels and its pinned output digests must hold under both.
 # TrainedBundleDigest pins a trained model, and training evaluates its MFs
-# with the dispatched log_fuzzy_batch kernel.
+# with the dispatched log_fuzzy_batch kernel. The Golden digests (block
+# kernel output, fleet verdict stream, wire frames) must hold under both.
 echo "==== DSP kernel equivalence under HBRP_FORCE_SCALAR=1"
 HBRP_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
-  -R 'KernelsDsp|ExtremumEquivalence|DetectorEquivalence|Drift|Lifecycle|Dataset|TrainedBundleDigest' -j
+  -R 'KernelsDsp|ExtremumEquivalence|DetectorEquivalence|Drift|Lifecycle|Dataset|TrainedBundleDigest|Golden' -j
 
 # --- 1b. fleet soak smoke: scaling grid + bit-identity gate ---------------
 # Quick-run reports stay under build/ so a CI pass never dirties the tree

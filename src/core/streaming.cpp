@@ -17,6 +17,13 @@ StreamingBeatMonitor::StreamingBeatMonitor(
                    classifier.projector().expected_window(),
                "StreamingBeatMonitor: window geometry does not match the "
                "classifier");
+  // The conditioning and wavelet arithmetic is exact in 16 bits only for
+  // codes inside the range contract (dsp/signal.hpp); the rails clamp
+  // every sample into them.
+  HBRP_REQUIRE(cfg_.quality.rail_low >= dsp::kMinCode &&
+                   cfg_.quality.rail_high <= dsp::kMaxCode,
+               "StreamingBeatMonitor: ADC rails must lie in the code range "
+               "[-2048, 2047]");
   chunk_samples_ =
       static_cast<std::size_t>(cfg_.chunk_s * cfg_.peak.fs_hz);
   overlap_samples_ =

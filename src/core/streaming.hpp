@@ -134,7 +134,7 @@ class StreamingBeatMonitor {
   /// bounds per-monitor state only. The conditioning and detection
   /// intermediates live in the calling thread's kernels::DspWorkspace,
   /// shared by every monitor on the thread; at the default configuration
-  /// that workspace alone measures ~145 KB.
+  /// that workspace alone measures ~85 KB.
   std::size_t memory_samples() const;
 
   /// Input-to-report latency bound, in samples (conditioner delay plus its

@@ -13,7 +13,10 @@ dsp::Signal mmd(const dsp::Signal& x, std::size_t length) {
   const dsp::Signal d = dsp::dilate(x, length);
   const dsp::Signal e = dsp::erode(x, length);
   dsp::Signal out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = d[i] + e[i] - 2 * x[i];
+  // (d - x) - (x - e), each in [0, max - min] of the window, so
+  // |mmd| <= 2 * 4,095 on conditioned input: a Sample.
+  for (std::size_t i = 0; i < x.size(); ++i)
+    out[i] = static_cast<dsp::Sample>(d[i] + e[i] - 2 * x[i]);
   return out;
 }
 
@@ -117,11 +120,10 @@ ecg::Fiducials delineate_beat(const dsp::Signal& conditioned,
   const std::size_t qrs_lo =
       r > samples(kQrsOnsetSearchS) ? r - samples(kQrsOnsetSearchS) : 0;
   const std::size_t qrs_hi = std::min(last, r + samples(kQrsEndSearchS));
-  dsp::Sample qrs_max = 0;
+  int qrs_max = 0;  // |mmd| in int: exact even for a response of -2^15
   for (std::size_t i = qrs_lo; i <= qrs_hi; ++i)
-    qrs_max = std::max(qrs_max, static_cast<dsp::Sample>(std::abs(q_resp[i])));
-  const auto thr = static_cast<dsp::Sample>(
-      std::max<dsp::Sample>(1, qrs_max / 10));
+    qrs_max = std::max(qrs_max, std::abs(q_resp[i]));
+  const auto thr = static_cast<dsp::Sample>(std::max(1, qrs_max / 10));
   const std::size_t run = std::max<std::size_t>(2, samples(0.014));
 
   const std::size_t start_l = r > samples(0.008) ? r - samples(0.008) : 0;

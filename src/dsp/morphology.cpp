@@ -84,7 +84,8 @@ Signal baseline_estimate(const Signal& x, const FilterConfig& cfg) {
 Signal remove_baseline(const Signal& x, const FilterConfig& cfg) {
   const Signal base = baseline_estimate(x, cfg);
   Signal out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] - base[i];
+  for (std::size_t i = 0; i < x.size(); ++i)
+    out[i] = static_cast<Sample>(x[i] - base[i]);
   return out;
 }
 
@@ -93,8 +94,9 @@ Signal suppress_noise(const Signal& x, const FilterConfig& cfg) {
   const Signal co = close(open(x, cfg.noise_len), cfg.noise_len);
   Signal out(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    // Round-to-nearest average; operands are 11-bit-scale so no overflow.
-    out[i] = (oc[i] + co[i] + 1) >> 1;
+    // Round-to-nearest average, summed in int: no overflow, and the
+    // average of two Samples is a Sample.
+    out[i] = static_cast<Sample>((oc[i] + co[i] + 1) >> 1);
   }
   return out;
 }

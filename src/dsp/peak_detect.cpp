@@ -46,9 +46,8 @@ std::vector<double> threshold_envelope(const Signal& w,
   std::vector<double> block_max;
   for (std::size_t start = 0; start < w.size(); start += block) {
     const std::size_t end = std::min(w.size(), start + block);
-    Sample m = 0;
-    for (std::size_t i = start; i < end; ++i)
-      m = std::max(m, static_cast<Sample>(std::abs(w[i])));
+    int m = 0;  // |w| in int: exact even for a detail of -2^15
+    for (std::size_t i = start; i < end; ++i) m = std::max(m, std::abs(w[i]));
     block_max.push_back(static_cast<double>(m));
   }
   if (block_max.empty()) return {};

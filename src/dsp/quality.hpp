@@ -55,7 +55,9 @@ struct QualityConfig {
 
   /// ADC rails (MIT-BIH-style 11-bit front end). Samples outside are
   /// clamped to the rails before accumulation, so arbitrarily corrupt
-  /// int32 garbage degrades into detectable clipping instead of overflow.
+  /// codes degrade into detectable clipping instead of overflow. A monitor
+  /// requires them inside the code range [kMinCode, kMaxCode]
+  /// (dsp/signal.hpp).
   Sample rail_low = 0;
   Sample rail_high = 2047;
 

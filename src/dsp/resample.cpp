@@ -17,7 +17,8 @@ std::size_t downsample_avg_into(std::span<const Sample> x, std::size_t factor,
     std::int64_t acc = 0;
     for (std::size_t i = start; i < end; ++i) acc += x[i];
     const auto len = static_cast<std::int64_t>(end - start);
-    // Round-to-nearest signed division.
+    // Round-to-nearest signed division. The rounded mean of Samples lies
+    // between their min and max, so it narrows exactly.
     const std::int64_t rounded =
         acc >= 0 ? (acc + len / 2) / len : -((-acc + len / 2) / len);
     out[o++] = static_cast<Sample>(rounded);

@@ -7,6 +7,7 @@
 #include "kernels/dsp_condition.hpp"
 #include "kernels/dsp_peaks.hpp"
 #include "math/check.hpp"
+#include "math/endian.hpp"
 #include "math/rng.hpp"
 
 namespace hbrp::ecg {
@@ -55,17 +56,24 @@ RecordProfile pick_profile(const DatasetSpec& remaining, std::size_t round) {
 
 constexpr char kMagic[8] = {'H', 'B', 'R', 'P', 'D', 'S', '0', '2'};
 
+/// Every stored sample takes a little-endian int32, whatever the width of
+/// dsp::Sample: the format predates 16-bit samples, and caches written
+/// before them keep loading.
+constexpr std::size_t kStoredSampleBytes = 4;
+
 template <typename T>
 void put(std::ofstream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+  unsigned char bytes[sizeof(T)];
+  math::store_le(bytes, value);
+  out.write(reinterpret_cast<const char*>(bytes), sizeof(T));
 }
 
 template <typename T>
 T get(std::ifstream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
+  unsigned char bytes[sizeof(T)];
+  in.read(reinterpret_cast<char*>(bytes), sizeof(T));
   HBRP_REQUIRE(in.good(), "dataset: truncated file");
-  return value;
+  return math::load_le<T>(bytes);
 }
 
 }  // namespace
@@ -190,10 +198,15 @@ void save_dataset(const BeatDataset& ds, const std::filesystem::path& path) {
   HBRP_REQUIRE(ds.samples.size() == ds.size() * w,
                "dataset: inconsistent window size");
   put<std::uint64_t>(out, ds.size());
+  std::vector<unsigned char> bytes(w * kStoredSampleBytes);
   for (std::size_t i = 0; i < ds.size(); ++i) {
     put<std::uint8_t>(out, static_cast<std::uint8_t>(ds.labels[i]));
-    out.write(reinterpret_cast<const char*>(ds.samples.data() + i * w),
-              static_cast<std::streamsize>(w * sizeof(dsp::Sample)));
+    const dsp::Sample* x = ds.samples.data() + i * w;
+    for (std::size_t j = 0; j < w; ++j)
+      math::store_le<std::int32_t>(bytes.data() + j * kStoredSampleBytes,
+                                   x[j]);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
   }
   HBRP_REQUIRE(out.good(), "dataset: write failure: " + path.string());
 }
@@ -216,20 +229,32 @@ BeatDataset load_dataset(const std::filesystem::path& path) {
   const std::size_t w = ds.window_size();
   // Bound the claimed count by the bytes actually present before sizing
   // the arena, so a corrupt count cannot request a huge allocation.
-  const std::uintmax_t beat_bytes = 1 + w * sizeof(dsp::Sample);
+  const std::uintmax_t beat_bytes = 1 + w * kStoredSampleBytes;
   const auto remaining = std::filesystem::file_size(path) -
                          static_cast<std::uintmax_t>(in.tellg());
   HBRP_REQUIRE(count <= remaining / beat_bytes,
                "dataset: truncated beats in " + path.string());
   ds.samples.resize(count * w);
   ds.labels.resize(count);
+  std::vector<unsigned char> bytes(w * kStoredSampleBytes);
   for (std::size_t i = 0; i < count; ++i) {
     const auto label = get<std::uint8_t>(in);
     HBRP_REQUIRE(label <= 2, "dataset: invalid label");
     ds.labels[i] = static_cast<BeatClass>(label);
-    in.read(reinterpret_cast<char*>(ds.samples.data() + i * w),
-            static_cast<std::streamsize>(w * sizeof(dsp::Sample)));
+    in.read(reinterpret_cast<char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
     HBRP_REQUIRE(in.good(), "dataset: truncated beats in " + path.string());
+    // Windows hold conditioned samples: narrowing one outside the range
+    // contract would wrap, so a corrupt file fails here instead.
+    dsp::Sample* x = ds.samples.data() + i * w;
+    for (std::size_t j = 0; j < w; ++j) {
+      const auto v = math::load_le<std::int32_t>(bytes.data() +
+                                                 j * kStoredSampleBytes);
+      HBRP_REQUIRE(v >= -dsp::kMaxConditioned && v <= dsp::kMaxConditioned,
+                   "dataset: sample outside the conditioned range in " +
+                       path.string());
+      x[j] = static_cast<dsp::Sample>(v);
+    }
   }
   return ds;
 }

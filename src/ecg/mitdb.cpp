@@ -43,9 +43,11 @@ void write_212(std::ofstream& out, const dsp::Signal& a,
   }
 }
 
+// A 12-bit two's-complement field is exactly the code range of
+// dsp/signal.hpp, so the narrowing below is exact.
 dsp::Sample sign_extend_12(std::uint32_t v) {
-  return (v & 0x800u) ? static_cast<dsp::Sample>(v) - 4096
-                      : static_cast<dsp::Sample>(v);
+  const auto code = static_cast<int>(v & 0xFFFu);
+  return static_cast<dsp::Sample>(code >= 0x800 ? code - 4096 : code);
 }
 
 void read_212(std::ifstream& in, std::size_t n_samples, dsp::Signal& a,
@@ -71,10 +73,10 @@ void write_16(std::ofstream& out, const std::vector<dsp::Signal>& leads) {
   const std::size_t n = leads.front().size();
   for (std::size_t i = 0; i < n; ++i) {
     for (const dsp::Signal& lead : leads) {
-      const auto v = static_cast<std::int16_t>(lead[i]);
+      const auto v = static_cast<std::uint16_t>(lead[i]);
       const std::uint8_t bytes[2] = {
-          static_cast<std::uint8_t>(static_cast<std::uint16_t>(v) & 0xFF),
-          static_cast<std::uint8_t>(static_cast<std::uint16_t>(v) >> 8),
+          static_cast<std::uint8_t>(v & 0xFF),
+          static_cast<std::uint8_t>(v >> 8),
       };
       out.write(reinterpret_cast<const char*>(bytes), 2);
     }
@@ -91,7 +93,9 @@ void read_16(std::ifstream& in, std::size_t n_samples,
       require_stream(in, "reading 16-bit samples");
       const auto raw = static_cast<std::uint16_t>(
           bytes[0] | (static_cast<std::uint16_t>(bytes[1]) << 8));
-      lead[i] = static_cast<std::int16_t>(raw);
+      // Any int16: a format-16 file may hold values outside the code
+      // range, which a monitor clamps to its rails.
+      lead[i] = static_cast<dsp::Sample>(raw);
     }
   }
 }

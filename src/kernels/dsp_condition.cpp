@@ -129,7 +129,7 @@ void subtract(const Sample* a, const Sample* b, std::size_t n, Sample* out,
   }
 #endif
   (void)level;
-  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<Sample>(a[i] - b[i]);
 }
 
 void average_round(const Sample* a, const Sample* b, std::size_t n,
@@ -142,8 +142,10 @@ void average_round(const Sample* a, const Sample* b, std::size_t n,
 #endif
   (void)level;
   // Round-to-nearest average, same arithmetic-shift form as
-  // dsp::suppress_noise (operands are 11-bit scale, no overflow).
-  for (std::size_t i = 0; i < n; ++i) out[i] = (a[i] + b[i] + 1) >> 1;
+  // dsp::suppress_noise: the sum is taken in int, so it cannot overflow,
+  // and the average of two Samples is a Sample.
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = static_cast<Sample>((a[i] + b[i] + 1) >> 1);
 }
 
 void check_config(const dsp::FilterConfig& cfg) {

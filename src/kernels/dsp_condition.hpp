@@ -7,7 +7,7 @@
 // extremum (one suffix scan, one prefix scan, one merge — 3 comparisons per
 // sample independent of the element length), and the pointwise subtract /
 // round-to-nearest average steps become flat array loops the AVX2 TU
-// vectorizes 8 lanes at a time.
+// vectorizes 16 int16 lanes at a time.
 //
 // Contract: condition_ecg_block() is bit-identical to dsp::condition_ecg()
 // for every input (min/max over the same windows with the same replicated
@@ -77,8 +77,9 @@ void condition_ecg_block_avx2(const dsp::Signal& x,
 namespace detail {
 #if HBRP_KERNELS_X86
 // Low-level vector passes living in the -mavx2 TU. Each executes the same
-// integer operation sequence as its scalar counterpart (min/max/add/sub and
-// arithmetic shifts are exact), so results are bit-identical by construction.
+// integer operation sequence as its scalar counterpart (min/max are exact, a
+// subtraction wraps mod 2^16 in both, the rounded average cannot overflow),
+// so results are bit-identical for every int16 input.
 void merge_extremum_avx2(const dsp::Sample* suffix, const dsp::Sample* prefix,
                          std::size_t n, bool is_min, dsp::Sample* out);
 void prefix_scan_blocks_avx2(const dsp::Sample* q, std::size_t total,

@@ -25,14 +25,16 @@ using Candidate = PeakScratch::Candidate;
 
 void local_extrema(const Signal& w, std::vector<Extremum>& out) {
   out.clear();
-  if (w.size() < 3) return;
+  const std::size_t n = w.size();
+  if (n < 3) return;
+  const Sample* x = w.data();
   int prev_dir = 0;
   std::size_t last_change = 0;
-  for (std::size_t i = 1; i < w.size(); ++i) {
-    const int dir = w[i] > w[i - 1] ? 1 : (w[i] < w[i - 1] ? -1 : 0);
+  for (std::size_t i = 1; i < n; ++i) {
+    const int dir = x[i] > x[i - 1] ? 1 : (x[i] < x[i - 1] ? -1 : 0);
     if (dir == 0) continue;
-    if (prev_dir == 1 && dir == -1) out.push_back({last_change, w[last_change]});
-    if (prev_dir == -1 && dir == 1) out.push_back({last_change, w[last_change]});
+    // A turn from rising to falling or back marks an extremum.
+    if (prev_dir == -dir) out.push_back({last_change, x[last_change]});
     prev_dir = dir;
     last_change = i;
   }
@@ -46,9 +48,8 @@ void threshold_envelope(const Signal& w, std::size_t block,
   block_max.clear();
   for (std::size_t start = 0; start < w.size(); start += block) {
     const std::size_t end = std::min(w.size(), start + block);
-    Sample m = 0;
-    for (std::size_t i = start; i < end; ++i)
-      m = std::max(m, static_cast<Sample>(std::abs(w[i])));
+    int m = 0;  // |w| in int: exact even for a detail of -2^15
+    for (std::size_t i = start; i < end; ++i) m = std::max(m, std::abs(w[i]));
     block_max.push_back(static_cast<double>(m));
   }
   thr.clear();

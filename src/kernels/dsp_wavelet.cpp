@@ -19,9 +19,10 @@ inline Sample at(const Sample* x, std::size_t n, std::ptrdiff_t i) {
   return x[static_cast<std::size_t>(std::clamp(i, std::ptrdiff_t{0}, last))];
 }
 
-// Exact 32-bit lowpass tap: (x[i] + 3 x[i-s] + 3 x[i-2s] + x[i-3s] + 4) >> 3
-// accumulated in uint32 (wraps identically to the AVX2 epi32 adds; equal to
-// the reference's int64 form whenever the sum fits int32).
+// Lowpass tap: (x[i] + 3 x[i-s] + 3 x[i-2s] + x[i-3s] + 4) >> 3, the sum
+// narrowed to a Sample before the shift — mod 2^16, exactly like the AVX2
+// epi16 adds — and equal to the reference's int64 form whenever the sum
+// fits int16, which the range contract guarantees on conditioned input.
 inline Sample lowpass_tap(std::uint32_t x0, std::uint32_t x1, std::uint32_t x2,
                           std::uint32_t x3) {
   const std::uint32_t acc = x0 + x1 + x1 + x1 + x2 + x2 + x2 + x3 + 4u;
@@ -29,7 +30,8 @@ inline Sample lowpass_tap(std::uint32_t x0, std::uint32_t x1, std::uint32_t x2,
 }
 
 // detail[i] = 2 * (a[m] - a[max(m - s, 0)]) with m = min(i + d, n - 1):
-// highpass at spacing s fused with the phase advance by d.
+// highpass at spacing s fused with the phase advance by d, narrowed mod
+// 2^16 like the AVX2 epi16 form (|detail| <= 16,380 on conditioned input).
 inline Sample detail_tap(const Sample* a, std::size_t n, std::ptrdiff_t i,
                          std::ptrdiff_t d, std::ptrdiff_t s) {
   const auto last = static_cast<std::ptrdiff_t>(n) - 1;

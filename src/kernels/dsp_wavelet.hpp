@@ -8,11 +8,11 @@
 // edge-replicating form).
 //
 // Contract: bit-identical to dsp::wavelet_decompose for every input the
-// chain can see (|x| < 2^26 — the scalar reference accumulates the 8x
-// lowpass sum in 64-bit, the kernels in exact 32-bit; conditioned ECG is
-// 13-bit scale, orders of magnitude inside the bound), and the scalar/AVX2
-// forms are bit-identical to each other unconditionally (both wrap mod
-// 2^32). tests/test_kernels_dsp.cpp gates both claims.
+// chain can see (|x| <= 4,095, the conditioned range of dsp/signal.hpp's
+// contract — the scalar reference accumulates the 8x lowpass sum in 64-bit,
+// the kernels in 16-bit, and 8 * 4,095 + 4 < 2^15), and the scalar/AVX2
+// forms are bit-identical to each other for every int16 input (both wrap
+// mod 2^16). tests/test_kernels_dsp.cpp gates both claims.
 #pragma once
 
 #include <cstddef>

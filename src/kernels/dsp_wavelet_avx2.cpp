@@ -1,7 +1,9 @@
-// AVX2 interior passes of the block wavelet transform. Same mod-2^32
-// integer arithmetic as the scalar forms in dsp_wavelet.cpp (epi32 adds,
-// subs and shifts wrap exactly like the uint32 scalar accumulation), so
-// scalar and AVX2 decompositions are bit-identical unconditionally.
+// AVX2 interior passes of the block wavelet transform, 16 int16 lanes per
+// vector. Same mod-2^16 integer arithmetic as the scalar forms in
+// dsp_wavelet.cpp (epi16 adds, subs and shifts wrap exactly like the scalar
+// accumulation narrowed to a Sample), so scalar and AVX2 decompositions are
+// bit-identical for every int16 input. On conditioned input nothing wraps
+// (dsp/signal.hpp bounds the lowpass accumulator below 2^15).
 #include "kernels/dsp_wavelet.hpp"
 
 #if HBRP_KERNELS_X86
@@ -32,19 +34,19 @@ void wavelet_lowpass_interior_avx2(const Sample* a, std::size_t begin,
   // y[i] = (a[i] + 3 a[i-s] + 3 a[i-2s] + a[i-3s] + 4) >> 3 for i >= 3s
   // (the caller has already produced [0, begin) with clamped edges).
   const auto us = static_cast<std::size_t>(s);
-  const __m256i four = _mm256_set1_epi32(4);
+  const __m256i four = _mm256_set1_epi16(4);
   std::size_t i = begin;
-  for (; i + 8 <= end; i += 8) {
+  for (; i + 16 <= end; i += 16) {
     const __m256i x0 = load(a + i);
     const __m256i x1 = load(a + i - us);
     const __m256i x2 = load(a + i - 2 * us);
     const __m256i x3 = load(a + i - 3 * us);
-    const __m256i x1x3 = _mm256_add_epi32(_mm256_add_epi32(x1, x1), x1);
-    const __m256i x2x3 = _mm256_add_epi32(_mm256_add_epi32(x2, x2), x2);
-    __m256i acc = _mm256_add_epi32(x0, x3);
-    acc = _mm256_add_epi32(acc, _mm256_add_epi32(x1x3, x2x3));
-    acc = _mm256_add_epi32(acc, four);
-    store(y + i, _mm256_srai_epi32(acc, 3));
+    const __m256i x1x3 = _mm256_add_epi16(_mm256_add_epi16(x1, x1), x1);
+    const __m256i x2x3 = _mm256_add_epi16(_mm256_add_epi16(x2, x2), x2);
+    __m256i acc = _mm256_add_epi16(x0, x3);
+    acc = _mm256_add_epi16(acc, _mm256_add_epi16(x1x3, x2x3));
+    acc = _mm256_add_epi16(acc, four);
+    store(y + i, _mm256_srai_epi16(acc, 3));
   }
   for (; i < end; ++i) {
     const std::uint32_t acc = static_cast<std::uint32_t>(a[i]) +
@@ -64,10 +66,10 @@ void wavelet_detail_interior_avx2(const Sample* a, std::size_t count,
   const auto ud = static_cast<std::size_t>(d);
   const auto us = static_cast<std::size_t>(s);
   std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
+  for (; i + 16 <= count; i += 16) {
     const __m256i hi = load(a + i + ud);
     const __m256i lo = load(a + i + ud - us);
-    store(det + i, _mm256_slli_epi32(_mm256_sub_epi32(hi, lo), 1));
+    store(det + i, _mm256_slli_epi16(_mm256_sub_epi16(hi, lo), 1));
   }
   for (; i < count; ++i) {
     const std::uint32_t diff = static_cast<std::uint32_t>(a[i + ud]) -

@@ -17,8 +17,9 @@
 // processed: a conditioner fed one 10-minute push_block leaves that much
 // behind until the thread exits. The production paths (gateway, fleet,
 // node client) feed packets of at most 512 samples, so their workspace
-// stays at the default-config size: ~145 KB (~104 KB detector over an 8 s
-// chunk, ~41 KB conditioner, at 360 Hz; 1 KB = 1024 bytes).
+// stays at the default-config size: ~85 KB at 360 Hz, the detector over an
+// 8 s chunk plus the conditioner (86,864 B measured by
+// Footprint.ThreadWorkspaceAtDefaultConfig; 1 KB = 1024 bytes).
 #pragma once
 
 #include "dsp/signal.hpp"

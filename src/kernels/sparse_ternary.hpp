@@ -18,13 +18,15 @@
 // Equivalence contract (gated by tests/test_kernels.cpp and
 // tests/test_properties.cpp): bit-identical to the dense reference
 // rp::TernaryMatrix::apply(span<const dsp::Sample>) for any input. Both
-// accumulate each row exactly in int64 and convert to int32 (modulo 2^32
-// when the exact sum does not fit), so regrouping the +1 terms before the
-// -1 terms cannot change a result. The accumulation order within a row is
+// compute each row's exact sum — the reference in int64, the kernel as two
+// int32 partial sums (each of at most 2^16 int16 terms, so exact) and their
+// int64 difference — and convert it to int32 (modulo 2^32 in the one corner
+// where 2^16 full-scale taps reach 2^31), so regrouping the +1 terms before
+// the -1 terms cannot change a result. The accumulation order within a row is
 // fixed, so results are deterministic for any thread count. The trainer's
 // double-typed data is this kernel's output converted to double
-// (core::project_dataset), exact because a window of 12-bit codes sums to
-// |u| <= d * 2^11, far below 2^31.
+// (core::project_dataset), exact because a window of conditioned samples
+// sums to |u| <= d * 4,095, far below 2^31.
 #pragma once
 
 #include <cstdint>

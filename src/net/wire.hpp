@@ -105,9 +105,10 @@ inline constexpr std::size_t kMaxWindowSamples = 4096;
 /// Upper bound on one encoded model bundle streamed via MODEL_PUSH_PART
 /// frames; caps the gateway's reassembly buffer per control connection.
 inline constexpr std::size_t kMaxBundleBytes = 1u << 24;
-/// The 12-bit two's-complement range every sample code on the wire has.
-inline constexpr dsp::Sample kMinWireCode = -2048;
-inline constexpr dsp::Sample kMaxWireCode = 2047;
+/// The 12-bit two's-complement range every sample code on the wire has:
+/// the code range of dsp/signal.hpp's contract.
+inline constexpr dsp::Sample kMinWireCode = dsp::kMinCode;
+inline constexpr dsp::Sample kMaxWireCode = dsp::kMaxCode;
 /// Fixed payload sizes: HELLO, and the FULL_BEAT prefix (r_peak, class,
 /// quality, count) ahead of its packed window.
 inline constexpr std::size_t kHelloPayloadBytes = 4 + 1 + 2 + 4;

@@ -71,6 +71,8 @@ void warp_segment(dsp::Signal& sig, std::vector<TruthBeat>& truth,
     const double frac = src - static_cast<double>(lo);
     const double v = (1.0 - frac) * static_cast<double>(sig[a + lo]) +
                      frac * static_cast<double>(sig[a + hi]);
+    // A convex mix of two Samples, rounded: it lies between them, so it
+    // narrows exactly.
     warped[j] = static_cast<dsp::Sample>(std::lround(v));
   }
 
@@ -326,7 +328,8 @@ ScenarioStream build_scenario(const ScenarioSpec& spec) {
     if (r < spike_lead) continue;
     const std::size_t at = r - spike_lead;
     for (std::size_t k = 0; k < 2 && at + k < lead.size(); ++k)
-      lead[at + k] = std::min<dsp::Sample>(lead[at + k] + 700, 2047);
+      lead[at + k] =
+          static_cast<dsp::Sample>(std::min(lead[at + k] + 700, 2047));
   }
 
   // Timeline warps (clock skew / sample-rate mismatch), latest-first so

@@ -2,7 +2,7 @@
 //
 // A Session owns everything that is per-patient: the fault-tolerant
 // StreamingBeatMonitor (with its own SQI/degradation state), a bounded
-// MPSC ingest queue of ADC codes (dsp::Sample, 4 bytes each: a producer
+// MPSC ingest queue of ADC codes (dsp::Sample, 2 bytes each: a producer
 // holding doubles sanitizes them at its own edge before it offers), the
 // monotonically sequenced result log, and the session's telemetry
 // counters. Producers (radio threads, replay harnesses) call

@@ -124,12 +124,11 @@ TEST_F(StreamingMonitorTest, BeatCountTracksAnnotations) {
 
 TEST_F(StreamingMonitorTest, MemoryBoundWellUnderIcyHeartRam) {
   const StreamingBeatMonitor monitor(*bundle_);
-  // Samples are int32 in this model; even so the per-monitor state (rolling
-  // buffer, conditioner history and pending batch) must sit far below the
-  // 96 KB of the SoC. The figure leaves out the per-thread
-  // kernels::DspWorkspace the monitor borrows for conditioning and
-  // detection, ~145 KB at this configuration, which alone exceeds the SoC's
-  // RAM. test_footprint measures the heap a monitor really holds.
+  // The per-monitor state (rolling buffer, conditioner history and pending
+  // batch) must sit far below the 96 KB of the SoC. The figure leaves out
+  // the per-thread kernels::DspWorkspace the monitor borrows for
+  // conditioning and detection, ~85 KB at this configuration.
+  // test_footprint measures the heap a monitor really holds.
   EXPECT_LT(monitor.memory_samples() * sizeof(hbrp::dsp::Sample),
             48u * 1024u);
 }
@@ -154,6 +153,27 @@ TEST_F(StreamingMonitorTest, ConfigValidation) {
   EXPECT_THROW(StreamingBeatMonitor(*bundle_, cfg), hbrp::Error);
 }
 
+// The 16-bit conditioning chain is exact only for codes in the range
+// contract, so every monitor refuses rails outside [-2048, 2047]
+// (FleetEngineTest.SessionRefusesRailsOutsideTheCodeRange: a fleet
+// session's monitor too).
+TEST_F(StreamingMonitorTest, RailsMustLieInTheCodeRange) {
+  const auto with_rails = [](int lo, int hi) {
+    MonitorConfig cfg;
+    cfg.quality.rail_low = static_cast<hbrp::dsp::Sample>(lo);
+    cfg.quality.rail_high = static_cast<hbrp::dsp::Sample>(hi);
+    return cfg;
+  };
+  EXPECT_NO_THROW(StreamingBeatMonitor(*bundle_, with_rails(-2048, 2047)));
+  EXPECT_NO_THROW(StreamingBeatMonitor(*bundle_, with_rails(0, 2047)));
+  EXPECT_THROW(StreamingBeatMonitor(*bundle_, with_rails(-2049, 2047)),
+               hbrp::Error);
+  EXPECT_THROW(StreamingBeatMonitor(*bundle_, with_rails(0, 2048)),
+               hbrp::Error);
+  EXPECT_THROW(StreamingBeatMonitor(*bundle_, with_rails(-32768, 32767)),
+               hbrp::Error);
+}
+
 TEST_F(StreamingMonitorTest, FlushFinalizesTailBeats) {
   // A record shorter than one chunk: nothing is emitted until flush.
   const auto rec = monitor_record(4, 6.0);
@@ -174,7 +194,7 @@ TEST_F(StreamingMonitorTest, FlushOnEmptyMonitorIsSafeAndEmpty) {
   monitor.flush(sink);  // idempotent
   EXPECT_TRUE(beats.empty());
   // A handful of samples (far less than one beat window) also yields none.
-  for (int i = 0; i < 10; ++i) monitor.push(1024, sink);
+  for (int i = 0; i < 10; ++i) monitor.push(hbrp::dsp::Sample{1024}, sink);
   monitor.flush(sink);
   EXPECT_TRUE(beats.empty());
   // And the monitor is still usable afterwards.
@@ -264,13 +284,13 @@ TEST_F(StreamingMonitorTest, StatsCountSanitizedInputs) {
   // (The double-to-code rule is dsp::sanitize_sample's: SanitizeSample.*.)
   StreamingBeatMonitor monitor(*bundle_);
   const PendingBeatSink sink = [](const PendingBeat&) {};
-  monitor.push(4000, sink);   // clamped high
-  monitor.push(-4000, sink);  // clamped low
+  monitor.push(hbrp::dsp::Sample{4000}, sink);   // clamped high
+  monitor.push(hbrp::dsp::Sample{-4000}, sink);  // clamped low
   monitor.push(std::numeric_limits<hbrp::dsp::Sample>::max(), sink);
-  monitor.push(1024, sink);   // fine
-  monitor.push(0, sink);      // on the rail: fine
-  monitor.push(2047, sink);   // on the rail: fine
-  monitor.push(2048, sink);   // one past the rail: clamped
+  monitor.push(hbrp::dsp::Sample{1024}, sink);   // fine
+  monitor.push(hbrp::dsp::Sample{0}, sink);      // on the rail: fine
+  monitor.push(hbrp::dsp::Sample{2047}, sink);   // on the rail: fine
+  monitor.push(hbrp::dsp::Sample{2048}, sink);   // one past the rail: clamped
   const auto& stats = monitor.stats();
   EXPECT_EQ(stats.samples_in, 7u);
   EXPECT_EQ(stats.clamped, 4u);

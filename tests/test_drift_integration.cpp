@@ -5,8 +5,11 @@
 // kills without duplicate gateway counting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,6 +19,8 @@
 #include "scenario/episodes.hpp"
 #include "scenario/runner.hpp"
 #include "service/fleet.hpp"
+
+#include "golden_records.hpp"
 
 namespace {
 
@@ -289,6 +294,47 @@ TEST_F(DriftIntegrationTest, DriftEscalationSurvivesConnectionKills) {
   std::set<std::uint64_t> seqs;
   for (const auto& v : wire.verdicts) seqs.insert(v.seq);
   EXPECT_EQ(seqs.size(), wire.verdicts.size());
+}
+
+// Golden digest of the verdict stream, pinned while dsp::Sample was 32 bits
+// wide: per profile, a one-session engine with drift on takes the golden
+// record as 512-sample packets, pumping after each. The digest covers every
+// delivered (sequence, r_peak, class, quality) and the drift tracker's
+// state before close. scripts/ci.sh also runs it forced scalar.
+class FleetGolden : public DriftIntegrationTest {};
+
+TEST_F(FleetGolden, VerdictStreamDigestIsPinned) {
+  const std::uint64_t pinned[] = {0xa061f75402765e74ull, 0x79aeaa411796e5d6ull,
+                                  0x6d7475163b52d8fbull, 0x2a84390b20f9adbcull};
+  for (std::size_t p = 0; p < std::size(golden::kProfiles); ++p) {
+    const dsp::Signal codes = golden::record(golden::kProfiles[p]);
+    service::FleetConfig cfg = drift_fleet_config(1, 1);
+    cfg.session.monitor.quality = golden::full_scale_rails();
+    service::FleetEngine engine(*bundle_, cfg);
+    golden::Digest d;
+    const auto id = engine.open_session([&d](const service::SessionResult& r) {
+      d.word(static_cast<std::uint32_t>(r.sequence));
+      d.word(static_cast<std::uint32_t>(r.beat.r_peak));
+      d.byte(static_cast<std::uint8_t>(r.beat.predicted));
+      d.byte(static_cast<std::uint8_t>(r.beat.quality));
+    });
+    ASSERT_TRUE(id.has_value());
+    const std::span<const dsp::Sample> all(codes);
+    for (std::size_t off = 0; off < all.size(); off += 512) {
+      const std::size_t n = std::min<std::size_t>(512, all.size() - off);
+      ASSERT_EQ(engine.offer(*id, all.subspan(off, n)).accepted, n);
+      engine.pump();
+    }
+    engine.drain();
+    const drift::DriftTracker* tracker = engine.session_drift(*id);
+    ASSERT_NE(tracker, nullptr);
+    const std::uint64_t drift_state = tracker->state_digest();
+    EXPECT_TRUE(engine.close_session(*id));
+    for (int i = 0; i < 2; ++i)
+      d.word(static_cast<std::uint32_t>(drift_state >> (32 * i)));
+    EXPECT_EQ(d.value(), pinned[p]) << "profile " << p << std::hex << " got 0x"
+                                    << d.value();
+  }
 }
 
 }  // namespace

@@ -124,6 +124,33 @@ TEST(Dataset, LoadRejectsCountBeyondFileSize) {
   fs::remove(path);
 }
 
+// Each stored sample is a 4-byte int32, wider than a dsp::Sample. A value
+// outside the conditioned range (|c| <= 4,095) would wrap when narrowed, so
+// the loader refuses it; the range's own ends still load.
+TEST(Dataset, LoadRejectsSampleOutsideConditionedRange) {
+  const fs::path path =
+      fs::temp_directory_path() /
+      ("hbrp_range_" + std::to_string(::getpid()) + ".bin");
+  BeatDataset ds = hbrp::ecg::build_dataset({4, 2, 2}, quick_cfg(29));
+  ds.samples.front() = hbrp::dsp::kMaxConditioned;
+  ds.samples.back() = -hbrp::dsp::kMaxConditioned;
+  hbrp::ecg::save_dataset(ds, path);
+  EXPECT_EQ(hbrp::ecg::load_dataset(path).samples, ds.samples);
+  for (const std::int32_t bad : {4096, -4096, 40000, -65536}) {
+    {
+      std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(33);  // header (32) + the first beat's label (1)
+      const unsigned char le[4] = {
+          static_cast<unsigned char>(bad), static_cast<unsigned char>(bad >> 8),
+          static_cast<unsigned char>(bad >> 16),
+          static_cast<unsigned char>(bad >> 24)};
+      f.write(reinterpret_cast<const char*>(le), sizeof le);
+    }
+    EXPECT_THROW(hbrp::ecg::load_dataset(path), hbrp::Error) << bad;
+  }
+  fs::remove(path);
+}
+
 TEST(Dataset, LoadOrBuildUsesCache) {
   const fs::path path =
       fs::temp_directory_path() /

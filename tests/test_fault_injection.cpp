@@ -296,9 +296,9 @@ TEST_F(FaultInjectionTest, GarbageIntSamplesAreClampedAndCounted) {
   const PendingBeatSink sink = [](const PendingBeat&) {};
   monitor.push(std::numeric_limits<hbrp::dsp::Sample>::max(), sink);
   monitor.push(std::numeric_limits<hbrp::dsp::Sample>::min(), sink);
-  monitor.push(-1, sink);
-  monitor.push(5000, sink);
-  monitor.push(1024, sink);
+  monitor.push(hbrp::dsp::Sample{-1}, sink);
+  monitor.push(hbrp::dsp::Sample{5000}, sink);
+  monitor.push(hbrp::dsp::Sample{1024}, sink);
   EXPECT_EQ(monitor.stats().samples_in, 5u);
   EXPECT_EQ(monitor.stats().clamped, 4u);
   // Still functional afterwards.

@@ -88,26 +88,47 @@ TEST(SparseTernary, AllZeroRowsAndNoNegativeRows) {
   EXPECT_EQ(ref, got);
 }
 
-TEST(SparseTernary, ExtremeSampleValuesWrapLikeReference) {
-  // A row sum that does not fit int32 converts modulo 2^32, identically in
-  // the kernel and the dense reference. Both sum exactly in int64 first:
-  // signed int32 overflow would be undefined, not modular.
-  TernaryMatrix m(2, 4);
-  m.set(0, 0, 1);
-  m.set(0, 1, 1);
-  m.set(0, 2, 1);
-  m.set(1, 0, 1);
-  m.set(1, 1, -1);
+TEST(SparseTernary, ExtremeSampleValuesSumExactly) {
+  // At int16 extremes nothing can wrap: a row of a few hundred taps times
+  // 2^15 stays far below 2^31, so every row sum is exact in the kernel and
+  // the dense reference alike. Row 0 adds the top Sample and subtracts the
+  // bottom one at every tap, the largest magnitude a row of this width can
+  // reach; row 1 subtracts everything.
+  constexpr std::size_t kCols = 400;
+  TernaryMatrix m(2, kCols);
+  std::vector<Sample> v(kCols);
+  for (std::size_t c = 0; c < kCols; ++c) {
+    const bool even = c % 2 == 0;
+    m.set(0, c, even ? 1 : -1);
+    m.set(1, c, -1);
+    v[c] = even ? std::numeric_limits<Sample>::max()
+                : std::numeric_limits<Sample>::min();
+  }
   const kernels::SparseTernary sparse = sparse_from(m);
-  const std::int32_t big = std::numeric_limits<std::int32_t>::max();
-  const std::vector<Sample> v = {big, big, big, -7};
   const std::vector<std::int32_t> ref = m.apply(std::span<const Sample>(v));
   std::vector<std::int32_t> got(2);
   sparse.apply_into(v, got);
   EXPECT_EQ(ref, got);
-  // 3 * (2^31 - 1) = 2^32 + 2^31 - 3, which converts to 2^31 - 3.
-  EXPECT_EQ(ref[0], big - 2);
-  EXPECT_EQ(ref[1], 0);
+  // 200 * 32767 + 200 * 32768, and -(200 * 32767 - 200 * 32768).
+  EXPECT_EQ(got[0], 13'107'000);
+  EXPECT_EQ(got[1], 200);
+
+  // Only at the column cap, 2^16 taps of -2^15, does a row reach 2^31: one
+  // sign's partial sum is exactly -2^31 (row 0), and subtracting it (row 1)
+  // converts to int32 modulo 2^32 in the kernel and the reference alike.
+  constexpr std::size_t kCap = std::size_t{1} << 16;
+  TernaryMatrix cap(2, kCap);
+  for (std::size_t c = 0; c < kCap; ++c) {
+    cap.set(0, c, 1);
+    cap.set(1, c, -1);
+  }
+  const std::vector<Sample> low(kCap, std::numeric_limits<Sample>::min());
+  const std::vector<std::int32_t> cap_ref =
+      cap.apply(std::span<const Sample>(low));
+  sparse_from(cap).apply_into(low, got);
+  EXPECT_EQ(cap_ref, got);
+  EXPECT_EQ(got[0], std::numeric_limits<std::int32_t>::min());
+  EXPECT_EQ(got[1], std::numeric_limits<std::int32_t>::min());
 }
 
 TEST(SparseTernary, NonzerosAndShapeAccessors) {

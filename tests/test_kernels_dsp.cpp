@@ -14,6 +14,7 @@
 #include <exception>
 #include <iterator>
 #include <latch>
+#include <limits>
 #include <span>
 #include <thread>
 #include <tuple>
@@ -34,6 +35,8 @@
 #include "math/rng.hpp"
 #include "testing/fault_inject.hpp"
 
+#include "golden_records.hpp"
+
 namespace {
 
 using namespace hbrp;
@@ -43,12 +46,19 @@ using namespace hbrp;
 // delay (224 for the default config), one past it, twice it, and long.
 const std::size_t kEdgeLengths[] = {0, 1, 2, 5, 70, 223, 224, 448, 449, 1000};
 
-dsp::Signal random_signal(std::size_t n, std::uint64_t seed) {
+// Codes from the contract's range by default; the scalar/AVX2 identity
+// tests also draw from the whole int16 range.
+dsp::Signal random_signal(std::size_t n, std::uint64_t seed,
+                          std::int64_t lo = dsp::kMinCode,
+                          std::int64_t hi = dsp::kMaxCode) {
   dsp::Signal x(n);
   math::Rng rng(seed);
-  for (auto& v : x) v = static_cast<int>(rng.uniform_int(-2048, 2047));
+  for (auto& v : x) v = static_cast<dsp::Sample>(rng.uniform_int(lo, hi));
   return x;
 }
+
+constexpr std::int64_t kInt16Min = std::numeric_limits<dsp::Sample>::min();
+constexpr std::int64_t kInt16Max = std::numeric_limits<dsp::Sample>::max();
 
 dsp::Signal conditioned_record(ecg::RecordProfile profile, std::uint64_t seed,
                                double seconds = 60.0) {
@@ -101,10 +111,14 @@ TEST(KernelsDspCondition, ScalarAndAvx2AreBitIdentical) {
   kernels::ConditionScratch s1, s2;
   dsp::Signal a, b;
   for (const std::size_t n : kEdgeLengths) {
-    const auto x = random_signal(n, 500 + n);
-    kernels::condition_ecg_block_scalar(x, dsp::FilterConfig{}, s1, a);
-    kernels::condition_ecg_block_avx2(x, dsp::FilterConfig{}, s2, b);
-    EXPECT_EQ(a, b) << "length " << n;
+    // Beyond the contract a subtraction wraps mod 2^16 on both paths, and
+    // the rounded average must not overflow on either.
+    for (const auto& x : {random_signal(n, 500 + n),
+                          random_signal(n, 600 + n, kInt16Min, kInt16Max)}) {
+      kernels::condition_ecg_block_scalar(x, dsp::FilterConfig{}, s1, a);
+      kernels::condition_ecg_block_avx2(x, dsp::FilterConfig{}, s2, b);
+      EXPECT_EQ(a, b) << "length " << n;
+    }
   }
 #else
   GTEST_SKIP() << "x86-only comparison";
@@ -276,7 +290,11 @@ TEST(KernelsDspWavelet, ScalarAndAvx2AreBitIdentical) {
   for (std::uint64_t trial = 0; trial < 20; ++trial) {
     math::Rng rng(300 + trial);
     const auto n = static_cast<std::size_t>(rng.uniform_int(0, 5000));
-    const auto x = random_signal(n, 800 + trial);
+    // Odd trials draw from the whole int16 range, where the lowpass and
+    // the details wrap mod 2^16 on both paths.
+    const auto x = trial % 2 == 0
+                       ? random_signal(n, 800 + trial)
+                       : random_signal(n, 800 + trial, kInt16Min, kInt16Max);
     kernels::wavelet_decompose_block_scalar(x, dsp::kWaveletScales, s1, a);
     kernels::wavelet_decompose_block_avx2(x, dsp::kWaveletScales, s2, b);
     for (std::size_t j = 0; j < dsp::kWaveletScales; ++j)
@@ -286,6 +304,48 @@ TEST(KernelsDspWavelet, ScalarAndAvx2AreBitIdentical) {
 #else
   GTEST_SKIP() << "x86-only comparison";
 #endif
+}
+
+// Full-scale square waves between the ends of the code range. With high
+// plateaus shorter than the baseline's opening element, the baseline sits
+// on the bottom code and the conditioned signal spans [0, 4095]; with only
+// the low plateaus short, it sits on the top code and spans [-4095, 0]. The
+// first lowpass then reaches the accumulator bounds of dsp/signal.hpp,
+// 8 * 4,095 + 4 and its negative twin. The reference chain accumulates in
+// int64, so equality with it shows nothing wraps; scalar and AVX2 must agree.
+TEST(KernelsDspWavelet, FullScaleSquareWaveReachesAccumulatorBoundExactly) {
+  const std::size_t plateaus[][2] = {{20, 20}, {100, 20}};  // {high, low}
+  for (const auto& [high, low] : plateaus) {
+    dsp::Signal x(4000);
+    for (std::size_t i = 0; i < x.size(); ++i)
+      x[i] = i % (high + low) < high ? dsp::kMaxCode : dsp::kMinCode;
+    kernels::ConditionScratch cs;
+    dsp::Signal c;
+    kernels::condition_ecg_block_scalar(x, dsp::FilterConfig{}, cs, c);
+    EXPECT_EQ(c, dsp::condition_ecg(x)) << "high " << high;
+    const auto [lo, hi] = std::minmax_element(c.begin(), c.end());
+    EXPECT_EQ(std::max<int>(*hi, -*lo), dsp::kMaxConditioned)
+        << "high " << high;
+
+    kernels::WaveletScratch ws;
+    dsp::WaveletDecomposition a;
+    kernels::wavelet_decompose_block_scalar(c, dsp::kWaveletScales, ws, a);
+    const auto ref = dsp::wavelet_decompose(c, dsp::kWaveletScales);
+    for (std::size_t j = 0; j < dsp::kWaveletScales; ++j)
+      EXPECT_EQ(a.detail[j], ref.detail[j]) << "high " << high << " j " << j;
+    EXPECT_EQ(a.approx, ref.approx) << "high " << high;
+#if HBRP_KERNELS_X86
+    if (!kernels::cpu_supports_avx2()) continue;
+    dsp::Signal c2;
+    kernels::condition_ecg_block_avx2(x, dsp::FilterConfig{}, cs, c2);
+    EXPECT_EQ(c2, c) << "high " << high;
+    dsp::WaveletDecomposition b;
+    kernels::wavelet_decompose_block_avx2(c, dsp::kWaveletScales, ws, b);
+    for (std::size_t j = 0; j < dsp::kWaveletScales; ++j)
+      EXPECT_EQ(b.detail[j], a.detail[j]) << "high " << high << " j " << j;
+    EXPECT_EQ(b.approx, a.approx) << "high " << high;
+#endif
+  }
 }
 
 // --- detect_r_peaks_block vs dsp::detect_r_peaks ---------------------------
@@ -349,6 +409,41 @@ TEST(KernelsDspPeaks, KindDispatchSelectsDetector) {
   kernels::detect_r_peaks_kind(sig, cfg, scratch, by_kind);
   kernels::detect_r_peaks_adaptive(sig, cfg, scratch, direct);
   EXPECT_EQ(by_kind, direct);
+}
+
+// --- golden digests of the block kernels -----------------------------------
+
+// Pinned while dsp::Sample was 32 bits wide, from the dispatched kernels:
+// per profile, the conditioned record, its four wavelet details and
+// approximation, and the peaks of both detectors. They hold for any sample
+// width and dispatch target (scripts/ci.sh also runs them forced scalar).
+TEST(KernelsDspGolden, BlockKernelOutputDigestIsPinned) {
+  const std::uint64_t pinned[] = {0x53edcf29748880e9ull, 0x3320b26a39240ed7ull,
+                                  0x69f5d643c1f1c6bbull, 0x1beef4c206cce9f7ull};
+  kernels::ConditionScratch cs;
+  kernels::WaveletScratch ws;
+  kernels::PeakScratch ps;
+  dsp::Signal conditioned;
+  dsp::WaveletDecomposition wd;
+  std::vector<std::size_t> peaks;
+  for (std::size_t p = 0; p < std::size(golden::kProfiles); ++p) {
+    const dsp::Signal x = golden::record(golden::kProfiles[p]);
+    golden::Digest d;
+    kernels::condition_ecg_block(x, dsp::FilterConfig{}, cs, conditioned);
+    d.samples(conditioned);
+    kernels::wavelet_decompose_block(conditioned, dsp::kWaveletScales, ws, wd);
+    for (const dsp::Signal& detail : wd.detail) d.samples(detail);
+    d.samples(wd.approx);
+    dsp::PeakDetectorConfig pc;
+    kernels::detect_r_peaks_block(conditioned, pc, ps, peaks);
+    d.word(static_cast<std::uint32_t>(peaks.size()));
+    for (const std::size_t r : peaks) d.word(static_cast<std::uint32_t>(r));
+    kernels::detect_r_peaks_adaptive(conditioned, pc, ps, peaks);
+    d.word(static_cast<std::uint32_t>(peaks.size()));
+    for (const std::size_t r : peaks) d.word(static_cast<std::uint32_t>(r));
+    EXPECT_EQ(d.value(), pinned[p]) << "profile " << p << std::hex << " got 0x"
+                                    << d.value();
+  }
 }
 
 // --- StreamingBeatMonitor: push_block vs per-sample push -------------------

@@ -14,6 +14,7 @@
 #include "core/trainer.hpp"
 #include "ecg/dataset.hpp"
 #include "ecg/synth.hpp"
+#include "math/check.hpp"
 #include "service/fleet.hpp"
 #include "testing/fault_inject.hpp"
 
@@ -202,6 +203,23 @@ TEST_F(FleetEngineTest, AdmissionControlMaxSessions) {
   const auto c = engine.open_session({});
   EXPECT_TRUE(c.has_value());
   EXPECT_NE(*c, *a);  // ids are never reused
+}
+
+// A session's monitor holds the range contract like a node's: rails outside
+// [-2048, 2047] are refused at open, and the engine keeps no half-open
+// session.
+TEST_F(FleetEngineTest, SessionRefusesRailsOutsideTheCodeRange) {
+  FleetEngine engine(*bundle_);
+  SessionConfig cfg;
+  cfg.monitor.quality.rail_low = 0;
+  cfg.monitor.quality.rail_high = 4095;
+  EXPECT_THROW(engine.open_session({}, cfg), hbrp::Error);
+  cfg.monitor.quality.rail_low = -2049;
+  cfg.monitor.quality.rail_high = 2047;
+  EXPECT_THROW(engine.open_session({}, cfg), hbrp::Error);
+  EXPECT_EQ(engine.session_count(), 0u);
+  cfg.monitor.quality.rail_low = -2048;
+  EXPECT_TRUE(engine.open_session({}, cfg).has_value());
 }
 
 TEST_F(FleetEngineTest, AdmissionControlQueueBound) {
