@@ -9,9 +9,12 @@
 // --json=PATH (default BENCH_microkernels.json), which writes every
 // benchmark's per-iteration CPU time as a flat `<name>_ns_per_op` key plus the
 // derived block-vs-sample and scalar-vs-SIMD speedup ratios, stamped with
-// the machine provenance from bench::JsonReport.
+// the machine provenance from bench::JsonReport. A run that times nothing
+// (--benchmark_list_tests, a filter that matches nothing) writes no report.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -20,6 +23,7 @@
 #include "bench/common.hpp"
 #include "core/trainer.hpp"
 #include "delineation/mmd.hpp"
+#include "dsp/quality.hpp"
 #include "dsp/morphology.hpp"
 #include "dsp/peak_detect.hpp"
 #include "dsp/resample.hpp"
@@ -383,8 +387,8 @@ void BM_SynthRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthRecord)->Unit(benchmark::kMillisecond);
 
-/// One SAMPLE_CHUNK frame of 512 codes, as a StreamEverything node sends
-/// it: 788 B under the 12-bit packing.
+/// One SAMPLE_CHUNK frame of 512 uniformly random codes: 807 B, the
+/// block-delta layout's worst case for 512 codes.
 std::vector<unsigned char> chunk_frame() {
   std::vector<dsp::Sample> codes(512);
   math::Rng rng(5);
@@ -405,6 +409,41 @@ void BM_Crc32(benchmark::State& state) {
                           static_cast<std::int64_t>(frame.size()));
 }
 BENCHMARK(BM_Crc32);
+
+/// 512 codes of a seeded synthetic ECG, clamped to the default rails: the
+/// chunk a StreamEverything node sends (uniform codes are the codec's worst
+/// case, not the link's traffic).
+std::vector<dsp::Sample> ecg_chunk() {
+  const dsp::Signal lead = bench_record(10.0).leads[0];
+  const dsp::QualityConfig rails;
+  std::vector<dsp::Sample> codes(lead.begin() + 1800, lead.begin() + 2312);
+  for (auto& c : codes) c = std::clamp(c, rails.rail_low, rails.rail_high);
+  return codes;
+}
+
+// The sample codec at either end of a stream link, per chunk.
+void BM_ChunkEncode(benchmark::State& state) {
+  const std::vector<dsp::Sample> codes = ecg_chunk();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(net::encode_sample_chunk(codes));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(codes.size()));
+}
+BENCHMARK(BM_ChunkEncode);
+
+void BM_ChunkDecode(benchmark::State& state) {
+  const std::vector<unsigned char> payload =
+      net::encode_sample_chunk(ecg_chunk());
+  std::vector<dsp::Sample> out;
+  out.reserve(512);
+  for (auto _ : state) {
+    out.clear();
+    benchmark::DoNotOptimize(net::decode_sample_chunk(payload, out));
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 512);
+}
+BENCHMARK(BM_ChunkDecode);
 
 /// "BM_ProjectionSparseInt/16" -> "ProjectionSparseInt_16": the stable key
 /// stem used in BENCH_microkernels.json (and matched by perf_gate.py).
@@ -477,6 +516,14 @@ int main(int argc, char** argv) {
   CollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
+  // A list-only run, a filter that matched nothing or an aggregates-only
+  // run timed nothing per iteration: an empty report would overwrite a
+  // baseline with one that has no keys.
+  if (reporter.results().empty()) {
+    std::fprintf(stderr, "%s: no benchmark was timed; %s not written\n",
+                 argv[0], json_path.c_str());
+    return 0;
+  }
 
   hbrp::bench::JsonReport report("microkernels");
   for (const auto& [stem, ns] : reporter.results())

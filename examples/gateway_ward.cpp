@@ -56,16 +56,26 @@ struct NodeReport {
   std::size_t local_records = 0;
 };
 
-/// Bytes a StreamEverything link would have spent on the same samples:
-/// one HELLO plus dense SAMPLE_CHUNK frames (heartbeats excluded — an
-/// active link never idles long enough to send one).
-std::uint64_t stream_baseline_bytes(std::uint64_t samples,
-                                    std::size_t chunk_samples) {
+/// Bytes a StreamEverything link would have spent on the same codes: one
+/// HELLO plus the SAMPLE_CHUNK frames that node would send, of the codes
+/// clamped to its rails (heartbeats excluded — an active link never idles
+/// long enough to send one). Frames are encoded, not sized by formula: a
+/// chunk's size depends on its codes.
+std::uint64_t stream_baseline_bytes(std::span<const hbrp::dsp::Sample> codes,
+                                    const hbrp::net::NodeConfig& cfg) {
   using namespace hbrp::net;
-  const std::uint64_t tail = samples % chunk_samples;
-  return (kHeaderBytes + kHelloPayloadBytes) +
-         samples / chunk_samples * sample_chunk_frame_bytes(chunk_samples) +
-         (tail == 0 ? 0 : sample_chunk_frame_bytes(tail));
+  const hbrp::dsp::QualityConfig& rails = cfg.monitor.quality;
+  std::uint64_t bytes = kHeaderBytes + kHelloPayloadBytes;
+  std::vector<hbrp::dsp::Sample> chunk;
+  for (std::size_t off = 0; off < codes.size(); off += cfg.chunk_samples) {
+    const auto part = codes.subspan(
+        off, std::min(cfg.chunk_samples, codes.size() - off));
+    chunk.clear();
+    for (const hbrp::dsp::Sample x : part)
+      chunk.push_back(std::clamp(x, rails.rail_low, rails.rail_high));
+    bytes += kHeaderBytes + encode_sample_chunk(chunk).size();
+  }
+  return bytes;
 }
 
 }  // namespace
@@ -198,8 +208,7 @@ int main(int argc, char** argv) {
     const NodeReport& r = reports[i];
     const bool selective = r.policy == net::TxPolicy::Selective;
     const std::uint64_t baseline =
-        stream_baseline_bytes(r.stats.samples_in,
-                              net::NodeConfig{}.chunk_samples);
+        stream_baseline_bytes(streams[i], net::NodeConfig{});
     if (selective) {
       selective_bytes += r.stats.bytes_tx;
       selective_baseline += baseline;

@@ -42,7 +42,10 @@
 #      committed BENCH_microkernels.json by scripts/perf_gate.py — fails on
 #      >15% per-op CPU-time regression (tolerance doubled on virtualized
 #      hosts, skipped outright when the CPU model is unknown or differs
-#      from the baseline's). One retry absorbs a noisy first pass;
+#      from the baseline's). One retry absorbs a noisy first pass. Before
+#      it, a list-only bench_microkernels run in an empty temporary
+#      directory must leave no BENCH_*.json there (a report of no timings
+#      at the default path would overwrite the committed baseline);
 #   7. robustness gate: a quick bench_scenarios pass (adversarial ward
 #      suite replayed direct + over chaotic loopback TCP) compared against
 #      the committed BENCH_scenarios.json by scripts/robustness_gate.py —
@@ -185,6 +188,19 @@ echo "==== fleet soak smoke (fleet_soak: 10k sessions, RSS-capped)"
 python3 scripts/telemetry_json_check.py build/fleet_soak.log "reactors:"
 
 # --- 1d. perf gate: microkernels vs committed baseline --------------------
+# A run that times nothing writes no report: listing the benchmarks from the
+# repository root must not overwrite BENCH_microkernels.json.
+echo "==== bench_microkernels --benchmark_list_tests writes no report"
+list_dir=$(mktemp -d)
+(cd "${list_dir}" &&
+  "${OLDPWD}/build/bench/bench_microkernels" --benchmark_list_tests >/dev/null)
+if compgen -G "${list_dir}/BENCH_*.json" >/dev/null; then
+  echo "a list-only bench_microkernels run wrote a report:" \
+    "${list_dir}"/BENCH_*.json >&2
+  rm -rf "${list_dir}"
+  exit 1
+fi
+rm -rf "${list_dir}"
 echo "==== perf gate (bench_microkernels vs BENCH_microkernels.json)"
 run_perf_gate() {
   ./build/bench/bench_microkernels --benchmark_min_time=0.05 \

@@ -3,7 +3,7 @@
 // Every persisted or transmitted field in this codebase — model bundles
 // (lifecycle/bundle) and wire frames (net/wire) — goes through these helpers,
 // so there is exactly one audited codec instead of one per subsystem (the
-// one exception, net/wire's 24-bit words of two 12-bit sample codes, is
+// one exception, net/wire's LSB-first bit-packed sample blocks, is
 // shift/or too). The byte order is little-endian *by construction*
 // (shift/or, never memcpy of a native representation), so the format is
 // identical on any host;

@@ -6,21 +6,22 @@
 // value. Two policies, chosen at handshake:
 //
 //   StreamEverything  every pushed ADC code, clamped to the rails, is
-//                     framed into SAMPLE_CHUNK uploads at 12 bits per
-//                     code; the gateway's FleetEngine classifies and
-//                     streams BEAT_VERDICT frames back. The baseline
-//                     system, and the path whose verdict sequence must be
-//                     bit-identical to direct in-process ingest.
+//                     framed into SAMPLE_CHUNK uploads, delta-coded at
+//                     ~6.5 bits per ECG code; the gateway's FleetEngine
+//                     classifies and streams BEAT_VERDICT frames back.
+//                     The baseline system, and the path whose verdict
+//                     sequence must be bit-identical to direct in-process
+//                     ingest.
 //   Selective         the node runs its own core::StreamingBeatMonitor
 //                     (same fault-tolerant pipeline the gateway would run).
 //                     A beat classified normal on Good signal becomes a
 //                     1-byte verdict record in the local log — zero radio.
 //                     A pathological or Unknown beat uploads the full
-//                     window as FULL_BEAT (12 fixed bytes + 12 bits per
-//                     sample: 332 B for a 200-sample window) so the
-//                     gateway can run the detailed analysis; Suspect-
-//                     signal beats upload a 0-sample escalation record
-//                     (no trustworthy window).
+//                     window as FULL_BEAT (12 fixed bytes + the delta-
+//                     coded window: ~150 B for a 200-sample ECG window,
+//                     340 B at most) so the gateway can run the detailed
+//                     analysis; Suspect-signal beats upload a 0-sample
+//                     escalation record (no trustworthy window).
 //
 // Link robustness: connect/reconnect with exponential backoff (reset on a
 // successful handshake), heartbeats on an idle link, and at-least-once
@@ -73,7 +74,7 @@ struct NodeConfig {
   /// Local pipeline geometry (selective policy) and the ADC rails that
   /// streamed codes are clamped to. The rails must lie in [kMinWireCode,
   /// kMaxWireCode] and span at most kMaxWireCode codes, so every framed
-  /// code fits the wire's 12 bits.
+  /// code fits the wire's 12-bit range.
   core::MonitorConfig monitor;
   /// Samples per SAMPLE_CHUNK frame.
   std::size_t chunk_samples = 512;

@@ -1,6 +1,8 @@
 #include "net/wire.hpp"
 
-#include <cstring>
+#include <algorithm>
+#include <array>
+#include <bit>
 
 #include "math/check.hpp"
 #include "math/crc32.hpp"
@@ -21,27 +23,16 @@ bool valid_type(std::uint8_t t) {
          t <= static_cast<std::uint8_t>(FrameType::ModelAck) && t != 7;
 }
 
-/// Appends `codes` in the packed 12-bit layout (see wire.hpp): the one
-/// encoder behind SAMPLE_CHUNK and the FULL_BEAT window.
-void append_codes(std::vector<unsigned char>& p,
-                  std::span<const dsp::Sample> codes) {
-  for (const dsp::Sample c : codes)
-    HBRP_REQUIRE(c >= kMinWireCode && c <= kMaxWireCode,
-                 "wire: sample code outside the 12-bit range");
-  const std::size_t at = p.size();
-  p.resize(at + packed_sample_bytes(codes.size()));
-  unsigned char* out = p.data() + at;
-  std::size_t i = 0;
-  for (; i + 1 < codes.size(); i += 2, out += 3) {
-    const std::uint32_t word =
-        (static_cast<std::uint32_t>(codes[i]) & 0xFFFu) |
-        (static_cast<std::uint32_t>(codes[i + 1]) & 0xFFFu) << 12;
-    out[0] = static_cast<unsigned char>(word & 0xFFu);
-    out[1] = static_cast<unsigned char>((word >> 8) & 0xFFu);
-    out[2] = static_cast<unsigned char>(word >> 16);
-  }
-  if (i < codes.size())
-    store_le<std::uint16_t>(out, static_cast<std::uint16_t>(codes[i] & 0xFFF));
+/// Zigzag code of the difference cur - prev, both 12-bit fields, taken mod
+/// 2^12 and read as [-2048, 2047]: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ...
+std::uint32_t zigzag_diff(std::uint32_t prev, std::uint32_t cur) {
+  const std::uint32_t d = (cur - prev) & 0xFFFu;
+  return ((d << 1) ^ (0u - (d >> 11))) & 0xFFFu;
+}
+
+/// The 12-bit field of a code.
+std::uint32_t field(dsp::Sample c) {
+  return static_cast<std::uint32_t>(c) & 0xFFFu;
 }
 
 /// Sign-extends a 12-bit two's-complement field.
@@ -50,23 +41,134 @@ dsp::Sample from_12bit(std::uint32_t v) {
                                   0x800);
 }
 
-/// The packed layout's inverse: `count` codes from exactly
-/// packed_sample_bytes(count) bytes at `in` into `out`. False, with `out`
-/// untouched, when an odd last code's pad nibble is not zero.
-bool unpack_codes(const unsigned char* in, std::size_t count,
-                  dsp::Sample* out) {
-  if (count % 2 != 0 &&
-      (load_le<std::uint16_t>(in + count / 2 * 3) & 0xF000u) != 0)
-    return false;
-  std::size_t i = 0;
-  for (; i + 1 < count; i += 2, in += 3) {
-    const std::uint32_t word = static_cast<std::uint32_t>(in[0]) |
-                               static_cast<std::uint32_t>(in[1]) << 8 |
-                               static_cast<std::uint32_t>(in[2]) << 16;
-    out[i] = from_12bit(word & 0xFFFu);
-    out[i + 1] = from_12bit(word >> 12);
+/// Differences in block `b` of a run with `diffs` differences.
+std::size_t block_len(std::size_t diffs, std::size_t b) {
+  return std::min(kBlockCodes, diffs - b * kBlockCodes);
+}
+
+/// Bytes a block of `len` values at `width` bits occupies.
+std::size_t block_bytes(std::size_t len, unsigned width) {
+  return (len * width + 7) / 8;
+}
+
+constexpr std::size_t kMaxBlocks = kMaxChunkSamples / kBlockCodes;
+static_assert(kMaxWindowSamples <= kMaxChunkSamples);
+
+/// Appends `codes` (1..kMaxChunkSamples of them) as one block-delta run
+/// (see wire.hpp): the one encoder behind SAMPLE_CHUNK and the FULL_BEAT
+/// window. Sizes the run exactly before writing it.
+void append_codes(std::vector<unsigned char>& p,
+                  std::span<const dsp::Sample> codes) {
+  for (const dsp::Sample c : codes)
+    HBRP_REQUIRE(c >= kMinWireCode && c <= kMaxWireCode,
+                 "wire: sample code outside the 12-bit range");
+  const std::size_t diffs = codes.size() - 1;
+  const std::size_t blocks = (diffs + kBlockCodes - 1) / kBlockCodes;
+  std::array<std::uint8_t, kMaxBlocks> widths;
+  std::size_t bytes = 2 + (blocks + 1) / 2;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t first = b * kBlockCodes + 1;
+    const std::size_t len = block_len(diffs, b);
+    std::uint32_t any = 0;
+    for (std::size_t i = first; i < first + len; ++i)
+      any |= zigzag_diff(field(codes[i - 1]), field(codes[i]));
+    widths[b] = static_cast<std::uint8_t>(std::bit_width(any));
+    bytes += block_bytes(len, widths[b]);
   }
-  if (i < count) out[i] = from_12bit(load_le<std::uint16_t>(in));
+  const std::size_t at = p.size();
+  p.resize(at + bytes);
+  unsigned char* out = p.data() + at;
+  store_le<std::uint16_t>(out, static_cast<std::uint16_t>(field(codes[0])));
+  out += 2;
+  for (std::size_t b = 0; b < blocks; b += 2)
+    *out++ = static_cast<unsigned char>(
+        widths[b] | (b + 1 < blocks ? widths[b + 1] << 4 : 0));
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t first = b * kBlockCodes + 1;
+    const std::size_t len = block_len(diffs, b);
+    const unsigned width = widths[b];
+    // LSB-first bit stream; whole bytes leave as they fill.
+    std::uint64_t acc = 0;
+    unsigned bits = 0;
+    for (std::size_t i = first; i < first + len; ++i) {
+      acc |= std::uint64_t{zigzag_diff(field(codes[i - 1]), field(codes[i]))}
+             << bits;
+      bits += width;
+      if (bits >= 32) {
+        store_le<std::uint32_t>(out, static_cast<std::uint32_t>(acc));
+        out += 4;
+        acc >>= 32;
+        bits -= 32;
+      }
+    }
+    for (; bits > 0; bits = bits > 8 ? bits - 8 : 0) {
+      *out++ = static_cast<unsigned char>(acc & 0xFFu);
+      acc >>= 8;
+    }
+  }
+}
+
+/// Little-endian 32 bits at `p`, spelled as one expression so the compiler
+/// fuses it into a single load (load_le's byte loop stays four loads).
+std::uint32_t load32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+/// The run layout's inverse: `count` (>= 1) codes from exactly `in` into
+/// `out`. False when `in` is not the one encoding of a run of `count`
+/// codes; `out` may then hold partial output.
+bool unpack_codes(std::span<const unsigned char> in, std::size_t count,
+                  dsp::Sample* out) {
+  const std::size_t diffs = count - 1;
+  const std::size_t blocks = (diffs + kBlockCodes - 1) / kBlockCodes;
+  const std::size_t head = 2 + (blocks + 1) / 2;
+  if (in.size() < head) return false;
+  const unsigned char* widths = in.data() + 2;
+  std::size_t bytes = head;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const unsigned width = (widths[b / 2] >> (4 * (b % 2))) & 0xFu;
+    if (width > 12) return false;
+    bytes += block_bytes(block_len(diffs, b), width);
+  }
+  if (blocks % 2 != 0 && (widths[blocks / 2] >> 4) != 0) return false;
+  const auto anchor = load_le<std::uint16_t>(in.data());
+  if (in.size() != bytes || (anchor & 0xF000u) != 0) return false;
+
+  std::uint32_t x = anchor;
+  out[0] = from_12bit(x);
+  const unsigned char* blk = in.data() + head;
+  // Value j of a block sits at bit j * width; a 32-bit load at its byte
+  // covers it (shift <= 7, width <= 12). Near the end of the payload a
+  // block is read from a zero-padded copy, so no load leaves `in`.
+  std::array<unsigned char, 2 * kBlockCodes + 4> pad;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t len = block_len(diffs, b);
+    const unsigned width = (widths[b / 2] >> (4 * (b % 2))) & 0xFu;
+    const std::size_t nbytes = block_bytes(len, width);
+    const unsigned char* src = blk;
+    if (static_cast<std::size_t>(in.data() + in.size() - blk) < pad.size()) {
+      pad.fill(0);
+      std::copy(blk, blk + nbytes, pad.begin());
+      src = pad.data();
+    }
+    const std::uint32_t mask = (1u << width) - 1;
+    std::uint32_t any = 0;
+    for (std::size_t j = 0; j < len; ++j) {
+      const std::size_t bit = j * width;
+      const std::uint32_t z = (load32(src + bit / 8) >> (bit % 8)) & mask;
+      any |= z;
+      x += (z >> 1) ^ (0u - (z & 1u));
+      out[b * kBlockCodes + 1 + j] = from_12bit(x & 0xFFFu);
+    }
+    // Minimal width: some value uses the top bit. Pad bits are zero.
+    if (static_cast<unsigned>(std::bit_width(any)) != width) return false;
+    const std::size_t used = len * width;
+    if (used % 8 != 0 && (blk[nbytes - 1] >> (used % 8)) != 0) return false;
+    blk += nbytes;
+  }
   return true;
 }
 
@@ -190,7 +292,9 @@ std::vector<unsigned char> encode_sample_chunk(
     std::span<const dsp::Sample> samples) {
   HBRP_REQUIRE(samples.size() <= kMaxChunkSamples,
                "wire: sample chunk exceeds kMaxChunkSamples");
+  HBRP_REQUIRE(!samples.empty(), "wire: sample chunk must not be empty");
   std::vector<unsigned char> p;
+  append_le(p, static_cast<std::uint16_t>(samples.size()));
   append_codes(p, samples);
   return p;
 }
@@ -201,12 +305,11 @@ std::vector<unsigned char> encode_full_beat(
                "wire: beat window exceeds kMaxWindowSamples");
   m.count = static_cast<std::uint16_t>(window.size());
   std::vector<unsigned char> p;
-  p.reserve(kFullBeatFixedBytes + packed_sample_bytes(window.size()));
   append_le(p, m.r_peak);
   append_le(p, m.beat_class);
   append_le(p, m.quality);
   append_le(p, m.count);
-  append_codes(p, window);
+  if (!window.empty()) append_codes(p, window);
   return p;
 }
 
@@ -276,14 +379,13 @@ std::optional<ModelAckMsg> decode_model_ack(
 
 bool decode_sample_chunk(std::span<const unsigned char> payload,
                          std::vector<dsp::Sample>& out) {
-  // 3 bytes per pair plus 2 for an odd last code: a length of 1 mod 3
-  // belongs to no count.
-  if (payload.size() % 3 == 1) return false;
-  const std::size_t count = payload.size() / 3 * 2 + payload.size() % 3 / 2;
+  if (payload.size() < kChunkCountBytes) return false;
+  const std::size_t count = load_le<std::uint16_t>(payload.data());
   if (count == 0 || count > kMaxChunkSamples) return false;
   const std::size_t at = out.size();
   out.resize(at + count);
-  if (!unpack_codes(payload.data(), count, out.data() + at)) {
+  if (!unpack_codes(payload.subspan(kChunkCountBytes), count,
+                    out.data() + at)) {
     out.resize(at);
     return false;
   }
@@ -299,9 +401,10 @@ bool decode_full_beat(std::span<const unsigned char> payload, FullBeatMsg& m,
   m.quality = r.get<std::uint8_t>();
   m.count = r.get<std::uint16_t>();
   if (m.count > kMaxWindowSamples) return false;
-  if (r.remaining() != packed_sample_bytes(m.count)) return false;
   window.resize(m.count);
-  if (!unpack_codes(r.bytes(r.remaining()), m.count, window.data())) {
+  if (m.count == 0) return r.remaining() == 0;
+  if (!unpack_codes(payload.subspan(kFullBeatFixedBytes), m.count,
+                    window.data())) {
     window.clear();
     return false;
   }

@@ -1,4 +1,4 @@
-// WBSN wire protocol v2: versioned little-endian binary framing.
+// WBSN wire protocol v3: versioned little-endian binary framing.
 //
 // The transport between a sensor node and the ward gateway. Every frame is
 // a fixed 20-byte header followed by a bounded payload:
@@ -19,15 +19,27 @@
 // a hostile length cannot stall the parser waiting for gigabytes.
 //
 // Samples travel as 12-bit two's-complement codes in [kMinWireCode,
-// kMaxWireCode], in one packed layout shared by SAMPLE_CHUNK payloads and
-// the FULL_BEAT window: each pair of codes (a, b) is the little-endian
-// 24-bit word (a & 0xFFF) | (b & 0xFFF) << 12, and an odd last code is a
-// little-endian 16-bit word whose top 4 bits are zero. n codes take
-// packed_sample_bytes(n) = 3 * (n / 2) + 2 * (n % 2) bytes. Encoders
-// reject a code outside the 12-bit range; decoders reject a length no
-// count maps to and a nonzero pad nibble. The node guarantees the range:
-// raw codes are clamped to ADC rails inside it, and a conditioned window
-// stays within +/-(rail_high - rail_low) <= 2047 (see SensorNodeClient).
+// kMaxWireCode], in one lossless block-delta layout shared by SAMPLE_CHUNK
+// payloads and the FULL_BEAT window. A run of n >= 1 codes x[0..n) is:
+//   - the anchor: x[0] & 0xFFF as a little-endian u16 (top nibble zero);
+//   - the widths, two per byte, low nibble first, with a zero pad nibble
+//     after an odd block count. The n - 1 differences x[i] - x[i-1], taken
+//     mod 2^12 and sign-extended to [-2048, 2047], are zigzag-coded (0,
+//     -1, 1, -2, ... -> 0, 1, 2, 3, ...) and grouped in blocks of
+//     kBlockCodes; a block's 4-bit width is the bit width of its largest
+//     value (0..12);
+//   - the blocks: each block's values packed LSB-first at its width, so a
+//     full block is exactly 2 * width bytes; a short last block is padded
+//     with zero bits to a byte.
+// A run's size depends on its content; max_packed_sample_bytes(n) bounds
+// it (12 bits per difference plus the anchor and the widths). Encoders
+// reject a code outside the 12-bit range. Decoders accept only the one
+// encoding of each run: they reject a width above 12 or one wider than its
+// block's largest value, a nonzero pad nibble, pad bit or anchor nibble,
+// and any length but the exact one. No frame depends on an earlier one.
+// The node guarantees the range: raw codes are clamped to ADC rails inside
+// it, and a conditioned window stays within +/-(rail_high - rail_low) <=
+// 2047 (see SensorNodeClient).
 //
 // Frame types and their seq/payload contracts:
 //   Hello        client -> gateway   seq 0; HelloMsg (node id, TxPolicy,
@@ -35,17 +47,18 @@
 //   HelloAck     gateway -> client   seq 0; HelloAckMsg (session id, status)
 //   SampleChunk  client -> gateway   seq = dense chunk counter from 0; the
 //                                    gateway rejects any gap or reorder.
-//                                    Payload: packed codes, 1..
-//                                    kMaxChunkSamples of them; the count
-//                                    follows from the length.
+//                                    Payload: a u16 count, 1..
+//                                    kMaxChunkSamples, then one run of
+//                                    that many codes.
 //   BeatVerdict  gateway -> client   seq = per-session verdict sequence
 //                                    (dense, the FleetEngine delivery
 //                                    order contract); BeatVerdictMsg.
 //                                    For a FullBeat it echoes the upload's
 //                                    seq and is its only acknowledgement.
 //   FullBeat     client -> gateway   seq = dense beat-upload counter;
-//                                    FullBeatMsg (12 fixed bytes) + packed
-//                                    window codes. Resent after reconnect
+//                                    FullBeatMsg (12 fixed bytes) + one run
+//                                    of count window codes (none for count
+//                                    0). Resent after reconnect
 //                                    until its BeatVerdict arrives
 //                                    (at-least-once; the gateway
 //                                    re-verdicts duplicates and the client
@@ -93,7 +106,7 @@
 namespace hbrp::net {
 
 inline constexpr std::uint16_t kWireMagic = 0xECB5;
-inline constexpr std::uint8_t kProtocolVersion = 2;
+inline constexpr std::uint8_t kProtocolVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 20;
 /// Upper bound on one frame's payload; caps parser buffering and keeps a
 /// corrupt length field from ever looking plausible. Large enough for a
@@ -109,24 +122,30 @@ inline constexpr std::size_t kMaxBundleBytes = 1u << 24;
 /// the code range of dsp/signal.hpp's contract.
 inline constexpr dsp::Sample kMinWireCode = dsp::kMinCode;
 inline constexpr dsp::Sample kMaxWireCode = dsp::kMaxCode;
-/// Fixed payload sizes: HELLO, and the FULL_BEAT prefix (r_peak, class,
-/// quality, count) ahead of its packed window.
+/// Fixed payload sizes: HELLO, the SAMPLE_CHUNK count ahead of its run,
+/// and the FULL_BEAT prefix (r_peak, class, quality, count) ahead of its
+/// window's run.
 inline constexpr std::size_t kHelloPayloadBytes = 4 + 1 + 2 + 4;
+inline constexpr std::size_t kChunkCountBytes = 2;
 inline constexpr std::size_t kFullBeatFixedBytes = 8 + 1 + 1 + 2;
+/// Differences per block of a packed run: one 4-bit width each.
+inline constexpr std::size_t kBlockCodes = 16;
 
-/// Bytes `n` packed 12-bit codes occupy: 3 per pair, 2 for an odd last one.
-constexpr std::size_t packed_sample_bytes(std::size_t n) {
-  return n / 2 * 3 + n % 2 * 2;
+/// Upper bound on the bytes a run of `n` codes packs into, whatever the
+/// codes: the 2-byte anchor, a width nibble per block and 12 bits per
+/// difference (12.25 bits per code plus a constant). A run's actual size
+/// depends on its content; this is the bound for capacity limits.
+constexpr std::size_t max_packed_sample_bytes(std::size_t n) {
+  if (n == 0) return 0;
+  const std::size_t diffs = n - 1;
+  const std::size_t blocks = (diffs + kBlockCodes - 1) / kBlockCodes;
+  return 2 + (blocks + 1) / 2 + (3 * diffs + 1) / 2;
 }
-/// Whole-frame sizes, header included: the one definition of what a
-/// SAMPLE_CHUNK of `n` codes and a FULL_BEAT of an `n`-sample window cost
-/// on the wire.
-constexpr std::size_t sample_chunk_frame_bytes(std::size_t n) {
-  return kHeaderBytes + packed_sample_bytes(n);
-}
-constexpr std::size_t full_beat_frame_bytes(std::size_t n) {
-  return kHeaderBytes + kFullBeatFixedBytes + packed_sample_bytes(n);
-}
+static_assert(kChunkCountBytes + max_packed_sample_bytes(kMaxChunkSamples) <=
+              kMaxPayloadBytes);
+static_assert(kFullBeatFixedBytes +
+                  max_packed_sample_bytes(kMaxWindowSamples) <=
+              kMaxPayloadBytes);
 
 enum class FrameType : std::uint8_t {
   Hello = 1,
@@ -245,20 +264,22 @@ std::vector<unsigned char> encode_hello_ack(const HelloAckMsg& m);
 std::vector<unsigned char> encode_beat_verdict(const BeatVerdictMsg& m);
 std::vector<unsigned char> encode_model_push(const ModelPushMsg& m);
 std::vector<unsigned char> encode_model_ack(const ModelAckMsg& m);
-/// SampleChunk payload: `samples.size()` packed codes (<= kMaxChunkSamples).
-/// Throws hbrp::Error when a code lies outside [kMinWireCode, kMaxWireCode].
+/// SampleChunk payload: the count, then `samples` as one packed run
+/// (1..kMaxChunkSamples codes). Throws hbrp::Error when a code lies outside
+/// [kMinWireCode, kMaxWireCode].
 std::vector<unsigned char> encode_sample_chunk(
     std::span<const dsp::Sample> samples);
-/// FullBeat payload: fixed fields + `window.size()` packed codes
+/// FullBeat payload: fixed fields + `window` as one packed run
 /// (<= kMaxWindowSamples; `m.count` is overwritten with window.size()).
 /// Throws hbrp::Error when a code lies outside [kMinWireCode, kMaxWireCode].
 std::vector<unsigned char> encode_full_beat(
     FullBeatMsg m, std::span<const dsp::Sample> window);
 
 // --- decode --------------------------------------------------------------
-// Strict: the payload must have exactly the expected size (and internally
-// consistent counts, and zero pad nibbles); anything else returns
-// nullopt/false and the caller treats the frame as a protocol violation.
+// Strict: the payload must have exactly the expected size, counts within
+// their bounds and a run in its one canonical encoding (see above); anything
+// else returns nullopt/false and the caller treats the frame as a protocol
+// violation.
 
 std::optional<HelloMsg> decode_hello(std::span<const unsigned char> payload);
 std::optional<HelloAckMsg> decode_hello_ack(

@@ -319,6 +319,30 @@ TEST(Footprint, ThreadWorkspaceAtDefaultConfig) {
       << "thread workspace: " << kept << " bytes";
 }
 
+// The payload of each upload a selective node (drift off) makes on `lead`
+// in packets, in upload order: its monitor and policy — classify, keep a
+// normal beat on Good signal local, upload the rest — with each window
+// encoded as the node encodes it. A payload's size depends on its codes.
+std::vector<std::int64_t> upload_payloads(
+    const embedded::EmbeddedClassifier& clf, const dsp::Signal& lead) {
+  std::vector<std::int64_t> sizes;
+  embedded::ClassifyScratch scratch;
+  core::StreamingBeatMonitor monitor(clf);
+  const core::PendingBeatSink sink = [&](const core::PendingBeat& pb) {
+    const ecg::BeatClass c = pb.needs_classification
+                                 ? clf.classify_window(pb.window, scratch)
+                                 : pb.beat.predicted;
+    if (!ecg::is_pathological(c) &&
+        pb.beat.quality == dsp::SignalQuality::Good)
+      return;
+    sizes.push_back(static_cast<std::int64_t>(
+        net::encode_full_beat(net::FullBeatMsg{}, pb.window).size()));
+  };
+  for (std::size_t k = 0; k < packet_count(lead); ++k)
+    monitor.push_block(packet(lead, k), sink);
+  return sizes;
+}
+
 // A selective node holds each upload once, in its retransmit window. This
 // one is never polled (port 1, like the e2e ledger's node), so it never
 // connects: nothing is sent, nothing is acknowledged, and once the window
@@ -328,6 +352,7 @@ TEST(Footprint, SelectiveNodeHoldsEachUploadOnce) {
   const auto clf = make_classifier(8, 1.0, 10.0);
   const dsp::Signal lead = synth_lead(600.0);
   warm_workspace(clf, lead);
+  const std::vector<std::int64_t> payloads = upload_payloads(clf, lead);
 
   net::NodeConfig cfg;
   cfg.port = 1;
@@ -340,34 +365,48 @@ TEST(Footprint, SelectiveNodeHoldsEachUploadOnce) {
     while (!done() && k < packet_count(lead)) node.push(packet(lead, k++));
     return done();
   };
+  // Payload bytes of the uploads the node holds: its newest ones.
+  const auto held_payload = [&] {
+    const std::size_t end = node.stats().beats_uploaded;
+    std::int64_t sum = 0;
+    for (std::size_t u = end - node.unacked_full_beats(); u < end; ++u)
+      sum += payloads.at(u);
+    return sum;
+  };
 
   // Start counting once the node's own buffers are in steady state.
   ASSERT_TRUE(push_until([&] { return node.unacked_full_beats() >= 8; }));
   const std::int64_t base = live_bytes();
+  const std::int64_t base_payload = held_payload();
   const std::size_t base_held = node.unacked_full_beats();
   ASSERT_TRUE(
       push_until([&] { return node.unacked_full_beats() == window; }));
   const std::int64_t full = live_bytes();
+  const std::int64_t full_payload = held_payload();
   // Another window's worth of uploads: the held set turns over, the heap
-  // stays put.
+  // follows its payload bytes.
   const std::uint64_t uploads_at_full = node.stats().beats_uploaded;
   ASSERT_TRUE(push_until([&] {
     return node.stats().beats_uploaded >= uploads_at_full + window;
   }));
   const std::int64_t later = live_bytes();
+  const std::int64_t later_payload = held_payload();
 
-  const std::int64_t frame = static_cast<std::int64_t>(
-      net::full_beat_frame_bytes(clf.projector().expected_window()));
-  ASSERT_EQ(frame, 332);
-  const std::int64_t per_upload =
-      (full - base) / static_cast<std::int64_t>(window - base_held);
-  // One held payload is the frame less its 20 B header, plus a map node;
-  // a second copy of each (>= 2 x 312 B) would exceed this bound.
-  EXPECT_LT(per_upload, frame * 5 / 4)
-      << "live heap per held upload: " << per_upload << " bytes";
-  EXPECT_LT(later - full, frame)
+  const auto added = static_cast<std::int64_t>(window - base_held);
+  const std::int64_t per_upload = (full - base) / added;
+  const std::int64_t mean_payload = (full_payload - base_payload) / added;
+  // One held upload is its payload plus a map node and allocator rounding;
+  // a second copy of each (> kNodeOverhead more) would exceed this bound.
+  constexpr std::int64_t kNodeOverhead = 96;
+  ASSERT_GT(mean_payload, kNodeOverhead);
+  EXPECT_LT(per_upload - mean_payload, kNodeOverhead)
+      << "live heap per held upload: " << per_upload << " bytes for "
+      << mean_payload << " payload bytes";
+  EXPECT_LT((later - full) - (later_payload - full_payload),
+            static_cast<std::int64_t>(net::kHeaderBytes) + mean_payload)
       << "live heap grew " << (later - full) << " bytes over " << window
-      << " uploads past a full window";
+      << " uploads past a full window, its payloads "
+      << (later_payload - full_payload);
   EXPECT_EQ(node.unacked_full_beats(), window);
   const net::TxStats& s = node.stats();
   EXPECT_EQ(s.frames_dropped, s.beats_uploaded - window);

@@ -11,9 +11,12 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <map>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "core/streaming.hpp"
 #include "core/trainer.hpp"
 #include "ecg/dataset.hpp"
 #include "ecg/synth.hpp"
@@ -362,22 +365,43 @@ TEST_F(NetLoopbackTest, SelectivePolicyKeepsNormalBeatsLocal) {
   EXPECT_EQ(gs.samples_rx.load(), 0u) << "selective mode ships no raw chunks";
 
   // Exact bytes-on-wire accounting: HELLO + BYE + one frame per upload —
-  // nothing else leaves the node (heartbeats disabled above).
-  const std::size_t w = bundle_->projector().expected_window();
-  const std::uint64_t expect_bytes =
-      (net::kHeaderBytes + net::kHelloPayloadBytes) + net::kHeaderBytes +
-      expect_full * net::full_beat_frame_bytes(w) +
-      expect_meta * net::full_beat_frame_bytes(0);
+  // nothing else leaves the node (heartbeats disabled above). A window's
+  // frame size depends on its codes, so each uploaded window is taken from
+  // a monitor run over the same lead (the node's monitor reports the same
+  // beats) and encoded.
+  std::map<std::uint64_t, std::size_t> window_frame_bytes;
+  core::StreamingBeatMonitor monitor(*bundle_, ncfg.monitor);
+  const core::PendingBeatSink sink = [&](const core::PendingBeat& pb) {
+    if (!pb.window.empty())
+      window_frame_bytes[static_cast<std::uint64_t>(pb.beat.r_peak)] =
+          net::kHeaderBytes +
+          net::encode_full_beat(net::FullBeatMsg{}, pb.window).size();
+  };
+  monitor.push_block(lead, sink);
+  monitor.flush(sink);
+  std::uint64_t expect_bytes =
+      (net::kHeaderBytes + net::kHelloPayloadBytes) + net::kHeaderBytes;
+  for (const auto& r : reference) {
+    const bool good = static_cast<dsp::SignalQuality>(r.quality) ==
+                      dsp::SignalQuality::Good;
+    if (!good)
+      expect_bytes += net::kHeaderBytes + net::kFullBeatFixedBytes;
+    else if (ecg::is_pathological(static_cast<ecg::BeatClass>(r.beat_class)))
+      expect_bytes += window_frame_bytes.at(r.r_peak);
+  }
   EXPECT_EQ(s.bytes_tx, expect_bytes);
 
   // The paper's point: the selective policy costs a fraction of shipping
-  // the raw stream, the same samples as packed SAMPLE_CHUNK frames.
+  // the raw stream, the same samples as SAMPLE_CHUNK frames.
   const std::size_t chunk = ncfg.chunk_samples;
-  const std::uint64_t stream_everything_bytes =
-      lead.size() / chunk * net::sample_chunk_frame_bytes(chunk) +
-      (lead.size() % chunk == 0
-           ? 0
-           : net::sample_chunk_frame_bytes(lead.size() % chunk));
+  std::uint64_t stream_everything_bytes = 0;
+  const std::span<const dsp::Sample> all(lead);
+  for (std::size_t off = 0; off < all.size(); off += chunk)
+    stream_everything_bytes +=
+        net::kHeaderBytes +
+        net::encode_sample_chunk(
+            all.subspan(off, std::min(chunk, all.size() - off)))
+            .size();
   EXPECT_LT(s.bytes_tx, stream_everything_bytes / 2);
   const platform::PowerModel power;
   EXPECT_GT(net::radio_energy_j(s, power), 0.0);
