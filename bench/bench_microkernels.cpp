@@ -135,22 +135,6 @@ void BM_PeakDetectBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_PeakDetectBlock)->Unit(benchmark::kMicrosecond);
 
-void BM_AdaptiveThresholdDetect(benchmark::State& state) {
-  const auto& sig = conditioned_30s();
-  kernels::PeakScratch scratch;
-  std::vector<std::size_t> peaks;
-  dsp::PeakDetectorConfig cfg;
-  cfg.kind = dsp::PeakDetectorKind::AdaptiveThreshold;
-  for (auto _ : state) {
-    kernels::detect_r_peaks_adaptive(sig, cfg, scratch, peaks);
-    benchmark::DoNotOptimize(peaks.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(sig.size()));
-}
-BENCHMARK(BM_AdaptiveThresholdDetect)->Unit(benchmark::kMicrosecond);
-
 // --- Projection: the sparse execution kernel (index lists) vs the dense
 // reference. Same matrix, same input, same int32 results; apply_into
 // isolates the kernel from the allocator.
@@ -535,8 +519,7 @@ int main(int argc, char** argv) {
   if (fz_scalar > 0.0 && fz_simd > 0.0)
     report.set("fuzzify_simd_speedup", fz_scalar / fz_simd);
   // Block-DSP refactor headline: per-sample operator vs SoA block kernel on
-  // the same 30 s signal, and the adaptive fast path vs the full wavelet
-  // detector.
+  // the same 30 s signal.
   const struct {
     const char* sample;
     const char* block;
@@ -545,7 +528,6 @@ int main(int argc, char** argv) {
       {"ConditionEcg", "ConditionEcgBlock", "condition_block_speedup"},
       {"WaveletDecompose", "WaveletBlock", "wavelet_block_speedup"},
       {"PeakDetect", "PeakDetectBlock", "peak_block_speedup"},
-      {"PeakDetectBlock", "AdaptiveThresholdDetect", "adaptive_detect_speedup"},
   };
   for (const auto& p : dsp_pairs) {
     const double sample = reporter.find(p.sample);

@@ -9,10 +9,8 @@
 // (lead-off, saturation, NaN bursts) to show the signal-quality gating and
 // recovery behaviour a real ambulatory session depends on.
 //
-// Usage: holter_monitor [minutes-per-record] [detector] [--seed=N]
+// Usage: holter_monitor [minutes-per-record] [--seed=N]
 //   minutes-per-record: default 5
-//   detector: "wavelet" (default) or "adaptive" — selects the R-peak
-//             detector the streaming monitor runs (dsp::PeakDetectorKind).
 //   --seed=N: base seed for the synthetic patient records (default 1000;
 //             patient i streams from N+i, the fault replay from N+1000).
 //             The trained model's seeds are fixed — only the simulated
@@ -48,29 +46,21 @@ int main(int argc, char** argv) {
   using namespace hbrp;
   double minutes = 5.0;
   std::uint64_t seed_base = 1000;
-  dsp::PeakDetectorKind detector = dsp::PeakDetectorKind::Wavelet;
-  int positional = 0;
+  bool have_minutes = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--seed=", 7) == 0) {
       seed_base = static_cast<std::uint64_t>(std::atoll(argv[i] + 7));
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+    } else if (std::strncmp(argv[i], "--", 2) != 0 && !have_minutes) {
+      minutes = std::atof(argv[i]);
+      have_minutes = true;
+    } else {
       std::fprintf(stderr,
-                   "unknown flag '%s'\n"
-                   "usage: holter_monitor [minutes] [detector] [--seed=N]\n",
+                   "unexpected argument '%s'\n"
+                   "usage: holter_monitor [minutes] [--seed=N]\n",
                    argv[i]);
       return 1;
-    } else if (positional == 0) {
-      minutes = std::atof(argv[i]);
-      ++positional;
-    } else {
-      if (std::strcmp(argv[i], "adaptive") == 0)
-        detector = dsp::PeakDetectorKind::AdaptiveThreshold;
-      ++positional;
     }
   }
-  std::printf("R-peak detector: %s\n",
-              detector == dsp::PeakDetectorKind::Wavelet ? "wavelet"
-                                                         : "adaptive");
 
   // Train once (reduced GA keeps the example snappy).
   std::printf("Training classifier...\n");
@@ -88,9 +78,7 @@ int main(int argc, char** argv) {
   tcfg.seed = 33;
   const core::TwoStepTrainer trainer(ts1, ts2, tcfg);
   const auto trained = trainer.run();
-  core::PipelineConfig pipe_cfg;
-  pipe_cfg.peak.kind = detector;
-  const core::RealTimePipeline pipeline(trained.quantize(), pipe_cfg);
+  const core::RealTimePipeline pipeline(trained.quantize());
 
   const ecg::RecordProfile profiles[] = {
       ecg::RecordProfile::NormalSinus, ecg::RecordProfile::PvcOccasional,
@@ -159,8 +147,7 @@ int main(int argc, char** argv) {
        static_cast<std::size_t>(2 * fs), 0.0, 0.25},
   };
 
-  core::MonitorConfig mon_cfg;
-  mon_cfg.peak.kind = detector;
+  const core::MonitorConfig mon_cfg;
   core::StreamingBeatMonitor monitor(trained.quantize(), mon_cfg);
   std::size_t beats_total = 0, beats_suspect = 0;
   testing::FaultInjector injector(fcfg);

@@ -86,8 +86,8 @@ int run(int argc, char** argv) {
                                  condition_scratch, conditioned);
     kernels::PeakScratch peak_scratch;
     std::vector<std::size_t> peaks;
-    kernels::detect_r_peaks_kind(conditioned, dsp::PeakDetectorConfig{},
-                                 peak_scratch, peaks);
+    kernels::detect_r_peaks_block(conditioned, dsp::PeakDetectorConfig{},
+                                  peak_scratch, peaks);
     std::vector<std::size_t> ref;
     for (const auto& b : rec.beats) ref.push_back(b.sample);
     const auto stats = dsp::match_peaks(peaks, ref, 54);

@@ -6,7 +6,11 @@
 #      full ctest suite — the tier-1 gate — then
 #      the DSP kernel-equivalence subset re-run under HBRP_FORCE_SCALAR=1,
 #      so the scalar halves of the block kernels are gated even on AVX2
-#      hosts;
+#      hosts, then the integer-only gate: scripts/fp_free_check.py
+#      disassembles the Release static libraries and fails when one of the
+#      node's listed per-sample and per-beat functions is missing or holds
+#      a floating-point instruction (a tamper self-check first proves it
+#      fails on detect_r_peaks_block, which still computes in double);
 #   2. ASan + UBSan build (-DENABLE_SANITIZERS=ON), full ctest suite; a
 #      UBSan report aborts its test (-fno-sanitize-recover=undefined);
 #   3. TSan build (-DENABLE_TSAN=ON), full ctest suite — races in
@@ -50,10 +54,13 @@
 #      suite replayed direct + over chaotic loopback TCP) compared against
 #      the committed BENCH_scenarios.json by scripts/robustness_gate.py —
 #      fails when AAMI NDR/ARR degrade, miss/false rates rise, or a
-#      wire-identity/selective-integrity flag goes false. No retry: the
-#      scenario metrics are fully seeded, so any drift is a real behavior
-#      change. A tamper self-check first asserts the gate actually fails
-#      on an injected regression, so a silently broken gate cannot pass;
+#      wire-identity/selective-integrity flag goes false. No retry: those
+#      gated values are seeded and repeat exactly, so any drift in them is
+#      a real behavior change. The selective bytes move with chaos timing
+#      from run to run (up to ~22% over four runs of one binary) and only
+#      warn; the chaos_* and uploads counters are not read. A tamper
+#      self-check first asserts the gate actually fails on an injected
+#      regression, so a silently broken gate cannot pass;
 #   8. drift gate: a quick bench_drift pass (tracker cost, morphology-shift
 #      detection latency, false-alarm sweep, thread/shard identity)
 #      compared against the committed BENCH_drift.json by the same
@@ -109,20 +116,43 @@ fi
 ctest --test-dir build --output-on-failure -j
 
 # --- 1a. DSP kernel equivalence, forced-scalar dispatch -------------------
-# The full suite above already ran the KernelsDsp/DetectorEquivalence/Drift
-# binaries under the default once-per-process dispatch (AVX2 where the host
-# has it); this re-run pins the dispatcher to the scalar kernels so both
-# code paths of every block DSP kernel are gated on every CI host. The
+# The full suite above already ran the KernelsDsp/Drift binaries under the
+# default once-per-process dispatch (AVX2 where the host has it); this
+# re-run pins the dispatcher to the scalar kernels so both code paths of
+# every block DSP kernel are gated on every CI host. The
 # drift suites ride along because the tracker consumes the projections the
 # kernels produce — its digests must be dispatch-independent too — and so
 # does Dataset, because build_dataset conditions and detects with the
 # dispatched kernels and its pinned output digests must hold under both.
 # TrainedBundleDigest pins a trained model, and training evaluates its MFs
 # with the dispatched log_fuzzy_batch kernel. The Golden digests (block
-# kernel output, fleet verdict stream, wire frames) must hold under both.
+# kernel output, delineation fiducials, fleet verdict stream, wire frames)
+# must hold under both.
 echo "==== DSP kernel equivalence under HBRP_FORCE_SCALAR=1"
 HBRP_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
-  -R 'KernelsDsp|ExtremumEquivalence|DetectorEquivalence|Drift|Lifecycle|Dataset|TrainedBundleDigest|Golden' -j
+  -R 'KernelsDsp|ExtremumEquivalence|Drift|Lifecycle|Dataset|TrainedBundleDigest|Golden' -j
+
+# --- 1a2. integer-only gate over the node's functions ---------------------
+# The paper's node has no FPU. scripts/fp_free_check.py lists the streaming
+# node's functions that compute in integers only today and fails when one
+# is missing from the Release libraries or holds an SSE/AVX floating-point
+# arithmetic, compare or convert instruction, or any x87 instruction.
+# Self-check first: the detector still thresholds in double, so the gate
+# must exit 1 (floating point found) on it.
+fp_libs=(build/src/kernels/libhbrp_kernels.a build/src/rp/libhbrp_rp.a
+  build/src/embedded/libhbrp_embedded.a build/src/net/libhbrp_net.a
+  build/src/core/libhbrp_core.a)
+echo "==== integer-only gate self-check (must fail on detect_r_peaks_block)"
+fp_rc=0
+python3 scripts/fp_free_check.py --only detect_r_peaks_block "${fp_libs[@]}" \
+  >/dev/null || fp_rc=$?
+if [[ "${fp_rc}" -ne 1 ]]; then
+  echo "integer-only gate self-check FAILED: exit ${fp_rc} on" \
+    "detect_r_peaks_block, expected 1" >&2
+  exit 1
+fi
+echo "==== integer-only gate (scripts/fp_free_check.py)"
+python3 scripts/fp_free_check.py "${fp_libs[@]}"
 
 # --- 1b. fleet soak smoke: scaling grid + bit-identity gate ---------------
 # Quick-run reports stay under build/ so a CI pass never dirties the tree
@@ -217,8 +247,11 @@ fi
 # Each step runs a quick bench pass, proves robustness_gate.py fails on a
 # copy of that report with one key tampered (so a silently broken gate
 # cannot pass), then gates the real report against the committed
-# BENCH_<name>.json. No retry: the gated metrics are fully seeded, so any
-# drift is a real behavior change.
+# BENCH_<name>.json. No retry: what fails a gate is seeded and repeats
+# exactly (scenarios: NDR/ARR, miss/false rates and the identity and
+# selective_ok flags), so any drift in it is a real behavior change. The
+# scenarios' selective bytes depend on chaos timing and only warn, and
+# their chaos_* and uploads counters are not gated.
 #   robustness_gate_step <name> <tampered key> <python expr of old value v>
 robustness_gate_step() {
   local name="$1" key="$2" tamper="$3"

@@ -47,9 +47,13 @@ Bytes-on-wire (``bytes_stream``/``bytes_selective``) drifting more than
 with protocol framing changes, and the paper's energy argument has its own
 bench. Scenarios present only in the baseline are warn-skipped, so a
 ``--quick`` fresh run (a trimmed suite) still gates what it covers.
-Everything both runs compute is deterministic (fixed seeds, fixed trainer
-config), so any numeric drift at all is a real behavior change, not noise;
+What fails the gate is seeded and repeats exactly (fixed seeds, fixed
+trainer config), so any drift in it is a real behavior change, not noise;
 the tolerance only absorbs intentional small reshapes of the pipeline.
+Selective bytes are not: retransmits under the chaos link's seeded kills
+depend on timing, so ``bytes_selective`` moves from run to run of one
+binary (up to ~22% over four runs), and the ``chaos_*`` and ``uploads``
+counters, which move with it, are not read.
 
 Reports stamp a ``schema_version``; this gate understands version
 KNOWN_SCHEMA. A report with a newer schema warns once and the gate skips

@@ -41,10 +41,10 @@ PipelineResult RealTimePipeline::process(const ecg::Record& record) const {
   dsp::Signal reference;
   kernels::condition_ecg_block(record.leads[0], cfg_.filter, cond_scratch,
                                reference);
-  dsp::PeakDetectorConfig peak_cfg = cfg_.peak;
-  peak_cfg.fs_hz = record.fs_hz;
   std::vector<std::size_t> peaks;
-  kernels::detect_r_peaks_kind(reference, peak_cfg, peak_scratch, peaks);
+  kernels::detect_r_peaks_block(reference,
+                                dsp::PeakDetectorConfig{record.fs_hz},
+                                peak_scratch, peaks);
 
   // Remaining leads are conditioned lazily, only if some beat needs
   // delineation (on the real node this is per-beat work on a short history
@@ -78,9 +78,7 @@ PipelineResult RealTimePipeline::process(const ecg::Record& record) const {
         reference, peak, cfg_.window_before, cfg_.window_after);
     beat.predicted = classifier_.classify_window(window, classify_scratch);
 
-    const bool needs_delineation =
-        !cfg_.gate_delineation || ecg::is_pathological(beat.predicted);
-    if (needs_delineation) {
+    if (ecg::is_pathological(beat.predicted)) {
       ensure_leads();
       beat.fiducials =
           delineation::delineate_beat_multilead(delineation_leads, peak,

@@ -13,7 +13,6 @@
 
 #include "delineation/mmd.hpp"
 #include "dsp/morphology.hpp"
-#include "dsp/peak_detect.hpp"
 #include "ecg/types.hpp"
 #include "embedded/bundle.hpp"
 
@@ -23,10 +22,6 @@ struct PipelineConfig {
   std::size_t window_before = 100;
   std::size_t window_after = 100;
   dsp::FilterConfig filter = dsp::FilterConfig::for_rate(dsp::kMitBihFs);
-  dsp::PeakDetectorConfig peak;
-  /// When false the delineation stage is always on (sub-system (2) mode,
-  /// the paper's baseline for Table III).
-  bool gate_delineation = true;
 };
 
 struct PipelineBeat {

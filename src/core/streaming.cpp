@@ -157,13 +157,12 @@ dsp::SignalQuality StreamingBeatMonitor::quality_at(
 }
 
 void StreamingBeatMonitor::scan(bool final_pass, const PendingBeatSink& sink) {
-  // Wavelet (bit-identical to dsp::detect_r_peaks, the pre-block-kernel
-  // detector) or the adaptive fast path, per cfg_.peak.kind. The detector
-  // runs in the thread's shared workspace, which keeps the steady-state
-  // scan allocation-free; its contents are dead once peaks_ is filled,
-  // before any sink below runs.
-  kernels::detect_r_peaks_kind(buffer_, cfg_.peak,
-                               kernels::thread_workspace().peaks, peaks_);
+  // The wavelet detector (bit-identical to dsp::detect_r_peaks) runs in
+  // the thread's shared workspace, which keeps the steady-state scan
+  // allocation-free; its contents are dead once peaks_ is filled, before
+  // any sink below runs.
+  kernels::detect_r_peaks_block(buffer_, cfg_.peak,
+                                kernels::thread_workspace().peaks, peaks_);
   const std::vector<std::size_t>& peaks = peaks_;
 
   // A beat is finalized once its full window fits safely inside the chunk:

@@ -5,12 +5,11 @@
 // time equivalent with bounded memory, which is what actually runs on the
 // node: a block conditioner (kernels/dsp_condition.hpp) batches raw samples
 // and feeds a rolling analysis buffer of a few seconds; whenever the buffer
-// fills, the configured peak detector (wavelet by default, or the adaptive-
-// threshold fast path — see dsp::PeakDetectorKind) scans it, and beats far
-// enough from the buffer's right edge are finalized, graded and handed to
-// the caller's PendingBeatSink together with their beat window; the buffer
-// then slides, keeping one overlap region so no beat is lost at a chunk
-// boundary.
+// fills, the wavelet R-peak detector (kernels/dsp_peaks.hpp) scans it, and
+// beats far enough from the buffer's right edge are finalized, graded and
+// handed to the caller's PendingBeatSink together with their beat window;
+// the buffer then slides, keeping one overlap region so no beat is lost at
+// a chunk boundary.
 //
 // The monitor finds beats; it does not classify them. The consumer maps
 // each window to a class: service::Session batches the windows of a whole

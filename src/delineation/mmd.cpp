@@ -4,14 +4,18 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "dsp/morphology.hpp"
+#include "kernels/dsp_condition.hpp"
 #include "math/check.hpp"
 
 namespace hbrp::delineation {
 
 dsp::Signal mmd(const dsp::Signal& x, std::size_t length) {
-  const dsp::Signal d = dsp::dilate(x, length);
-  const dsp::Signal e = dsp::erode(x, length);
+  // The conditioner's van Herk dilate/erode kernels, bit-identical to
+  // dsp::dilate/dsp::erode.
+  kernels::ConditionScratch scratch;
+  dsp::Signal d, e;
+  kernels::dilate_block(x, length, scratch, d);
+  kernels::erode_block(x, length, scratch, e);
   dsp::Signal out(x.size());
   // (d - x) - (x - e), each in [0, max - min] of the window, so
   // |mmd| <= 2 * 4,095 on conditioned input: a Sample.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 #include "math/check.hpp"
@@ -146,15 +147,11 @@ std::vector<Candidate> apply_refractory(std::vector<Candidate> cands,
 std::vector<std::size_t> detect_r_peaks(const Signal& conditioned,
                                         const PeakDetectorConfig& cfg) {
   HBRP_REQUIRE(cfg.fs_hz > 0, "detect_r_peaks(): fs must be positive");
-  HBRP_REQUIRE(cfg.detect_scale < kWaveletScales,
-               "detect_r_peaks(): detect_scale out of range");
   if (conditioned.size() < 8) return {};
 
   const WaveletDecomposition dec = wavelet_decompose(conditioned);
-  const Signal& w = dec.detail[cfg.detect_scale];
-  const Signal& fine =
-      dec.detail[cfg.detect_scale > 0 ? cfg.detect_scale - 1
-                                      : cfg.detect_scale];
+  const Signal& w = dec.detail[kDetectScale];
+  const Signal& fine = dec.detail[kDetectScale - 1];
   const std::vector<Extremum> ext = local_extrema(w);
   const std::vector<double> thr = threshold_envelope(w, cfg);
   const std::vector<double> fine_thr = threshold_envelope(fine, cfg);
@@ -169,18 +166,16 @@ std::vector<std::size_t> detect_r_peaks(const Signal& conditioned,
   // their energy at the next dyadic scale and can sit below the detection
   // threshold at the primary one. The primary scale serves as the
   // cross-scale confirmation signal here.
-  if (cfg.detect_scale + 1 < kWaveletScales) {
-    const Signal& coarse = dec.detail[cfg.detect_scale + 1];
-    const std::vector<Extremum> coarse_ext = local_extrema(coarse);
-    const std::vector<double> coarse_thr = threshold_envelope(coarse, cfg);
-    // Wide complexes spread their maxima pair further apart. Demand a
-    // full-strength confirmation at the primary scale: T waves pass the
-    // coarse threshold but have little primary-scale energy.
-    auto coarse_found =
-        scan_pairs(coarse, coarse_ext, coarse_thr, w, thr, 1.0, 1.3, 0,
-                   coarse.size(), 2 * pair_window);
-    cands.insert(cands.end(), coarse_found.begin(), coarse_found.end());
-  }
+  const Signal& coarse = dec.detail[kDetectScale + 1];
+  const std::vector<Extremum> coarse_ext = local_extrema(coarse);
+  const std::vector<double> coarse_thr = threshold_envelope(coarse, cfg);
+  // Wide complexes spread their maxima pair further apart. Demand a
+  // full-strength confirmation at the primary scale: T waves pass the
+  // coarse threshold but have little primary-scale energy.
+  const std::vector<Candidate> coarse_found =
+      scan_pairs(coarse, coarse_ext, coarse_thr, w, thr, 1.0, 1.3, 0,
+                 coarse.size(), 2 * pair_window);
+  cands.insert(cands.end(), coarse_found.begin(), coarse_found.end());
   cands = apply_refractory(std::move(cands), refractory);
 
   // Search-back: revisit abnormally long RR gaps with a lowered threshold.

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "dsp/signal.hpp"
@@ -19,17 +18,15 @@
 
 namespace hbrp::dsp {
 
-/// Which R-peak detector a streaming consumer runs. Wavelet is the paper's
-/// cross-scale modulus-maxima detector (the accuracy reference);
-/// AdaptiveThreshold is the O(1)-per-sample running-amplitude-decay fast
-/// path in kernels/dsp_peaks.hpp, accuracy-gated against the wavelet
-/// detector by tests/test_detector_equivalence.cpp.
-enum class PeakDetectorKind : std::uint8_t { Wavelet, AdaptiveThreshold };
-
-// Detector constants, shared by dsp::detect_r_peaks and the block ports in
+// Detector constants, shared by dsp::detect_r_peaks and its block port in
 // kernels/dsp_peaks.hpp. Times are in seconds and scale with
 // PeakDetectorConfig::fs_hz.
 
+/// Wavelet scale index (0-based) whose modulus maxima drive detection:
+/// scale 2^3 concentrates QRS energy at 360 Hz. Scale 2^2 confirms its
+/// candidates, and scale 2^4 runs the second pass for wide complexes.
+inline constexpr std::size_t kDetectScale = 2;
+static_assert(kDetectScale >= 1 && kDetectScale + 1 < kWaveletScales);
 /// Minimum separation between beats (s). 250 ms == 240 bpm ceiling.
 inline constexpr double kRefractoryS = 0.25;
 /// Maximum separation between the two maxima of a QRS pair (s).
@@ -43,30 +40,8 @@ inline constexpr double kSearchbackRrFactor = 1.66;
 /// Threshold scaling during search-back.
 inline constexpr double kSearchbackFrac = 0.4;
 
-// The adaptive-threshold fast path (kernels::detect_r_peaks_adaptive).
-
-/// Exponential decay rate (per second) of the running QRS-energy estimate
-/// between beats.
-inline constexpr double kAdaptiveDecayPerS = 1.0;
-/// Trigger threshold as a fraction of the running QRS-energy estimate.
-/// 0.5 clears synthetic tall-T and noisy-LBBB records with the
-/// slope-energy front end (see kernels::detect_r_peaks_adaptive).
-inline constexpr double kAdaptiveFrac = 0.5;
-/// Floor for the running estimate, as a fraction of the median per-block
-/// energy maximum (keeps long pauses from decaying into the noise floor).
-inline constexpr double kAdaptiveFloorFrac = 0.05;
-/// Forward apex-search window after a threshold crossing (s).
-inline constexpr double kAdaptiveSearchS = 0.10;
-
 struct PeakDetectorConfig {
   int fs_hz = kMitBihFs;
-  /// Wavelet scale index (0-based) whose modulus maxima drive detection;
-  /// scale 2^3 concentrates QRS energy at 360 Hz.
-  std::size_t detect_scale = 2;
-  /// Detector selection for streaming consumers (core::StreamingBeatMonitor
-  /// and everything above it). Batch dsp::detect_r_peaks always runs the
-  /// wavelet detector.
-  PeakDetectorKind kind = PeakDetectorKind::Wavelet;
 };
 
 /// Detects R-peak sample indices in a conditioned (baseline-free) ECG lead.

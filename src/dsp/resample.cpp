@@ -34,15 +34,6 @@ Signal downsample_avg(const Signal& x, std::size_t factor) {
   return out;
 }
 
-Signal decimate(const Signal& x, std::size_t factor) {
-  HBRP_REQUIRE(factor >= 1, "decimate(): factor must be >= 1");
-  if (factor == 1) return x;
-  Signal out;
-  out.reserve(x.size() / factor + 1);
-  for (std::size_t i = 0; i < x.size(); i += factor) out.push_back(x[i]);
-  return out;
-}
-
 Signal extract_window(const Signal& x, std::size_t peak, std::size_t before,
                       std::size_t after) {
   HBRP_REQUIRE(!x.empty(), "extract_window(): empty signal");

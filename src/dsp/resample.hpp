@@ -4,9 +4,7 @@
 // 90 Hz, 200-sample window -> 50 samples), both to shrink the stored random
 // projection matrix and to cut per-beat arithmetic. Downsampling here
 // averages each group of `factor` samples (a box anti-alias filter that is
-// exact in integer arithmetic), with plain decimation also available since
-// dropping matrix columns — the paper's trick — is equivalent to decimating
-// the input.
+// exact in integer arithmetic).
 #pragma once
 
 #include <cstddef>
@@ -30,9 +28,6 @@ Signal downsample_avg(const Signal& x, std::size_t factor);
 /// be at least that large) and returns that count.
 std::size_t downsample_avg_into(std::span<const Sample> x, std::size_t factor,
                                 std::span<Sample> out);
-
-/// Plain decimation: output[i] = x[i * factor].
-Signal decimate(const Signal& x, std::size_t factor);
 
 /// Extracts a window of `before + after` samples centred on `peak`
 /// (samples [peak - before, peak + after)), replicating edge samples when

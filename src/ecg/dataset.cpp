@@ -146,8 +146,8 @@ BeatDataset build_dataset(const DatasetSpec& spec,
         kernels::condition_ecg_block(rec.leads[i], filter_cfg,
                                      condition_scratch, conditioned_leads[i]);
       kernels::PeakScratch peak_scratch;
-      kernels::detect_r_peaks_kind(conditioned_leads[0], det_cfg,
-                                   peak_scratch, peaks);
+      kernels::detect_r_peaks_block(conditioned_leads[0], det_cfg,
+                                    peak_scratch, peaks);
     }
     const dsp::Signal& conditioned = conditioned_leads[0];
     const std::vector<std::size_t> match =

@@ -115,9 +115,9 @@ void apply_refractory(std::vector<Candidate>& cands, std::size_t refractory,
   cands.swap(merged);
 }
 
-// Signed-polarity apex refinement shared by both detectors (see the long
-// comment in dsp/peak_detect.cpp): pick the record's dominant R polarity,
-// then move each candidate to the signed extremum within +-radius.
+// Signed-polarity apex refinement (see the long comment in
+// dsp/peak_detect.cpp): pick the record's dominant R polarity, then move
+// each candidate to the signed extremum within +-radius.
 void refine_apexes(const Signal& conditioned,
                    const std::vector<Candidate>& cands,
                    std::size_t refine_radius, std::vector<std::size_t>& peaks) {
@@ -158,17 +158,13 @@ void detect_r_peaks_block(const Signal& conditioned,
                           const PeakDetectorConfig& cfg, PeakScratch& scr,
                           std::vector<std::size_t>& peaks) {
   HBRP_REQUIRE(cfg.fs_hz > 0, "detect_r_peaks_block(): fs must be positive");
-  HBRP_REQUIRE(cfg.detect_scale < dsp::kWaveletScales,
-               "detect_r_peaks_block(): detect_scale out of range");
   peaks.clear();
   if (conditioned.size() < 8) return;
 
   wavelet_decompose_block(conditioned, dsp::kWaveletScales, scr.wavelet,
                           scr.dec);
-  const Signal& w = scr.dec.detail[cfg.detect_scale];
-  const Signal& fine = scr.dec.detail[cfg.detect_scale > 0
-                                          ? cfg.detect_scale - 1
-                                          : cfg.detect_scale];
+  const Signal& w = scr.dec.detail[dsp::kDetectScale];
+  const Signal& fine = scr.dec.detail[dsp::kDetectScale - 1];
   local_extrema(w, scr.ext);
   const auto block = std::max<std::size_t>(
       1, static_cast<std::size_t>(dsp::kBlockS * cfg.fs_hz));
@@ -183,13 +179,11 @@ void detect_r_peaks_block(const Signal& conditioned,
   scan_pairs(w, scr.ext, scr.thr, fine, scr.fine_thr, block, 1.0, 0.5, 0,
              w.size(), pair_window, scr.cands);
 
-  if (cfg.detect_scale + 1 < dsp::kWaveletScales) {
-    const Signal& coarse = scr.dec.detail[cfg.detect_scale + 1];
-    local_extrema(coarse, scr.coarse_ext);
-    threshold_envelope(coarse, block, scr.block_max, scr.coarse_thr);
-    scan_pairs(coarse, scr.coarse_ext, scr.coarse_thr, w, scr.thr, block, 1.0,
-               1.3, 0, coarse.size(), 2 * pair_window, scr.cands);
-  }
+  const Signal& coarse = scr.dec.detail[dsp::kDetectScale + 1];
+  local_extrema(coarse, scr.coarse_ext);
+  threshold_envelope(coarse, block, scr.block_max, scr.coarse_thr);
+  scan_pairs(coarse, scr.coarse_ext, scr.coarse_thr, w, scr.thr, block, 1.0,
+             1.3, 0, coarse.size(), 2 * pair_window, scr.cands);
   apply_refractory(scr.cands, refractory, scr.merged);
 
   if (scr.cands.size() >= 3) {
@@ -225,98 +219,6 @@ void detect_r_peaks_block(const Signal& conditioned,
 
   const auto refine_radius = static_cast<std::size_t>(0.08 * cfg.fs_hz);
   refine_apexes(conditioned, scr.cands, refine_radius, peaks);
-}
-
-void detect_r_peaks_adaptive(const Signal& conditioned,
-                             const PeakDetectorConfig& cfg, PeakScratch& scr,
-                             std::vector<std::size_t>& peaks) {
-  HBRP_REQUIRE(cfg.fs_hz > 0,
-               "detect_r_peaks_adaptive(): fs must be positive");
-  peaks.clear();
-  const std::size_t n = conditioned.size();
-  if (n < 8) return;
-
-  // Slope energy (the Pan–Tompkins derivative/square/integrate idiom).
-  // The central difference before squaring attenuates T waves quadratically
-  // in their frequency ratio to the QRS — tall-T records double-fire a pure
-  // amplitude threshold at ~300 ms after every beat, but the T-wave upslope
-  // is a tenth of the QRS upslope. The trailing ~80 ms integration window
-  // then suppresses single-sample noise spikes (which otherwise reach the
-  // threshold on noisy leads) while the QRS, coherent across the window,
-  // keeps its energy.
-  scr.thr.resize(n);
-  scr.thr[0] = 0.0;
-  scr.thr[n - 1] = 0.0;
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    const double d = static_cast<double>(conditioned[i + 1]) -
-                     static_cast<double>(conditioned[i - 1]);
-    scr.thr[i] = d * d;
-  }
-  const auto integrate = std::max<std::size_t>(
-      1, static_cast<std::size_t>(0.08 * cfg.fs_hz));
-  scr.energy.resize(n);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += scr.thr[i];
-    if (i >= integrate) acc -= scr.thr[i - integrate];
-    scr.energy[i] = acc;
-  }
-
-  // Seed and floor from the median per-block energy maximum, like the
-  // wavelet detector's envelope: blocks nearly always contain a beat, so the
-  // median tracks typical QRS energy and the floor keeps long pauses from
-  // decaying the estimate into the noise.
-  const auto block = std::max<std::size_t>(
-      1, static_cast<std::size_t>(dsp::kBlockS * cfg.fs_hz));
-  scr.block_max.clear();
-  for (std::size_t start = 0; start < n; start += block) {
-    const std::size_t end = std::min(n, start + block);
-    double m = 0.0;
-    for (std::size_t i = start; i < end; ++i)
-      m = std::max(m, scr.energy[i]);
-    scr.block_max.push_back(m);
-  }
-  const double med = hbrp::math::median(scr.block_max);
-  if (med <= 0.0) return;  // flat record: nothing to detect
-  const double floor_amp = dsp::kAdaptiveFloorFrac * med;
-  const double decay = std::clamp(
-      1.0 - dsp::kAdaptiveDecayPerS / static_cast<double>(cfg.fs_hz), 0.0,
-      1.0);
-  const auto refractory =
-      static_cast<std::size_t>(dsp::kRefractoryS * cfg.fs_hz);
-  const auto search = std::max<std::size_t>(
-      1, static_cast<std::size_t>(dsp::kAdaptiveSearchS * cfg.fs_hz));
-
-  double amp = med;
-  std::size_t next_ok = 0;
-  scr.cands.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i >= next_ok && scr.energy[i] >= dsp::kAdaptiveFrac * amp) {
-      // Threshold crossing on the QRS upslope: the apex is the energy
-      // maximum within the short forward window.
-      const std::size_t hi = std::min(n - 1, i + search);
-      std::size_t apex = i;
-      for (std::size_t j = i + 1; j <= hi; ++j)
-        if (scr.energy[j] > scr.energy[apex]) apex = j;
-      scr.cands.push_back({apex, scr.energy[apex]});
-      next_ok = apex + refractory;
-    }
-    amp = std::max(amp * decay, std::max(scr.energy[i], floor_amp));
-  }
-
-  // Same signed-polarity apex convention as the wavelet detector, so the
-  // two detectors cut beat windows at the same samples on agreement.
-  const auto refine_radius = static_cast<std::size_t>(0.08 * cfg.fs_hz);
-  refine_apexes(conditioned, scr.cands, refine_radius, peaks);
-}
-
-void detect_r_peaks_kind(const Signal& conditioned,
-                         const PeakDetectorConfig& cfg, PeakScratch& scratch,
-                         std::vector<std::size_t>& peaks) {
-  if (cfg.kind == dsp::PeakDetectorKind::AdaptiveThreshold)
-    detect_r_peaks_adaptive(conditioned, cfg, scratch, peaks);
-  else
-    detect_r_peaks_block(conditioned, cfg, scratch, peaks);
 }
 
 }  // namespace hbrp::kernels

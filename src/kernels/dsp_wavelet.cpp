@@ -58,11 +58,14 @@ void wavelet_impl(const Signal& x, std::size_t scales, SimdLevel level,
   const Sample* approx = x.data();
   Signal* next = &scr.approx_a;
   Signal* other = &scr.approx_b;
-  double approx_delay = 0.0;
+  // Group delays are kept in half samples, so they stay integers: rounding
+  // a delay of k/2 samples half up, as dsp::wavelet_decompose does, gives
+  // (k + 1) / 2 samples.
+  std::ptrdiff_t approx2 = 0;  // cumulative group delay of `approx`
   for (std::size_t j = 1; j <= scales; ++j) {
     const auto s = static_cast<std::ptrdiff_t>(1) << (j - 1);
-    const double detail_delay = approx_delay + static_cast<double>(s) / 2.0;
-    const auto d = static_cast<std::ptrdiff_t>(detail_delay + 0.5);
+    const std::ptrdiff_t detail2 = approx2 + s;  // highpass adds s/2
+    const std::ptrdiff_t d = (detail2 + 1) / 2;
 
     Signal& det = out.detail[j - 1];
     det.resize(n);
@@ -109,12 +112,12 @@ void wavelet_impl(const Signal& x, std::size_t scales, SimdLevel level,
 
     approx = next->data();
     std::swap(next, other);
-    approx_delay += 1.5 * static_cast<double>(s);
+    approx2 += 3 * s;  // lowpass adds 1.5 s
   }
 
   // Final smooth approximation, phase-advanced like dsp::wavelet_decompose.
   out.approx.resize(n);
-  const auto adv = static_cast<std::ptrdiff_t>(approx_delay + 0.5);
+  const std::ptrdiff_t adv = (approx2 + 1) / 2;
   const std::size_t off = std::min(static_cast<std::size_t>(adv), n);
   const std::size_t copy_n = n - off;
   std::copy_n(approx + off, copy_n, out.approx.data());

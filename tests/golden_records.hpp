@@ -1,9 +1,10 @@
 // Shared inputs of the golden-digest tests (KernelsDspGolden in
-// test_kernels_dsp.cpp, FleetGolden in test_drift_integration.cpp,
-// WireGolden.EcgBytesArePinned in test_net_wire.cpp): one
-// synthetic record per profile, with a saturated stretch and a lead-off
-// stretch, turned into codes at the edge by dsp::sanitize_lead — and the
-// FNV-1a digest that pins what the kernels and the fleet make of them.
+// test_kernels_dsp.cpp, DelineationGolden in test_delineation.cpp,
+// FleetGolden in test_drift_integration.cpp, WireGolden.EcgBytesArePinned
+// in test_net_wire.cpp): one synthetic record per profile, with a saturated
+// stretch and a lead-off stretch, turned into codes at the edge by
+// dsp::sanitize_lead — and the FNV-1a digest that pins what the kernels,
+// the delineator and the fleet make of them.
 #pragma once
 
 #include <cstddef>

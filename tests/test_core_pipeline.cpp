@@ -77,15 +77,6 @@ TEST_F(PipelineTest, OnlyFlaggedBeatsAreDelineated) {
   EXPECT_GT(delineated, 0u);
 }
 
-TEST_F(PipelineTest, GateOffDelineatesEverything) {
-  PipelineConfig cfg;
-  cfg.gate_delineation = false;
-  const RealTimePipeline pipeline(*bundle_, cfg);
-  const auto rec = test_record(hbrp::ecg::RecordProfile::NormalSinus, 63);
-  const auto result = pipeline.process(rec);
-  for (const auto& b : result.beats) EXPECT_TRUE(b.delineated);
-}
-
 TEST_F(PipelineTest, FlaggedFractionTracksRecordMix) {
   const RealTimePipeline pipeline(*bundle_);
   const auto normal =

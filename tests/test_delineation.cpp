@@ -3,11 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <vector>
 
 #include "delineation/mmd.hpp"
 #include "dsp/morphology.hpp"
+#include "dsp/peak_detect.hpp"
 #include "ecg/synth.hpp"
+#include "kernels/dsp_condition.hpp"
+#include "kernels/dsp_peaks.hpp"
 #include "math/check.hpp"
+
+#include "golden_records.hpp"
 
 namespace {
 
@@ -176,6 +184,62 @@ TEST(CompareFiducials, EmptyReference) {
   EXPECT_EQ(err.points_compared, 0u);
   EXPECT_EQ(err.points_missed, 0u);
   EXPECT_DOUBLE_EQ(err.mean_abs_error_samples, 0.0);
+}
+
+// --- golden digest of the delineator's output ------------------------------
+
+void mix_fiducials(hbrp::golden::Digest& d, const Fiducials& f) {
+  for (const std::size_t i :
+       {f.p_onset, f.p_peak, f.p_end, f.qrs_onset, f.r_peak, f.qrs_end,
+        f.t_onset, f.t_peak, f.t_end})
+    d.word(static_cast<std::uint32_t>(i));  // kNoFiducial mixes as ~0u
+}
+
+// Pinned while delineation still ran the dsp:: reference morphology: per
+// golden record, every fiducial delineate_beat finds at each peak the
+// wavelet detector reports; then delineate_beat_multilead at each peak of
+// one seeded 3-lead record. scripts/ci.sh also runs it forced scalar.
+TEST(DelineationGolden, FiducialDigestIsPinned) {
+  const std::uint64_t pinned[] = {0x94e03d5bb7875327ull, 0x033983d53b2c4300ull,
+                                  0x44d743e1ed66fc8aull, 0x6b1242f18fa828faull,
+                                  0x1c41ed0ca338014dull};
+  hbrp::kernels::ConditionScratch cs;
+  hbrp::kernels::PeakScratch ps;
+  std::vector<std::size_t> peaks;
+  for (std::size_t p = 0; p < std::size(hbrp::golden::kProfiles); ++p) {
+    const Signal x = hbrp::golden::record(hbrp::golden::kProfiles[p]);
+    Signal conditioned;
+    hbrp::kernels::condition_ecg_block(x, hbrp::dsp::FilterConfig{}, cs,
+                                       conditioned);
+    hbrp::kernels::detect_r_peaks_block(
+        conditioned, hbrp::dsp::PeakDetectorConfig{}, ps, peaks);
+    hbrp::golden::Digest d;
+    d.word(static_cast<std::uint32_t>(peaks.size()));
+    for (const std::size_t r : peaks)
+      mix_fiducials(d, delineate_beat(conditioned, r));
+    EXPECT_EQ(d.value(), pinned[p]) << "profile " << p << std::hex
+                                    << " got 0x" << d.value();
+  }
+
+  hbrp::ecg::SynthConfig cfg;
+  cfg.profile = hbrp::ecg::RecordProfile::PvcBigeminy;
+  cfg.duration_s = 60.0;
+  cfg.num_leads = 3;
+  cfg.seed = 4200;
+  const auto rec = hbrp::ecg::generate_record(cfg);
+  std::vector<Signal> leads(rec.leads.size());
+  for (std::size_t l = 0; l < rec.leads.size(); ++l)
+    hbrp::kernels::condition_ecg_block(rec.leads[l],
+                                       hbrp::dsp::FilterConfig{}, cs,
+                                       leads[l]);
+  hbrp::kernels::detect_r_peaks_block(
+      leads[0], hbrp::dsp::PeakDetectorConfig{}, ps, peaks);
+  hbrp::golden::Digest d;
+  d.word(static_cast<std::uint32_t>(peaks.size()));
+  for (const std::size_t r : peaks)
+    mix_fiducials(d, delineate_beat_multilead(leads, r));
+  EXPECT_EQ(d.value(), pinned[4]) << "3-lead" << std::hex << " got 0x"
+                                  << d.value();
 }
 
 }  // namespace

@@ -120,9 +120,6 @@ TEST(PeakDetect, InvalidConfigThrows) {
   hbrp::dsp::PeakDetectorConfig cfg;
   cfg.fs_hz = 0;
   EXPECT_THROW(detect_r_peaks(Signal(100, 0), cfg), hbrp::Error);
-  cfg = {};
-  cfg.detect_scale = 4;
-  EXPECT_THROW(detect_r_peaks(Signal(100, 0), cfg), hbrp::Error);
 }
 
 TEST(MatchPeaks, ExactAndToleranceMatching) {

@@ -33,27 +33,17 @@ TEST(Resample, DownsamplePartialTail) {
 TEST(Resample, FactorOneIsIdentity) {
   const Signal x = {1, 2, 3};
   EXPECT_EQ(hbrp::dsp::downsample_avg(x, 1), x);
-  EXPECT_EQ(hbrp::dsp::decimate(x, 1), x);
 }
 
 TEST(Resample, FactorZeroThrows) {
   const Signal x = {1};
   EXPECT_THROW(hbrp::dsp::downsample_avg(x, 0), hbrp::Error);
-  EXPECT_THROW(hbrp::dsp::decimate(x, 0), hbrp::Error);
-}
-
-TEST(Resample, DecimateTakesEveryNth) {
-  const Signal x = {0, 1, 2, 3, 4, 5, 6, 7, 8};
-  const Signal y = hbrp::dsp::decimate(x, 4);
-  const Signal expect = {0, 4, 8};
-  EXPECT_EQ(y, expect);
 }
 
 TEST(Resample, PaperWindowSizes) {
   // 200-sample beat window at 360 Hz downsampled 4x -> 50 samples at 90 Hz.
   const Signal window(200, 1);
   EXPECT_EQ(hbrp::dsp::downsample_avg(window, 4).size(), 50u);
-  EXPECT_EQ(hbrp::dsp::decimate(window, 4).size(), 50u);
 }
 
 TEST(Window, ExtractCentered) {

@@ -378,48 +378,16 @@ TEST(KernelsDspPeaks, BlockDetectorHandlesDegenerateInputs) {
   }
 }
 
-TEST(KernelsDspPeaks, AdaptiveDetectorRespectsRefractoryAndOrdering) {
-  const auto sig = conditioned_record(ecg::RecordProfile::NormalSinus, 21);
-  dsp::PeakDetectorConfig cfg;
-  cfg.kind = dsp::PeakDetectorKind::AdaptiveThreshold;
-  kernels::PeakScratch scratch;
-  std::vector<std::size_t> peaks;
-  kernels::detect_r_peaks_kind(sig, cfg, scratch, peaks);
-  ASSERT_FALSE(peaks.empty());
-  const auto refractory =
-      static_cast<std::size_t>(dsp::kRefractoryS * cfg.fs_hz);
-  for (std::size_t i = 1; i < peaks.size(); ++i) {
-    EXPECT_LT(peaks[i - 1], peaks[i]);
-    EXPECT_GE(peaks[i] - peaks[i - 1], refractory);
-  }
-  // 60 s of clean 75 bpm sinus: the fast path must see roughly every beat.
-  EXPECT_GE(peaks.size(), 60u);
-  EXPECT_LE(peaks.size(), 110u);
-}
-
-TEST(KernelsDspPeaks, KindDispatchSelectsDetector) {
-  const auto sig = conditioned_record(ecg::RecordProfile::PvcOccasional, 5);
-  kernels::PeakScratch scratch;
-  std::vector<std::size_t> by_kind, direct;
-  dsp::PeakDetectorConfig cfg;  // kind defaults to Wavelet
-  kernels::detect_r_peaks_kind(sig, cfg, scratch, by_kind);
-  kernels::detect_r_peaks_block(sig, cfg, scratch, direct);
-  EXPECT_EQ(by_kind, direct);
-  cfg.kind = dsp::PeakDetectorKind::AdaptiveThreshold;
-  kernels::detect_r_peaks_kind(sig, cfg, scratch, by_kind);
-  kernels::detect_r_peaks_adaptive(sig, cfg, scratch, direct);
-  EXPECT_EQ(by_kind, direct);
-}
-
 // --- golden digests of the block kernels -----------------------------------
 
-// Pinned while dsp::Sample was 32 bits wide, from the dispatched kernels:
-// per profile, the conditioned record, its four wavelet details and
-// approximation, and the peaks of both detectors. They hold for any sample
-// width and dispatch target (scripts/ci.sh also runs them forced scalar).
+// From the dispatched kernels, per profile: the conditioned record, its four
+// wavelet details and approximation, and the detector's peaks. Computed by
+// the code before the adaptive detector was deleted, with its peaks left
+// out; they hold for any dispatch target (scripts/ci.sh also runs them
+// forced scalar).
 TEST(KernelsDspGolden, BlockKernelOutputDigestIsPinned) {
-  const std::uint64_t pinned[] = {0x53edcf29748880e9ull, 0x3320b26a39240ed7ull,
-                                  0x69f5d643c1f1c6bbull, 0x1beef4c206cce9f7ull};
+  const std::uint64_t pinned[] = {0x30d0ffe28f950bf3ull, 0xca000ea3ef193d73ull,
+                                  0xa5927043e6633186ull, 0x2781a65d3966ff6eull};
   kernels::ConditionScratch cs;
   kernels::WaveletScratch ws;
   kernels::PeakScratch ps;
@@ -434,11 +402,8 @@ TEST(KernelsDspGolden, BlockKernelOutputDigestIsPinned) {
     kernels::wavelet_decompose_block(conditioned, dsp::kWaveletScales, ws, wd);
     for (const dsp::Signal& detail : wd.detail) d.samples(detail);
     d.samples(wd.approx);
-    dsp::PeakDetectorConfig pc;
-    kernels::detect_r_peaks_block(conditioned, pc, ps, peaks);
-    d.word(static_cast<std::uint32_t>(peaks.size()));
-    for (const std::size_t r : peaks) d.word(static_cast<std::uint32_t>(r));
-    kernels::detect_r_peaks_adaptive(conditioned, pc, ps, peaks);
+    kernels::detect_r_peaks_block(conditioned, dsp::PeakDetectorConfig{}, ps,
+                                  peaks);
     d.word(static_cast<std::uint32_t>(peaks.size()));
     for (const std::size_t r : peaks) d.word(static_cast<std::uint32_t>(r));
     EXPECT_EQ(d.value(), pinned[p]) << "profile " << p << std::hex << " got 0x"
@@ -794,8 +759,7 @@ std::vector<MonitorSpec> monitor_specs() {
   std::vector<MonitorSpec> specs(5);
   // Defaults, faulted input: lead-off re-arms the conditioner mid-stream.
   specs[0].input = synth_input(ecg::RecordProfile::PvcOccasional, 1, true);
-  // Adaptive detector over a shorter chunk, small packets.
-  specs[1].cfg.peak.kind = dsp::PeakDetectorKind::AdaptiveThreshold;
+  // Shorter chunk, small packets.
   specs[1].cfg.chunk_s = 5.0;
   specs[1].cfg.overlap_s = 2.0;
   specs[1].input = synth_input(ecg::RecordProfile::NormalSinus, 2, false);
@@ -807,9 +771,8 @@ std::vector<MonitorSpec> monitor_specs() {
   specs[2].input = synth_input(ecg::RecordProfile::Lbbb, 3, true);
   specs[2].packet = 777;
   specs[2].flush_at = 10000;
-  // 250 Hz element lengths (64-sample delay), adaptive.
+  // 250 Hz element lengths (64-sample delay).
   specs[3].cfg.filter = dsp::FilterConfig::for_rate(250);
-  specs[3].cfg.peak.kind = dsp::PeakDetectorKind::AdaptiveThreshold;
   specs[3].cfg.chunk_s = 6.0;
   specs[3].cfg.overlap_s = 2.5;
   specs[3].input = synth_input(ecg::RecordProfile::PvcBigeminy, 4, false);
