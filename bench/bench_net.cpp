@@ -15,8 +15,9 @@
 //               results, for any reactor/thread count. Each run also
 //               reports the engine's per-phase pump timing
 //               (drain/classify/deliver) and the reactors' idle wakeups.
-//   selective   every node classifies locally and uploads only
-//               pathological/Unknown windows (plus 0-sample Suspect
+//   selective   every node classifies locally and uploads only its
+//               pathological/Unknown beats, each delineated on the node
+//               and sent as a BEAT_SUMMARY (plus 0-sample Suspect
 //               escalations). No identity gate applies (verdicts here are
 //               upload confirmations); what is measured is bytes on the
 //               wire.

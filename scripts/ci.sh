@@ -141,7 +141,7 @@ HBRP_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
 # must exit 1 (floating point found) on it.
 fp_libs=(build/src/kernels/libhbrp_kernels.a build/src/rp/libhbrp_rp.a
   build/src/embedded/libhbrp_embedded.a build/src/net/libhbrp_net.a
-  build/src/core/libhbrp_core.a)
+  build/src/core/libhbrp_core.a build/src/delineation/libhbrp_delineation.a)
 echo "==== integer-only gate self-check (must fail on detect_r_peaks_block)"
 fp_rc=0
 python3 scripts/fp_free_check.py --only detect_r_peaks_block "${fp_libs[@]}" \

@@ -48,15 +48,29 @@ FUNCTIONS = [
     "wavelet_impl",
     "SparseTernary::apply_into",
     "BeatProjector::project_int_into",
+    "BeatProjector::project_downsampled_into",
     "IntClassifier::fuzzify",
     "IntClassifier::defuzzify",
     "IntClassifier::classify",
     "IntClassifier::classify_batch",
     "linearized_eval_batch_scalar",
     "net::encode_sample_chunk",
+    # The run encoder behind every sample-carrying frame (chunk, FULL_BEAT,
+    # BEAT_SUMMARY), an out-of-line helper of the encoders above and below.
+    "with_run",
     "StreamingBeatMonitor::push",
     "StreamingBeatMonitor::push_block",
     "StreamingBeatMonitor::scan",
+    # A selective node's flagged beat: its delineation (MMD and fiducial
+    # search), its BEAT_SUMMARY, and the policy that decides and logs it.
+    "delineate_beat",
+    "mmd_into",
+    "net::summary_offsets",
+    "net::encode_beat_summary",
+    "offsets_well_formed",
+    "SensorNodeClient::on_pending_beat",
+    "SensorNodeClient::summarize",
+    "SensorNodeClient::log_local",
 ]
 
 _SUFFIX = r"(ss|sd|ps|pd)"

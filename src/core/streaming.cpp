@@ -196,15 +196,16 @@ void StreamingBeatMonitor::scan(bool final_pass, const PendingBeatSink& sink) {
       // as pathological and escalates to full delineation downstream.
       beat.predicted = ecg::BeatClass::Unknown;
       ++stats_.suspect_beats;
-      sink({beat, {}, /*needs_classification=*/false});
+      sink({beat, {}, {}, 0, /*needs_classification=*/false});
     } else {
       // The guards above guarantee the full window is inside the buffer,
-      // so the consumer classifies straight off a span view: no window
-      // copy per beat.
+      // so the consumer classifies straight off a span view, and
+      // delineates off a view of the whole buffer: no copy per beat.
       const std::span<const dsp::Sample> window{
           buffer_.data() + (local_peak - cfg_.window_before),
           cfg_.window_before + cfg_.window_after};
-      sink({beat, window, /*needs_classification=*/true});
+      sink({beat, window, buffer_, local_peak,
+            /*needs_classification=*/true});
     }
     emitted_up_to_ = absolute + 1;
   }

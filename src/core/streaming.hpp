@@ -7,14 +7,16 @@
 // and feeds a rolling analysis buffer of a few seconds; whenever the buffer
 // fills, the wavelet R-peak detector (kernels/dsp_peaks.hpp) scans it, and
 // beats far enough from the buffer's right edge are finalized, graded and
-// handed to the caller's PendingBeatSink together with their beat window;
-// the buffer then slides, keeping one overlap region so no beat is lost at
-// a chunk boundary.
+// handed to the caller's PendingBeatSink together with their beat window
+// and a view of the buffer around them (what a node delineates on); the
+// buffer then slides, keeping one overlap region so no beat is lost at a
+// chunk boundary.
 //
 // The monitor finds beats; it does not classify them. The consumer maps
 // each window to a class: service::Session batches the windows of a whole
 // shard into one embedded::EmbeddedClassifier::classify_batch call, and
-// net::SensorNodeClient classifies each window on the node. Either way the
+// net::SensorNodeClient classifies each window on the node (and delineates
+// the flagged ones there). Either way the
 // consumer is the one place that classifies and observes drift. Together
 // they cover the classification sub-system (1) of the paper's Fig. 6 — the
 // decision *whether* a beat needs the detailed multi-lead analysis.
@@ -88,14 +90,25 @@ struct MonitorConfig {
 /// A finalized beat, handed over as soon as the monitor commits to it.
 ///
 /// When `needs_classification` is true, `window` views the monitor's rolling
-/// buffer (window_before + window_after samples around the R peak) and is
-/// valid only for the duration of the sink call: classify it or copy it out
-/// there. When false the monitor has already decided (Suspect signal
-/// escalates straight to Unknown), `window` is empty and the beat carries no
+/// buffer (window_before + window_after samples around the R peak) and
+/// `context` views the whole buffer, with the R peak at
+/// `context[context_peak]`: the conditioned signal a consumer delineates
+/// the beat on. Both are valid only for the duration of the sink call:
+/// classify or delineate there, or copy out. Mid-stream the scan guards
+/// leave at least overlap_s / 2 + window_after samples of context right of
+/// the peak (460 at the default config) and window_before left of it; a
+/// beat past the previous scan's frontier, which is nearly every beat, has
+/// overlap_s / 2 + window_before - window_after on its left (360). Only the
+/// stream start, a re-arm after Bad signal and the final flush hold less,
+/// where the conditioned signal itself begins or ends. When false the
+/// monitor has already decided (Suspect signal escalates straight to
+/// Unknown), `window` and `context` are empty and the beat carries no
 /// projection, so it must not count toward a drift score either.
 struct PendingBeat {
   MonitorBeat beat;
   std::span<const dsp::Sample> window;
+  std::span<const dsp::Sample> context;
+  std::size_t context_peak = 0;
   bool needs_classification = false;
 };
 

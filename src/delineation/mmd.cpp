@@ -1,44 +1,67 @@
 #include "delineation/mmd.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 
-#include "kernels/dsp_condition.hpp"
 #include "math/check.hpp"
 
 namespace hbrp::delineation {
 
-dsp::Signal mmd(const dsp::Signal& x, std::size_t length) {
-  // The conditioner's van Herk dilate/erode kernels, bit-identical to
-  // dsp::dilate/dsp::erode.
-  kernels::ConditionScratch scratch;
-  dsp::Signal d, e;
-  kernels::dilate_block(x, length, scratch, d);
-  kernels::erode_block(x, length, scratch, e);
-  dsp::Signal out(x.size());
+namespace {
+
+/// MMD response of `x` into scratch.response. The conditioner's van Herk
+/// dilate/erode kernels, bit-identical to dsp::dilate/dsp::erode.
+void mmd_into(std::span<const dsp::Sample> x, std::size_t length,
+              DelineationScratch& s) {
+  kernels::dilate_block(x, length, s.morphology, s.dilated);
+  kernels::erode_block(x, length, s.morphology, s.eroded);
+  s.response.resize(x.size());
   // (d - x) - (x - e), each in [0, max - min] of the window, so
   // |mmd| <= 2 * 4,095 on conditioned input: a Sample.
   for (std::size_t i = 0; i < x.size(); ++i)
-    out[i] = static_cast<dsp::Sample>(d[i] + e[i] - 2 * x[i]);
-  return out;
+    s.response[i] =
+        static_cast<dsp::Sample>(s.dilated[i] + s.eroded[i] - 2 * x[i]);
 }
 
-namespace {
+/// Only this much signal on either side of the R peak is read.
+constexpr int kCropMs = 750;
+/// MMD structuring-element length for QRS-scale analysis.
+constexpr int kQrsScaleMs = 60;
+/// Search windows relative to the R peak.
+constexpr int kQrsOnsetSearchMs = 180;
+constexpr int kQrsEndSearchMs = 200;
+constexpr int kPSearchMs = 320;
+constexpr int kTSearchMs = 480;
+/// The QRS boundary scans start this far from the R peak and stop at the
+/// first quiet run of kQuietRunMs.
+constexpr int kQrsScanStartMs = 8;
+constexpr int kQuietRunMs = 14;
+/// The P window ends kPGapMs before the QRS onset, the T window starts
+/// kTGapMs after the QRS end; each must span more than its minimum width.
+constexpr int kPGapMs = 12;
+constexpr int kPMinWidthMs = 30;
+constexpr int kTGapMs = 16;
+constexpr int kTMinWidthMs = 50;
+/// A P/T wave is present when its peak amplitude reaches kMinWaveAmp codes
+/// and 2/25 (8%) of the R amplitude.
+constexpr int kMinWaveAmp = 4;
+constexpr int kPresenceNum = 2;
+constexpr int kPresenceDen = 25;
+/// A wave ends where the amplitude falls below 1/20 (5%) of its peak,
+/// matching the generator's +-2.5 sigma ground-truth extent, or below a
+/// noise floor of kBoundaryFloor codes.
+constexpr int kBoundaryDen = 20;
+constexpr int kBoundaryFloor = 3;
 
-/// MMD structuring-element length, in seconds, for QRS-scale analysis.
-constexpr double kQrsScaleS = 0.06;
-/// Search windows relative to the R peak (seconds).
-constexpr double kQrsOnsetSearchS = 0.18;
-constexpr double kQrsEndSearchS = 0.20;
-constexpr double kPSearchS = 0.32;
-constexpr double kTSearchS = 0.48;
-/// Amplitude threshold (fraction of wave peak MMD response) used to
-/// accept a P/T wave as present.
-constexpr double kWavePresenceFrac = 0.08;
+/// Whole samples in `ms` milliseconds at `fs` Hz, rounded down.
+std::size_t samples(int ms, int fs) {
+  return static_cast<std::size_t>(ms) * static_cast<std::size_t>(fs) / 1000;
+}
 
-std::size_t odd_samples(double seconds, int fs) {
-  auto n = static_cast<std::size_t>(seconds * fs);
+std::size_t odd_samples(int ms, int fs) {
+  std::size_t n = samples(ms, fs);
   if (n % 2 == 0) ++n;
   return std::max<std::size_t>(n, 3);
 }
@@ -46,8 +69,8 @@ std::size_t odd_samples(double seconds, int fs) {
 // Scans from `from` in `step` direction (+1/-1) until |resp| stays below
 // `thr` for `run` consecutive samples or `limit` is reached; returns the
 // first sample of that quiet run (the wave boundary).
-std::size_t scan_boundary(const dsp::Signal& resp, std::size_t from, int step,
-                          dsp::Sample thr, std::size_t run,
+std::size_t scan_boundary(std::span<const dsp::Sample> resp, std::size_t from,
+                          int step, int thr, std::size_t run,
                           std::size_t limit) {
   std::size_t quiet = 0;
   std::size_t i = from;
@@ -66,72 +89,90 @@ std::size_t scan_boundary(const dsp::Signal& resp, std::size_t from, int step,
 }
 
 // Scans outward from a wave peak until the signal amplitude decays below
-// 5% of the peak (matching the generator's +-2.5 sigma ground-truth extent)
-// plus a small noise floor.
-std::size_t amplitude_boundary(const dsp::Signal& x, std::size_t peak,
-                               int step, std::size_t limit) {
-  const auto peak_amp = static_cast<double>(std::abs(x[peak]));
-  const double thr = std::max(3.0, 0.05 * peak_amp);
+// the boundary threshold: |x| < max(kBoundaryFloor, |peak| / kBoundaryDen),
+// compared without a division.
+std::size_t amplitude_boundary(std::span<const dsp::Sample> x,
+                               std::size_t peak, int step, std::size_t limit) {
+  const int peak_amp = std::abs(x[peak]);
   std::size_t i = peak;
   while (i != limit) {
     const auto next =
         static_cast<std::size_t>(static_cast<std::ptrdiff_t>(i) + step);
-    if (std::abs(x[next]) < thr) return next;
+    const int amp = std::abs(x[next]);
+    if (amp < kBoundaryFloor || kBoundaryDen * amp < peak_amp) return next;
     i = next;
   }
   return limit;
 }
 
 // Largest-|amplitude| sample in [lo, hi].
-std::size_t abs_argmax(const dsp::Signal& x, std::size_t lo, std::size_t hi) {
+std::size_t abs_argmax(std::span<const dsp::Sample> x, std::size_t lo,
+                       std::size_t hi) {
   std::size_t best = lo;
   for (std::size_t i = lo; i <= hi; ++i)
     if (std::abs(x[i]) > std::abs(x[best])) best = i;
   return best;
 }
 
+/// Whether a wave peaking at amplitude `wave` counts as present next to an
+/// R amplitude of `r`: |wave| >= max(kMinWaveAmp, 2/25 |r|).
+bool wave_present(dsp::Sample wave, dsp::Sample r) {
+  const int amp = std::abs(wave);
+  return amp >= kMinWaveAmp && kPresenceDen * amp >= kPresenceNum * std::abs(r);
+}
+
 }  // namespace
 
-ecg::Fiducials delineate_beat(const dsp::Signal& conditioned,
-                              std::size_t r_peak,
-                              const DelineatorConfig& cfg) {
+dsp::Signal mmd(const dsp::Signal& x, std::size_t length) {
+  DelineationScratch s;
+  mmd_into(x, length, s);
+  return std::move(s.response);
+}
+
+Reach reach(const DelineatorConfig& cfg) {
+  HBRP_REQUIRE(cfg.fs_hz > 0, "delineation::reach(): fs must be positive");
+  return {samples(kPSearchMs, cfg.fs_hz), samples(kTSearchMs, cfg.fs_hz)};
+}
+
+ecg::Fiducials delineate_beat(std::span<const dsp::Sample> conditioned,
+                              std::size_t r_peak, const DelineatorConfig& cfg,
+                              DelineationScratch& scratch) {
   HBRP_REQUIRE(cfg.fs_hz > 0, "delineate_beat(): fs must be positive");
   HBRP_REQUIRE(r_peak < conditioned.size(),
                "delineate_beat(): r_peak out of range");
 
   const int fs = cfg.fs_hz;
-  auto samples = [fs](double s) {
-    return static_cast<std::size_t>(s * fs);
-  };
+  const auto ms = [fs](int v) { return samples(v, fs); };
 
   // Work on a crop around the beat so per-beat cost is O(beat), not O(record).
-  const std::size_t margin = samples(0.75);
+  const std::size_t margin = ms(kCropMs);
   const std::size_t crop_lo = r_peak > margin ? r_peak - margin : 0;
   const std::size_t crop_hi =
       std::min(conditioned.size() - 1, r_peak + margin);
-  dsp::Signal crop(conditioned.begin() + static_cast<std::ptrdiff_t>(crop_lo),
-                   conditioned.begin() + static_cast<std::ptrdiff_t>(crop_hi) +
-                       1);
+  const std::span<const dsp::Sample> crop =
+      conditioned.subspan(crop_lo, crop_hi - crop_lo + 1);
   const std::size_t r = r_peak - crop_lo;
   const std::size_t last = crop.size() - 1;
 
-  const dsp::Signal q_resp = mmd(crop, odd_samples(kQrsScaleS, fs));
+  mmd_into(crop, odd_samples(kQrsScaleMs, fs), scratch);
+  const std::span<const dsp::Sample> q_resp(scratch.response);
 
   ecg::Fiducials f;
   f.r_peak = r_peak;
 
   // --- QRS boundaries ------------------------------------------------------
   const std::size_t qrs_lo =
-      r > samples(kQrsOnsetSearchS) ? r - samples(kQrsOnsetSearchS) : 0;
-  const std::size_t qrs_hi = std::min(last, r + samples(kQrsEndSearchS));
+      r > ms(kQrsOnsetSearchMs) ? r - ms(kQrsOnsetSearchMs) : 0;
+  const std::size_t qrs_hi = std::min(last, r + ms(kQrsEndSearchMs));
   int qrs_max = 0;  // |mmd| in int: exact even for a response of -2^15
   for (std::size_t i = qrs_lo; i <= qrs_hi; ++i)
     qrs_max = std::max(qrs_max, std::abs(q_resp[i]));
-  const auto thr = static_cast<dsp::Sample>(std::max(1, qrs_max / 10));
-  const std::size_t run = std::max<std::size_t>(2, samples(0.014));
+  const int thr = std::max(1, qrs_max / 10);
+  const std::size_t run = std::max<std::size_t>(2, ms(kQuietRunMs));
 
-  const std::size_t start_l = r > samples(0.008) ? r - samples(0.008) : 0;
-  const std::size_t start_r = std::min(last, r + samples(0.008));
+  const std::size_t start_l =
+      r > ms(kQrsScanStartMs) ? r - ms(kQrsScanStartMs) : 0;
+  const std::size_t start_r = std::min(last, r + ms(kQrsScanStartMs));
   const std::size_t onset =
       scan_boundary(q_resp, start_l, -1, thr, run, qrs_lo);
   const std::size_t end = scan_boundary(q_resp, start_r, +1, thr, run, qrs_hi);
@@ -139,15 +180,12 @@ ecg::Fiducials delineate_beat(const dsp::Signal& conditioned,
   f.qrs_end = crop_lo + end;
 
   // --- P wave --------------------------------------------------------------
-  const std::size_t p_lo =
-      r > samples(kPSearchS) ? r - samples(kPSearchS) : 0;
-  const std::size_t p_hi = onset > samples(0.012) ? onset - samples(0.012) : 0;
-  if (p_hi > p_lo + samples(0.03)) {
+  const std::size_t p_lo = r > ms(kPSearchMs) ? r - ms(kPSearchMs) : 0;
+  const std::size_t p_hi = onset > ms(kPGapMs) ? onset - ms(kPGapMs) : 0;
+  if (p_hi > p_lo + ms(kPMinWidthMs)) {
     const std::size_t p_peak = abs_argmax(crop, p_lo, p_hi);
-    const double r_amp = std::abs(static_cast<double>(crop[r]));
-    if (std::abs(static_cast<double>(crop[p_peak])) >=
-            std::max(4.0, kWavePresenceFrac * r_amp) &&
-        p_peak > p_lo && p_peak < p_hi) {
+    if (wave_present(crop[p_peak], crop[r]) && p_peak > p_lo &&
+        p_peak < p_hi) {
       f.p_peak = crop_lo + p_peak;
       f.p_onset = crop_lo + amplitude_boundary(crop, p_peak, -1, p_lo);
       f.p_end = crop_lo + amplitude_boundary(crop, p_peak, +1, p_hi);
@@ -155,20 +193,26 @@ ecg::Fiducials delineate_beat(const dsp::Signal& conditioned,
   }
 
   // --- T wave --------------------------------------------------------------
-  const std::size_t t_lo = std::min(last, end + samples(0.016));
-  const std::size_t t_hi = std::min(last, r + samples(kTSearchS));
-  if (t_hi > t_lo + samples(0.05)) {
+  const std::size_t t_lo = std::min(last, end + ms(kTGapMs));
+  const std::size_t t_hi = std::min(last, r + ms(kTSearchMs));
+  if (t_hi > t_lo + ms(kTMinWidthMs)) {
     const std::size_t t_peak = abs_argmax(crop, t_lo, t_hi);
-    const double r_amp = std::abs(static_cast<double>(crop[r]));
-    if (std::abs(static_cast<double>(crop[t_peak])) >=
-            std::max(4.0, kWavePresenceFrac * r_amp) &&
-        t_peak > t_lo && t_peak < t_hi) {
+    if (wave_present(crop[t_peak], crop[r]) && t_peak > t_lo &&
+        t_peak < t_hi) {
       f.t_peak = crop_lo + t_peak;
       f.t_onset = crop_lo + amplitude_boundary(crop, t_peak, -1, t_lo);
       f.t_end = crop_lo + amplitude_boundary(crop, t_peak, +1, t_hi);
     }
   }
   return f;
+}
+
+ecg::Fiducials delineate_beat(const dsp::Signal& conditioned,
+                              std::size_t r_peak,
+                              const DelineatorConfig& cfg) {
+  DelineationScratch scratch;
+  return delineate_beat(std::span<const dsp::Sample>(conditioned), r_peak,
+                        cfg, scratch);
 }
 
 namespace {

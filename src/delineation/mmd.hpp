@@ -11,13 +11,19 @@
 // strongly positive at valley-shaped points and strongly negative at
 // peak-shaped ones, with wave boundaries appearing as extrema of the
 // response at a scale matched to the wave's width.
+//
+// The delineator computes in integers only, like the rest of the node: its
+// search windows are whole milliseconds turned into samples as
+// ms * fs / 1000, and its amplitude tests are integer cross-multiplications.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "dsp/signal.hpp"
 #include "ecg/types.hpp"
+#include "kernels/dsp_condition.hpp"
 
 namespace hbrp::delineation {
 
@@ -28,9 +34,33 @@ struct DelineatorConfig {
   int fs_hz = dsp::kMitBihFs;
 };
 
-/// Delineates one beat on conditioned single-lead data.
-/// Returns fiducial sample indices (absolute); absent waves are flagged
-/// with Fiducials::kNoFiducial.
+/// How far from its R peak delineate_beat can place a fiducial: no point
+/// lies more than `before` samples before the peak (the P-wave search
+/// window) or `after` samples after it (the T-wave search window).
+struct Reach {
+  std::size_t before = 0;
+  std::size_t after = 0;
+};
+Reach reach(const DelineatorConfig& cfg = {});
+
+/// Reusable buffers of delineate_beat: once warm, a call allocates nothing.
+struct DelineationScratch {
+  kernels::ConditionScratch morphology;
+  dsp::Signal dilated;
+  dsp::Signal eroded;
+  dsp::Signal response;
+};
+
+/// Delineates one beat on conditioned single-lead data. Fiducials are
+/// indices into `conditioned`; absent waves are flagged with
+/// Fiducials::kNoFiducial. Only the samples within 750 ms of `r_peak` are
+/// read, so a view of a rolling buffer that holds them delineates exactly
+/// like the whole record does.
+ecg::Fiducials delineate_beat(std::span<const dsp::Sample> conditioned,
+                              std::size_t r_peak, const DelineatorConfig& cfg,
+                              DelineationScratch& scratch);
+
+/// The same over a whole signal, with a scratch of its own.
 ecg::Fiducials delineate_beat(const dsp::Signal& conditioned,
                               std::size_t r_peak,
                               const DelineatorConfig& cfg = {});

@@ -30,6 +30,13 @@ ecg::BeatClass EmbeddedClassifier::classify_window(
   return classifier_.classify(scratch.u, alpha_q16_);
 }
 
+ecg::BeatClass EmbeddedClassifier::classify_downsampled(
+    std::span<const dsp::Sample> codes, ClassifyScratch& scratch) const {
+  scratch.u.resize(projector_.coefficients());
+  projector_.project_downsampled_into(codes, scratch.u);
+  return classifier_.classify(scratch.u, alpha_q16_);
+}
+
 void EmbeddedClassifier::classify_batch(std::span<const dsp::Sample> windows,
                                         std::size_t count,
                                         std::span<ecg::BeatClass> out,

@@ -39,6 +39,12 @@ class EmbeddedClassifier {
   ecg::BeatClass classify_window(std::span<const dsp::Sample> window,
                                  ClassifyScratch& scratch) const;
 
+  /// classify_window from the window's averaged codes (the
+  /// projector().downsampled_window() codes classify_window leaves in
+  /// scratch.projection.downsampled): the same class, without the window.
+  ecg::BeatClass classify_downsampled(std::span<const dsp::Sample> codes,
+                                      ClassifyScratch& scratch) const;
+
   /// Batch form of classify_window over `count` windows concatenated in
   /// `windows` (each projector().expected_window() samples). Equivalent to
   /// classify_window per beat; all intermediate buffers live in `scratch`.

@@ -203,8 +203,8 @@ void condition_impl(const Signal& x, const dsp::FilterConfig& cfg,
 
 }  // namespace
 
-void erode_block(const Signal& x, std::size_t length, ConditionScratch& scr,
-                 Signal& out) {
+void erode_block(std::span<const Sample> x, std::size_t length,
+                 ConditionScratch& scr, Signal& out) {
   HBRP_REQUIRE(length >= 1 && length % 2 == 1,
                "erode_block(): length must be odd and >= 1");
   out.resize(x.size());
@@ -212,8 +212,8 @@ void erode_block(const Signal& x, std::size_t length, ConditionScratch& scr,
                      out.data());
 }
 
-void dilate_block(const Signal& x, std::size_t length, ConditionScratch& scr,
-                  Signal& out) {
+void dilate_block(std::span<const Sample> x, std::size_t length,
+                  ConditionScratch& scr, Signal& out) {
   HBRP_REQUIRE(length >= 1 && length % 2 == 1,
                "dilate_block(): length must be odd and >= 1");
   out.resize(x.size());

@@ -53,11 +53,11 @@ struct ConditionScratch {
 
 /// Sliding-window minimum over a centred window of odd `length`, replicated
 /// borders — bit-identical to dsp::erode(). Dispatches scalar/AVX2.
-void erode_block(const dsp::Signal& x, std::size_t length,
+void erode_block(std::span<const dsp::Sample> x, std::size_t length,
                  ConditionScratch& scratch, dsp::Signal& out);
 
 /// Sliding-window maximum, same conventions — bit-identical to dsp::dilate().
-void dilate_block(const dsp::Signal& x, std::size_t length,
+void dilate_block(std::span<const dsp::Sample> x, std::size_t length,
                   ConditionScratch& scratch, dsp::Signal& out);
 
 /// Full conditioning chain (baseline removal + impulsive-noise suppression),

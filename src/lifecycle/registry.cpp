@@ -37,8 +37,12 @@ AdmitResult BundleRegistry::admit(
     if (model->version < active_) return AdmitResult::Downgrade;
     const auto& in = incumbent->model->classifier.projector();
     const auto& nu = model->classifier.projector();
+    // The downsample factor too: a selective node uploads a flagged beat
+    // as the window's averaged codes, and the gateway projects them with
+    // whatever model the session runs by then.
     if (in.expected_window() != nu.expected_window() ||
-        in.coefficients() != nu.coefficients())
+        in.coefficients() != nu.coefficients() ||
+        in.downsample_factor() != nu.downsample_factor())
       return AdmitResult::BadGeometry;
   }
   if (slots_.size() >= cfg_.max_slots) {

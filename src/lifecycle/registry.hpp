@@ -15,9 +15,11 @@
 //     identical content — re-pushing is a pusher-side bug worth surfacing;
 //   - a version older than the active one is refused (Downgrade); going
 //     back is what rollback() is for, on the version already vetted;
-//   - a model whose window length or coefficient count differs from the
-//     incumbent's is refused (BadGeometry) — sessions swap classifiers at
-//     a beat boundary without re-windowing, so shapes must match;
+//   - a model whose window length, coefficient count or downsample factor
+//     differs from the incumbent's is refused (BadGeometry) — sessions swap
+//     classifiers at a beat boundary without re-windowing, and a selective
+//     node's BEAT_SUMMARY carries the window already downsampled, so shapes
+//     must match;
 //   - at capacity the lowest-version unpinned slot that is neither active
 //     nor the rollback target is evicted; if none qualifies the push is
 //     refused (RegistryFull) rather than evicting something live.

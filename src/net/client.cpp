@@ -24,7 +24,9 @@ const char* to_string(LinkState s) {
 
 SensorNodeClient::SensorNodeClient(embedded::EmbeddedClassifier classifier,
                                    NodeConfig cfg)
-    : classifier_(std::move(classifier)), cfg_(std::move(cfg)) {
+    : classifier_(std::move(classifier)),
+      cfg_(std::move(cfg)),
+      delineator_{cfg_.monitor.peak.fs_hz} {
   HBRP_REQUIRE(cfg_.port != 0, "SensorNodeClient: gateway port is required");
   HBRP_REQUIRE(cfg_.chunk_samples >= 1 &&
                    cfg_.chunk_samples <= kMaxChunkSamples,
@@ -34,7 +36,7 @@ SensorNodeClient::SensorNodeClient(embedded::EmbeddedClassifier classifier,
   // Every code this node frames must fit the wire's 12 bits: raw codes are
   // clamped to these rails, and a conditioned window (x - close(open(x)),
   // then min/max and a rounded average) stays within
-  // +/-(rail_high - rail_low).
+  // +/-(rail_high - rail_low), and so does each average of its codes.
   const dsp::QualityConfig& rails = cfg_.monitor.quality;
   HBRP_REQUIRE(rails.rail_low >= kMinWireCode &&
                    rails.rail_high <= kMaxWireCode &&
@@ -53,6 +55,7 @@ SensorNodeClient::SensorNodeClient(embedded::EmbeddedClassifier classifier,
     // classification and observation point.
     if (cfg_.drift_centroids != nullptr)
       drift_.emplace(*cfg_.drift_centroids, cfg_.drift);
+    local_log_.reserve(kLocalLogRecords);
   }
 }
 
@@ -106,8 +109,8 @@ void SensorNodeClient::on_pending_beat(const core::PendingBeat& pb) {
   if (drift_.has_value() && pb.needs_classification) {
     // classify_window above left this beat's projection in scratch_.u —
     // the tracker reuses it at zero extra projection cost. Suspect beats
-    // (needs_classification == false) carry no projection and are already
-    // uploaded in full anyway. Only normal verdicts can come back novel,
+    // (needs_classification == false) carry no projection and are
+    // uploaded anyway. Only normal verdicts can come back novel,
     // which is exactly the escalation condition: a beat the selective
     // policy would silently log as one local byte.
     const drift::DriftObservation obs = drift_->observe(
@@ -128,8 +131,8 @@ void SensorNodeClient::on_pending_beat(const core::PendingBeat& pb) {
       // The paper's optimized policy: a normal beat costs one local byte
       // and zero radio. Class in bits [0,2), quality in bits [2,4).
       ++stats_.beats_local;
-      local_log_.push_back(static_cast<std::uint8_t>(
-          (cls & 0x3u) | ((quality & 0x3u) << 2)));
+      log_local(static_cast<std::uint8_t>((cls & 0x3u) |
+                                          ((quality & 0x3u) << 2)));
       return;
     }
     // Drift escalation: the beat classified normal but its morphology is
@@ -139,10 +142,6 @@ void SensorNodeClient::on_pending_beat(const core::PendingBeat& pb) {
     // header that the plain selective policy never produces.
     ++stats_.drift_escalations;
   }
-  FullBeatMsg m;
-  m.r_peak = pb.beat.r_peak;
-  m.beat_class = cls;
-  m.quality = quality;
   if (unacked_.size() >= cfg_.max_unacked_full_beats) {
     // The window is full: the oldest upload gives way. Unless it is in
     // flight on the live connection (then its verdict or disconnect()
@@ -155,8 +154,55 @@ void SensorNodeClient::on_pending_beat(const core::PendingBeat& pb) {
       mark_verdict_seen(oldest);
     }
   }
-  unacked_.emplace(next_beat_seq_++, encode_full_beat(m, pb.window));
+  if (pb.needs_classification && !escalate) {
+    // A flagged beat with a window: the paper's upload, its fiducials.
+    unacked_.emplace(next_beat_seq_++,
+                     Upload{FrameType::BeatSummary,
+                            summarize(pb, cls, quality)});
+    ++stats_.beats_summarized;
+  } else {
+    FullBeatMsg m;
+    m.r_peak = pb.beat.r_peak;
+    m.beat_class = cls;
+    m.quality = quality;
+    unacked_.emplace(next_beat_seq_++,
+                     Upload{FrameType::FullBeat,
+                            encode_full_beat(m, pb.window)});
+  }
   ++stats_.beats_uploaded;
+}
+
+std::vector<unsigned char> SensorNodeClient::summarize(
+    const core::PendingBeat& pb, std::uint8_t cls, std::uint8_t quality) {
+  // The monitor's rolling buffer holds the beat's delineation crop in
+  // full mid-stream (core::PendingBeat), so these fiducials are the ones
+  // the whole record would give; the scratch keeps the call
+  // allocation-free.
+  const ecg::Fiducials f = delineation::delineate_beat(
+      pb.context, pb.context_peak, delineator_, delineation_scratch_);
+  BeatSummaryMsg m;
+  m.r_peak = pb.beat.r_peak;
+  m.beat_class = cls;
+  m.quality = quality;
+  m.offsets = summary_offsets(f);
+  return encode_beat_summary(m, scratch_.projection.downsampled);
+}
+
+void SensorNodeClient::log_local(std::uint8_t record) {
+  if (local_log_.size() < kLocalLogRecords) {
+    local_log_.push_back(record);
+    return;
+  }
+  local_log_[log_head_] = record;
+  log_head_ = (log_head_ + 1) % kLocalLogRecords;
+  ++stats_.local_records_dropped;
+}
+
+std::vector<std::uint8_t> SensorNodeClient::local_log() const {
+  const auto head = static_cast<std::ptrdiff_t>(log_head_);
+  std::vector<std::uint8_t> out(local_log_.begin() + head, local_log_.end());
+  out.insert(out.end(), local_log_.begin(), local_log_.begin() + head);
+  return out;
 }
 
 void SensorNodeClient::stage_stream_sample(dsp::Sample x) {
@@ -220,7 +266,8 @@ bool SensorNodeClient::fill_wire_out() {
   wire_head_ = 0;
   if (upload != unacked_.end()) {
     const std::uint64_t seq = upload->first;
-    append_frame(wire_out_, FrameType::FullBeat, seq, upload->second);
+    append_frame(wire_out_, upload->second.type, seq,
+                 upload->second.payload);
     upload_cursor_ = seq + 1;
     if (seq < sent_below_) ++stats_.retransmits;
     sent_below_ = std::max(sent_below_, seq + 1);
@@ -241,7 +288,7 @@ std::size_t SensorNodeClient::pending_bytes() const {
   std::size_t bytes = sendq_bytes_ + (wire_out_.size() - wire_head_);
   for (auto it = unacked_.lower_bound(upload_cursor_); it != unacked_.end();
        ++it)
-    bytes += kHeaderBytes + it->second.size();
+    bytes += kHeaderBytes + it->second.payload.size();
   return bytes;
 }
 
@@ -346,8 +393,8 @@ void SensorNodeClient::handle_frame(const FrameView& f) {
       return;
     }
     default:
-      // Hello / SampleChunk / FullBeat / Heartbeat / Bye never flow
-      // gateway -> node.
+      // Hello / SampleChunk / FullBeat / BeatSummary / Heartbeat / Bye never
+      // flow gateway -> node.
       ++stats_.parse_rejects;
       disconnect(now, true);
       return;
@@ -356,9 +403,14 @@ void SensorNodeClient::handle_frame(const FrameView& f) {
 
 bool SensorNodeClient::mark_verdict_seen(std::uint64_t seq) {
   if (seq < verdict_seen_below_) return false;
-  if (!verdict_seen_.insert(seq).second) return false;
-  // Compact the contiguous prefix: upload seqs are dense from 0, so in the
-  // common in-order case the set stays empty and the watermark advances.
+  // Upload seqs are dense from 0: in the common in-order case the
+  // watermark advances and the set, which holds only seqs above it, is
+  // never touched (no node is allocated per upload).
+  if (seq == verdict_seen_below_)
+    ++verdict_seen_below_;
+  else if (!verdict_seen_.insert(seq).second)
+    return false;
+  // Compact the contiguous prefix an out-of-order seq may have completed.
   while (!verdict_seen_.empty() &&
          *verdict_seen_.begin() == verdict_seen_below_) {
     verdict_seen_.erase(verdict_seen_.begin());

@@ -16,16 +16,26 @@
 //                     (same fault-tolerant pipeline the gateway would run).
 //                     A beat classified normal on Good signal becomes a
 //                     1-byte verdict record in the local log — zero radio.
-//                     A pathological or Unknown beat uploads the full
-//                     window as FULL_BEAT (12 fixed bytes + the delta-
-//                     coded window: ~150 B for a 200-sample ECG window,
-//                     340 B at most) so the gateway can run the detailed
-//                     analysis; Suspect-signal beats upload a 0-sample
-//                     escalation record (no trustworthy window).
+//                     A pathological or Unknown beat is delineated on the
+//                     node (delineation::delineate_beat over the monitor's
+//                     rolling buffer) and uploads as a BEAT_SUMMARY: its
+//                     nine fiducials and the window's averaged codes, which
+//                     the classifier already computed (a 20 B header, 28
+//                     fixed bytes and the delta-coded codes: ~90 B a frame
+//                     for a 200-sample ECG window at 4x downsampling, 126 B
+//                     at most), so the gateway re-classifies it with its
+//                     own model. A drift escalation uploads the full window
+//                     as FULL_BEAT (12 fixed bytes + the delta-coded
+//                     window: ~170 B a frame, 340 B at most), since it is
+//                     the beat's shape the gateway has not seen; a
+//                     Suspect-signal beat uploads a
+//                     0-sample FULL_BEAT escalation record (no trustworthy
+//                     window).
 //
 // Link robustness: connect/reconnect with exponential backoff (reset on a
 // successful handshake), heartbeats on an idle link, and at-least-once
-// FULL_BEAT delivery. Each upload is held once, in a seq-ordered window,
+// upload delivery. Each upload (BEAT_SUMMARY or FULL_BEAT, one seq space)
+// is held once, with its frame type, in a seq-ordered window,
 // until its BEAT_VERDICT (its only acknowledgement), and every connection
 // sends it in ascending seq ahead of the send queue. A full window drops
 // its oldest upload, counted once no verdict can come for it, so every
@@ -58,6 +68,7 @@
 #include <vector>
 
 #include "core/streaming.hpp"
+#include "delineation/mmd.hpp"
 #include "drift/tracker.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
@@ -81,8 +92,9 @@ struct NodeConfig {
   /// Cap on send-queue bytes (sample chunks, heartbeats, BYE; never
   /// uploads). Overflow sheds the oldest chunks and heartbeats, counted.
   std::size_t send_buffer_cap = 1u << 20;
-  /// Retransmit window: the only store of FULL_BEAT uploads, each held
-  /// until its verdict. When full, the oldest is dropped, counted.
+  /// Retransmit window: the only store of uploads (BEAT_SUMMARY and
+  /// FULL_BEAT alike), each held until its verdict. When full, the oldest
+  /// is dropped, counted.
   std::size_t max_unacked_full_beats = 256;
   int heartbeat_interval_ms = 1000;
   int backoff_initial_ms = 10;
@@ -94,8 +106,8 @@ struct NodeConfig {
   /// locally classified beat is observed by a drift::DriftTracker seeded
   /// from these centroids, and a *novel* normal+Good beat — which the
   /// selective policy would otherwise reduce to one local byte — is
-  /// escalated as a FULL_BEAT upload so the gateway sees the unfamiliar
-  /// waveform. Escalations ride the existing unacked/verdict-as-ack
+  /// escalated as a FULL_BEAT upload of its window so the gateway sees the
+  /// unfamiliar waveform. Escalations ride the existing unacked/verdict-as-ack
   /// machinery, so they survive reconnects without duplicate gateway
   /// counting.
   std::shared_ptr<const drift::TrainingCentroids> drift_centroids;
@@ -125,15 +137,21 @@ struct TxStats {
   /// framing (the gateway's monitor would clamp them the same way).
   std::uint64_t samples_clamped = 0;
   std::uint64_t beats_local = 0;     ///< normal beats kept as local records
-  std::uint64_t beats_uploaded = 0;  ///< FULL_BEAT uploads created
+  /// Local records that left a full log to make room (oldest first).
+  std::uint64_t local_records_dropped = 0;
+  /// Uploads created: BEAT_SUMMARY and FULL_BEAT frames.
+  std::uint64_t beats_uploaded = 0;
+  /// Flagged beats delineated and uploaded as BEAT_SUMMARY (a subset of
+  /// beats_uploaded; the rest are FULL_BEATs).
+  std::uint64_t beats_summarized = 0;
   std::uint64_t verdicts_rx = 0;     ///< unique verdicts delivered to the sink
   std::uint64_t verdict_seq_gaps = 0;
   /// Selective only: repeated verdicts for an already-delivered upload seq
   /// (at-least-once retransmission + the gateway's dup re-verdict), dropped
   /// before the sink.
   std::uint64_t verdict_dups = 0;
-  /// Normal+Good beats uploaded because the drift tracker flagged them
-  /// novel (subset of beats_uploaded).
+  /// Normal+Good beats uploaded as FULL_BEAT because the drift tracker
+  /// flagged them novel (subset of beats_uploaded).
   std::uint64_t drift_escalations = 0;
 };
 
@@ -200,9 +218,14 @@ class SensorNodeClient {
   LinkState state() const { return state_; }
   bool established() const { return state_ == LinkState::Established; }
   const TxStats& stats() const { return stats_; }
+  /// Records the local log holds at most: about an hour of beats at
+  /// 72 bpm, 4 KB of the node's RAM. Past it the oldest records leave,
+  /// counted in TxStats::local_records_dropped.
+  static constexpr std::size_t kLocalLogRecords = 4096;
   /// One byte per normal beat kept on the node: class in the low 2 bits,
-  /// SignalQuality in the next 2 — the paper's "verdict record".
-  const std::vector<std::uint8_t>& local_log() const { return local_log_; }
+  /// SignalQuality in the next 2 — the paper's "verdict record". The
+  /// newest kLocalLogRecords of them, oldest first.
+  std::vector<std::uint8_t> local_log() const;
   /// The node's drift tracker (nullptr when drift escalation is off).
   const drift::DriftTracker* drift_tracker() const {
     return drift_.has_value() ? &*drift_ : nullptr;
@@ -228,8 +251,19 @@ class SensorNodeClient {
     FrameType type = FrameType::Heartbeat;
     std::vector<unsigned char> payload;
   };
+  /// A held upload: its frame type (BeatSummary or FullBeat) and payload.
+  struct Upload {
+    FrameType type = FrameType::FullBeat;
+    std::vector<unsigned char> payload;
+  };
 
   void on_pending_beat(const core::PendingBeat& pb);
+  /// Delineates a flagged beat and encodes its BEAT_SUMMARY, with the
+  /// averaged codes classify_window just left in scratch_.
+  std::vector<unsigned char> summarize(const core::PendingBeat& pb,
+                                       std::uint8_t cls,
+                                       std::uint8_t quality);
+  void log_local(std::uint8_t record);
   void stage_stream_sample(dsp::Sample x);
   void flush_stage(bool final_partial);
   void enqueue(FrameType type, std::vector<unsigned char> payload);
@@ -248,6 +282,8 @@ class SensorNodeClient {
   embedded::EmbeddedClassifier classifier_;
   embedded::ClassifyScratch scratch_;
   NodeConfig cfg_;
+  delineation::DelineatorConfig delineator_;
+  delineation::DelineationScratch delineation_scratch_;
   std::optional<core::StreamingBeatMonitor> monitor_;  // selective only
   core::PendingBeatSink pending_sink_;
   std::optional<drift::DriftTracker> drift_;  // opt-in novelty escalation
@@ -265,8 +301,8 @@ class SensorNodeClient {
   std::uint64_t next_chunk_seq_ = 0;
   std::uint64_t next_beat_seq_ = 0;
   std::uint64_t next_heartbeat_seq_ = 0;
-  // The retransmit window: FULL_BEAT payloads by seq, until their verdict.
-  std::map<std::uint64_t, std::vector<unsigned char>> unacked_;
+  // The retransmit window: uploads by seq, until their verdict.
+  std::map<std::uint64_t, Upload> unacked_;
   std::uint64_t upload_cursor_ = 0;  // lowest seq this connection may send
   std::uint64_t sent_below_ = 0;     // seqs below it were sent: resends
 
@@ -290,7 +326,10 @@ class SensorNodeClient {
   bool ever_established_ = false;
 
   TxStats stats_;
+  // The local log: a ring of kLocalLogRecords once full, whose oldest
+  // record sits at log_head_.
   std::vector<std::uint8_t> local_log_;
+  std::size_t log_head_ = 0;
 };
 
 }  // namespace hbrp::net

@@ -5,6 +5,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "delineation/mmd.hpp"
 #include "lifecycle/bundle.hpp"
 #include "math/check.hpp"
 
@@ -61,7 +62,8 @@ std::string GatewayStats::json() const {
   append_field(out, "chunks_rx", load(chunks_rx));
   append_field(out, "samples_rx", load(samples_rx));
   append_field(out, "full_beats_rx", load(full_beats_rx));
-  append_field(out, "full_beat_dups", load(full_beat_dups));
+  append_field(out, "beat_summaries_rx", load(beat_summaries_rx));
+  append_field(out, "upload_dups", load(upload_dups));
   append_field(out, "drift_escalations_rx", load(drift_escalations_rx));
   append_field(out, "verdicts_tx", load(verdicts_tx));
   append_field(out, "heartbeats_rx", load(heartbeats_rx));
@@ -93,7 +95,8 @@ struct GatewayServer::Conn {
   bool accept_verdicts = false;
   bool overflowed = false;
   std::uint64_t next_chunk_seq = 0;
-  std::optional<std::uint64_t> last_full_seq;
+  /// Highest upload seq (FULL_BEAT or BEAT_SUMMARY) processed here.
+  std::optional<std::uint64_t> last_upload_seq;
   /// Control-connection (MODEL_PUSH) reassembly state. `ctrl` flips on the
   /// announce frame and is mutually exclusive with hello_done: a pusher
   /// never carries data traffic and vice versa.
@@ -109,7 +112,8 @@ struct GatewayServer::Conn {
   /// rejected); while non-empty the socket is not read and later frames
   /// wait in the parser.
   std::vector<dsp::Sample> inbound;
-  std::vector<dsp::Sample> window_scratch;
+  /// An upload's decoded window or averaged codes.
+  std::vector<dsp::Sample> upload_codes;
   Clock::time_point last_rx;
 };
 
@@ -124,7 +128,7 @@ struct GatewayServer::Reactor {
   std::vector<Socket> inbox;  ///< connections handed over by reactor 0
   std::vector<std::unique_ptr<Conn>> conns;
   std::unordered_map<int, Conn*> by_fd;
-  embedded::ClassifyScratch full_beat_scratch;
+  embedded::ClassifyScratch upload_scratch;
   std::vector<PollEvent> events;
   // Per-reactor rollup, single-writer (the loop), read by reactors_json().
   std::atomic<std::uint64_t> frames_rx{0};
@@ -139,6 +143,8 @@ GatewayServer::GatewayServer(embedded::EmbeddedClassifier classifier,
     : cfg_(sanitize_config(std::move(cfg))),
       engine_(std::move(classifier), cfg_.fleet),
       listener_(cfg_.port, cfg_.listen_backlog),
+      summary_reach_(delineation::reach(
+          delineation::DelineatorConfig{cfg_.fleet.session.monitor.peak.fs_hz})),
       registry_(cfg_.registry) {
   reactors_.reserve(cfg_.reactors);
   for (std::size_t i = 0; i < cfg_.reactors; ++i) {
@@ -372,80 +378,106 @@ void GatewayServer::on_sample_chunk(Conn& c, const FrameView& f) {
   offer_samples(c);
 }
 
+const embedded::EmbeddedClassifier& GatewayServer::session_classifier(
+    const Conn& c) const {
+  // The session's *current* model: uploads must agree with the model its
+  // streamed beats are classified under (reading it here is safe: dispatch
+  // runs on the reactor thread that owns the session's shard pump).
+  const service::SessionModel* sm =
+      c.session.has_value() ? engine_.session_model(*c.session) : nullptr;
+  return sm != nullptr ? sm->classifier : engine_.default_model()->classifier;
+}
+
+bool GatewayServer::accept_upload(Conn& c, std::uint64_t seq,
+                                  std::atomic<std::uint64_t>& fresh) {
+  // At-least-once from the client: a seq at or below the high-water mark
+  // was already processed. The first transmission's verdict may have died
+  // with a previous connection (the client holds an upload until its
+  // verdict arrives), so it is answered again from this frame's own
+  // payload — classification is deterministic, so the resent verdict is
+  // bit-identical — and the client dedupes by seq. Counted as a dup, not
+  // a new beat.
+  if (c.last_upload_seq.has_value() && seq <= *c.last_upload_seq) {
+    stats_.upload_dups.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  c.last_upload_seq = seq;
+  fresh.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+void GatewayServer::answer_upload(Conn& c, std::uint64_t seq,
+                                  std::uint64_t r_peak, std::uint8_t quality,
+                                  ecg::BeatClass verdict) {
+  BeatVerdictMsg v;
+  v.r_peak = r_peak;
+  v.quality = quality;
+  v.beat_class = static_cast<std::uint8_t>(verdict);
+  enqueue_frame(c, FrameType::BeatVerdict, seq, encode_beat_verdict(v));
+  stats_.verdicts_tx.fetch_add(1, std::memory_order_relaxed);
+}
+
 void GatewayServer::on_full_beat(Conn& c, const FrameView& f) {
+  FullBeatMsg m;
+  if (!c.hello_done || !decode_full_beat(f.payload, m, c.upload_codes) ||
+      (m.count != 0 && c.upload_codes.size() != window_length())) {
+    stats_.conns_dropped_protocol.fetch_add(1, std::memory_order_relaxed);
+    close_conn(c, false);
+    return;
+  }
+  if (accept_upload(c, f.seq, stats_.full_beats_rx) && m.count != 0 &&
+      !ecg::is_pathological(
+          static_cast<ecg::BeatClass>(m.beat_class & 0x3u)) &&
+      static_cast<dsp::SignalQuality>(m.quality & 0x3u) ==
+          dsp::SignalQuality::Good) {
+    // A normal+Good FULL_BEAT is a drift escalation. The per-connection
+    // dup guard forgets its high-water when a killed connection is
+    // replaced, so a retransmitted escalation can reach this branch looking
+    // fresh. The per-node map remembers what was already counted across
+    // reconnects — which may land on a different reactor, hence the mutex
+    // — keeping the fleet rollup exactly-once.
+    const std::lock_guard<std::mutex> lock(drift_mutex_);
+    const auto [it, inserted] =
+        drift_counted_high_.try_emplace(c.node_id, f.seq);
+    if (inserted || f.seq > it->second) {
+      it->second = f.seq;
+      stats_.drift_escalations_rx.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  // Re-classify the uploaded window with this session's current model — the
+  // check pass before the detailed delineation stage. A 0-sample escalation
+  // (Suspect signal on the node) has no trustworthy window: Unknown. The
+  // scratch is per-reactor, so concurrent uploads on different reactors
+  // never share it.
+  answer_upload(c, f.seq, m.r_peak, m.quality,
+                m.count == 0 ? ecg::BeatClass::Unknown
+                             : session_classifier(c).classify_window(
+                                   c.upload_codes, c.owner->upload_scratch));
+}
+
+void GatewayServer::on_beat_summary(Conn& c, const FrameView& f) {
   if (!c.hello_done) {
     stats_.conns_dropped_protocol.fetch_add(1, std::memory_order_relaxed);
     close_conn(c, false);
     return;
   }
-  // At-least-once from the client: a seq at or below the high-water mark
-  // was already processed — answer again (below) but do not count it.
-  const bool dup =
-      c.last_full_seq.has_value() && f.seq <= *c.last_full_seq;
-  FullBeatMsg m;
-  if (!decode_full_beat(f.payload, m, c.window_scratch)) {
+  // The averaged codes are what classify_window projects after its
+  // downsample, and every model a session can run has this downsample
+  // factor (BundleRegistry::admit), so projecting them under the current
+  // model gives the verdict the full window would get.
+  const embedded::EmbeddedClassifier& clf = session_classifier(c);
+  const SummaryLimits limits{clf.projector().downsampled_window(),
+                             summary_reach_.before, summary_reach_.after};
+  BeatSummaryMsg m;
+  if (!decode_beat_summary(f.payload, limits, m, c.upload_codes)) {
     stats_.conns_dropped_protocol.fetch_add(1, std::memory_order_relaxed);
     close_conn(c, false);
     return;
   }
-  if (m.count != 0 &&
-      c.window_scratch.size() != window_length()) {
-    stats_.conns_dropped_protocol.fetch_add(1, std::memory_order_relaxed);
-    close_conn(c, false);
-    return;
-  }
-  if (dup) {
-    // The first transmission's verdict may have died with a previous
-    // connection (the client holds an upload until its verdict arrives).
-    // Recompute from this frame's own payload — classification is
-    // deterministic, so the resent verdict is bit-identical — and answer
-    // again; the client dedupes by seq. Counted as a dup, not a new beat.
-    stats_.full_beat_dups.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    c.last_full_seq = f.seq;
-    stats_.full_beats_rx.fetch_add(1, std::memory_order_relaxed);
-    if (m.count != 0 &&
-        !ecg::is_pathological(static_cast<ecg::BeatClass>(
-            m.beat_class & 0x3u)) &&
-        static_cast<dsp::SignalQuality>(m.quality & 0x3u) ==
-            dsp::SignalQuality::Good) {
-      // The per-connection dup guard above forgets its high-water when a
-      // killed connection is replaced, so a retransmitted escalation can
-      // reach this branch looking fresh. The per-node map remembers what
-      // was already counted across reconnects — which may land on a
-      // different reactor, hence the mutex — keeping the fleet rollup
-      // exactly-once.
-      const std::lock_guard<std::mutex> lock(drift_mutex_);
-      const auto [it, inserted] =
-          drift_counted_high_.try_emplace(c.node_id, f.seq);
-      if (inserted || f.seq > it->second) {
-        it->second = f.seq;
-        stats_.drift_escalations_rx.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  // Re-classify the uploaded window with this session's *current* model —
-  // the check pass before the detailed delineation stage, and it must
-  // agree with the model the session's streamed beats are classified
-  // under (reading the session model here is safe: dispatch runs on the
-  // reactor thread that owns the session's shard pump). A 0-sample
-  // escalation (Suspect signal on the node) has no trustworthy window:
-  // Unknown. The scratch is per-reactor, so concurrent FULL_BEATs on
-  // different reactors never share it.
-  const service::SessionModel* sm =
-      c.session.has_value() ? engine_.session_model(*c.session) : nullptr;
-  const embedded::EmbeddedClassifier& clf =
-      sm != nullptr ? sm->classifier : engine_.default_model()->classifier;
-  BeatVerdictMsg v;
-  v.r_peak = m.r_peak;
-  v.quality = m.quality;
-  v.beat_class = static_cast<std::uint8_t>(
-      m.count == 0 ? ecg::BeatClass::Unknown
-                   : clf.classify_window(
-                         std::span<const dsp::Sample>(c.window_scratch),
-                         c.owner->full_beat_scratch));
-  enqueue_frame(c, FrameType::BeatVerdict, f.seq, encode_beat_verdict(v));
-  stats_.verdicts_tx.fetch_add(1, std::memory_order_relaxed);
+  accept_upload(c, f.seq, stats_.beat_summaries_rx);
+  answer_upload(c, f.seq, m.r_peak, m.quality,
+                clf.classify_downsampled(c.upload_codes,
+                                         c.owner->upload_scratch));
 }
 
 void GatewayServer::dispatch(Conn& c, const FrameView& f) {
@@ -458,6 +490,9 @@ void GatewayServer::dispatch(Conn& c, const FrameView& f) {
       return;
     case FrameType::FullBeat:
       on_full_beat(c, f);
+      return;
+    case FrameType::BeatSummary:
+      on_beat_summary(c, f);
       return;
     case FrameType::Heartbeat:
       // Liveness only: reading it already refreshed the idle clock.

@@ -7,14 +7,19 @@
 //     HELLO        open a fleet session (admission-controlled), HELLO_ACK
 //     SAMPLE_CHUNK seq-checked, decoded, engine.offer() on the session's
 //                  bounded ingest queue (integer path, no double copy)
-//     FULL_BEAT    node-side verdict escalation: the window is re-classified
-//                  with the gateway's own model and answered with a
-//                  BEAT_VERDICT, the upload's only acknowledgement
+//     FULL_BEAT    node-side escalation with the beat's window: it is
+//                  re-classified with the gateway's own model and answered
+//                  with a BEAT_VERDICT, the upload's only acknowledgement
 //                  (at-least-once from the client; a duplicate seq is
 //                  re-verdicted from its own payload — deterministic, so
 //                  bit-identical — but not re-counted, because the first
 //                  verdict may have died with a previous connection and
 //                  the client holds the upload until one arrives)
+//     BEAT_SUMMARY a flagged beat's fiducials and averaged codes, checked
+//                  against the session's SummaryLimits and classified from
+//                  the codes under the session's current model: the same
+//                  upload seq space, dup guard and verdict-as-ack as
+//                  FULL_BEAT, and the verdict the full window would get
 //     HEARTBEAT    counted; refreshes the idle clock, never answered
 //     BYE          graceful close: the session tail is flushed as verdicts,
 //                  the send buffer drains, then the socket closes
@@ -33,7 +38,7 @@
 // `reactors` event loops (epoll(7) on Linux, poll(2) fallback — see
 // EventPoller), each running on its own thread under serve(). Reactor r
 // owns its connections outright — sockets, parsers, send buffers, the
-// FULL_BEAT classify scratch — and pumps exactly FleetEngine shard r,
+// upload classify scratch — and pumps exactly FleetEngine shard r,
 // where every one of its sessions is pinned (stable shard affinity at
 // HELLO). One reactor step is: adopt handed-over connections, retry
 // deferred ingest, wait for readiness, accept (reactor 0 only) + read +
@@ -91,6 +96,7 @@
 #include <string>
 #include <vector>
 
+#include "delineation/mmd.hpp"
 #include "embedded/bundle.hpp"
 #include "lifecycle/ab.hpp"
 #include "lifecycle/registry.hpp"
@@ -148,11 +154,14 @@ struct GatewayStats {
   std::atomic<std::uint64_t> chunks_rx{0};
   std::atomic<std::uint64_t> samples_rx{0};
   std::atomic<std::uint64_t> full_beats_rx{0};
-  std::atomic<std::uint64_t> full_beat_dups{0};
+  std::atomic<std::uint64_t> beat_summaries_rx{0};
+  /// Uploads (FULL_BEAT or BEAT_SUMMARY) received again on a connection
+  /// that already answered their seq: re-verdicted, not re-counted.
+  std::atomic<std::uint64_t> upload_dups{0};
   /// FULL_BEATs whose node-side header says normal class + Good quality —
   /// the plain selective policy never uploads those, so each one is a
   /// drift-triggered novelty escalation. Deduped by a per-node seq
-  /// high-water that (unlike the per-connection full_beats_rx guard)
+  /// high-water that (unlike the per-connection upload dup guard)
   /// survives reconnects, so an escalation retransmitted after a
   /// connection kill is never double-counted in the fleet rollup.
   std::atomic<std::uint64_t> drift_escalations_rx{0};
@@ -184,7 +193,7 @@ class GatewayServer {
  public:
   /// Binds the listener immediately; throws hbrp::Error if the port is
   /// unavailable. `classifier` drives both the inner FleetEngine and the
-  /// FULL_BEAT re-classification path.
+  /// upload re-classification path.
   GatewayServer(embedded::EmbeddedClassifier classifier,
                 GatewayConfig cfg = {});
   ~GatewayServer();
@@ -261,6 +270,17 @@ class GatewayServer {
   void on_hello(Conn& c, const FrameView& f);
   void on_sample_chunk(Conn& c, const FrameView& f);
   void on_full_beat(Conn& c, const FrameView& f);
+  void on_beat_summary(Conn& c, const FrameView& f);
+  /// The model the session runs now: what its uploads are classified with.
+  const embedded::EmbeddedClassifier& session_classifier(const Conn& c) const;
+  /// The dup guard FULL_BEAT and BEAT_SUMMARY share (one upload seq
+  /// space): counts a new seq in `fresh` and returns true, a seq at or
+  /// below the connection's high-water in upload_dups.
+  bool accept_upload(Conn& c, std::uint64_t seq,
+                     std::atomic<std::uint64_t>& fresh);
+  /// Answers an upload with its BEAT_VERDICT, the upload's only ack.
+  void answer_upload(Conn& c, std::uint64_t seq, std::uint64_t r_peak,
+                     std::uint8_t quality, ecg::BeatClass verdict);
   void on_model_push(Conn& c, const FrameView& f);
   void on_model_push_part(Conn& c, const FrameView& f);
   /// Answers the control connection with MODEL_ACK{status, version} and
@@ -291,8 +311,11 @@ class GatewayServer {
   TcpListener listener_;
   std::vector<std::unique_ptr<Reactor>> reactors_;
   std::size_t next_reactor_ = 0;  ///< round-robin handoff; reactor 0 only
+  /// How far a BEAT_SUMMARY's fiducials may lie from its R peak: the
+  /// delineator's reach at the sessions' rate.
+  delineation::Reach summary_reach_;
   /// Highest FULL_BEAT seq already counted as a drift escalation, per
-  /// node_id. Unlike Conn::last_full_seq this survives reconnects: the
+  /// node_id. Unlike Conn::last_upload_seq this survives reconnects: the
   /// client keeps its upload seq space across reconnects, so a
   /// retransmitted escalation arriving on a fresh connection — possibly
   /// on a *different reactor* — is still recognized and the fleet rollup

@@ -20,7 +20,25 @@ using math::store_le;
 bool valid_type(std::uint8_t t) {
   // 7 is unassigned: the numbers around it kept their v1 values.
   return t >= static_cast<std::uint8_t>(FrameType::Hello) &&
-         t <= static_cast<std::uint8_t>(FrameType::ModelAck) && t != 7;
+         t <= static_cast<std::uint8_t>(FrameType::BeatSummary) && t != 7;
+}
+
+/// A delineation's shape (see wire.hpp): the QRS onset and end bracket the
+/// R peak, and a P or T wave is absent in all three points or present in
+/// all three, in order, on its side of the QRS.
+bool offsets_well_formed(
+    const std::array<std::int16_t, kSummaryFiducials>& o) {
+  const auto wave = [&o](std::size_t first, std::int32_t lo,
+                         std::int32_t hi) {
+    const bool absent = o[first] == kAbsentOffset;
+    for (std::size_t i = first; i < first + 3; ++i)
+      if ((o[i] == kAbsentOffset) != absent) return false;
+    return absent || (lo <= o[first] && o[first] < o[first + 1] &&
+                      o[first + 1] < o[first + 2] && o[first + 2] <= hi);
+  };
+  const std::int16_t qrs_onset = o[3], qrs_end = o[4];
+  return qrs_onset != kAbsentOffset && qrs_onset <= 0 && qrs_end >= 0 &&
+         wave(0, INT16_MIN, qrs_onset) && wave(5, qrs_end, INT16_MAX);
 }
 
 /// Zigzag code of the difference cur - prev, both 12-bit fields, taken mod
@@ -54,39 +72,49 @@ std::size_t block_bytes(std::size_t len, unsigned width) {
 constexpr std::size_t kMaxBlocks = kMaxChunkSamples / kBlockCodes;
 static_assert(kMaxWindowSamples <= kMaxChunkSamples);
 
-/// Appends `codes` (1..kMaxChunkSamples of them) as one block-delta run
-/// (see wire.hpp): the one encoder behind SAMPLE_CHUNK and the FULL_BEAT
-/// window. Sizes the run exactly before writing it.
-void append_codes(std::vector<unsigned char>& p,
-                  std::span<const dsp::Sample> codes) {
+/// The block widths and exact byte size of the run `codes` packs into.
+struct RunPlan {
+  std::array<std::uint8_t, kMaxBlocks> widths;
+  std::size_t blocks = 0;
+  std::size_t bytes = 0;  ///< 0 for no codes: a 0-sample FULL_BEAT
+};
+
+RunPlan plan_run(std::span<const dsp::Sample> codes) {
+  RunPlan plan;
+  if (codes.empty()) return plan;
   for (const dsp::Sample c : codes)
     HBRP_REQUIRE(c >= kMinWireCode && c <= kMaxWireCode,
                  "wire: sample code outside the 12-bit range");
   const std::size_t diffs = codes.size() - 1;
-  const std::size_t blocks = (diffs + kBlockCodes - 1) / kBlockCodes;
-  std::array<std::uint8_t, kMaxBlocks> widths;
-  std::size_t bytes = 2 + (blocks + 1) / 2;
-  for (std::size_t b = 0; b < blocks; ++b) {
+  plan.blocks = (diffs + kBlockCodes - 1) / kBlockCodes;
+  plan.bytes = 2 + (plan.blocks + 1) / 2;
+  for (std::size_t b = 0; b < plan.blocks; ++b) {
     const std::size_t first = b * kBlockCodes + 1;
     const std::size_t len = block_len(diffs, b);
     std::uint32_t any = 0;
     for (std::size_t i = first; i < first + len; ++i)
       any |= zigzag_diff(field(codes[i - 1]), field(codes[i]));
-    widths[b] = static_cast<std::uint8_t>(std::bit_width(any));
-    bytes += block_bytes(len, widths[b]);
+    plan.widths[b] = static_cast<std::uint8_t>(std::bit_width(any));
+    plan.bytes += block_bytes(len, plan.widths[b]);
   }
-  const std::size_t at = p.size();
-  p.resize(at + bytes);
-  unsigned char* out = p.data() + at;
+  return plan;
+}
+
+/// Writes `codes` (1..kMaxChunkSamples of them) as one block-delta run
+/// (see wire.hpp) at `out`, which holds plan.bytes.
+void write_run(unsigned char* out, std::span<const dsp::Sample> codes,
+               const RunPlan& plan) {
+  const std::size_t diffs = codes.size() - 1;
+  const std::size_t blocks = plan.blocks;
   store_le<std::uint16_t>(out, static_cast<std::uint16_t>(field(codes[0])));
   out += 2;
   for (std::size_t b = 0; b < blocks; b += 2)
     *out++ = static_cast<unsigned char>(
-        widths[b] | (b + 1 < blocks ? widths[b + 1] << 4 : 0));
+        plan.widths[b] | (b + 1 < blocks ? plan.widths[b + 1] << 4 : 0));
   for (std::size_t b = 0; b < blocks; ++b) {
     const std::size_t first = b * kBlockCodes + 1;
     const std::size_t len = block_len(diffs, b);
-    const unsigned width = widths[b];
+    const unsigned width = plan.widths[b];
     // LSB-first bit stream; whole bytes leave as they fill.
     std::uint64_t acc = 0;
     unsigned bits = 0;
@@ -106,6 +134,28 @@ void append_codes(std::vector<unsigned char>& p,
       acc >>= 8;
     }
   }
+}
+
+/// The 12 bytes a FULL_BEAT or BEAT_SUMMARY payload starts with.
+void store_upload_prefix(unsigned char* p, std::uint64_t r_peak,
+                         std::uint8_t beat_class, std::uint8_t quality,
+                         std::uint16_t count) {
+  store_le(p, r_peak);
+  p[8] = beat_class;
+  p[9] = quality;
+  store_le(p + 10, count);
+}
+
+/// A payload of `fixed` bytes for the caller to fill, then `codes` as one
+/// run: the one encoder behind SAMPLE_CHUNK, the FULL_BEAT window and the
+/// BEAT_SUMMARY codes. The run is sized before it is written, so the
+/// payload is allocated once, at its exact size.
+std::vector<unsigned char> with_run(std::size_t fixed,
+                                    std::span<const dsp::Sample> codes) {
+  const RunPlan plan = plan_run(codes);
+  std::vector<unsigned char> p(fixed + plan.bytes);
+  if (!codes.empty()) write_run(p.data() + fixed, codes, plan);
+  return p;
 }
 
 /// Little-endian 32 bits at `p`, spelled as one expression so the compiler
@@ -195,6 +245,7 @@ const char* to_string(FrameType t) {
     case FrameType::ModelPush: return "MODEL_PUSH";
     case FrameType::ModelPushPart: return "MODEL_PUSH_PART";
     case FrameType::ModelAck: return "MODEL_ACK";
+    case FrameType::BeatSummary: return "BEAT_SUMMARY";
   }
   return "?";
 }
@@ -293,9 +344,8 @@ std::vector<unsigned char> encode_sample_chunk(
   HBRP_REQUIRE(samples.size() <= kMaxChunkSamples,
                "wire: sample chunk exceeds kMaxChunkSamples");
   HBRP_REQUIRE(!samples.empty(), "wire: sample chunk must not be empty");
-  std::vector<unsigned char> p;
-  append_le(p, static_cast<std::uint16_t>(samples.size()));
-  append_codes(p, samples);
+  std::vector<unsigned char> p = with_run(kChunkCountBytes, samples);
+  store_le<std::uint16_t>(p.data(), static_cast<std::uint16_t>(samples.size()));
   return p;
 }
 
@@ -304,12 +354,64 @@ std::vector<unsigned char> encode_full_beat(
   HBRP_REQUIRE(window.size() <= kMaxWindowSamples,
                "wire: beat window exceeds kMaxWindowSamples");
   m.count = static_cast<std::uint16_t>(window.size());
-  std::vector<unsigned char> p;
-  append_le(p, m.r_peak);
-  append_le(p, m.beat_class);
-  append_le(p, m.quality);
-  append_le(p, m.count);
-  if (!window.empty()) append_codes(p, window);
+  std::vector<unsigned char> p = with_run(kFullBeatFixedBytes, window);
+  store_upload_prefix(p.data(), m.r_peak, m.beat_class, m.quality, m.count);
+  return p;
+}
+
+std::array<std::int16_t, kSummaryFiducials> summary_offsets(
+    const ecg::Fiducials& f) {
+  HBRP_REQUIRE(f.r_peak != ecg::Fiducials::kNoFiducial,
+               "wire: a summary needs its R peak");
+  const std::size_t points[kSummaryFiducials] = {
+      f.p_onset, f.p_peak,  f.p_end,  f.qrs_onset,
+      f.qrs_end, f.t_onset, f.t_peak, f.t_end};
+  std::array<std::int16_t, kSummaryFiducials> out;
+  for (std::size_t i = 0; i < kSummaryFiducials; ++i) {
+    if (points[i] == ecg::Fiducials::kNoFiducial) {
+      out[i] = kAbsentOffset;
+      continue;
+    }
+    const auto d = static_cast<std::int64_t>(points[i]) -
+                   static_cast<std::int64_t>(f.r_peak);
+    HBRP_REQUIRE(d > kAbsentOffset && d <= INT16_MAX,
+                 "wire: fiducial offset outside int16");
+    out[i] = static_cast<std::int16_t>(d);
+  }
+  return out;
+}
+
+ecg::Fiducials summary_fiducials(const BeatSummaryMsg& m) {
+  const auto at = [&m](std::size_t i) {
+    return m.offsets[i] == kAbsentOffset
+               ? ecg::Fiducials::kNoFiducial
+               : static_cast<std::size_t>(static_cast<std::int64_t>(m.r_peak) +
+                                          m.offsets[i]);
+  };
+  ecg::Fiducials f;
+  f.p_onset = at(0);
+  f.p_peak = at(1);
+  f.p_end = at(2);
+  f.qrs_onset = at(3);
+  f.r_peak = static_cast<std::size_t>(m.r_peak);
+  f.qrs_end = at(4);
+  f.t_onset = at(5);
+  f.t_peak = at(6);
+  f.t_end = at(7);
+  return f;
+}
+
+std::vector<unsigned char> encode_beat_summary(
+    BeatSummaryMsg m, std::span<const dsp::Sample> codes) {
+  HBRP_REQUIRE(!codes.empty() && codes.size() <= kMaxWindowSamples,
+               "wire: a summary carries 1..kMaxWindowSamples codes");
+  HBRP_REQUIRE(offsets_well_formed(m.offsets),
+               "wire: summary offsets are not a delineation's");
+  m.count = static_cast<std::uint16_t>(codes.size());
+  std::vector<unsigned char> p = with_run(kBeatSummaryFixedBytes, codes);
+  store_upload_prefix(p.data(), m.r_peak, m.beat_class, m.quality, m.count);
+  for (std::size_t i = 0; i < kSummaryFiducials; ++i)
+    store_le(p.data() + 12 + 2 * i, m.offsets[i]);
   return p;
 }
 
@@ -406,6 +508,39 @@ bool decode_full_beat(std::span<const unsigned char> payload, FullBeatMsg& m,
   if (!unpack_codes(payload.subspan(kFullBeatFixedBytes), m.count,
                     window.data())) {
     window.clear();
+    return false;
+  }
+  return true;
+}
+
+bool decode_beat_summary(std::span<const unsigned char> payload,
+                         const SummaryLimits& limits, BeatSummaryMsg& m,
+                         std::vector<dsp::Sample>& codes) {
+  HBRP_REQUIRE(limits.codes >= 1 && limits.codes <= kMaxWindowSamples,
+               "wire: summary limits need 1..kMaxWindowSamples codes");
+  if (payload.size() < kBeatSummaryFixedBytes) return false;
+  ByteReader r(payload.data(), payload.size());
+  m.r_peak = r.get<std::uint64_t>();
+  m.beat_class = r.get<std::uint8_t>();
+  m.quality = r.get<std::uint8_t>();
+  m.count = r.get<std::uint16_t>();
+  for (std::int16_t& o : m.offsets) o = r.get<std::int16_t>();
+  if (m.count != limits.codes || !offsets_well_formed(m.offsets))
+    return false;
+  // The outermost points: no delineation reaches farther, or before the
+  // stream's first sample.
+  const std::int64_t first = m.offsets[0] != kAbsentOffset ? m.offsets[0]
+                                                            : m.offsets[3];
+  const std::int64_t last = m.offsets[7] != kAbsentOffset ? m.offsets[7]
+                                                           : m.offsets[4];
+  if (-first > static_cast<std::int64_t>(limits.before) ||
+      static_cast<std::uint64_t>(-first) > m.r_peak ||
+      last > static_cast<std::int64_t>(limits.after))
+    return false;
+  codes.resize(m.count);
+  if (!unpack_codes(payload.subspan(kBeatSummaryFixedBytes), m.count,
+                    codes.data())) {
+    codes.clear();
     return false;
   }
   return true;

@@ -20,7 +20,8 @@
 //
 // Samples travel as 12-bit two's-complement codes in [kMinWireCode,
 // kMaxWireCode], in one lossless block-delta layout shared by SAMPLE_CHUNK
-// payloads and the FULL_BEAT window. A run of n >= 1 codes x[0..n) is:
+// payloads, the FULL_BEAT window and the BEAT_SUMMARY's averaged codes. A
+// run of n >= 1 codes x[0..n) is:
 //   - the anchor: x[0] & 0xFFF as a little-endian u16 (top nibble zero);
 //   - the widths, two per byte, low nibble first, with a zero pad nibble
 //     after an odd block count. The n - 1 differences x[i] - x[i-1], taken
@@ -38,8 +39,8 @@
 // block's largest value, a nonzero pad nibble, pad bit or anchor nibble,
 // and any length but the exact one. No frame depends on an earlier one.
 // The node guarantees the range: raw codes are clamped to ADC rails inside
-// it, and a conditioned window stays within +/-(rail_high - rail_low) <=
-// 2047 (see SensorNodeClient).
+// it, and a conditioned window, and so each average of its codes, stays
+// within +/-(rail_high - rail_low) <= 2047 (see SensorNodeClient).
 //
 // Frame types and their seq/payload contracts:
 //   Hello        client -> gateway   seq 0; HelloMsg (node id, TxPolicy,
@@ -53,16 +54,38 @@
 //   BeatVerdict  gateway -> client   seq = per-session verdict sequence
 //                                    (dense, the FleetEngine delivery
 //                                    order contract); BeatVerdictMsg.
-//                                    For a FullBeat it echoes the upload's
+//                                    For an upload (FullBeat or
+//                                    BeatSummary) it echoes the upload's
 //                                    seq and is its only acknowledgement.
 //   FullBeat     client -> gateway   seq = dense beat-upload counter;
 //                                    FullBeatMsg (12 fixed bytes) + one run
 //                                    of count window codes (none for count
-//                                    0). Resent after reconnect
+//                                    0). A selective node sends one for a
+//                                    drift escalation (the beat's shape) or
+//                                    a Suspect beat (count 0, metadata
+//                                    only). Resent after reconnect
 //                                    until its BeatVerdict arrives
 //                                    (at-least-once; the gateway
 //                                    re-verdicts duplicates and the client
 //                                    dedupes verdicts by seq).
+//   BeatSummary  client -> gateway   seq = the same upload counter, with
+//                                    the same delivery and ack as FullBeat;
+//                                    a flagged beat the node delineated.
+//                                    BeatSummaryMsg (28 fixed bytes:
+//                                    r_peak, class, quality, count and the
+//                                    eight other fiducials as int16 offsets
+//                                    from r_peak, kAbsentOffset for a wave
+//                                    not found) + one run of count averaged
+//                                    codes, the window downsampled as the
+//                                    classifier downsamples it. The decoder
+//                                    takes the session's SummaryLimits: the
+//                                    count must equal the model's codes per
+//                                    window, the QRS onset and end bracket
+//                                    r_peak, a P or T wave is present in
+//                                    all three of its points or in none,
+//                                    in order, and no point lies farther
+//                                    from r_peak than a delineation reaches
+//                                    or before sample 0.
 //   Heartbeat    client -> gateway   seq = client's heartbeat counter;
 //                                    empty payload; keeps an idle link
 //                                    from being evicted. Not answered.
@@ -84,7 +107,8 @@
 //                                    outcome (Ok or a NACK reason) and the
 //                                    bundle version it refers to.
 // Type 7 is unassigned (v1's ACK frame); the parser rejects it like any
-// other unknown type.
+// other unknown type. Type 12 (BeatSummary) came after v3's other frames
+// without a version bump: it changes no frame that existed before it.
 //
 // FrameParser is the receive side: feed() raw socket bytes, then pull
 // complete frames with next(). It is incremental (handles any fragmentation
@@ -95,6 +119,7 @@
 // reconnect/backoff path).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -102,6 +127,7 @@
 #include <vector>
 
 #include "dsp/signal.hpp"
+#include "ecg/types.hpp"
 
 namespace hbrp::net {
 
@@ -128,6 +154,14 @@ inline constexpr dsp::Sample kMaxWireCode = dsp::kMaxCode;
 inline constexpr std::size_t kHelloPayloadBytes = 4 + 1 + 2 + 4;
 inline constexpr std::size_t kChunkCountBytes = 2;
 inline constexpr std::size_t kFullBeatFixedBytes = 8 + 1 + 1 + 2;
+/// Fiducials a BEAT_SUMMARY carries besides its R peak, in this order:
+/// p_onset, p_peak, p_end, qrs_onset, qrs_end, t_onset, t_peak, t_end.
+inline constexpr std::size_t kSummaryFiducials = 8;
+/// The offset that marks a wave the delineator did not find.
+inline constexpr std::int16_t kAbsentOffset = INT16_MIN;
+/// The BEAT_SUMMARY prefix: FULL_BEAT's 12 fixed bytes, then the offsets.
+inline constexpr std::size_t kBeatSummaryFixedBytes =
+    kFullBeatFixedBytes + 2 * kSummaryFiducials;
 /// Differences per block of a packed run: one 4-bit width each.
 inline constexpr std::size_t kBlockCodes = 16;
 
@@ -143,7 +177,7 @@ constexpr std::size_t max_packed_sample_bytes(std::size_t n) {
 }
 static_assert(kChunkCountBytes + max_packed_sample_bytes(kMaxChunkSamples) <=
               kMaxPayloadBytes);
-static_assert(kFullBeatFixedBytes +
+static_assert(kBeatSummaryFixedBytes +
                   max_packed_sample_bytes(kMaxWindowSamples) <=
               kMaxPayloadBytes);
 
@@ -158,6 +192,7 @@ enum class FrameType : std::uint8_t {
   ModelPush = 9,
   ModelPushPart = 10,
   ModelAck = 11,
+  BeatSummary = 12,
 };
 
 const char* to_string(FrameType t);
@@ -167,7 +202,8 @@ enum class TxPolicy : std::uint8_t {
   /// Ship every raw sample; the gateway classifies (baseline system).
   StreamEverything = 0,
   /// Classify on the node; normal beats leave a 1-byte local record,
-  /// pathological/Unknown beats upload the full window (proposed system).
+  /// pathological/Unknown beats upload their fiducials and averaged codes
+  /// (proposed system).
   Selective = 1,
 };
 
@@ -176,8 +212,9 @@ const char* to_string(TxPolicy p);
 struct HelloMsg {
   std::uint32_t node_id = 0;
   TxPolicy policy = TxPolicy::StreamEverything;
-  /// Beat window length the node will upload in FullBeat frames; the
-  /// gateway refuses a handshake whose window does not match its model.
+  /// Beat window length the node classifies (and uploads in FullBeat
+  /// frames); the gateway refuses a handshake whose window does not match
+  /// its model.
   std::uint16_t window = 0;
   std::uint32_t fs_hz = 0;
 };
@@ -212,6 +249,37 @@ struct FullBeatMsg {
                                 ///< only, no trustworthy window exists)
 };
 
+/// Fixed prefix of a BeatSummary payload; `count` averaged codes follow.
+/// The default describes a QRS at the R peak and no P or T wave.
+struct BeatSummaryMsg {
+  std::uint64_t r_peak = 0;
+  std::uint8_t beat_class = 0;  ///< node's local verdict (ecg::BeatClass)
+  std::uint8_t quality = 0;     ///< dsp::SignalQuality at the beat
+  std::uint16_t count = 0;      ///< averaged codes in this frame
+  /// Each fiducial's signed offset from r_peak in samples, in the order of
+  /// kSummaryFiducials, or kAbsentOffset.
+  std::array<std::int16_t, kSummaryFiducials> offsets = {
+      kAbsentOffset, kAbsentOffset, kAbsentOffset, 0, 0,
+      kAbsentOffset, kAbsentOffset, kAbsentOffset};
+};
+
+/// What a gateway session accepts in a BeatSummary: its model's averaged
+/// codes per window (window length / downsample factor), and how far
+/// before and after the R peak a delineation can place a fiducial
+/// (delineation::reach at the session's rate).
+struct SummaryLimits {
+  std::size_t codes = 0;
+  std::size_t before = 0;
+  std::size_t after = 0;
+};
+
+/// The offsets of `f`'s fiducials from its R peak. Throws hbrp::Error when
+/// one does not fit an int16 beside kAbsentOffset.
+std::array<std::int16_t, kSummaryFiducials> summary_offsets(
+    const ecg::Fiducials& f);
+/// The fiducials a summary describes, as sample indices.
+ecg::Fiducials summary_fiducials(const BeatSummaryMsg& m);
+
 /// Announces a model-bundle upload (first frame of a control connection).
 /// `digest` is the FNV-1a 64-bit digest of the full encoded bundle image;
 /// the gateway recomputes it over the reassembled parts before trusting
@@ -232,7 +300,8 @@ enum class ModelPushStatus : std::uint8_t {
   BadDigest = 2,     ///< reassembled bytes do not match the announced digest
   Duplicate = 3,     ///< version already registered with different content
   Downgrade = 4,     ///< version is older than the active bundle
-  BadGeometry = 5,   ///< window/coefficient shape differs from the incumbent
+  BadGeometry = 5,   ///< window, coefficient count or downsample factor
+                     ///< differs from the incumbent's
   TooLarge = 6,      ///< announced size exceeds kMaxBundleBytes
   RegistryFull = 7,  ///< all registry slots are pinned or active
 };
@@ -274,6 +343,12 @@ std::vector<unsigned char> encode_sample_chunk(
 /// Throws hbrp::Error when a code lies outside [kMinWireCode, kMaxWireCode].
 std::vector<unsigned char> encode_full_beat(
     FullBeatMsg m, std::span<const dsp::Sample> window);
+/// BeatSummary payload: fixed fields + `codes` as one packed run
+/// (1..kMaxWindowSamples codes; `m.count` is overwritten with
+/// codes.size()). Throws hbrp::Error when a code lies outside the 12-bit
+/// range or the offsets are not a delineation's shape (see above).
+std::vector<unsigned char> encode_beat_summary(
+    BeatSummaryMsg m, std::span<const dsp::Sample> codes);
 
 // --- decode --------------------------------------------------------------
 // Strict: the payload must have exactly the expected size, counts within
@@ -297,6 +372,13 @@ bool decode_sample_chunk(std::span<const unsigned char> payload,
 /// Decodes the fixed fields and fills `window`; false on malformed payload.
 bool decode_full_beat(std::span<const unsigned char> payload, FullBeatMsg& m,
                       std::vector<dsp::Sample>& window);
+/// Decodes the fixed fields and fills `codes`; false on a malformed payload
+/// or one outside `limits`, whose `codes` must lie in
+/// [1, kMaxWindowSamples] (else hbrp::Error: a caller's bug, not the
+/// peer's).
+bool decode_beat_summary(std::span<const unsigned char> payload,
+                         const SummaryLimits& limits, BeatSummaryMsg& m,
+                         std::vector<dsp::Sample>& codes);
 
 // --- incremental receive -------------------------------------------------
 

@@ -23,7 +23,15 @@ void BeatProjector::project_int_into(std::span<const dsp::Sample> window,
                "BeatProjector::project_int_into(): window size mismatch");
   scratch.downsampled.resize(dense_.cols());
   dsp::downsample_avg_into(window, downsample_, scratch.downsampled);
-  sparse_.apply_into(scratch.downsampled, out);
+  project_downsampled_into(scratch.downsampled, out);
+}
+
+void BeatProjector::project_downsampled_into(
+    std::span<const dsp::Sample> downsampled,
+    std::span<std::int32_t> out) const {
+  HBRP_REQUIRE(downsampled.size() == dense_.cols(),
+               "BeatProjector::project_downsampled_into(): size mismatch");
+  sparse_.apply_into(downsampled, out);
 }
 
 void BeatProjector::project_int_batch(std::span<const dsp::Sample> windows,

@@ -5,7 +5,9 @@
 // BeatProjector owns the trained matrix in its dense (training), 2-bit
 // packed (storage) and sparse-index (execution) forms, and applies the
 // chain in integer arithmetic only: project_int_into per window and
-// project_int_batch over an arena are the system's two projection calls.
+// project_int_batch over an arena are the system's two projection calls,
+// and project_downsampled_into projects the averaged codes a selective
+// node uploads in place of its window.
 // The trainer's double-typed data is project_int_into's output converted
 // to double (core::project_dataset).
 #pragma once
@@ -37,12 +39,23 @@ class BeatProjector {
   std::size_t expected_window() const {
     return dense_.cols() * downsample_;
   }
+  /// Averaged codes one window downsamples to: expected_window() /
+  /// downsample_factor(), the matrix's column count.
+  std::size_t downsampled_window() const { return dense_.cols(); }
 
   /// Downsamples one window and projects it into `out` (coefficients()
-  /// values). Allocation-free given a warm `scratch`.
+  /// values). Allocation-free given a warm `scratch`, which keeps the
+  /// window's averaged codes in `downsampled` afterwards.
   void project_int_into(std::span<const dsp::Sample> window,
                         std::span<std::int32_t> out,
                         ProjectionScratch& scratch) const;
+
+  /// Projects a window that is already downsampled: `downsampled` holds
+  /// downsampled_window() averaged codes, as project_int_into leaves them
+  /// in its scratch. project_int_into is the downsample and then this, so
+  /// the two agree bit for bit on the same window.
+  void project_downsampled_into(std::span<const dsp::Sample> downsampled,
+                                std::span<std::int32_t> out) const;
 
   /// Batch form: `windows` holds `count` windows of expected_window()
   /// samples each, concatenated; `out` receives count x coefficients()

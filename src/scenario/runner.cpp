@@ -118,7 +118,7 @@ WireRunResult run_wire(const embedded::EmbeddedClassifier& clf,
   }
   gw.stop();
   gw_thread.join();
-  out.gateway_full_beat_dups = gw.stats().full_beat_dups.load();
+  out.gateway_upload_dups = gw.stats().upload_dups.load();
   out.gateway_drift_escalations = gw.stats().drift_escalations_rx.load();
   return out;
 }

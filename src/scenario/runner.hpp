@@ -51,7 +51,7 @@ struct WireRunResult {
   std::vector<Verdict> verdicts;
   net::TxStats tx;
   std::vector<std::uint8_t> local_log;  ///< selective: 1-byte beat records
-  std::uint64_t gateway_full_beat_dups = 0;
+  std::uint64_t gateway_upload_dups = 0;  ///< re-verdicted duplicate uploads
   std::uint64_t gateway_drift_escalations = 0;  ///< unique, dedup-guarded
   std::uint64_t chaos_kills = 0;
   std::uint64_t chaos_bit_flips = 0;

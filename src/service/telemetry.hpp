@@ -147,8 +147,10 @@ struct FleetTelemetry {
 /// 7 removed the per-session nonfinite_rejected count (sessions take ADC
 /// codes; a producer holding doubles sanitizes them at its own edge);
 /// version 8 added the per-session samples_clamped and bad_signal_samples
-/// counts, mirrored from the session's monitor.
-inline constexpr std::uint64_t kTelemetrySchemaVersion = 8;
+/// counts, mirrored from the session's monitor; version 9 added the
+/// gateway's beat_summaries_rx and renamed its full_beat_dups to
+/// upload_dups, which counts duplicate uploads of either frame.
+inline constexpr std::uint64_t kTelemetrySchemaVersion = 9;
 
 /// The snapshot writers' one field formatter: appends `"key": v` to `out`,
 /// preceded by ", " unless `first` (a double never opens an object).

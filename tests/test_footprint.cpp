@@ -31,6 +31,7 @@
 
 #include "core/streaming.hpp"
 #include "core/trainer.hpp"
+#include "delineation/mmd.hpp"
 #include "drift/tracker.hpp"
 #include "ecg/synth.hpp"
 #include "math/rng.hpp"
@@ -321,12 +322,14 @@ TEST(Footprint, ThreadWorkspaceAtDefaultConfig) {
 
 // The payload of each upload a selective node (drift off) makes on `lead`
 // in packets, in upload order: its monitor and policy — classify, keep a
-// normal beat on Good signal local, upload the rest — with each window
-// encoded as the node encodes it. A payload's size depends on its codes.
+// normal beat on Good signal local, summarize the rest — with each flagged
+// beat delineated and encoded as the node encodes it. A payload's size
+// depends on its fiducials and codes.
 std::vector<std::int64_t> upload_payloads(
     const embedded::EmbeddedClassifier& clf, const dsp::Signal& lead) {
   std::vector<std::int64_t> sizes;
   embedded::ClassifyScratch scratch;
+  delineation::DelineationScratch ds;
   core::StreamingBeatMonitor monitor(clf);
   const core::PendingBeatSink sink = [&](const core::PendingBeat& pb) {
     const ecg::BeatClass c = pb.needs_classification
@@ -335,8 +338,15 @@ std::vector<std::int64_t> upload_payloads(
     if (!ecg::is_pathological(c) &&
         pb.beat.quality == dsp::SignalQuality::Good)
       return;
+    if (!pb.needs_classification) {
+      sizes.push_back(static_cast<std::int64_t>(net::kFullBeatFixedBytes));
+      return;
+    }
+    net::BeatSummaryMsg m;
+    m.offsets = net::summary_offsets(
+        delineation::delineate_beat(pb.context, pb.context_peak, {}, ds));
     sizes.push_back(static_cast<std::int64_t>(
-        net::encode_full_beat(net::FullBeatMsg{}, pb.window).size()));
+        net::encode_beat_summary(m, scratch.projection.downsampled).size()));
   };
   for (std::size_t k = 0; k < packet_count(lead); ++k)
     monitor.push_block(packet(lead, k), sink);
@@ -347,7 +357,9 @@ std::vector<std::int64_t> upload_payloads(
 // one is never polled (port 1, like the e2e ledger's node), so it never
 // connects: nothing is sent, nothing is acknowledged, and once the window
 // is full each new upload pushes out the oldest, which is counted as
-// dropped.
+// dropped. Past that point each flagged beat costs the node two heap
+// allocations, its payload and its map node: delineation, classification
+// and the monitor run on warm scratch.
 TEST(Footprint, SelectiveNodeHoldsEachUploadOnce) {
   const auto clf = make_classifier(8, 1.0, 10.0);
   const dsp::Signal lead = synth_lead(600.0);
@@ -386,19 +398,43 @@ TEST(Footprint, SelectiveNodeHoldsEachUploadOnce) {
   // Another window's worth of uploads: the held set turns over, the heap
   // follows its payload bytes.
   const std::uint64_t uploads_at_full = node.stats().beats_uploaded;
+  const std::size_t k_at_full = k;
+  const std::uint64_t calls_at_full = new_calls();
   ASSERT_TRUE(push_until([&] {
     return node.stats().beats_uploaded >= uploads_at_full + window;
   }));
   const std::int64_t later = live_bytes();
   const std::int64_t later_payload = held_payload();
+  const std::uint64_t turnover_calls = new_calls() - calls_at_full;
+  const std::uint64_t turnover_uploads =
+      node.stats().beats_uploaded - uploads_at_full;
+  // The node's monitor allocates per scan, not per upload (the wavelet
+  // detector's threshold medians): a monitor of its own over the same
+  // packets scans at the same points and counts those.
+  std::uint64_t scan_calls = 0;
+  {
+    core::StreamingBeatMonitor twin(clf);
+    const core::PendingBeatSink sink = [](const core::PendingBeat&) {};
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::uint64_t before = new_calls();
+      twin.push_block(packet(lead, j), sink);
+      if (j >= k_at_full) scan_calls += new_calls() - before;
+    }
+  }
 
   const auto added = static_cast<std::int64_t>(window - base_held);
   const std::int64_t per_upload = (full - base) / added;
   const std::int64_t mean_payload = (full_payload - base_payload) / added;
-  // One held upload is its payload plus a map node and allocator rounding;
-  // a second copy of each (> kNodeOverhead more) would exceed this bound.
+  // One held upload is its payload plus a map node and allocator rounding,
+  // under kNodeOverhead. A map node alone is at least kMinMapNode (three
+  // links and a colour word, the 8-byte seq, the payload's 24-byte
+  // vector), so a second copy of each upload would put per_upload -
+  // mean_payload at kMinMapNode + mean_payload or more: past the bound
+  // whenever mean_payload exceeds kNodeOverhead - kMinMapNode, which the
+  // ~70-byte summaries do by far.
   constexpr std::int64_t kNodeOverhead = 96;
-  ASSERT_GT(mean_payload, kNodeOverhead);
+  constexpr std::int64_t kMinMapNode = 32 + 8 + 24;
+  ASSERT_GT(mean_payload, kNodeOverhead - kMinMapNode);
   EXPECT_LT(per_upload - mean_payload, kNodeOverhead)
       << "live heap per held upload: " << per_upload << " bytes for "
       << mean_payload << " payload bytes";
@@ -407,12 +443,63 @@ TEST(Footprint, SelectiveNodeHoldsEachUploadOnce) {
       << "live heap grew " << (later - full) << " bytes over " << window
       << " uploads past a full window, its payloads "
       << (later_payload - full_payload);
+  EXPECT_LE(turnover_calls - scan_calls, 2 * turnover_uploads)
+      << turnover_calls - scan_calls << " heap allocations (" << scan_calls
+      << " more in the monitor's scans) for " << turnover_uploads
+      << " uploads past a full window";
   EXPECT_EQ(node.unacked_full_beats(), window);
   const net::TxStats& s = node.stats();
   EXPECT_EQ(s.frames_dropped, s.beats_uploaded - window);
   EXPECT_EQ(s.frames_tx, 0u);
   EXPECT_GT(s.beats_uploaded, 20 * s.beats_local)
       << "alpha 1.0 should upload nearly every beat";
+  EXPECT_GT(s.beats_summarized, 20 * (s.beats_uploaded - s.beats_summarized))
+      << "with drift off, nearly every upload is a flagged beat's summary";
+}
+
+// The node's local log keeps its newest kLocalLogRecords records: over a
+// stream of more normal beats than that, the log stays full, every record
+// past it pushes one out, counted, and the heap stays flat.
+TEST(Footprint, SelectiveNodeLocalLogIsBounded) {
+  // Every beat normal: class N's memberships span the whole coefficient
+  // range, V's and L's lie far outside it.
+  math::Rng rng(5);
+  nfc::NeuroFuzzyClassifier nfc(8);
+  for (std::size_t i = 0; i < 8; ++i) {
+    nfc.mf(i, 0) = {0.0, 20000.0};
+    nfc.mf(i, 1) = {60000.0, 10.0};
+    nfc.mf(i, 2) = {-60000.0, 10.0};
+  }
+  const auto clf =
+      core::TrainedClassifier{rp::BeatProjector(rp::make_achlioptas(8, 50, rng),
+                                                4),
+                              std::move(nfc), 0.25}
+          .quantize();
+  const dsp::Signal lead = synth_lead(600.0);
+  warm_workspace(clf, lead);
+
+  net::NodeConfig cfg;
+  cfg.port = 1;
+  cfg.policy = net::TxPolicy::Selective;
+  cfg.heartbeat_interval_ms = 0;
+  net::SensorNodeClient node(clf, cfg);
+  const auto push_lead = [&] {
+    for (std::size_t k = 0; k < packet_count(lead); ++k)
+      node.push(packet(lead, k));
+  };
+  constexpr std::size_t kCap = net::SensorNodeClient::kLocalLogRecords;
+  while (node.stats().beats_local <= kCap) push_lead();
+  const std::int64_t full = live_bytes();
+  const std::uint64_t local_at_full = node.stats().beats_local;
+  while (node.stats().beats_local < local_at_full + kCap) push_lead();
+  const net::TxStats& s = node.stats();
+  EXPECT_EQ(s.beats_uploaded, 0u);
+  EXPECT_EQ(node.local_log().size(), kCap);
+  EXPECT_EQ(s.local_records_dropped, s.beats_local - kCap);
+  EXPECT_LT(live_bytes() - full, 1024)
+      << "live heap grew " << (live_bytes() - full) << " bytes over "
+      << (s.beats_local - local_at_full) << " more local records";
+  for (const std::uint8_t rec : node.local_log()) EXPECT_EQ(rec, 0u);
 }
 
 TEST(Footprint, DriftTrackerHeap) {

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <new>
 #include <span>
@@ -293,6 +294,12 @@ TEST(LifecycleRegistry, GeometryMismatchWithIncumbentRefused) {
             lifecycle::AdmitResult::BadGeometry);
   EXPECT_EQ(reg.admit(make_session_model(2, 2, /*k=*/8, /*cols=*/40), 0),
             lifecycle::AdmitResult::BadGeometry);
+  // The same 200-sample window at half the downsample factor: a selective
+  // node's averaged codes would no longer fit the model.
+  const auto halved = std::make_shared<const service::SessionModel>(
+      service::SessionModel{2, make_model(2, 8, 100, 2).quantize(), nullptr});
+  ASSERT_EQ(halved->classifier.projector().expected_window(), 200u);
+  EXPECT_EQ(reg.admit(halved, 0), lifecycle::AdmitResult::BadGeometry);
   EXPECT_EQ(reg.admit(make_session_model(2, 2), 0),
             lifecycle::AdmitResult::Ok);
 }
@@ -844,6 +851,82 @@ TEST_F(LifecycleSwapTest, GatewayPushMidIngestSwapsEverySession) {
           << " (reactors " << reactors << ")";
       for (std::size_t j = 0; j < got[i].size(); ++j)
         EXPECT_EQ(got[i][j].sequence, j);
+    }
+  }
+}
+
+// A selective node uploads each flagged beat as a BEAT_SUMMARY of averaged
+// codes, and the gateway classifies them with the model the session runs
+// at that moment — here bundle B, pushed before the node connects, whose
+// projection matrix differs from the node's model A. Every summary's
+// verdict must equal B's classify_window on the beat's full window.
+TEST_F(LifecycleSwapTest, SummaryVerdictsFollowThePushedModel) {
+  const rp::BeatProjector& pa = clf_a_->projector();
+  const rp::BeatProjector& pb = clf_b_->projector();
+  ASSERT_EQ(pa.expected_window(), pb.expected_window());
+  ASSERT_EQ(pa.downsample_factor(), pb.downsample_factor());
+  bool projections_differ = false;
+  for (std::size_t r = 0; r < pa.coefficients(); ++r)
+    for (std::size_t c = 0; c < pa.downsampled_window(); ++c)
+      projections_differ |= pa.matrix().at(r, c) != pb.matrix().at(r, c);
+  ASSERT_TRUE(projections_differ);
+
+  // The beats the node uploads (flagged under A), with what each model
+  // makes of the full window, by R peak.
+  const dsp::Signal lead = patient_lead(77, 60.0);
+  std::map<std::uint64_t, std::pair<std::uint8_t, std::uint8_t>> want;
+  {
+    core::StreamingBeatMonitor monitor(*clf_a_);
+    embedded::ClassifyScratch scratch;
+    const core::PendingBeatSink sink = [&](const core::PendingBeat& p) {
+      if (p.window.empty()) return;
+      const ecg::BeatClass a = clf_a_->classify_window(p.window, scratch);
+      if (!ecg::is_pathological(a)) return;
+      const ecg::BeatClass b = clf_b_->classify_window(p.window, scratch);
+      want[p.beat.r_peak] = {static_cast<std::uint8_t>(a),
+                             static_cast<std::uint8_t>(b)};
+    };
+    monitor.push_block(lead, sink);
+    monitor.flush(sink);
+  }
+  ASSERT_GT(want.size(), 5u);
+  // The two models must call some of these beats differently, or the
+  // check below could not tell which one the gateway used.
+  EXPECT_GT(std::count_if(want.begin(), want.end(),
+                          [](const auto& w) {
+                            return w.second.first != w.second.second;
+                          }),
+            0);
+
+  for (const bool push : {false, true}) {
+    GatewayHarness harness(*clf_a_, {});
+    if (push) {
+      const lifecycle::ModelBundle bundle{
+          .version = 2, .model = *trained_b_, .centroids = {}};
+      const net::PushResult r = net::push_bundle(harness.gw.port(), bundle);
+      ASSERT_TRUE(r.delivered) << r.error;
+      ASSERT_EQ(r.status, net::ModelPushStatus::Ok);
+    }
+    net::NodeConfig ncfg;
+    ncfg.port = harness.gw.port();
+    ncfg.policy = net::TxPolicy::Selective;
+    net::SensorNodeClient client(*clf_a_, ncfg);
+    std::map<std::uint64_t, std::uint8_t> got;
+    client.set_verdict_sink(
+        [&got](std::uint64_t, const net::BeatVerdictMsg& v) {
+          got[v.r_peak] = v.beat_class;
+        });
+    client.push(std::span<const dsp::Sample>(lead));
+    client.finish();
+    EXPECT_TRUE(client.drain(20000));
+    client.close(5000);
+    EXPECT_EQ(client.stats().beats_summarized, want.size());
+    EXPECT_EQ(harness.gw.stats().beat_summaries_rx.load(), want.size());
+    for (const auto& [r_peak, classes] : want) {
+      const auto it = got.find(r_peak);
+      ASSERT_NE(it, got.end()) << "beat at " << r_peak;
+      EXPECT_EQ(it->second, push ? classes.second : classes.first)
+          << "beat at " << r_peak << (push ? " under B" : " under A");
     }
   }
 }

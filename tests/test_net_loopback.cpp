@@ -18,8 +18,11 @@
 
 #include "core/streaming.hpp"
 #include "core/trainer.hpp"
+#include "delineation/mmd.hpp"
+#include "dsp/resample.hpp"
 #include "ecg/dataset.hpp"
 #include "ecg/synth.hpp"
+#include "kernels/dsp_condition.hpp"
 #include "net/client.hpp"
 #include "net/gateway.hpp"
 #include "net/socket.hpp"
@@ -310,7 +313,7 @@ TEST_F(NetLoopbackTest, SelectivePolicyKeepsNormalBeatsLocal) {
   // monitor, so the reference run predicts the exact local/upload split.
   const auto lead = patient_lead(9);
   const auto reference = direct_ingest(*bundle_, lead, 1, 1);
-  std::size_t expect_local = 0, expect_full = 0, expect_meta = 0;
+  std::size_t expect_local = 0, expect_summary = 0, expect_meta = 0;
   for (const auto& r : reference) {
     const bool good = static_cast<dsp::SignalQuality>(r.quality) ==
                       dsp::SignalQuality::Good;
@@ -319,12 +322,12 @@ TEST_F(NetLoopbackTest, SelectivePolicyKeepsNormalBeatsLocal) {
     if (good && !path)
       ++expect_local;  // 1-byte record, zero radio
     else if (good)
-      ++expect_full;  // full window upload
+      ++expect_summary;  // delineated: fiducials + averaged codes
     else
       ++expect_meta;  // Suspect signal: escalation metadata, no window
   }
   ASSERT_GT(expect_local, 0u);
-  ASSERT_GT(expect_full, 0u);
+  ASSERT_GT(expect_summary, 0u);
 
   GatewayHarness harness(*bundle_, {});
   net::NodeConfig ncfg;
@@ -345,8 +348,10 @@ TEST_F(NetLoopbackTest, SelectivePolicyKeepsNormalBeatsLocal) {
 
   const net::TxStats& s = client.stats();
   EXPECT_EQ(s.beats_local, expect_local);
-  EXPECT_EQ(s.beats_uploaded, expect_full + expect_meta);
+  EXPECT_EQ(s.beats_uploaded, expect_summary + expect_meta);
+  EXPECT_EQ(s.beats_summarized, expect_summary);
   EXPECT_EQ(client.local_log().size(), s.beats_local);
+  EXPECT_EQ(s.local_records_dropped, 0u);
   EXPECT_EQ(client.unacked_full_beats(), 0u) << "every upload must be acked";
   // One gateway verdict per distinct upload, in upload order.
   ASSERT_EQ(verdict_seqs.size(), s.beats_uploaded);
@@ -361,21 +366,31 @@ TEST_F(NetLoopbackTest, SelectivePolicyKeepsNormalBeatsLocal) {
   }
 
   const auto& gs = harness.gw.stats();
-  EXPECT_EQ(gs.full_beats_rx.load(), s.beats_uploaded);
+  EXPECT_EQ(gs.beat_summaries_rx.load(), expect_summary);
+  EXPECT_EQ(gs.full_beats_rx.load(), expect_meta);
   EXPECT_EQ(gs.samples_rx.load(), 0u) << "selective mode ships no raw chunks";
 
   // Exact bytes-on-wire accounting: HELLO + BYE + one frame per upload —
-  // nothing else leaves the node (heartbeats disabled above). A window's
-  // frame size depends on its codes, so each uploaded window is taken from
-  // a monitor run over the same lead (the node's monitor reports the same
-  // beats) and encoded.
-  std::map<std::uint64_t, std::size_t> window_frame_bytes;
+  // nothing else leaves the node (heartbeats disabled above). A summary's
+  // size depends on its fiducials and codes, so each flagged beat is taken
+  // from a monitor run over the same lead (the node's monitor reports the
+  // same beats), delineated on the monitor's buffer and encoded with the
+  // averaged codes its classification leaves behind.
+  std::map<std::uint64_t, std::size_t> summary_frame_bytes;
   core::StreamingBeatMonitor monitor(*bundle_, ncfg.monitor);
+  embedded::ClassifyScratch scratch;
+  delineation::DelineationScratch ds;
   const core::PendingBeatSink sink = [&](const core::PendingBeat& pb) {
-    if (!pb.window.empty())
-      window_frame_bytes[static_cast<std::uint64_t>(pb.beat.r_peak)] =
-          net::kHeaderBytes +
-          net::encode_full_beat(net::FullBeatMsg{}, pb.window).size();
+    if (pb.window.empty() ||
+        !ecg::is_pathological(bundle_->classify_window(pb.window, scratch)))
+      return;
+    net::BeatSummaryMsg m;
+    m.r_peak = pb.beat.r_peak;
+    m.offsets = net::summary_offsets(
+        delineation::delineate_beat(pb.context, pb.context_peak, {}, ds));
+    summary_frame_bytes[static_cast<std::uint64_t>(pb.beat.r_peak)] =
+        net::kHeaderBytes +
+        net::encode_beat_summary(m, scratch.projection.downsampled).size();
   };
   monitor.push_block(lead, sink);
   monitor.flush(sink);
@@ -387,7 +402,7 @@ TEST_F(NetLoopbackTest, SelectivePolicyKeepsNormalBeatsLocal) {
     if (!good)
       expect_bytes += net::kHeaderBytes + net::kFullBeatFixedBytes;
     else if (ecg::is_pathological(static_cast<ecg::BeatClass>(r.beat_class)))
-      expect_bytes += window_frame_bytes.at(r.r_peak);
+      expect_bytes += summary_frame_bytes.at(r.r_peak);
   }
   EXPECT_EQ(s.bytes_tx, expect_bytes);
 
@@ -408,6 +423,96 @@ TEST_F(NetLoopbackTest, SelectivePolicyKeepsNormalBeatsLocal) {
   EXPECT_LT(net::radio_energy_j(s, power),
             static_cast<double>(stream_everything_bytes) *
                 power.radio_j_per_byte / 2);
+}
+
+/// The nine fiducials of `f`, in order: comparable with EXPECT_EQ.
+std::vector<std::size_t> fiducial_points(const ecg::Fiducials& f) {
+  return {f.p_onset, f.p_peak,  f.p_end,  f.qrs_onset, f.r_peak,
+          f.qrs_end, f.t_onset, f.t_peak, f.t_end};
+}
+
+TEST_F(NetLoopbackTest, SummariesCarryWholeRecordFiducialsAndAveragedCodes) {
+  // A fault-free PVC lead. A stand-in gateway answers the HELLO and reads
+  // every upload off the wire; each BEAT_SUMMARY must hold what the whole
+  // record gives at its R peak: delineate_beat on condition_ecg_block's
+  // output, and that output's window averaged as the classifier averages
+  // it.
+  const dsp::Signal lead = patient_lead(4, 60.0);
+  net::TcpListener listener(0);
+  net::NodeConfig ncfg;
+  ncfg.port = listener.port();
+  ncfg.policy = net::TxPolicy::Selective;
+  ncfg.heartbeat_interval_ms = 0;
+  net::SensorNodeClient client(*bundle_, ncfg);
+  client.push(std::span<const dsp::Sample>(lead));
+  client.finish();
+  const net::TxStats& s = client.stats();
+  ASSERT_GT(s.beats_summarized, 5u);
+
+  const rp::BeatProjector& projector = bundle_->projector();
+  const delineation::Reach reach = delineation::reach();
+  const net::SummaryLimits limits{projector.downsampled_window(),
+                                  reach.before, reach.after};
+  net::Socket peer;
+  net::FrameParser parser;
+  std::vector<net::BeatSummaryMsg> summaries;
+  std::vector<std::vector<dsp::Sample>> codes;
+  std::size_t uploads = 0;
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (uploads < s.beats_uploaded && Clock::now() < deadline) {
+    client.poll_once(1);
+    if (!peer.valid()) {
+      peer = listener.accept();
+      continue;
+    }
+    unsigned char buf[4096];
+    const net::IoResult r = net::recv_some(peer.fd(), buf);
+    if (r.n == 0) continue;
+    ASSERT_TRUE(parser.feed(std::span<const unsigned char>(buf, r.n)));
+    net::FrameView f;
+    while (parser.next(f) == net::FrameParser::Status::Ok) {
+      if (f.type == net::FrameType::Hello) {
+        std::vector<unsigned char> ack;
+        net::append_frame(ack, net::FrameType::HelloAck, 0,
+                          net::encode_hello_ack({1, net::HelloStatus::Ok}));
+        ASSERT_EQ(net::send_some(peer.fd(), ack).n, ack.size());
+        continue;
+      }
+      ++uploads;
+      if (f.type != net::FrameType::BeatSummary) {
+        EXPECT_EQ(f.type, net::FrameType::FullBeat);
+        continue;
+      }
+      net::BeatSummaryMsg m;
+      std::vector<dsp::Sample> c;
+      ASSERT_TRUE(net::decode_beat_summary(f.payload, limits, m, c));
+      summaries.push_back(m);
+      codes.push_back(std::move(c));
+    }
+  }
+  ASSERT_EQ(uploads, s.beats_uploaded);
+  ASSERT_EQ(summaries.size(), s.beats_summarized);
+
+  dsp::Signal clamped = lead;
+  for (dsp::Sample& x : clamped)
+    x = std::clamp(x, ncfg.monitor.quality.rail_low,
+                   ncfg.monitor.quality.rail_high);
+  dsp::Signal conditioned;
+  kernels::ConditionScratch cs;
+  kernels::condition_ecg_block(clamped, ncfg.monitor.filter, cs, conditioned);
+  std::vector<dsp::Sample> averaged(projector.downsampled_window());
+  for (std::size_t i = 0; i < summaries.size(); ++i) {
+    const auto r = static_cast<std::size_t>(summaries[i].r_peak);
+    EXPECT_EQ(fiducial_points(net::summary_fiducials(summaries[i])),
+              fiducial_points(delineation::delineate_beat(conditioned, r)))
+        << "beat at " << r;
+    dsp::downsample_avg_into(
+        std::span<const dsp::Sample>(conditioned)
+            .subspan(r - ncfg.monitor.window_before,
+                     projector.expected_window()),
+        projector.downsample_factor(), averaged);
+    EXPECT_EQ(codes[i], averaged) << "beat at " << r;
+  }
 }
 
 TEST_F(NetLoopbackTest, GatewayDropsCorruptAndOutOfSeqConnections) {
@@ -701,7 +806,9 @@ TEST_F(NetLoopbackTest, OutageKeepsNewestUploadsCountsTheRest) {
   for (std::size_t i = 0; i < kWindow; ++i)
     newest[i] = s.beats_uploaded - kWindow + i;
   EXPECT_EQ(verdict_seqs, newest);
-  EXPECT_EQ(harness.gw.stats().full_beats_rx.load(), kWindow);
+  EXPECT_EQ(harness.gw.stats().full_beats_rx.load() +
+                harness.gw.stats().beat_summaries_rx.load(),
+            kWindow);
   EXPECT_EQ(s.retransmits, 0u);
 }
 

@@ -14,6 +14,7 @@
 
 #include "core/streaming.hpp"
 #include "core/trainer.hpp"
+#include "delineation/mmd.hpp"
 #include "golden_records.hpp"
 #include "math/check.hpp"
 #include "math/endian.hpp"
@@ -101,6 +102,123 @@ TEST(WireCodec, FullBeatRoundtripAndZeroSampleEscalation) {
   ASSERT_TRUE(net::decode_full_beat(meta, got, got_window));
   EXPECT_EQ(got.count, 0);
   EXPECT_TRUE(got_window.empty());
+}
+
+/// Limits that admit a summary of `codes` codes with fiducials up to 320
+/// and 480 ms around the R peak at 360 Hz.
+net::SummaryLimits summary_limits(std::size_t codes) {
+  return net::SummaryLimits{codes, 115, 172};
+}
+
+TEST(WireCodec, BeatSummaryRoundtripAndItsLimits) {
+  net::BeatSummaryMsg m;
+  m.r_peak = 9999;
+  m.beat_class = 1;
+  m.quality = 0;
+  m.offsets = {-90, -70, -50, -20, 25, 60, 110, 150};
+  std::vector<dsp::Sample> codes(50);
+  for (std::size_t i = 0; i < codes.size(); ++i)
+    codes[i] = static_cast<dsp::Sample>(40 * static_cast<int>(i) - 900);
+  const auto payload = net::encode_beat_summary(m, codes);
+
+  net::BeatSummaryMsg got;
+  std::vector<dsp::Sample> got_codes;
+  ASSERT_TRUE(net::decode_beat_summary(payload, summary_limits(50), got,
+                                       got_codes));
+  EXPECT_EQ(got.r_peak, m.r_peak);
+  EXPECT_EQ(got.beat_class, m.beat_class);
+  EXPECT_EQ(got.count, 50);
+  EXPECT_EQ(got.offsets, m.offsets);
+  EXPECT_EQ(got_codes, codes);
+  // Offsets are fiducials relative to the R peak, and back.
+  const ecg::Fiducials f = net::summary_fiducials(got);
+  EXPECT_EQ(f.r_peak, 9999u);
+  EXPECT_EQ(f.p_onset, 9909u);
+  EXPECT_EQ(f.t_end, 10149u);
+  EXPECT_EQ(net::summary_offsets(f), m.offsets);
+
+  // Outside the session's limits: another code count, a fiducial beyond
+  // the delineator's reach on either side, or before sample 0.
+  EXPECT_FALSE(net::decode_beat_summary(payload, summary_limits(49), got,
+                                        got_codes));
+  EXPECT_FALSE(net::decode_beat_summary(payload, {50, 89, 172}, got,
+                                        got_codes));
+  EXPECT_FALSE(net::decode_beat_summary(payload, {50, 115, 149}, got,
+                                        got_codes));
+  EXPECT_TRUE(net::decode_beat_summary(payload, {50, 90, 150}, got,
+                                       got_codes));
+  net::BeatSummaryMsg early = m;
+  early.r_peak = 89;
+  EXPECT_FALSE(net::decode_beat_summary(net::encode_beat_summary(early, codes),
+                                        summary_limits(50), got, got_codes));
+  early.r_peak = 90;
+  EXPECT_TRUE(net::decode_beat_summary(net::encode_beat_summary(early, codes),
+                                       summary_limits(50), got, got_codes));
+
+  // Shapes no delineation produces: the encoder refuses them, and the same
+  // bytes spelled by hand are refused by the decoder.
+  const auto with_offsets = [&](std::array<std::int16_t, 8> o) {
+    auto p = payload;
+    for (std::size_t i = 0; i < o.size(); ++i)
+      math::store_le(p.data() + 12 + 2 * i, o[i]);
+    return p;
+  };
+  constexpr std::int16_t A = net::kAbsentOffset;
+  const std::array<std::int16_t, 8> bad[] = {
+      {-90, A, -50, -20, 25, 60, 110, 150},     // P partly present
+      {-90, -70, -50, -20, 25, A, A, 150},      // T partly present
+      {-90, -70, -50, A, 25, 60, 110, 150},     // no QRS onset
+      {A, A, A, A, 25, A, A, A},                // nor a P wave
+      {-90, -70, -50, -20, A, 60, 110, 150},    // no QRS end
+      {-90, -70, -50, 3, 25, 60, 110, 150},     // QRS onset after R
+      {-90, -70, -50, -20, -1, 60, 110, 150},   // QRS end before R
+      {-70, -90, -50, -20, 25, 60, 110, 150},   // P points out of order
+      {-90, -70, -10, -20, 25, 60, 110, 150},   // P ends inside the QRS
+      {-90, -70, -50, -20, 25, 20, 110, 150},   // T starts inside the QRS
+      {-90, -70, -50, -20, 25, 60, 150, 150},   // T peak on its end
+  };
+  for (const auto& o : bad) {
+    net::BeatSummaryMsg b = m;
+    b.offsets = o;
+    EXPECT_THROW(net::encode_beat_summary(b, codes), hbrp::Error);
+    EXPECT_FALSE(net::decode_beat_summary(with_offsets(o),
+                                          summary_limits(50), got, got_codes));
+  }
+  // Both waves absent is a delineation too; so is a QRS of one sample.
+  net::BeatSummaryMsg bare;
+  bare.r_peak = 5;
+  EXPECT_TRUE(net::decode_beat_summary(net::encode_beat_summary(bare, codes),
+                                       summary_limits(50), got, got_codes));
+  EXPECT_EQ(got.offsets, bare.offsets);
+  // Codes: at least one, within the 12-bit range, the exact run length.
+  EXPECT_THROW(net::encode_beat_summary(m, {}), hbrp::Error);
+  EXPECT_THROW(net::encode_beat_summary(m, std::vector<dsp::Sample>{2048}),
+               hbrp::Error);
+  auto shorter = payload;
+  shorter.pop_back();
+  EXPECT_FALSE(net::decode_beat_summary(shorter, summary_limits(50), got,
+                                        got_codes));
+  auto longer = payload;
+  longer.push_back(0);
+  EXPECT_FALSE(net::decode_beat_summary(longer, summary_limits(50), got,
+                                        got_codes));
+  for (const std::size_t cut : {std::size_t{0}, net::kFullBeatFixedBytes,
+                                 net::kBeatSummaryFixedBytes - 1,
+                                 net::kBeatSummaryFixedBytes})
+    EXPECT_FALSE(net::decode_beat_summary(
+        std::vector<unsigned char>(payload.begin(),
+                                   payload.begin() +
+                                       static_cast<std::ptrdiff_t>(cut)),
+        summary_limits(50), got, got_codes))
+        << cut;
+  // The session's count is the caller's to get right.
+  EXPECT_THROW(net::decode_beat_summary(payload, summary_limits(0), got,
+                                        got_codes),
+               hbrp::Error);
+  // A fiducial an int16 offset cannot hold is refused before framing.
+  ecg::Fiducials far = f;
+  far.t_end = f.r_peak + 40000;
+  EXPECT_THROW(net::summary_offsets(far), hbrp::Error);
 }
 
 TEST(WireCodec, DecodersRejectWrongSizes) {
@@ -227,6 +345,13 @@ void expect_round_trip(const std::vector<dsp::Sample>& codes) {
   std::vector<dsp::Sample> got;
   ASSERT_TRUE(net::decode_full_beat(beat, m, got));
   EXPECT_EQ(got, codes);
+  net::BeatSummaryMsg sm;
+  const auto summary = net::encode_beat_summary(sm, codes);
+  EXPECT_EQ(summary.size() - net::kBeatSummaryFixedBytes,
+            payload.size() - net::kChunkCountBytes);
+  ASSERT_TRUE(net::decode_beat_summary(summary, summary_limits(codes.size()),
+                                       sm, got));
+  EXPECT_EQ(got, codes);
 }
 
 TEST(WireCodec, EveryTwelveBitCodeRoundTripsAtEveryPosition) {
@@ -304,6 +429,29 @@ TEST(WireCodec, PackedLayoutIsTheDocumentedBitPattern) {
             (std::vector<unsigned char>{0x08, 0x07, 0x06, 0x05, 0x04, 0x03,
                                         0x02, 0x01, 0x02, 0x01, 0x04, 0x00,
                                         0x64, 0x00, 0x03, 0x62, 0x00}));
+  // The BEAT_SUMMARY: the same 12 bytes, the eight offsets as LE int16
+  // (-40 -> D8 FF, an absent wave's 0x8000 -> 00 80), then the run.
+  net::BeatSummaryMsg sm;
+  sm.r_peak = 0x0102030405060708ull;
+  sm.beat_class = 2;
+  sm.quality = 0;
+  sm.offsets = {-40, -30, -20, -10, 12, 30, 50, 80};
+  EXPECT_EQ(
+      net::encode_beat_summary(sm, std::vector<dsp::Sample>{100, 101, 103,
+                                                            102}),
+      (std::vector<unsigned char>{
+          0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0x02, 0x00,
+          0x04, 0x00, 0xD8, 0xFF, 0xE2, 0xFF, 0xEC, 0xFF, 0xF6, 0xFF,
+          0x0C, 0x00, 0x1E, 0x00, 0x32, 0x00, 0x50, 0x00, 0x64, 0x00,
+          0x03, 0x62, 0x00}));
+  sm.offsets = {net::kAbsentOffset, net::kAbsentOffset, net::kAbsentOffset,
+                -10, 12, net::kAbsentOffset, net::kAbsentOffset,
+                net::kAbsentOffset};
+  EXPECT_EQ(net::encode_beat_summary(sm, std::vector<dsp::Sample>{-5}),
+            (std::vector<unsigned char>{
+                0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0x02, 0x00,
+                0x01, 0x00, 0x00, 0x80, 0x00, 0x80, 0x00, 0x80, 0xF6, 0xFF,
+                0x0C, 0x00, 0x00, 0x80, 0x00, 0x80, 0x00, 0x80, 0xFB, 0x0F}));
 }
 
 TEST(WireCodec, PackedDecodersRejectMalformedPayloads) {
@@ -436,7 +584,18 @@ TEST(WireCodec, FrameSizesMatchEncodedFrames) {
     EXPECT_EQ(beat.size(), net::kFullBeatFixedBytes + run) << n;
     EXPECT_EQ(frame_size(FrameType::FullBeat, beat),
               net::kHeaderBytes + beat.size());
+    const auto summary =
+        net::encode_beat_summary(net::BeatSummaryMsg{}, codes);
+    EXPECT_EQ(summary.size(), net::kBeatSummaryFixedBytes + run) << n;
+    EXPECT_EQ(frame_size(FrameType::BeatSummary, summary),
+              net::kHeaderBytes + summary.size());
   }
+  // A summary of 50 averaged codes, the default geometry's, is at most a
+  // 126-byte frame: the header, 28 fixed bytes and the worst run.
+  EXPECT_EQ(net::kBeatSummaryFixedBytes, 28u);
+  EXPECT_EQ(net::kHeaderBytes + net::kBeatSummaryFixedBytes +
+                net::max_packed_sample_bytes(50),
+            126u);
   EXPECT_EQ(frame_size(FrameType::FullBeat,
                        net::encode_full_beat(net::FullBeatMsg{}, {})),
             32u);
@@ -531,13 +690,21 @@ embedded::EmbeddedClassifier window_geometry() {
 
 TEST(WireGolden, EcgBytesArePinned) {
   // The bytes an ECG costs on the wire, as exact counts: each golden record
-  // framed as 512-sample SAMPLE_CHUNKs, and every window a monitor reports
-  // on it framed as a FULL_BEAT. A change in these is a change in what the
-  // link costs.
+  // framed as 512-sample SAMPLE_CHUNKs, every window a monitor reports on
+  // it framed as a FULL_BEAT, and every window the classifier flags (a
+  // pathological or Unknown verdict) delineated on the monitor's buffer and
+  // framed as the BEAT_SUMMARY a selective node sends. A change in these is
+  // a change in what the link costs.
   const std::size_t pinned_chunk_bytes[] = {35787, 35372, 30780, 34136};
   const std::size_t pinned_window_bytes[] = {28101, 27065, 18142, 23241};
   const std::size_t pinned_windows[] = {174, 170, 122, 147};
+  const std::size_t pinned_summary_bytes[] = {1611, 829, 1038, 12667};
+  const std::size_t pinned_summaries[] = {18, 9, 12, 147};
   const auto clf = window_geometry();
+  const delineation::Reach reach = delineation::reach();
+  const net::SummaryLimits limits{clf.projector().downsampled_window(),
+                                  reach.before, reach.after};
+  std::vector<unsigned char> summaries_wire;
   for (std::size_t p = 0; p < std::size(golden::kProfiles); ++p) {
     const dsp::Signal codes = golden::record(golden::kProfiles[p]);
     std::size_t chunk_bytes = 0;
@@ -550,7 +717,10 @@ TEST(WireGolden, EcgBytesArePinned) {
     core::MonitorConfig mcfg;
     mcfg.quality = golden::full_scale_rails();
     core::StreamingBeatMonitor monitor(clf, mcfg);
+    embedded::ClassifyScratch scratch;
+    delineation::DelineationScratch ds;
     std::size_t window_bytes = 0, windows = 0, window_codes = 0;
+    std::size_t summary_bytes = 0, summaries = 0;
     const core::PendingBeatSink sink = [&](const core::PendingBeat& pb) {
       if (pb.window.empty()) return;
       window_bytes +=
@@ -558,16 +728,40 @@ TEST(WireGolden, EcgBytesArePinned) {
           net::encode_full_beat(net::FullBeatMsg{}, pb.window).size();
       window_codes += pb.window.size();
       ++windows;
+      const ecg::BeatClass c = clf.classify_window(pb.window, scratch);
+      if (!ecg::is_pathological(c)) return;
+      net::BeatSummaryMsg m;
+      m.r_peak = pb.beat.r_peak;
+      m.beat_class = static_cast<std::uint8_t>(c);
+      m.offsets = net::summary_offsets(
+          delineation::delineate_beat(pb.context, pb.context_peak, {}, ds));
+      const auto payload =
+          net::encode_beat_summary(m, scratch.projection.downsampled);
+      net::BeatSummaryMsg back;
+      std::vector<dsp::Sample> back_codes;
+      EXPECT_TRUE(net::decode_beat_summary(payload, limits, back, back_codes));
+      net::append_frame(summaries_wire, FrameType::BeatSummary, summaries,
+                        payload);
+      summary_bytes += net::kHeaderBytes + payload.size();
+      ++summaries;
     };
     monitor.push_block(all, sink);
     monitor.flush(sink);
     EXPECT_EQ(chunk_bytes, pinned_chunk_bytes[p]) << "profile " << p;
     EXPECT_EQ(window_bytes, pinned_window_bytes[p]) << "profile " << p;
     EXPECT_EQ(windows, pinned_windows[p]) << "profile " << p;
+    EXPECT_EQ(summary_bytes, pinned_summary_bytes[p]) << "profile " << p;
+    EXPECT_EQ(summaries, pinned_summaries[p]) << "profile " << p;
     // Frames, headers included, at most 7 bits per code.
     EXPECT_LE(8 * chunk_bytes, 7 * all.size()) << "profile " << p;
     EXPECT_LE(8 * window_bytes, 7 * window_codes) << "profile " << p;
+    // A summary frame costs under two thirds of its window's frame.
+    EXPECT_LT(3 * summary_bytes, 2 * window_bytes * summaries / windows)
+        << "profile " << p;
   }
+  // Every byte of every summary frame, fiducials and codes included.
+  EXPECT_EQ(fnv1a(summaries_wire), 0xD3321B372C1B4A8Dull)
+      << std::hex << "got 0x" << fnv1a(summaries_wire);
 }
 
 TEST(WireFrame, ParserRoundtripsFramesOfEveryType) {
@@ -840,6 +1034,8 @@ TEST(WireFuzz, OversizedLengthFieldsNeverAllocate) {
 
 /// A payload decoder either rejects `payload` or decodes it to values that
 /// re-encode to the identical bytes: no two byte strings mean one thing.
+/// The summary decoder runs with the count the payload declares and a reach
+/// no offset exceeds, so only the layout can reject it.
 void expect_canonical(const std::vector<unsigned char>& payload) {
   std::vector<dsp::Sample> codes;
   if (net::decode_sample_chunk(payload, codes)) {
@@ -853,6 +1049,40 @@ void expect_canonical(const std::vector<unsigned char>& payload) {
     EXPECT_EQ(net::encode_full_beat(m, window), payload)
         << "full beat of " << payload.size() << " bytes";
   }
+  if (payload.size() < net::kFullBeatFixedBytes) return;
+  const net::SummaryLimits any{
+      math::load_le<std::uint16_t>(payload.data() + 10), 1u << 15, 1u << 15};
+  if (any.codes == 0 || any.codes > net::kMaxWindowSamples) return;
+  net::BeatSummaryMsg sm;
+  if (net::decode_beat_summary(payload, any, sm, codes)) {
+    EXPECT_EQ(sm.count, codes.size());
+    EXPECT_EQ(net::encode_beat_summary(sm, codes), payload)
+        << "summary of " << payload.size() << " bytes";
+  }
+}
+
+/// Offsets of a delineation at 360 Hz: a QRS around the R peak, and a P
+/// and a T wave each present or absent.
+std::array<std::int16_t, net::kSummaryFiducials> draw_offsets(math::Rng& rng) {
+  std::array<std::int16_t, net::kSummaryFiducials> o =
+      net::BeatSummaryMsg{}.offsets;
+  o[3] = static_cast<std::int16_t>(-static_cast<int>(rng.uniform_index(65)));
+  o[4] = static_cast<std::int16_t>(rng.uniform_index(73));
+  const auto wave = [&](std::size_t first, int lo, int hi) {
+    if (rng.uniform_index(2) == 0) return;
+    std::array<int, 3> v;
+    do {
+      for (int& x : v)
+        x = lo + static_cast<int>(rng.uniform_index(
+                     static_cast<std::uint64_t>(hi - lo + 1)));
+      std::sort(v.begin(), v.end());
+    } while (v[0] == v[1] || v[1] == v[2]);
+    for (std::size_t i = 0; i < 3; ++i)
+      o[first + i] = static_cast<std::int16_t>(v[i]);
+  };
+  wave(0, -115, o[3]);
+  wave(5, o[4], 172);
+  return o;
 }
 
 TEST(WireFuzz, PayloadDecodersAcceptOnlyCanonicalBytes) {
@@ -881,17 +1111,25 @@ TEST(WireFuzz, PayloadDecodersAcceptOnlyCanonicalBytes) {
     }
     return codes;
   };
-  std::size_t mutated = 0, rejected = 0;
-  for (int round = 0; round < 6000; ++round) {
+  enum Kind { kChunk, kFullBeat, kSummary };
+  std::size_t mutated = 0, rejected = 0, summaries = 0;
+  for (int round = 0; round < 9000; ++round) {
     const std::vector<dsp::Sample> codes = draw_codes(round % 4 != 3);
-    const bool chunk = round % 2 == 0;
+    const auto kind = static_cast<Kind>(round % 3);
     net::FullBeatMsg m;
     m.r_peak = rng.uniform_index(1u << 30);
     m.beat_class = static_cast<std::uint8_t>(rng.uniform_index(4));
-    const std::size_t prefix =
-        chunk ? net::kChunkCountBytes : net::kFullBeatFixedBytes;
-    auto payload = chunk ? net::encode_sample_chunk(codes)
-                         : net::encode_full_beat(m, codes);
+    net::BeatSummaryMsg sm;
+    sm.r_peak = m.r_peak;
+    sm.beat_class = m.beat_class;
+    sm.offsets = draw_offsets(rng);
+    const net::SummaryLimits limits = summary_limits(codes.size());
+    const std::size_t prefix = kind == kChunk      ? net::kChunkCountBytes
+                               : kind == kFullBeat ? net::kFullBeatFixedBytes
+                                                   : net::kBeatSummaryFixedBytes;
+    auto payload = kind == kChunk      ? net::encode_sample_chunk(codes)
+                   : kind == kFullBeat ? net::encode_full_beat(m, codes)
+                                       : net::encode_beat_summary(sm, codes);
     PackedRun run = run_of(codes);
     const auto with_run = [&](const PackedRun& r) {
       auto p = std::vector<unsigned char>(payload.begin(),
@@ -900,10 +1138,13 @@ TEST(WireFuzz, PayloadDecodersAcceptOnlyCanonicalBytes) {
       p.insert(p.end(), bytes.begin(), bytes.end());
       return p;
     };
+    const auto set_offset = [&](std::size_t i, std::int16_t v) {
+      math::store_le(payload.data() + net::kFullBeatFixedBytes + 2 * i, v);
+    };
     const std::size_t blocks = run.widths.size();
     // Whether the mutation must make the payload invalid.
     bool invalid = true;
-    switch (round / 2 % 8) {
+    switch (round / 3 % (kind == kSummary ? 10 : 8)) {
       case 0: {  // 1-4 bit flips anywhere
         const auto flips = 1 + rng.uniform_index(4);
         for (std::uint64_t i = 0; i < flips; ++i) {
@@ -952,13 +1193,13 @@ TEST(WireFuzz, PayloadDecodersAcceptOnlyCanonicalBytes) {
             payload[prefix + 1] | (0x10u << rng.uniform_index(4)));
         break;
       case 6: {  // the count one off: may still spell a valid run
-        const std::size_t at = chunk ? 0 : 10;
+        const std::size_t at = kind == kChunk ? 0 : 10;
         const auto count = math::load_le<std::uint16_t>(payload.data() + at);
         math::store_le<std::uint16_t>(
             payload.data() + at,
             static_cast<std::uint16_t>(rng.uniform_index(2) == 0 ? count - 1
                                                                  : count + 1));
-        invalid = false;
+        invalid = kind == kSummary;  // the session fixes a summary's count
         break;
       }
       case 7:  // one byte short or one byte long
@@ -967,19 +1208,50 @@ TEST(WireFuzz, PayloadDecodersAcceptOnlyCanonicalBytes) {
         else
           payload.push_back(static_cast<unsigned char>(rng.uniform_index(256)));
         break;
+      case 8: {  // a P or T wave partly present
+        const std::size_t first = rng.uniform_index(2) == 0 ? 0 : 5;
+        const std::size_t i = first + rng.uniform_index(3);
+        set_offset(i, sm.offsets[first] == net::kAbsentOffset
+                          ? static_cast<std::int16_t>(first == 0 ? -30 : 100)
+                          : net::kAbsentOffset);
+        break;
+      }
+      case 9: {  // a point past the R peak or the delineator's reach
+        const auto by = static_cast<std::int16_t>(1 + rng.uniform_index(100));
+        switch (rng.uniform_index(3)) {
+          case 0:  // the QRS onset after the R peak
+            set_offset(3, by);
+            break;
+          case 1:  // the first point before the reach
+            set_offset(sm.offsets[0] == net::kAbsentOffset ? 3 : 0,
+                       static_cast<std::int16_t>(-115 - by));
+            break;
+          default:  // the last point after it
+            set_offset(sm.offsets[7] == net::kAbsentOffset ? 4 : 7,
+                       static_cast<std::int16_t>(172 + by));
+            break;
+        }
+        break;
+      }
     }
     ++mutated;
+    summaries += kind == kSummary;
     std::vector<dsp::Sample> out;
     net::FullBeatMsg got;
-    const bool accepted = chunk ? net::decode_sample_chunk(payload, out)
-                                : net::decode_full_beat(payload, got, out);
+    net::BeatSummaryMsg got_summary;
+    const bool accepted =
+        kind == kChunk      ? net::decode_sample_chunk(payload, out)
+        : kind == kFullBeat ? net::decode_full_beat(payload, got, out)
+                            : net::decode_beat_summary(payload, limits,
+                                                       got_summary, out);
     rejected += !accepted;
     if (invalid) {
       EXPECT_FALSE(accepted) << "round " << round;
     }
     expect_canonical(payload);
   }
-  EXPECT_GT(mutated, 4000u);
+  EXPECT_GT(mutated, 6000u);
+  EXPECT_GT(summaries, 2000u);
   EXPECT_GT(rejected, mutated / 2);
 }
 
